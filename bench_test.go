@@ -194,13 +194,14 @@ func BenchmarkPMPTrain(b *testing.B) {
 	}
 }
 
-// BenchmarkCounterVectorMerge measures the pattern-merge primitive.
+// BenchmarkCounterVectorMerge measures the pattern-merge primitive on
+// one 64-counter row of a packed pattern table.
 func BenchmarkCounterVectorMerge(b *testing.B) {
-	cv := mem.NewCounterVector(64, 5)
+	row := mem.NewPackedCounterTable(1, 64, 5)
 	pat := mem.BitVectorOf(64, 0, 1, 2, 3, 8, 16, 31, 63)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cv.Merge(pat)
+		row.MergeRow(0, pat)
 	}
 }
 
@@ -220,9 +221,9 @@ func BenchmarkSimulator(b *testing.B) {
 	cfg.Warmup = 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys := sim.NewSystem(cfg, core.New(core.DefaultConfig()))
-		res := sys.Run(recs)
-		b.ReportMetric(float64(res.Instructions), "instructions/op")
+		m := sim.NewMachineAt(cfg, []prefetch.Prefetcher{core.New(core.DefaultConfig())}, nil, false)
+		res := m.Run([]trace.Source{recs})
+		b.ReportMetric(float64(res[0].Instructions), "instructions/op")
 	}
 }
 

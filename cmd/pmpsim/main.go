@@ -82,32 +82,35 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pmpsim:", err)
 		os.Exit(2)
 	}
-	sys := sim.NewSystem(cfg, pf)
+	var attach []sim.AttachSpec
 	if *llcpf != "" {
 		lp, err := buildVariant(*llcpf)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pmpsim:", err)
 			os.Exit(2)
 		}
-		sys.AttachLLCPrefetcher(lp)
+		// One core, so New runs once and the instance is never shared.
+		attach = []sim.AttachSpec{{Level: cfg.HierarchyDepth() - 1, New: func() prefetch.Prefetcher { return lp }}}
 	}
+	m := sim.NewMachineAt(cfg, []prefetch.Prefetcher{pf}, attach, false)
 	if *traceLifecycle || *lifecycleJSONL != "" {
 		sink, flush, err := lifecycleSink(*lifecycleJSONL)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pmpsim:", err)
 			os.Exit(1)
 		}
-		sys.EnableLifecycleTracing(sink)
+		m.EnableLifecycleTracing(sink)
 		defer flush()
 	}
-	res := sys.Run(src)
+	res := m.Run([]trace.Source{src})[0]
 	printResult(res)
 	for _, report := range analysis.Timeliness(res, *topRegions) {
 		fmt.Print(report)
 	}
 
 	if *baseline {
-		base := sim.NewSystem(cfg, bench.NewPrefetcher(bench.NameNone)).Run(src)
+		none := []prefetch.Prefetcher{bench.NewPrefetcher(bench.NameNone)}
+		base := sim.NewMachineAt(cfg, none, nil, false).Run([]trace.Source{src})[0]
 		fmt.Printf("\nbaseline IPC %.4f -> NIPC %.4f, NMT %.1f%%\n",
 			base.IPC(), res.IPC()/base.IPC(),
 			100*float64(res.DRAM.Requests)/float64(base.DRAM.Requests))

@@ -56,30 +56,21 @@ func main() {
 	os.Exit(2)
 }
 
-// legacyMain handles the flag-style spellings: -gen, and the
-// deprecated -info (now the info subcommand).
+// legacyMain handles the flag-style -gen spelling.
 func legacyMain() error {
 	gen := flag.String("gen", "", "suite trace name to generate (see pmpsim -list-traces)")
 	records := flag.Int("records", 1_000_000, "records to generate")
 	out := flag.String("o", "", "output file (required with -gen)")
-	info := flag.String("info", "", "deprecated: use `pmptrace info <file>`")
 	flag.Parse()
 
-	switch {
-	case *info != "":
-		// One code path: the legacy flag re-enters the subcommand.
-		fmt.Fprintln(os.Stderr, "pmptrace: -info is deprecated; use `pmptrace info [-records] <file>`")
-		return infoCmd([]string{"-records", *info})
-	case *gen != "":
-		if *out == "" {
-			return fmt.Errorf("-gen requires -o")
-		}
-		return generate(*gen, *records, *out)
-	default:
+	if *gen == "" {
 		flag.Usage()
 		os.Exit(2)
-		return nil
 	}
+	if *out == "" {
+		return fmt.Errorf("-gen requires -o")
+	}
+	return generate(*gen, *records, *out)
 }
 
 func generate(name string, records int, out string) error {

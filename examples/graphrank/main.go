@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"pmp/internal/bench"
+	"pmp/internal/prefetch"
 	"pmp/internal/sim"
 	"pmp/internal/trace"
 )
@@ -22,14 +23,18 @@ func main() {
 	cfg := sim.DefaultConfig()
 	cfg.Warmup = 200_000
 
-	base := sim.NewSystem(cfg, bench.NewPrefetcher(bench.NameNone)).Run(mk())
+	run := func(pf prefetch.Prefetcher) sim.Result {
+		return sim.NewMachineAt(cfg, []prefetch.Prefetcher{pf}, nil, false).Run([]trace.Source{mk()})[0]
+	}
+
+	base := run(bench.NewPrefetcher(bench.NameNone))
 	fmt.Printf("baseline: IPC %.3f, LLC MPKI %.1f\n\n", base.IPC(), base.MPKI())
 	fmt.Printf("%-10s %8s %8s %12s %14s %10s\n",
 		"prefetcher", "NIPC", "NMT", "L1D useful", "L1D accuracy", "storage")
 
 	for _, name := range bench.EvalNames() {
 		pf := bench.NewPrefetcher(name)
-		res := sim.NewSystem(cfg, pf).Run(mk())
+		res := run(pf)
 		fmt.Printf("%-10s %8.3f %7.0f%% %12d %13.1f%% %7.1fKB\n",
 			name,
 			res.IPC()/base.IPC(),

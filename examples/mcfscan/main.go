@@ -13,6 +13,7 @@ import (
 
 	"pmp/internal/analysis"
 	"pmp/internal/bench"
+	"pmp/internal/prefetch"
 	"pmp/internal/sim"
 	"pmp/internal/trace"
 )
@@ -41,8 +42,11 @@ func main() {
 	// without PMP.
 	cfg := sim.DefaultConfig()
 	cfg.Warmup = 200_000
-	base := sim.NewSystem(cfg, bench.NewPrefetcher(bench.NameNone)).Run(mk())
-	pmp := sim.NewSystem(cfg, bench.NewPrefetcher(bench.NamePMP)).Run(mk())
+	run := func(pf prefetch.Prefetcher) sim.Result {
+		return sim.NewMachineAt(cfg, []prefetch.Prefetcher{pf}, nil, false).Run([]trace.Source{mk()})[0]
+	}
+	base := run(bench.NewPrefetcher(bench.NameNone))
+	pmp := run(bench.NewPrefetcher(bench.NamePMP))
 
 	fmt.Printf("\nsimulation (Table IV system):\n")
 	fmt.Printf("  baseline: IPC %.3f, L1D misses %d\n", base.IPC(), base.L1D.DemandMisses)

@@ -38,7 +38,7 @@ func main() {
 			pfs[i] = bench.NewPrefetcher(pfName)
 			srcs[i] = mix[i].New(records)
 		}
-		return sim.NewMulticore(cfg, pfs).Run(srcs)
+		return sim.NewMachineAt(cfg, pfs, nil, true).Run(srcs)
 	}
 
 	base := run(bench.NameNone)

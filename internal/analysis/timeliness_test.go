@@ -15,11 +15,11 @@ func tracedStreamResult(t *testing.T) sim.Result {
 	t.Helper()
 	cfg := sim.DefaultConfig()
 	cfg.Warmup = 10_000
-	sys := sim.NewSystem(cfg, nextline.New(2))
-	sys.EnableLifecycleTracing(nil)
+	m := sim.NewMachineAt(cfg, []prefetch.Prefetcher{nextline.New(2)}, nil, false)
+	m.EnableLifecycleTracing(nil)
 	p := trace.DefaultStreamParams()
 	p.Streams = 2
-	return sys.Run(trace.NewStream("stream", 1, 60_000, p))
+	return m.Run([]trace.Source{trace.NewStream("stream", 1, 60_000, p)})[0]
 }
 
 func TestTimelinessReportFromTracedRun(t *testing.T) {
@@ -62,7 +62,8 @@ func TestTimelinessReportFromTracedRun(t *testing.T) {
 func TestTimelinessEmptyWithoutTracing(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.Warmup = 1_000
-	res := sim.NewSystem(cfg, nextline.New(1)).Run(trace.NewStream("s", 1, 5_000, trace.DefaultStreamParams()))
+	src := trace.NewStream("s", 1, 5_000, trace.DefaultStreamParams())
+	res := sim.NewMachineAt(cfg, []prefetch.Prefetcher{nextline.New(1)}, nil, false).Run([]trace.Source{src})[0]
 	if got := analysis.Timeliness(res, 5); len(got) != 0 {
 		t.Errorf("untraced run produced %d reports", len(got))
 	}

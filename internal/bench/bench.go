@@ -184,12 +184,6 @@ func bingoOriginalConfig() bingo.Config {
 	return c
 }
 
-// RunOne simulates one (trace, prefetcher) pair.
-func RunOne(spec trace.Spec, pf prefetch.Prefetcher, scale Scale, cfg sim.Config) sim.Result {
-	src := spec.New(scale.Records)
-	return sim.NewSystem(cfg, pf).Run(src)
-}
-
 // SuiteResult holds one prefetcher's results across the trace subset,
 // aligned with the baseline runs.
 type SuiteResult struct {

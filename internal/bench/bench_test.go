@@ -4,12 +4,20 @@ import (
 	"strings"
 	"testing"
 
+	"pmp/internal/prefetch"
+	"pmp/internal/sim"
 	"pmp/internal/trace"
 )
 
 // tinyScale keeps unit tests fast.
 func tinyScale() Scale {
 	return Scale{Traces: 4, Records: 20_000, Warmup: 10_000, Measure: 50_000}
+}
+
+// runSingle simulates one (trace, prefetcher) pair on a one-core machine.
+func runSingle(spec trace.Spec, pf prefetch.Prefetcher, scale Scale, cfg sim.Config) sim.Result {
+	src := []trace.Source{spec.New(scale.Records)}
+	return sim.NewMachineAt(cfg, []prefetch.Prefetcher{pf}, nil, false).Run(src)[0]
 }
 
 func TestScalesAreOrdered(t *testing.T) {
@@ -260,7 +268,7 @@ func TestSuiteMPKIClasses(t *testing.T) {
 		var sum float64
 		n := min(3, len(specs))
 		for _, sp := range specs[:n] {
-			sum += RunOne(sp, NewPrefetcher(NameNone), scale, cfg).MPKI()
+			sum += runSingle(sp, NewPrefetcher(NameNone), scale, cfg).MPKI()
 		}
 		return sum / float64(n)
 	}

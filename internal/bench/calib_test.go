@@ -17,8 +17,8 @@ func TestCalibrate(t *testing.T) {
 	scale.Traces = 12
 	cfg := scale.Config()
 	for _, sp := range scale.Specs() {
-		base := RunOne(sp, NewPrefetcher(NameNone), scale, cfg)
-		pmp := RunOne(sp, NewPrefetcher(NamePMP), scale, cfg)
+		base := runSingle(sp, NewPrefetcher(NameNone), scale, cfg)
+		pmp := runSingle(sp, NewPrefetcher(NamePMP), scale, cfg)
 		util := float64(base.DRAM.BusyCycles) / float64(base.Cycles)
 		fmt.Printf("%-22s base ipc=%.2f mpki=%5.1f util=%4.1f%% | pmp nipc=%.3f nmt=%.2f l1useful=%d\n",
 			sp.Name, base.IPC(), base.MPKI(), util*100,

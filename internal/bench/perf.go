@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"time"
 
+	"pmp/internal/prefetch"
 	"pmp/internal/sim"
 	"pmp/internal/trace"
 )
@@ -80,8 +81,9 @@ func RunPerf(scale Scale, names []string) PerfReport {
 		var accesses uint64
 		for _, tr := range traces {
 			tr.Reset()
-			res := sim.NewSystem(cfg, NewPrefetcher(name)).Run(tr)
-			accesses += res.L1D.DemandAccesses
+			pf := []prefetch.Prefetcher{NewPrefetcher(name)}
+			res := sim.NewMachineAt(cfg, pf, nil, false).Run([]trace.Source{tr})
+			accesses += res[0].L1D.DemandAccesses
 		}
 		elapsed := time.Since(start)
 		runtime.ReadMemStats(&m1)

@@ -16,6 +16,7 @@ import (
 	"pmp/internal/sim"
 	"pmp/internal/sweep"
 	"pmp/internal/sweep/remote"
+	"pmp/internal/trace"
 )
 
 // resolveScale is deliberately tiny: these tests compare constructions
@@ -50,9 +51,9 @@ func singleSpec(traceName string, v VariantSpec, placements []runspec.Placement,
 	}
 }
 
-// BuildRun must reproduce the legacy serial path byte-for-byte: a plain
-// single-core run equals sim.NewSystem, and an LLC placement equals the
-// old AttachLLCPrefetcher attach point.
+// BuildRun must reproduce direct machine construction byte-for-byte: a
+// plain single-core run equals sim.NewMachineAt with no attachments,
+// and an LLC placement equals an AttachSpec at the outermost level.
 func TestBuildRunMatchesLocal(t *testing.T) {
 	cfg := resolveScale.Config()
 	sp := resolveScale.Specs()[0]
@@ -63,13 +64,14 @@ func TestBuildRunMatchesLocal(t *testing.T) {
 		local func() sim.Result
 	}{
 		{"core", singleSpec(sp.Name, RegistryVariant(NamePMP), nil, cfg), func() sim.Result {
-			return sim.NewSystem(cfg, NewPrefetcher(NamePMP)).Run(sp.New(resolveScale.Records))
+			m := sim.NewMachineAt(cfg, []prefetch.Prefetcher{NewPrefetcher(NamePMP)}, nil, false)
+			return m.Run([]trace.Source{sp.New(resolveScale.Records)})[0]
 		}},
 		{"llc-placement", singleSpec(sp.Name, RegistryVariant(NameNone),
 			[]runspec.Placement{{Level: 2, Variant: RegistryVariant(NamePMP)}}, cfg), func() sim.Result {
-			sys := sim.NewSystem(cfg, prefetch.Nop{})
-			sys.AttachLLCPrefetcher(NewPrefetcher(NamePMP))
-			return sys.Run(sp.New(resolveScale.Records))
+			llc := []sim.AttachSpec{{Level: 2, New: func() prefetch.Prefetcher { return NewPrefetcher(NamePMP) }}}
+			m := sim.NewMachineAt(cfg, []prefetch.Prefetcher{prefetch.Nop{}}, llc, false)
+			return m.Run([]trace.Source{sp.New(resolveScale.Records)})[0]
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -158,9 +158,11 @@ func (c Config) Validate() error {
 	if c.PCBits < 1 || c.PCBits > 16 {
 		return fmt.Errorf("pmp: PC bits must be in [1, 16], got %d", c.PCBits)
 	}
-	if c.OPTCounterBits < 1 || c.OPTCounterBits > 16 ||
-		c.PPTCounterBits < 1 || c.PPTCounterBits > 16 {
-		return fmt.Errorf("pmp: counter bits must be in [1, 16]")
+	// The packed pattern engine is the only one, so its lane width
+	// bounds every legal counter.
+	if c.OPTCounterBits < 1 || c.OPTCounterBits > mem.MaxPackedBits ||
+		c.PPTCounterBits < 1 || c.PPTCounterBits > mem.MaxPackedBits {
+		return fmt.Errorf("pmp: counter bits must be in [1, %d]", mem.MaxPackedBits)
 	}
 	if c.MonitoringRange < 1 || c.PatternLen()%c.MonitoringRange != 0 {
 		return fmt.Errorf("pmp: monitoring range %d must divide pattern length %d",

@@ -41,6 +41,33 @@ func TestConfigValidateRejects(t *testing.T) {
 	}
 }
 
+// TestCounterBitsCapIsPackedWidth pins the bound that keeps every legal
+// configuration on the packed pattern engine, for both tables: counters
+// mem.MaxPackedBits wide construct, train and predict; one bit wider is
+// rejected.
+func TestCounterBitsCapIsPackedWidth(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*Config, int)
+	}{
+		{"OPTCounterBits", func(c *Config, bits int) { c.OPTCounterBits = bits }},
+		{"PPTCounterBits", func(c *Config, bits int) { c.PPTCounterBits = bits }},
+	} {
+		cfg := DefaultConfig()
+		tc.set(&cfg, mem.MaxPackedBits)
+		p := New(cfg)
+		teach(p, 0x400, 0, 20, []int{0, 1, 2, 3})
+		train(p, 0x400, regionAddr(1000, 0))
+		if p.Stats().PatternsMerged == 0 || len(p.Issue(64)) == 0 {
+			t.Errorf("%s = %d: PMP did not train and predict", tc.name, mem.MaxPackedBits)
+		}
+		tc.set(&cfg, mem.MaxPackedBits+1)
+		if cfg.Validate() == nil {
+			t.Errorf("%s = %d accepted past the packed engine's width", tc.name, mem.MaxPackedBits+1)
+		}
+	}
+}
+
 func TestPatternLengths(t *testing.T) {
 	c := DefaultConfig()
 	if c.PatternLen() != 64 || c.PPTLen() != 32 {

@@ -12,16 +12,16 @@ import (
 // itself) is always LevelNone — "the trigger offset itself will never
 // be prefetched" (paper §IV-B).
 //
-// The production path (ExtractRow) is mask-first: the scheme's float
-// thresholds are pre-scaled once per trigger to integer lane
-// comparisons against the time counter (AFE) or counter sum (ARE), the
-// table answers with uint64 candidate masks in one SWAR pass, and the
-// masks are scattered into the level slice. The float semantics of the
-// schemes are preserved exactly — the integer threshold is the smallest
-// counter value satisfying the original float comparison, found by
-// binary search over the same float64 expression — and the legacy
-// per-offset float path (Extract) is kept as the reference the
-// differential fuzz tests compare against.
+// Extraction (ExtractRow) is mask-first: the scheme's float thresholds
+// are pre-scaled once per trigger to integer lane comparisons against
+// the time counter (AFE) or counter sum (ARE), the table answers with
+// uint64 candidate masks in one SWAR pass, and the masks are scattered
+// into the level slice. The float semantics of the schemes are
+// preserved exactly — the integer threshold is the smallest counter
+// value satisfying the original float comparison, found by binary
+// search over the same float64 expression — and the paper's literal
+// per-offset float comparisons are kept in this package's tests as the
+// reference the differential tests and fuzz target compare against.
 type extractor struct {
 	scheme Scheme
 	tl1d   float64
@@ -45,7 +45,7 @@ func newExtractor(c Config) extractor {
 // compare. This is the hot path behind every PMP trigger access.
 //
 //pmp:hotpath
-func (e extractor) ExtractRow(t mem.PatternTable, row int, dst []prefetch.Level) {
+func (e extractor) ExtractRow(t *mem.PackedCounterTable, row int, dst []prefetch.Level) {
 	for i := range dst {
 		dst[i] = prefetch.LevelNone
 	}
@@ -84,7 +84,7 @@ func (e extractor) ExtractRow(t mem.PatternTable, row int, dst []prefetch.Level)
 // minCountFor returns the smallest counter value c in [0, max] with
 // float64(c)/float64(den) >= thr, or max+1 when no counter can clear
 // the threshold. Binary search over the exact float64 predicate the
-// scalar reference evaluates per offset, so pre-scaling cannot drift
+// float reference evaluates per offset, so pre-scaling cannot drift
 // from the float semantics even at rounding boundaries.
 //
 //pmp:hotpath
@@ -100,75 +100,4 @@ func minCountFor(den uint64, thr float64, max uint32) uint32 {
 		}
 	}
 	return lo
-}
-
-// Extract fills dst (len == cv.Len()) with the per-offset target level
-// using the paper's literal per-offset float comparisons. It is the
-// reference implementation: ExtractRow must agree with it bit-for-bit
-// on every reachable state (see the differential fuzz tests).
-func (e extractor) Extract(cv *mem.CounterVector, dst []prefetch.Level) {
-	for i := range dst {
-		dst[i] = prefetch.LevelNone
-	}
-	switch e.scheme {
-	case ANE:
-		e.extractANE(cv, dst)
-	case ARE:
-		e.extractARE(cv, dst)
-	default:
-		e.extractAFE(cv, dst)
-	}
-}
-
-// extractAFE selects offsets whose access frequency (counter/time)
-// clears a threshold: >= TL1D goes to L1D, else >= TL2C goes to L2C.
-func (e extractor) extractAFE(cv *mem.CounterVector, dst []prefetch.Level) {
-	t := cv.Time()
-	if t == 0 {
-		return
-	}
-	ft := float64(t)
-	for i := 1; i < cv.Len(); i++ {
-		f := float64(cv.At(i)) / ft
-		switch {
-		case f >= e.tl1d:
-			dst[i] = prefetch.LevelL1
-		case f >= e.tl2c:
-			dst[i] = prefetch.LevelL2
-		}
-	}
-}
-
-// extractANE selects offsets whose raw counter clears an absolute
-// threshold.
-func (e extractor) extractANE(cv *mem.CounterVector, dst []prefetch.Level) {
-	for i := 1; i < cv.Len(); i++ {
-		c := cv.At(i)
-		switch {
-		case c >= e.anel1:
-			dst[i] = prefetch.LevelL1
-		case c >= e.anel2:
-			dst[i] = prefetch.LevelL2
-		}
-	}
-}
-
-// extractARE selects offsets whose share of the non-trigger counter sum
-// clears a threshold. As the paper notes, this implicitly caps the
-// prefetch depth at 1/threshold.
-func (e extractor) extractARE(cv *mem.CounterVector, dst []prefetch.Level) {
-	sum := cv.Sum()
-	if sum == 0 {
-		return
-	}
-	fs := float64(sum)
-	for i := 1; i < cv.Len(); i++ {
-		r := float64(cv.At(i)) / fs
-		switch {
-		case r >= e.tl1d:
-			dst[i] = prefetch.LevelL1
-		case r >= e.tl2c:
-			dst[i] = prefetch.LevelL2
-		}
-	}
 }

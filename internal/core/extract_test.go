@@ -7,17 +7,17 @@ import (
 	"pmp/internal/prefetch"
 )
 
-// mergeVector builds a counter vector by merging a sequence of anchored
-// patterns, returning the result.
-func mergeVector(length, bits int, patterns ...[]int) *mem.CounterVector {
-	cv := mem.NewCounterVector(length, bits)
+// mergeVector builds a one-row pattern table by merging a sequence of
+// anchored patterns, returning the result.
+func mergeVector(length, bits int, patterns ...[]int) *mem.PackedCounterTable {
+	cv := mem.NewPackedCounterTable(1, length, bits)
 	for _, offs := range patterns {
 		p := mem.NewBitVector(length)
 		p.Set(0)
 		for _, o := range offs {
 			p.Set(o)
 		}
-		cv.Merge(p)
+		cv.MergeRow(0, p)
 	}
 	return cv
 }
@@ -31,7 +31,7 @@ func TestAFEPaperExample(t *testing.T) {
 	// in one.
 	cv := mergeVector(4, 5, []int{1}, []int{1, 3}, nil, nil)
 	got := make([]prefetch.Level, 4)
-	defaultExtractor().Extract(cv, got)
+	defaultExtractor().ExtractRow(cv, 0, got)
 	if got[0] != prefetch.LevelNone {
 		t.Error("trigger offset must never be prefetched")
 	}
@@ -47,9 +47,9 @@ func TestAFEPaperExample(t *testing.T) {
 }
 
 func TestAFEUntrainedIsSilent(t *testing.T) {
-	cv := mem.NewCounterVector(8, 5)
+	cv := mem.NewPackedCounterTable(1, 8, 5)
 	got := make([]prefetch.Level, 8)
-	defaultExtractor().Extract(cv, got)
+	defaultExtractor().ExtractRow(cv, 0, got)
 	for i, l := range got {
 		if l != prefetch.LevelNone {
 			t.Errorf("untrained vector produced %v at %d", l, i)
@@ -62,7 +62,7 @@ func TestAFEUntrainedIsSilent(t *testing.T) {
 func TestAFENoColdStart(t *testing.T) {
 	cv := mergeVector(8, 5, []int{1})
 	got := make([]prefetch.Level, 8)
-	defaultExtractor().Extract(cv, got)
+	defaultExtractor().ExtractRow(cv, 0, got)
 	if got[1] != prefetch.LevelL1 {
 		t.Errorf("offset seen in 1/1 patterns = %v, want L1D immediately", got[1])
 	}
@@ -78,7 +78,7 @@ func TestAFEStreamPattern(t *testing.T) {
 	}
 	cv := mergeVector(64, 5, all, all, all)
 	got := make([]prefetch.Level, 64)
-	defaultExtractor().Extract(cv, got)
+	defaultExtractor().ExtractRow(cv, 0, got)
 	for i := 1; i < 64; i++ {
 		if got[i] != prefetch.LevelL1 {
 			t.Fatalf("stream offset %d = %v, want L1D", i, got[i])
@@ -97,7 +97,7 @@ func TestAREDepthLimit(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scheme = ARE
 	got := make([]prefetch.Level, 64)
-	newExtractor(cfg).Extract(cv, got)
+	newExtractor(cfg).ExtractRow(cv, 0, got)
 	for i := 1; i < 64; i++ {
 		if got[i] != prefetch.LevelNone {
 			t.Fatalf("ARE selected offset %d on a uniform stream", i)
@@ -112,7 +112,7 @@ func TestAREConcentratedPattern(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scheme = ARE
 	got := make([]prefetch.Level, 4)
-	newExtractor(cfg).Extract(cv, got)
+	newExtractor(cfg).ExtractRow(cv, 0, got)
 	if got[1] != prefetch.LevelL1 || got[3] != prefetch.LevelL2 {
 		t.Errorf("ARE = %v, want [_, L1D, none, L2C]", got)
 	}
@@ -123,7 +123,7 @@ func TestAREEmptySum(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scheme = ARE
 	got := make([]prefetch.Level, 4)
-	newExtractor(cfg).Extract(cv, got)
+	newExtractor(cfg).ExtractRow(cv, 0, got)
 	for _, l := range got {
 		if l != prefetch.LevelNone {
 			t.Error("zero-sum vector should be silent")
@@ -142,24 +142,24 @@ func TestANEColdStart(t *testing.T) {
 	e := newExtractor(cfg)
 	got := make([]prefetch.Level, 8)
 
-	cv := mem.NewCounterVector(8, 8)
+	cv := mem.NewPackedCounterTable(1, 8, 8)
 	p := mem.BitVectorOf(8, 0, 1)
 	for i := 0; i < 4; i++ {
-		cv.Merge(p)
+		cv.MergeRow(0, p)
 	}
-	e.Extract(cv, got)
+	e.ExtractRow(cv, 0, got)
 	if got[1] != prefetch.LevelNone {
 		t.Errorf("4 observations = %v, want none (below ANE L2 threshold)", got[1])
 	}
-	cv.Merge(p)
-	e.Extract(cv, got)
+	cv.MergeRow(0, p)
+	e.ExtractRow(cv, 0, got)
 	if got[1] != prefetch.LevelL2 {
 		t.Errorf("5 observations = %v, want L2C", got[1])
 	}
 	for i := 0; i < 11; i++ {
-		cv.Merge(p)
+		cv.MergeRow(0, p)
 	}
-	e.Extract(cv, got)
+	e.ExtractRow(cv, 0, got)
 	if got[1] != prefetch.LevelL1 {
 		t.Errorf("16 observations = %v, want L1D", got[1])
 	}
@@ -172,10 +172,10 @@ func TestAFESurvivesHalving(t *testing.T) {
 		[]int{1}, []int{1}, []int{1, 2}, []int{1})
 	got := make([]prefetch.Level, 8)
 	e := defaultExtractor()
-	e.Extract(cv, got)
+	e.ExtractRow(cv, 0, got)
 	before1, before2 := got[1], got[2]
-	cv.Halve()
-	e.Extract(cv, got)
+	cv.HalveRow(0)
+	e.ExtractRow(cv, 0, got)
 	if got[1] != before1 {
 		t.Errorf("offset 1 changed across halving: %v -> %v", before1, got[1])
 	}

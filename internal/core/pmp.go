@@ -26,12 +26,10 @@ type PMP struct {
 	ext    extractor
 	pb     *prefetchBuffer
 
-	// Pattern tables behind the PatternTable interface: by default the
-	// bit-parallel PackedCounterTable (64/bits counters per uint64 word,
-	// SWAR merge/halve/compare), with the scalar CounterTable as the
-	// reference fallback for counter widths too wide to pack.
-	opt mem.PatternTable // primary table (trigger-offset indexed)
-	ppt mem.PatternTable // supplement table (PC indexed, coarse)
+	// Pattern tables: bit-parallel counter rows (64/bits counters per
+	// uint64 word, SWAR merge/halve/compare).
+	opt *mem.PackedCounterTable // primary table (trigger-offset indexed)
+	ppt *mem.PackedCounterTable // supplement table (PC indexed, coarse)
 
 	// scratch buffers reused across predictions
 	optLevels []prefetch.Level
@@ -78,17 +76,17 @@ func New(cfg Config) *PMP {
 	p.pb.crossRegion = cfg.CrossRegion
 	switch cfg.Feature {
 	case DualTables:
-		p.opt = mem.NewPatternTable(1<<cfg.TriggerBits, n, cfg.OPTCounterBits)
-		p.ppt = mem.NewPatternTable(1<<cfg.PCBits, cfg.PPTLen(), cfg.PPTCounterBits)
+		p.opt = mem.NewPackedCounterTable(1<<cfg.TriggerBits, n, cfg.OPTCounterBits)
+		p.ppt = mem.NewPackedCounterTable(1<<cfg.PCBits, cfg.PPTLen(), cfg.PPTCounterBits)
 		p.pptLevels = make([]prefetch.Level, cfg.PPTLen())
 	case OPTOnly:
-		p.opt = mem.NewPatternTable(1<<cfg.TriggerBits, n, cfg.OPTCounterBits)
+		p.opt = mem.NewPackedCounterTable(1<<cfg.TriggerBits, n, cfg.OPTCounterBits)
 	case PPTOnly:
 		// Sized like the OPT (§V-E3), indexed by hashed PC, full length.
-		p.ppt = mem.NewPatternTable(1<<cfg.TriggerBits, n, cfg.OPTCounterBits)
+		p.ppt = mem.NewPackedCounterTable(1<<cfg.TriggerBits, n, cfg.OPTCounterBits)
 		p.pptLevels = make([]prefetch.Level, n)
 	case Combined:
-		p.opt = mem.NewPatternTable(1<<(cfg.TriggerBits+cfg.PCBits), n, cfg.OPTCounterBits)
+		p.opt = mem.NewPackedCounterTable(1<<(cfg.TriggerBits+cfg.PCBits), n, cfg.OPTCounterBits)
 	}
 	return p
 }
@@ -166,7 +164,7 @@ func (p *PMP) merge(pat sms.Pattern) {
 // halving ablation.
 //
 //pmp:hotpath
-func (p *PMP) mergeInto(t mem.PatternTable, row int, pattern mem.BitVector) {
+func (p *PMP) mergeInto(t *mem.PackedCounterTable, row int, pattern mem.BitVector) {
 	if p.cfg.NoHalving {
 		t.MergeRowNoHalve(row, pattern)
 		return

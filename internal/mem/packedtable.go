@@ -6,11 +6,18 @@ import (
 	"strings"
 )
 
-// PackedCounterTable is the bit-parallel implementation of PatternTable:
-// every row's saturating counters are packed `64/bits` to a uint64 word
-// (16 per word at the 4-bit width, 12 at the paper's default 5 bits), and
-// the three per-trigger operations — Merge, Halve, threshold compare —
-// run word-at-a-time with SWAR bit tricks instead of per-counter loops:
+// PackedCounterTable is PMP's pattern-table engine: a dense 2D array of
+// saturating counters, one row per table entry, one counter per
+// (anchored) line offset. Counter 0 of a row is the time counter — it
+// increments on every merge, so counter[j]/counter[0] is offset j's
+// access frequency over the last observation window (paper §IV-A) —
+// and when it saturates the whole row is halved, aging out stale
+// history while (almost) preserving those frequencies.
+//
+// Every row's counters are packed `64/bits` to a uint64 word (16 per
+// word at the 4-bit width, 12 at the paper's default 5 bits), and the
+// three per-trigger operations — Merge, Halve, threshold compare — run
+// word-at-a-time with SWAR bit tricks instead of per-counter loops:
 //
 //   - Merge is a carry-save saturating increment: lanes already at their
 //     ceiling are detected with an AND-fold across the lane bits, masked
@@ -26,8 +33,9 @@ import (
 //     uint64 mask — no per-offset divides; the caller pre-scales its
 //     float thresholds to integer lane comparisons once per extraction.
 //
-// Semantics are bit-identical to the scalar CounterVector path; the
-// differential fuzz tests in this package and internal/core prove it.
+// Semantics are bit-identical to the one-uint32-per-counter scalar
+// reference kept in this package's tests; the differential tests and
+// fuzz targets there pin it at every width from 1 to MaxPackedBits.
 type PackedCounterTable struct {
 	words   []uint64
 	entries int
@@ -51,9 +59,9 @@ type PackedCounterTable struct {
 	laneOf  [64]uint8  // bit position within a word -> lane index
 }
 
-// MaxPackedBits is the widest counter PackedCounterTable packs. Above
-// this width (never reached by valid PMP configurations, which cap
-// counters at 16 bits) NewPatternTable falls back to the scalar table.
+// MaxPackedBits is the widest counter PackedCounterTable packs (four
+// lanes per word). core.Config.Validate caps PMP's counter widths at
+// it, so every legal configuration runs on this engine.
 const MaxPackedBits = 16
 
 // NewPackedCounterTable returns a zeroed table of `entries` rows, each
@@ -106,20 +114,11 @@ func NewPackedCounterTable(entries, length, bits int) *PackedCounterTable {
 	return t
 }
 
-// Entries implements PatternTable.
-func (t *PackedCounterTable) Entries() int { return t.entries }
-
-// RowLen implements PatternTable.
+// RowLen returns the number of counters per row.
 func (t *PackedCounterTable) RowLen() int { return t.length }
 
-// Bits implements PatternTable.
-func (t *PackedCounterTable) Bits() int { return t.bits }
-
-// MaxCounter implements PatternTable.
+// MaxCounter returns the saturation ceiling, (1<<bits)-1.
 func (t *PackedCounterTable) MaxCounter() uint32 { return t.max }
-
-// LanesPerWord returns the packing density (counters per uint64).
-func (t *PackedCounterTable) LanesPerWord() int { return t.lanes }
 
 // row returns the word slice backing row i.
 //
@@ -141,10 +140,13 @@ func (t *PackedCounterTable) satLSB(w uint64, wi int) uint64 {
 	return x & t.lsb[wi]
 }
 
-// MergeRow implements PatternTable: a SWAR saturating increment of all
-// lanes selected by the anchored pattern (~4 ops per word beyond the
-// saturation fold), followed by a word-parallel halve when the time
-// counter saturates. It reports whether the row was halved.
+// MergeRow accumulates an anchored pattern (bit 0 = the trigger
+// offset) into row i: a SWAR saturating increment of all lanes the
+// pattern selects (~4 ops per word beyond the saturation fold),
+// followed by a word-parallel halve when the time counter saturates.
+// It reports whether the row was halved. Merging a pattern of the wrong
+// length, or one whose bit 0 is clear, panics: both mean the caller
+// skipped anchoring.
 //
 //pmp:hotpath
 func (t *PackedCounterTable) MergeRow(i int, p BitVector) bool {
@@ -157,8 +159,8 @@ func (t *PackedCounterTable) MergeRow(i int, p BitVector) bool {
 	return false
 }
 
-// MergeRowNoHalve implements PatternTable: like MergeRow but counters
-// freeze at their ceiling (the halving-mechanism ablation).
+// MergeRowNoHalve accumulates like MergeRow but counters freeze at
+// their ceiling instead of halving (the halving-mechanism ablation).
 //
 //pmp:hotpath
 func (t *PackedCounterTable) MergeRowNoHalve(i int, p BitVector) { t.mergeRow(i, p) }
@@ -193,9 +195,9 @@ func (t *PackedCounterTable) mergeRow(i int, p BitVector) {
 	}
 }
 
-// HalveRow implements PatternTable: every counter is divided by two in
-// one shift+mask per word, the mask stopping each lane from inheriting
-// the LSB of its upper neighbour.
+// HalveRow divides every counter of row i by two (floor) in one
+// shift+mask per word, the mask stopping each lane from inheriting the
+// LSB of its upper neighbour.
 //
 //pmp:hotpath
 func (t *PackedCounterTable) HalveRow(i int) {
@@ -205,16 +207,16 @@ func (t *PackedCounterTable) HalveRow(i int) {
 	}
 }
 
-// RowTime implements PatternTable: the time counter is lane 0 of the
-// row's first word.
+// RowTime returns row i's time counter: lane 0 of the row's first
+// word.
 //
 //pmp:hotpath
 func (t *PackedCounterTable) RowTime(i int) uint32 {
 	return uint32(t.row(i)[0] & uint64(t.max))
 }
 
-// RowSum implements PatternTable: the sum of all counters excluding the
-// trigger lane (ARE extraction). The horizontal add stays in registers.
+// RowSum returns the sum of row i's counters excluding the trigger
+// lane (ARE extraction). The horizontal add stays in registers.
 //
 //pmp:hotpath
 func (t *PackedCounterTable) RowSum(i int) uint64 {
@@ -231,7 +233,7 @@ func (t *PackedCounterTable) RowSum(i int) uint64 {
 	return sum - uint64(t.RowTime(i))
 }
 
-// RowCounter implements PatternTable: the value of counter j of row i.
+// RowCounter returns the value of counter j of row i.
 func (t *PackedCounterTable) RowCounter(i, j int) uint32 {
 	if j < 0 || j >= t.length {
 		panic("mem: counter index out of range")
@@ -239,10 +241,10 @@ func (t *PackedCounterTable) RowCounter(i, j int) uint32 {
 	return uint32(t.row(i)[j/t.lanes] >> uint(j%t.lanes*t.bits) & uint64(t.max))
 }
 
-// CompareRow implements PatternTable: offset masks of the counters
-// clearing each threshold (counter >= thr), one SWAR unsigned-compare
-// pass per word per threshold. A threshold above the saturation ceiling
-// yields an empty mask (no counter can reach it).
+// CompareRow returns offset masks of row i's counters clearing each
+// threshold (counter >= thr; bit j set for counter j), one SWAR
+// unsigned-compare pass per word per threshold. A threshold above the
+// saturation ceiling yields an empty mask (no counter can reach it).
 //
 //pmp:hotpath
 func (t *PackedCounterTable) CompareRow(i int, thr1, thr2 uint32) (ge1, ge2 uint64) {
@@ -279,15 +281,15 @@ func (t *PackedCounterTable) geFlags(word uint64, thr uint32, w int) uint64 {
 	return (sx&^sy | ^(sx^sy)&diff) & m
 }
 
-// Reset implements PatternTable.
+// Reset zeroes every counter in the table.
 func (t *PackedCounterTable) Reset() { clear(t.words) }
 
-// StorageBits implements PatternTable: the hardware cost is the counter
-// payload, not the host representation's padding.
+// StorageBits returns the hardware cost of the table in bits: the
+// counter payload, not the host representation's padding.
 func (t *PackedCounterTable) StorageBits() int { return t.entries * t.length * t.bits }
 
-// RowString renders row i like CounterVector.String, for tests and
-// debugging.
+// RowString renders row i like the paper's examples, "(4, 0, 3, 1)",
+// for tests and debugging.
 func (t *PackedCounterTable) RowString(i int) string {
 	parts := make([]string, t.length)
 	for j := range parts {

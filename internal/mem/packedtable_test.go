@@ -30,101 +30,116 @@ func checkRowsEqual(t *testing.T, scalar *CounterTable, packed *PackedCounterTab
 }
 
 // TestPackedMatchesScalar drives identical random operation streams
-// through the scalar and packed tables and demands bit-identical
-// state and outputs at every step: counters, halve points, time
-// counters, sums, and threshold-compare masks.
+// through the scalar reference and the packed table at every counter
+// width core.Config allows (1..MaxPackedBits), at the full 64-counter
+// row and at a ragged row whose last word is partly empty, and demands
+// bit-identical state and outputs at every step: counters, halve
+// points, time counters, sums, and threshold-compare masks. Periodic
+// merge bursts saturate the time counter, so every width halves
+// through MergeRow, not just through HalveRow.
 func TestPackedMatchesScalar(t *testing.T) {
-	geometries := []struct{ entries, length, bits int }{
-		{4, 64, 5},  // paper default OPT geometry (12 lanes/word)
-		{4, 64, 4},  // headline packing: 16 counters per word
-		{4, 16, 4},  // PPT-style short rows
-		{2, 64, 1},  // degenerate 1-bit counters (saturate immediately)
-		{2, 7, 3},   // row shorter than one word, partial last word
-		{2, 64, 16}, // widest packable counters, 4 lanes/word
-		{2, 33, 6},  // 10 lanes/word, ragged tail
-	}
-	for _, g := range geometries {
-		rng := rand.New(rand.NewSource(int64(g.entries*1000 + g.length*10 + g.bits)))
-		scalar := NewCounterTable(g.entries, g.length, g.bits)
-		packed := NewPackedCounterTable(g.entries, g.length, g.bits)
-		if packed.MaxCounter() != scalar.MaxCounter() {
-			t.Fatalf("%+v: MaxCounter mismatch", g)
-		}
-		for step := 0; step < 4000; step++ {
-			row := rng.Intn(g.entries)
-			switch rng.Intn(10) {
-			case 0:
-				scalar.HalveRow(row)
-				packed.HalveRow(row)
-			case 1:
-				p := randomAnchored(rng, g.length)
-				scalar.MergeRowNoHalve(row, p)
-				packed.MergeRowNoHalve(row, p)
-			case 2:
-				thr1 := uint32(rng.Intn(int(scalar.MaxCounter()) + 3))
-				thr2 := uint32(rng.Intn(int(scalar.MaxCounter()) + 3))
-				sg1, sg2 := scalar.CompareRow(row, thr1, thr2)
-				pg1, pg2 := packed.CompareRow(row, thr1, thr2)
-				if sg1 != pg1 || sg2 != pg2 {
-					t.Fatalf("%+v row %d CompareRow(%d, %d): scalar (%#x, %#x), packed (%#x, %#x)\nrow: %s",
-						g, row, thr1, thr2, sg1, sg2, pg1, pg2, scalar.Row(row))
+	for bits := 1; bits <= MaxPackedBits; bits++ {
+		for _, length := range []int{64, 33} {
+			const entries = 3
+			rng := rand.New(rand.NewSource(int64(length*100 + bits)))
+			scalar := NewCounterTable(entries, length, bits)
+			packed := NewPackedCounterTable(entries, length, bits)
+			if packed.MaxCounter() != scalar.MaxCounter() {
+				t.Fatalf("%d bits: MaxCounter: scalar %d, packed %d", bits, scalar.MaxCounter(), packed.MaxCounter())
+			}
+			ceil := int(scalar.MaxCounter())
+			halvings := 0
+			for step := 0; step < 4000; step++ {
+				row := rng.Intn(entries)
+				switch op := rng.Intn(100); {
+				case op < 10:
+					scalar.HalveRow(row)
+					packed.HalveRow(row)
+				case op < 20:
+					p := randomAnchored(rng, length)
+					scalar.MergeRowNoHalve(row, p)
+					packed.MergeRowNoHalve(row, p)
+				case op < 30:
+					thr1 := uint32(rng.Intn(ceil + 3))
+					thr2 := uint32(rng.Intn(ceil + 3))
+					sg1, sg2 := scalar.CompareRow(row, thr1, thr2)
+					pg1, pg2 := packed.CompareRow(row, thr1, thr2)
+					if sg1 != pg1 || sg2 != pg2 {
+						t.Fatalf("%d bits, len %d, row %d: CompareRow(%d, %d): scalar (%#x, %#x), packed (%#x, %#x)\nrow: %s",
+							bits, length, row, thr1, thr2, sg1, sg2, pg1, pg2, scalar.Row(row))
+					}
+				default:
+					burst := 1
+					if step%1000 == 999 {
+						// Merge until the time counter saturates.
+						burst = max(1, int(scalar.MaxCounter()-scalar.RowTime(row)))
+					}
+					p := randomAnchored(rng, length)
+					for k := 0; k < burst; k++ {
+						sh := scalar.MergeRow(row, p)
+						if ph := packed.MergeRow(row, p); sh != ph {
+							t.Fatalf("%d bits, len %d, row %d, step %d: halved: scalar %v, packed %v", bits, length, row, step, sh, ph)
+						}
+						if sh {
+							halvings++
+						}
+					}
 				}
-			default:
-				p := randomAnchored(rng, g.length)
-				sh := scalar.MergeRow(row, p)
-				ph := packed.MergeRow(row, p)
-				if sh != ph {
-					t.Fatalf("%+v row %d step %d: halved: scalar %v, packed %v", g, row, step, sh, ph)
+				if st, pt := scalar.RowTime(row), packed.RowTime(row); st != pt {
+					t.Fatalf("%d bits, len %d, row %d: RowTime: scalar %d, packed %d", bits, length, row, st, pt)
 				}
+				if ss, ps := scalar.RowSum(row), packed.RowSum(row); ss != ps {
+					t.Fatalf("%d bits, len %d, row %d: RowSum: scalar %d, packed %d", bits, length, row, ss, ps)
+				}
+				checkRowsEqual(t, scalar, packed, row)
 			}
-			if st, pt := scalar.RowTime(row), packed.RowTime(row); st != pt {
-				t.Fatalf("%+v row %d: RowTime: scalar %d, packed %d", g, row, st, pt)
+			if halvings == 0 {
+				t.Errorf("%d bits, len %d: no MergeRow saturated its time counter; the halve path went untested", bits, length)
 			}
-			if ss, ps := scalar.RowSum(row), packed.RowSum(row); ss != ps {
-				t.Fatalf("%+v row %d: RowSum: scalar %d, packed %d", g, row, ss, ps)
+			scalar.Reset()
+			packed.Reset()
+			for row := 0; row < entries; row++ {
+				checkRowsEqual(t, scalar, packed, row)
 			}
-			checkRowsEqual(t, scalar, packed, row)
-		}
-		scalar.Reset()
-		packed.Reset()
-		for row := 0; row < g.entries; row++ {
-			checkRowsEqual(t, scalar, packed, row)
 		}
 	}
 }
 
-// FuzzPackedMerge feeds arbitrary pattern/threshold streams through
-// both implementations of one row.
+// FuzzPackedMerge feeds arbitrary geometries and pattern/threshold
+// streams through both implementations of one row. The fuzzer picks
+// the counter width (1..MaxPackedBits), the row length (1..64), two
+// patterns merged alternately, and enough merges to saturate and
+// halve the time counter at every width.
 func FuzzPackedMerge(f *testing.F) {
-	f.Add(uint64(0xFFFF_FFFF_0000_0001), uint8(3), uint8(1), uint8(2))
-	f.Add(uint64(1), uint8(20), uint8(0), uint8(31))
-	f.Add(^uint64(0), uint8(200), uint8(31), uint8(31))
-	f.Fuzz(func(t *testing.T, patternBits uint64, merges, thr1, thr2 uint8) {
-		const length, bits = 64, 5
+	f.Add(uint8(5), uint8(64), uint64(0xFFFF_FFFF_0000_0001), uint64(0x8000_0000_0000_0001), uint16(3), uint16(1), uint16(2))
+	f.Add(uint8(1), uint8(7), uint64(1), uint64(0x7F), uint16(20), uint16(0), uint16(31))
+	f.Add(uint8(16), uint8(33), ^uint64(0), uint64(0x5555_5555_5555_5555), uint16(65535), uint16(40000), uint16(65535))
+	f.Fuzz(func(t *testing.T, width, size uint8, patA, patB uint64, merges, thr1, thr2 uint16) {
+		bits := 1 + int(width)%MaxPackedBits
+		length := 1 + int(size)%64
 		scalar := NewCounterTable(1, length, bits)
 		packed := NewPackedCounterTable(1, length, bits)
-		p := NewBitVector(length)
-		for o := 0; o < length; o++ {
-			if patternBits&(1<<uint(o)) != 0 {
-				p.Set(o)
+		ceil := scalar.MaxCounter()
+		// Merged patterns must be anchored: force the trigger bit on.
+		pats := [2]BitVector{
+			{bits: patA&mask(length) | 1, n: length},
+			{bits: patB&mask(length) | 1, n: length},
+		}
+		for i := 0; i < int(merges)%(2*int(ceil)+2)+1; i++ {
+			if sh, ph := scalar.MergeRow(0, pats[i&1]), packed.MergeRow(0, pats[i&1]); sh != ph {
+				t.Fatalf("%d bits, len %d, merge %d: halved: scalar %v, packed %v", bits, length, i, sh, ph)
 			}
 		}
-		p.Set(0) // patterns must be anchored
-		for i := 0; i < int(merges%64)+1; i++ {
-			if sh, ph := scalar.MergeRow(0, p), packed.MergeRow(0, p); sh != ph {
-				t.Fatalf("merge %d: halved: scalar %v, packed %v", i, sh, ph)
-			}
-		}
-		sg1, sg2 := scalar.CompareRow(0, uint32(thr1), uint32(thr2))
-		pg1, pg2 := packed.CompareRow(0, uint32(thr1), uint32(thr2))
+		t1, t2 := uint32(thr1)%(ceil+3), uint32(thr2)%(ceil+3)
+		sg1, sg2 := scalar.CompareRow(0, t1, t2)
+		pg1, pg2 := packed.CompareRow(0, t1, t2)
 		if sg1 != pg1 || sg2 != pg2 {
-			t.Fatalf("CompareRow(%d, %d): scalar (%#x, %#x), packed (%#x, %#x)",
-				thr1, thr2, sg1, sg2, pg1, pg2)
+			t.Fatalf("%d bits, len %d: CompareRow(%d, %d): scalar (%#x, %#x), packed (%#x, %#x)",
+				bits, length, t1, t2, sg1, sg2, pg1, pg2)
 		}
-		for j := 0; j < length; j++ {
-			if s, pk := scalar.RowCounter(0, j), packed.RowCounter(0, j); s != pk {
-				t.Fatalf("counter %d: scalar %d, packed %d", j, s, pk)
-			}
+		checkRowsEqual(t, scalar, packed, 0)
+		if st, pt := scalar.RowTime(0), packed.RowTime(0); st != pt {
+			t.Fatalf("RowTime: scalar %d, packed %d", st, pt)
 		}
 		if ss, ps := scalar.RowSum(0), packed.RowSum(0); ss != ps {
 			t.Fatalf("RowSum: scalar %d, packed %d", ss, ps)
@@ -151,15 +166,6 @@ func TestPackedPanicsMirrorScalar(t *testing.T) {
 	mustPanic("unanchored", func() { packed.MergeRow(0, unanchored) })
 	mustPanic("bits too wide", func() { NewPackedCounterTable(1, 8, MaxPackedBits+1) })
 	mustPanic("counter index", func() { packed.RowCounter(0, 8) })
-}
-
-func TestNewPatternTableSelectsPacked(t *testing.T) {
-	if _, ok := NewPatternTable(4, 64, 5).(*PackedCounterTable); !ok {
-		t.Error("5-bit counters should select the packed table")
-	}
-	if _, ok := NewPatternTable(4, 64, MaxPackedBits+1).(*CounterTable); !ok {
-		t.Error("overwide counters should fall back to the scalar table")
-	}
 }
 
 // --- micro-benchmarks: scalar vs packed hot operations ---

@@ -47,9 +47,9 @@ func RunTimeliness(t TB, mk func() prefetch.Prefetcher) {
 }
 
 func runTimeliness(t TB, mk func() prefetch.Prefetcher, cfg sim.Config) {
-	sys := sim.NewSystem(cfg, mk())
-	sys.EnableLifecycleTracing(nil)
-	res := sys.Run(timelinessTrace())
+	m := sim.NewMachineAt(cfg, []prefetch.Prefetcher{mk()}, nil, false)
+	m.EnableLifecycleTracing(nil)
+	res := m.Run([]trace.Source{timelinessTrace()})[0]
 	if len(res.Lifecycle) == 0 {
 		return // never issued a prefetch; nothing to judge
 	}

@@ -95,7 +95,7 @@ type CoreSpec struct {
 // Placement attaches an extra prefetcher variant at a deeper cache
 // level (1 = the level below L1D, hierarchy depth - 1 = the LLC) on
 // every core. The attached variant trains on that level's accesses and
-// fills that level, via Core.AttachPrefetcher.
+// fills that level, via a sim.AttachSpec passed to sim.NewMachineAt.
 type Placement struct {
 	Level   int         `json:"level"`
 	Variant VariantSpec `json:"variant"`

@@ -74,7 +74,9 @@ func goldenDigests(t *testing.T) map[string]string {
 
 			single := make([]sim.Result, 0, len(specs))
 			for _, sp := range specs {
-				single = append(single, bench.RunOne(sp, bench.NewPrefetcher(name), scale, cfg))
+				pf := []prefetch.Prefetcher{bench.NewPrefetcher(name)}
+				src := []trace.Source{sp.New(scale.Records)}
+				single = append(single, sim.NewMachineAt(cfg, pf, nil, false).Run(src)[0])
 			}
 
 			pfs := make([]prefetch.Prefetcher, 4)
@@ -83,7 +85,7 @@ func goldenDigests(t *testing.T) map[string]string {
 				pfs[i] = bench.NewPrefetcher(name)
 				srcs[i] = specs[i].New(scale.Records)
 			}
-			multi := sim.NewMulticore(mcfg, pfs).Run(srcs)
+			multi := sim.NewMachineAt(mcfg, pfs, nil, true).Run(srcs)
 
 			mu.Lock()
 			digests["1core/"+name] = digest(t, single)

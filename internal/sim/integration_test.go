@@ -42,7 +42,7 @@ func TestPrefetchFeedbackDelivered(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Warmup = 0
 	rec := &recorder{}
-	s := NewSystem(cfg, rec)
+	s := newSingle(cfg, rec)
 
 	target := mem.Addr(0x100000)
 	rec.reqs = []prefetch.Request{{Addr: target, Level: prefetch.LevelL1}}
@@ -52,7 +52,7 @@ func TestPrefetchFeedbackDelivered(t *testing.T) {
 		{PC: 1, Addr: 0x200000},
 		{PC: 1, Addr: target},
 	}
-	s.Run(trace.NewTrace("t", recs))
+	s.Run([]trace.Source{trace.NewTrace("t", recs)})
 	useful, ok := rec.fills[target.Line()]
 	if !ok {
 		t.Fatal("no feedback for the prefetched line")
@@ -70,15 +70,15 @@ func TestInclusionMaintained(t *testing.T) {
 	// Tiny LLC forces constant back-invalidation.
 	cfg.LLC.Sets = 512
 	cfg.L2C.Sets = 256
-	s := NewSystem(cfg, core.New(core.DefaultConfig()))
+	s := newSingle(cfg, core.New(core.DefaultConfig()))
 	src := trace.NewPointerChase("c", 5, 30_000, trace.DefaultPointerChaseParams())
-	s.Run(src)
+	s.Run([]trace.Source{src})
 
 	// Probe a sample of recently accessed lines: anything in L1D must
 	// be in the LLC (inclusive hierarchy).
 	src.Reset()
-	c := s.Machine().Core(0)
-	l1d, llc := c.CacheAt(0), c.CacheAt(s.Machine().Levels()-1)
+	c := s.Core(0)
+	l1d, llc := c.CacheAt(0), c.CacheAt(s.Levels()-1)
 	violations := 0
 	for i := 0; i < 5000; i++ {
 		r, ok := src.Next()
@@ -100,13 +100,13 @@ func TestEvictionsReachPrefetcher(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Warmup = 0
 	rec := &recorder{}
-	s := NewSystem(cfg, rec)
+	s := newSingle(cfg, rec)
 	// Touch far more lines than L1D holds: evictions must flow.
 	var recs []trace.Record
 	for i := 0; i < 4096; i++ {
 		recs = append(recs, trace.Record{PC: 1, Addr: mem.Addr(i * mem.LineBytes)})
 	}
-	s.Run(trace.NewTrace("t", recs))
+	s.Run([]trace.Source{trace.NewTrace("t", recs)})
 	if len(rec.evicted) == 0 {
 		t.Error("no evictions delivered to the prefetcher")
 	}
@@ -118,7 +118,7 @@ func TestPMPLimitReducesTraffic(t *testing.T) {
 		cfg := core.DefaultConfig()
 		cfg.LowLevelDegree = degree
 		src := trace.NewGraph("g", 3, 60_000, trace.DefaultGraphParams())
-		res := NewSystem(quickConfig(), core.New(cfg)).Run(src)
+		res := runSingle(quickConfig(), core.New(cfg), src)
 		return res.DRAM.PrefetchRequests
 	}
 	full, limited := mk(0), mk(1)
@@ -145,8 +145,8 @@ func TestDependentLoadsSerialize(t *testing.T) {
 	}
 	cfg := quickConfig()
 	cfg.Warmup = 0
-	indep := NewSystem(cfg, prefetch.Nop{}).Run(mkTrace(trace.DepNone))
-	chained := NewSystem(cfg, prefetch.Nop{}).Run(mkTrace(trace.DepChain))
+	indep := runSingle(cfg, prefetch.Nop{}, mkTrace(trace.DepNone))
+	chained := runSingle(cfg, prefetch.Nop{}, mkTrace(trace.DepChain))
 	if chained.IPC() > indep.IPC()/3 {
 		t.Errorf("dependent chase IPC %.3f should be far below independent %.3f",
 			chained.IPC(), indep.IPC())
@@ -171,8 +171,8 @@ func TestDepPrevWaitsOnPreviousLoad(t *testing.T) {
 		}
 		return trace.NewTrace("d", recs)
 	}
-	prev := NewSystem(cfg, prefetch.Nop{}).Run(mk(trace.DepPrev))
-	chain := NewSystem(cfg, prefetch.Nop{}).Run(mk(trace.DepChain))
+	prev := runSingle(cfg, prefetch.Nop{}, mk(trace.DepPrev))
+	chain := runSingle(cfg, prefetch.Nop{}, mk(trace.DepChain))
 	// Program-order dependence serializes everything; per-PC chains
 	// overlap the two walkers, so DepChain must be faster.
 	if chain.IPC() <= prev.IPC()*1.5 {

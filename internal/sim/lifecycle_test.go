@@ -41,9 +41,9 @@ func checkSnapshotConsistent(t *testing.T, sn LifecycleSnapshot) {
 
 func TestLifecycleTracksStreamPrefetches(t *testing.T) {
 	var events []LifecycleEvent
-	sys := NewSystem(quickConfig(), nextline.New(2))
+	sys := newSingle(quickConfig(), nextline.New(2))
 	sys.EnableLifecycleTracing(func(ev LifecycleEvent) { events = append(events, ev) })
-	res := sys.Run(streamTrace(60_000))
+	res := sys.Run([]trace.Source{streamTrace(60_000)})[0]
 
 	if len(res.Lifecycle) != 1 {
 		t.Fatalf("lifecycle snapshots = %d, want 1", len(res.Lifecycle))
@@ -93,9 +93,9 @@ func TestLifecycleTracksStreamPrefetches(t *testing.T) {
 }
 
 func TestLifecycleAgreesWithCacheStats(t *testing.T) {
-	sys := NewSystem(quickConfig(), nextline.New(1))
+	sys := newSingle(quickConfig(), nextline.New(1))
 	sys.EnableLifecycleTracing(nil)
-	res := sys.Run(streamTrace(60_000))
+	res := sys.Run([]trace.Source{streamTrace(60_000)})[0]
 	sn := res.Lifecycle[0]
 
 	// nextline targets L1 only, so its used count must track the L1D's
@@ -118,7 +118,7 @@ func TestLifecycleAgreesWithCacheStats(t *testing.T) {
 }
 
 func TestLifecycleTracingOffByDefault(t *testing.T) {
-	res := NewSystem(quickConfig(), nextline.New(2)).Run(streamTrace(30_000))
+	res := runSingle(quickConfig(), nextline.New(2), streamTrace(30_000))
 	if res.Lifecycle != nil {
 		t.Errorf("lifecycle recorded without tracing: %+v", res.Lifecycle)
 	}
@@ -126,9 +126,9 @@ func TestLifecycleTracingOffByDefault(t *testing.T) {
 
 func TestLifecycleDeterministic(t *testing.T) {
 	run := func() []LifecycleSnapshot {
-		sys := NewSystem(quickConfig(), core.New(core.DefaultConfig()))
+		sys := newSingle(quickConfig(), core.New(core.DefaultConfig()))
 		sys.EnableLifecycleTracing(nil)
-		return sys.Run(streamTrace(40_000)).Lifecycle
+		return sys.Run([]trace.Source{streamTrace(40_000)})[0].Lifecycle
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -152,7 +152,7 @@ func TestMulticoreLifecycleSumsAcrossCores(t *testing.T) {
 		pfs[i] = nextline.New(2)
 		srcs[i] = trace.NewStream("s", int64(i+1), 100_000, trace.DefaultStreamParams())
 	}
-	m := NewMulticore(cfg, pfs)
+	m := NewMachineAt(cfg, pfs, nil, true)
 	m.EnableLifecycleTracing(nil)
 	results := m.Run(srcs)
 
@@ -188,14 +188,10 @@ func TestMulticoreLifecycleSumsAcrossCores(t *testing.T) {
 	if regions != agg.Total {
 		t.Errorf("aggregate regions %+v != total %+v", regions, agg.Total)
 	}
-	// LifecycleSnapshots must agree with the Run results.
-	snaps := m.LifecycleSnapshots()
-	if len(snaps) != cores {
-		t.Fatalf("LifecycleSnapshots returned %d cores", len(snaps))
-	}
-	for i := range snaps {
-		if snaps[i][0].Total != perCore[i].Total {
-			t.Errorf("core %d: LifecycleSnapshots %+v != Result %+v", i, snaps[i][0].Total, perCore[i].Total)
+	// Each core's LifecycleSnapshots must agree with its Run result.
+	for i := 0; i < m.NumCores(); i++ {
+		if snap := m.Core(i).LifecycleSnapshots(); snap[0].Total != perCore[i].Total {
+			t.Errorf("core %d: LifecycleSnapshots %+v != Result %+v", i, snap[0].Total, perCore[i].Total)
 		}
 	}
 }
@@ -213,7 +209,7 @@ func TestMulticoreLifecycleInstancesIsolated(t *testing.T) {
 			trace.NewStream("a", 1, 50_000, trace.DefaultStreamParams()),
 			trace.NewStream("b", 2, 50_000, trace.DefaultStreamParams()),
 		}
-		m := NewMulticore(cfg, pfs)
+		m := NewMachineAt(cfg, pfs, nil, true)
 		m.EnableLifecycleTracing(nil)
 		results := m.Run(srcs)
 		var sum LifecycleStats

@@ -78,8 +78,7 @@ type Core struct {
 // Machine is an N-core simulated machine over an N-level cache
 // hierarchy. Private levels are instantiated per core; shared levels
 // (the hierarchy's suffix, typically just the LLC) and the DRAM
-// channels are instantiated once. System and Multicore are thin
-// wrappers over it.
+// channels are instantiated once. Construct with NewMachineAt.
 type Machine struct {
 	cfg    Config
 	specs  []LevelSpec
@@ -89,14 +88,15 @@ type Machine struct {
 
 	// replay re-runs a trace from the start when it ends before its
 	// core's measurement window does (ChampSim's multi-programmed-mix
-	// convention). NewMulticore enables it; NewSystem does not.
+	// convention); single-trace runs leave it off so they end with
+	// their trace. Set once by NewMachineAt.
 	replay bool
 }
 
-// NewMachine builds a machine with one core per prefetcher over the
-// configured hierarchy; it panics on invalid configuration. Pass
-// prefetch.Nop{} entries for non-prefetching cores.
-func NewMachine(cfg Config, prefetchers []prefetch.Prefetcher) *Machine {
+// newMachine builds a machine with one core per prefetcher over the
+// configured hierarchy, with no attached prefetchers and trace replay
+// off; it panics on invalid configuration.
+func newMachine(cfg Config, prefetchers []prefetch.Prefetcher) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -192,12 +192,6 @@ func (m *Machine) Core(i int) *Core { return m.cores[i] }
 // Levels returns the number of cache levels in the hierarchy.
 func (m *Machine) Levels() int { return len(m.specs) }
 
-// SetTraceReplay controls whether Run replays a trace from the start
-// when it ends before the core's measurement window does (bounded by
-// Config.MaxTraceWraps). NewMulticore enables it; NewSystem leaves it
-// off so a single-core run ends with its trace.
-func (m *Machine) SetTraceReplay(on bool) { m.replay = on }
-
 // Prefetcher returns the core's trained (innermost-level) prefetcher.
 func (c *Core) Prefetcher() prefetch.Prefetcher { return c.pf }
 
@@ -205,13 +199,12 @@ func (c *Core) Prefetcher() prefetch.Prefetcher { return c.pf }
 // Shared levels return the machine-wide instance.
 func (c *Core) CacheAt(idx int) *cache.Cache { return c.levels[idx].cache }
 
-// AttachPrefetcher installs a prefetcher at hierarchy level idx
+// attachPrefetcher installs a prefetcher at hierarchy level idx
 // (1 ≤ idx < Levels; the innermost level's prefetcher is the one the
 // core was constructed with). It observes the demand accesses that
 // reach the level (with the PC of the originating load), fills that
-// level only, and is notified of the level's evictions. Call before
-// Run.
-func (c *Core) AttachPrefetcher(idx int, pf prefetch.Prefetcher) {
+// level only, and is notified of the level's evictions.
+func (c *Core) attachPrefetcher(idx int, pf prefetch.Prefetcher) {
 	if idx <= 0 || idx >= len(c.levels) {
 		panic(fmt.Sprintf("sim: attach level %d out of range [1, %d]", idx, len(c.levels)-1))
 	}
@@ -352,10 +345,10 @@ type coreState struct {
 // cache/DRAM/TLB statistics cover the whole run instead of reading
 // all-zero.
 //
-// With trace replay enabled (NewMulticore), traces that end before a
-// core finishes its measurement window are replayed from the start,
-// as ChampSim does for multi-programmed mixes, bounded by
-// cfg.MaxTraceWraps; cfg.Measure must be > 0 in that mode.
+// With trace replay enabled (NewMachineAt's replay argument), traces
+// that end before a core finishes its measurement window are replayed
+// from the start, as ChampSim does for multi-programmed mixes, bounded
+// by cfg.MaxTraceWraps; cfg.Measure must be > 0 in that mode.
 func (m *Machine) Run(traces []trace.Source) []Result {
 	if len(traces) != len(m.cores) {
 		panic(fmt.Sprintf("sim: %d traces for %d cores", len(traces), len(m.cores)))

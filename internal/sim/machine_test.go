@@ -23,11 +23,11 @@ func twoLevelConfig() Config {
 
 func TestTwoLevelHierarchyRuns(t *testing.T) {
 	cfg := twoLevelConfig()
-	s := NewSystem(cfg, prefetch.Nop{})
-	if got := s.Machine().Levels(); got != 2 {
+	s := newSingle(cfg, prefetch.Nop{})
+	if got := s.Levels(); got != 2 {
 		t.Fatalf("Levels() = %d, want 2", got)
 	}
-	res := s.Run(streamTrace(30_000))
+	res := s.Run([]trace.Source{streamTrace(30_000)})[0]
 	if res.Instructions == 0 || res.Cycles == 0 {
 		t.Fatalf("empty result: %+v", res)
 	}
@@ -55,13 +55,13 @@ func TestTwoLevelPrefetchTargetsClampToHierarchy(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		recs = append(recs, trace.Record{PC: 1, Addr: mem.Addr(0x100000 + i*mem.LineBytes)})
 	}
-	s := NewSystem(cfg, rec)
+	s := newSingle(cfg, rec)
 	rec.reqs = []prefetch.Request{
 		{Addr: target, Level: prefetch.LevelL1},
 		{Addr: target + 64*mem.LineBytes, Level: prefetch.LevelL2},
 		{Addr: target + 128*mem.LineBytes, Level: prefetch.LevelLLC},
 	}
-	res := s.Run(trace.NewTrace("t", recs))
+	res := s.Run([]trace.Source{trace.NewTrace("t", recs)})[0]
 	for _, lv := range []prefetch.Level{prefetch.LevelL1, prefetch.LevelL2, prefetch.LevelLLC} {
 		if res.PF.Issued[lv] == 0 {
 			t.Errorf("no prefetch issued at nominal level %d", lv)
@@ -82,7 +82,7 @@ func TestInclusionPolicyKnob(t *testing.T) {
 		cfg.L1D = cache.Config{Name: "L1D", Sets: 1, Ways: 2, Latency: 1, MSHRs: 8, PQSize: 2}
 		cfg.L2C = cache.Config{Name: "L2C", Sets: 1, Ways: 4, Latency: 2, MSHRs: 8, PQSize: 2}
 		cfg.LLC = cache.Config{Name: "LLC", Sets: 1, Ways: 8, Latency: 4, MSHRs: 8, PQSize: 2}
-		return NewMachine(cfg, []prefetch.Prefetcher{prefetch.Nop{}})
+		return newSingle(cfg, prefetch.Nop{})
 	}
 	run := func(m *Machine) (l1Has, llcHas bool) {
 		c := m.Core(0)
@@ -95,7 +95,7 @@ func TestInclusionPolicyKnob(t *testing.T) {
 			now += 10_000
 			c.demandAccess(0x1, lineA, now)
 		}
-		return c.CacheAt(0).Contains(lineA), c.CacheAt(m.Levels()-1).Contains(lineA)
+		return c.CacheAt(0).Contains(lineA), c.CacheAt(m.Levels() - 1).Contains(lineA)
 	}
 
 	l1Has, llcHas := run(build(false))
@@ -122,7 +122,7 @@ func TestSharedLevelBackInvalidationAcrossCores(t *testing.T) {
 		{Cache: cache.Config{Name: "SL", Sets: 2, Ways: 1, Latency: 2, MSHRs: 8, PQSize: 4}, Shared: true, Inclusive: true},
 	}
 	rec0, rec1 := &recorder{}, &recorder{}
-	m := NewMachine(cfg, []prefetch.Prefetcher{rec0, rec1})
+	m := NewMachineAt(cfg, []prefetch.Prefetcher{rec0, rec1}, nil, false)
 
 	// Both lines map to shared-level set 0 (even line IDs).
 	lineA := mem.Addr(0).Line()
@@ -180,7 +180,7 @@ func TestLaggardCoreStepsNext(t *testing.T) {
 		&orderSource{Source: streamTrace(100_000), id: 0, log: &log},
 		&orderSource{Source: streamTrace(100_000), id: 1, log: &log},
 	}
-	NewMulticore(cfg, []prefetch.Prefetcher{prefetch.Nop{}, prefetch.Nop{}}).Run(srcs)
+	NewMachineAt(cfg, []prefetch.Prefetcher{prefetch.Nop{}, prefetch.Nop{}}, nil, true).Run(srcs)
 
 	counts := map[int]int{}
 	maxRun, run, prev := 0, 0, -1
@@ -222,7 +222,7 @@ func TestMaxTraceWrapsBoundsReplay(t *testing.T) {
 	cfg.Warmup = 0
 	cfg.Measure = 1 << 40
 	cfg.MaxTraceWraps = 3
-	res := NewMulticore(cfg, []prefetch.Prefetcher{prefetch.Nop{}}).
+	res := NewMachineAt(cfg, []prefetch.Prefetcher{prefetch.Nop{}}, nil, true).
 		Run([]trace.Source{trace.NewTrace("w", recs)})
 	want := uint64((cfg.MaxTraceWraps + 1) * len(recs))
 	if res[0].Instructions != want {

@@ -18,7 +18,7 @@ import (
 // reached steady state, then returns records to replay.
 func stepWorkload(tb testing.TB, pf prefetch.Prefetcher) (*Core, []trace.Record) {
 	tb.Helper()
-	c := NewSystem(quickConfig(), pf).Machine().Core(0)
+	c := newSingle(quickConfig(), pf).Core(0)
 	src := streamTrace(40_000)
 	var records []trace.Record
 	for {

@@ -17,6 +17,16 @@ func quickConfig() Config {
 	return cfg
 }
 
+// newSingle builds a one-core machine that ends with its trace.
+func newSingle(cfg Config, pf prefetch.Prefetcher) *Machine {
+	return NewMachineAt(cfg, []prefetch.Prefetcher{pf}, nil, false)
+}
+
+// runSingle simulates one trace on a fresh one-core machine.
+func runSingle(cfg Config, pf prefetch.Prefetcher, src trace.Source) Result {
+	return newSingle(cfg, pf).Run([]trace.Source{src})[0]
+}
+
 func streamTrace(n int) trace.Source {
 	p := trace.DefaultStreamParams()
 	p.Streams = 2
@@ -79,8 +89,7 @@ func TestConfigSweepHelpers(t *testing.T) {
 }
 
 func TestBaselineRunProducesPlausibleResult(t *testing.T) {
-	s := NewSystem(quickConfig(), prefetch.Nop{})
-	res := s.Run(streamTrace(50_000))
+	res := runSingle(quickConfig(), prefetch.Nop{}, streamTrace(50_000))
 	if res.Instructions == 0 || res.Cycles == 0 {
 		t.Fatalf("empty result: %+v", res)
 	}
@@ -100,8 +109,8 @@ func TestBaselineRunProducesPlausibleResult(t *testing.T) {
 }
 
 func TestRunIsDeterministic(t *testing.T) {
-	r1 := NewSystem(quickConfig(), prefetch.Nop{}).Run(streamTrace(30_000))
-	r2 := NewSystem(quickConfig(), prefetch.Nop{}).Run(streamTrace(30_000))
+	r1 := runSingle(quickConfig(), prefetch.Nop{}, streamTrace(30_000))
+	r2 := runSingle(quickConfig(), prefetch.Nop{}, streamTrace(30_000))
 	if !reflect.DeepEqual(r1, r2) {
 		t.Errorf("identical runs differ:\n%+v\n%+v", r1, r2)
 	}
@@ -109,8 +118,8 @@ func TestRunIsDeterministic(t *testing.T) {
 
 func TestPMPBeatsBaselineOnStreams(t *testing.T) {
 	tr := streamTrace(120_000)
-	base := NewSystem(quickConfig(), prefetch.Nop{}).Run(tr)
-	withPMP := NewSystem(quickConfig(), core.New(core.DefaultConfig())).Run(tr)
+	base := runSingle(quickConfig(), prefetch.Nop{}, tr)
+	withPMP := runSingle(quickConfig(), core.New(core.DefaultConfig()), tr)
 
 	if withPMP.IPC() <= base.IPC() {
 		t.Errorf("PMP IPC %.3f should beat baseline %.3f on streams",
@@ -130,8 +139,8 @@ func TestPMPBeatsBaselineOnStreams(t *testing.T) {
 
 func TestPrefetchTrafficCounted(t *testing.T) {
 	tr := streamTrace(120_000)
-	base := NewSystem(quickConfig(), prefetch.Nop{}).Run(tr)
-	withPMP := NewSystem(quickConfig(), core.New(core.DefaultConfig())).Run(tr)
+	base := runSingle(quickConfig(), prefetch.Nop{}, tr)
+	withPMP := runSingle(quickConfig(), core.New(core.DefaultConfig()), tr)
 	if withPMP.DRAM.PrefetchRequests == 0 {
 		t.Error("prefetches should reach DRAM")
 	}
@@ -146,8 +155,8 @@ func TestRandomTraceGainsLittle(t *testing.T) {
 	p := trace.DefaultPointerChaseParams()
 	p.HotProb = 0
 	mk := func() trace.Source { return trace.NewPointerChase("chase", 3, 80_000, p) }
-	base := NewSystem(quickConfig(), prefetch.Nop{}).Run(mk())
-	withPMP := NewSystem(quickConfig(), core.New(core.DefaultConfig())).Run(mk())
+	base := runSingle(quickConfig(), prefetch.Nop{}, mk())
+	withPMP := runSingle(quickConfig(), core.New(core.DefaultConfig()), mk())
 	// Pure random accesses are unprefetchable: PMP cannot win, and its
 	// aggressive low-level prefetching (the paper's own NMT is ~200%)
 	// costs bandwidth on an already saturated channel, so some loss is
@@ -163,7 +172,7 @@ func TestWarmupExcludedFromStats(t *testing.T) {
 	// activity: the counters reset at the boundary, so the measured
 	// demand accesses must fall well short of the trace's total loads.
 	cfg := quickConfig()
-	res := NewSystem(cfg, prefetch.Nop{}).Run(streamTrace(20_000))
+	res := runSingle(cfg, prefetch.Nop{}, streamTrace(20_000))
 	if res.L1D.DemandAccesses == 0 {
 		t.Fatal("no post-warm-up accesses recorded")
 	}
@@ -182,7 +191,7 @@ func TestWarmupExcludedFromStats(t *testing.T) {
 func TestShortTraceStillMeasured(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Warmup = 1 << 40 // never leaves warm-up
-	res := NewSystem(cfg, prefetch.Nop{}).Run(streamTrace(20_000))
+	res := runSingle(cfg, prefetch.Nop{}, streamTrace(20_000))
 	if res.Instructions == 0 || res.Cycles == 0 {
 		t.Fatalf("short trace not measured: %+v", res)
 	}
@@ -200,8 +209,7 @@ func TestShortTraceStillMeasured(t *testing.T) {
 func TestMeasureWindowStopsEarly(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Measure = 5_000
-	s := NewSystem(cfg, prefetch.Nop{})
-	res := s.Run(streamTrace(200_000))
+	res := runSingle(cfg, prefetch.Nop{}, streamTrace(200_000))
 	if res.Instructions < 5_000 || res.Instructions > 6_000 {
 		t.Errorf("measured %d instructions, want ~5000", res.Instructions)
 	}
@@ -210,8 +218,7 @@ func TestMeasureWindowStopsEarly(t *testing.T) {
 func TestMPKIReportedForIrregularTrace(t *testing.T) {
 	p := trace.DefaultPointerChaseParams()
 	p.HotProb = 0
-	s := NewSystem(quickConfig(), prefetch.Nop{})
-	res := s.Run(trace.NewPointerChase("chase", 3, 80_000, p))
+	res := runSingle(quickConfig(), prefetch.Nop{}, trace.NewPointerChase("chase", 3, 80_000, p))
 	if res.MPKI() < 5 {
 		t.Errorf("irregular trace MPKI = %.1f, want > 5 (paper's floor)", res.MPKI())
 	}
@@ -228,7 +235,7 @@ func TestMulticoreHomogeneous(t *testing.T) {
 		pfs[i] = core.New(core.DefaultConfig())
 		srcs[i] = trace.NewStream("s", int64(i+1), 200_000, trace.DefaultStreamParams())
 	}
-	m := NewMulticore(cfg, pfs)
+	m := NewMachineAt(cfg, pfs, nil, true)
 	results := m.Run(srcs)
 	if len(results) != 4 {
 		t.Fatalf("%d results", len(results))
@@ -250,7 +257,7 @@ func TestMulticoreContentionSlowsCores(t *testing.T) {
 	cfg.Warmup = 5_000
 	cfg.Measure = 20_000
 
-	solo := NewMulticore(cfg, []prefetch.Prefetcher{prefetch.Nop{}})
+	solo := NewMachineAt(cfg, []prefetch.Prefetcher{prefetch.Nop{}}, nil, true)
 	soloRes := solo.Run([]trace.Source{streamTrace(200_000)})
 
 	pfs := make([]prefetch.Prefetcher, 4)
@@ -259,7 +266,7 @@ func TestMulticoreContentionSlowsCores(t *testing.T) {
 		pfs[i] = prefetch.Nop{}
 		srcs[i] = trace.NewStream("s", int64(i+1), 200_000, trace.DefaultStreamParams())
 	}
-	quad := NewMulticore(cfg, pfs)
+	quad := NewMachineAt(cfg, pfs, nil, true)
 	quadRes := quad.Run(srcs)
 
 	if quadRes[0].IPC() >= soloRes[0].IPC() {
@@ -272,7 +279,7 @@ func TestMulticoreShortTraceReplays(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Warmup = 100
 	cfg.Measure = 50_000
-	m := NewMulticore(cfg, []prefetch.Prefetcher{prefetch.Nop{}})
+	m := NewMachineAt(cfg, []prefetch.Prefetcher{prefetch.Nop{}}, nil, true)
 	res := m.Run([]trace.Source{streamTrace(1_000)}) // far shorter than measure
 	if res[0].Instructions < cfg.Measure {
 		t.Errorf("short trace should replay to fill the window, got %d", res[0].Instructions)
@@ -282,7 +289,7 @@ func TestMulticoreShortTraceReplays(t *testing.T) {
 func TestBandwidthSweepChangesPerformance(t *testing.T) {
 	mk := func(mtps int) float64 {
 		cfg := quickConfig().WithBandwidth(mtps)
-		return NewSystem(cfg, prefetch.Nop{}).Run(streamTrace(80_000)).IPC()
+		return runSingle(cfg, prefetch.Nop{}, streamTrace(80_000)).IPC()
 	}
 	slow, fast := mk(800), mk(6400)
 	if fast <= slow {
@@ -296,7 +303,7 @@ func TestLLCSweepChangesMisses(t *testing.T) {
 		// Working set ~4MB: fits in 8MB LLC, thrashes 2MB.
 		p := trace.PointerChaseParams{WorkingSet: 4 << 20, HotSet: 1 << 20, HotProb: 0.3, GapMean: 4}
 		src := trace.NewPointerChase("c", 9, 80_000, p)
-		return NewSystem(cfg, prefetch.Nop{}).Run(src).LLC.DemandMisses
+		return runSingle(cfg, prefetch.Nop{}, src).LLC.DemandMisses
 	}
 	small, big := run(2), run(8)
 	if big >= small {
@@ -315,7 +322,7 @@ func TestMulticoreDeterministic(t *testing.T) {
 			pfs[i] = core.New(core.DefaultConfig())
 			srcs[i] = trace.NewStream("s", int64(i+1), 100_000, trace.DefaultStreamParams())
 		}
-		return NewMulticore(cfg, pfs).Run(srcs)
+		return NewMachineAt(cfg, pfs, nil, true).Run(srcs)
 	}
 	a, b := run(), run()
 	for i := range a {
@@ -330,11 +337,12 @@ func TestLLCPrefetcherPlacement(t *testing.T) {
 	// misses relative to no prefetching, without touching L1 stats.
 	mk := func(attach bool) Result {
 		cfg := quickConfig()
-		sys := NewSystem(cfg, prefetch.Nop{})
+		var llc []AttachSpec
 		if attach {
-			sys.AttachLLCPrefetcher(nextline.New(4))
+			llc = []AttachSpec{{Level: cfg.HierarchyDepth() - 1, New: func() prefetch.Prefetcher { return nextline.New(4) }}}
 		}
-		return sys.Run(streamTrace(60_000))
+		m := NewMachineAt(cfg, []prefetch.Prefetcher{prefetch.Nop{}}, llc, false)
+		return m.Run([]trace.Source{streamTrace(60_000)})[0]
 	}
 	base := mk(false)
 	with := mk(true)

@@ -249,7 +249,7 @@ func (s *Sweep) record(j Job, status, errMsg string, attempts int, start time.Ti
 
 // attempt runs the job once in its own goroutine so a panic is
 // recoverable and a stuck simulation can be abandoned on timeout.
-// Multicore jobs (RunMulti) return their per-core results in the
+// Multi-core jobs (RunMulti) return their per-core results in the
 // second value; single-core jobs in the first.
 func (s *Sweep) attempt(j Job) (sim.Result, []sim.Result, error) {
 	ctx := s.ctx
