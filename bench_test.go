@@ -190,7 +190,7 @@ func BenchmarkPMPTrain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := recs[i&(len(recs)-1)]
 		p.Train(prefetch.Access{PC: r.PC, Addr: r.Addr})
-		p.Issue(8)
+		p.IssueInto(nil, 8)
 	}
 }
 

@@ -29,7 +29,7 @@ func main() {
 	for region := uint64(0); region < 24; region++ {
 		for _, off := range []int{0, 1, 2, 3} {
 			pmp.Train(prefetch.Access{PC: pc, Addr: addr(region, off)})
-			pmp.Issue(64) // drain any in-training predictions
+			pmp.IssueInto(nil, 64) // drain any in-training predictions
 		}
 		// A line of the region leaves the L1: accumulation closes and
 		// the pattern is merged into the counter-vector tables.
@@ -42,7 +42,7 @@ func main() {
 	fresh := uint64(1_000_000)
 	pmp.Train(prefetch.Access{PC: pc, Addr: addr(fresh, 0)})
 	fmt.Printf("\ntrigger access at region %d, offset 0 -> prefetches:\n", fresh)
-	for _, r := range pmp.Issue(64) {
+	for _, r := range pmp.IssueInto(nil, 64) {
 		fmt.Printf("  line %#x (region offset %2d) -> %s\n",
 			uint64(r.Addr), r.Addr.PageOffset(), r.Level)
 	}

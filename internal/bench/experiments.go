@@ -646,41 +646,6 @@ func Related(r *Runner) *Table {
 	return t
 }
 
-// All returns every experiment at the given scale, in DESIGN.md order.
-func All(scale Scale) []*Table {
-	r := NewRunner(scale)
-	return []*Table{
-		TableI(scale),
-		Fig2(scale),
-		Fig4(scale),
-		Fig5(scale),
-		Storage(),
-		Fig8(r),
-		Fig9(r),
-		Fig10(r),
-		NMT(r),
-		TableVIII(r),
-		Extraction(r),
-		MultiFeature(r),
-		TableIX(r),
-		TableXOffsetWidth(r),
-		TableXCounterSize(r),
-		TableXI(r),
-		Fig12Bandwidth(r),
-		Fig12LLC(r),
-		Fig13(r),
-		Ablations(r),
-		Related(r),
-		Placement(r),
-		Inclusion(r),
-		Thresholds(r),
-		HETS(r),
-		HETM(r),
-		HETH(r),
-		HETB(r),
-	}
-}
-
 // Ablations quantifies the simulator- and design-level mechanisms that
 // DESIGN.md calls out, beyond the paper's own sweeps: counter-vector
 // halving (aging) and the prefetch buffer's continue-on-reaccess

@@ -392,8 +392,8 @@ func TestPrefetchTraceLateUse(t *testing.T) {
 	var events []PrefetchEvent
 	c.PrefetchTrace = func(ev PrefetchEvent) { events = append(events, ev) }
 	a := mem.Addr(0x2000)
-	c.Fill(a, 500, true)       // fill still in flight...
-	c.Lookup(a, 100, true)     // ...when the demand arrives
+	c.Fill(a, 500, true)   // fill still in flight...
+	c.Lookup(a, 100, true) // ...when the demand arrives
 	if len(events) != 2 || events[1].Kind != PrefetchUsed {
 		t.Fatalf("events = %+v", events)
 	}

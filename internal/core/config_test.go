@@ -58,7 +58,7 @@ func TestCounterBitsCapIsPackedWidth(t *testing.T) {
 		p := New(cfg)
 		teach(p, 0x400, 0, 20, []int{0, 1, 2, 3})
 		train(p, 0x400, regionAddr(1000, 0))
-		if p.Stats().PatternsMerged == 0 || len(p.Issue(64)) == 0 {
+		if p.Stats().PatternsMerged == 0 || len(p.IssueInto(nil, 64)) == 0 {
 			t.Errorf("%s = %d: PMP did not train and predict", tc.name, mem.MaxPackedBits)
 		}
 		tc.set(&cfg, mem.MaxPackedBits+1)

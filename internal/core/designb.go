@@ -187,10 +187,7 @@ func (d *DesignB) predict(trig sms.Trigger) {
 	d.pb.Insert(trig.RegionID, trig.Offset, d.final)
 }
 
-// Issue implements prefetch.Prefetcher.
-func (d *DesignB) Issue(max int) []prefetch.Request { return d.pb.Drain(max) }
-
-// IssueInto implements prefetch.BulkIssuer, the allocation-free drain.
+// IssueInto implements prefetch.Prefetcher.
 //
 //pmp:hotpath
 func (d *DesignB) IssueInto(dst []prefetch.Request, max int) []prefetch.Request {

@@ -34,7 +34,7 @@ func TestDesignBLearnsIdenticalPatterns(t *testing.T) {
 	d := NewDesignB(cfg)
 	teach(d, 0x400, 0, 10, []int{0, 1, 2})
 	train(d, 0x400, regionAddr(1000, 0))
-	reqs := d.Issue(64)
+	reqs := d.IssueInto(nil, 64)
 	if len(reqs) != 2 {
 		t.Fatalf("issued %d, want 2", len(reqs))
 	}
@@ -52,7 +52,7 @@ func TestDesignBColdStart(t *testing.T) {
 	d := NewDesignB(cfg)
 	teach(d, 0x400, 0, 2, []int{0, 1}) // counter = 2 < L2 threshold
 	train(d, 0x400, regionAddr(1000, 0))
-	if reqs := d.Issue(64); len(reqs) != 0 {
+	if reqs := d.IssueInto(nil, 64); len(reqs) != 0 {
 		t.Errorf("below-threshold pattern prefetched: %v", reqs)
 	}
 }
@@ -74,7 +74,7 @@ func TestDesignBThrashing(t *testing.T) {
 		teach(d, 0x400, uint64(r*2+1), 1, offs)
 	}
 	train(d, 0x400, regionAddr(9000, 0))
-	if reqs := d.Issue(64); len(reqs) != 0 {
+	if reqs := d.IssueInto(nil, 64); len(reqs) != 0 {
 		t.Errorf("1-way Design B should thrash, issued %v", reqs)
 	}
 	// With more ways, both patterns persist and one reaches threshold.
@@ -88,7 +88,7 @@ func TestDesignBThrashing(t *testing.T) {
 		teach(d, 0x400, uint64(r*2+1), 1, offs)
 	}
 	train(d, 0x400, regionAddr(9000, 0))
-	if reqs := d.Issue(64); len(reqs) == 0 {
+	if reqs := d.IssueInto(nil, 64); len(reqs) == 0 {
 		t.Error("8-way Design B should retain patterns")
 	}
 }

@@ -20,14 +20,14 @@ func Example() {
 	for region := uint64(0); region < 24; region++ {
 		for off := 0; off < 4; off++ {
 			pmp.Train(prefetch.Access{PC: 0x400, Addr: addr(region, off)})
-			pmp.Issue(64)
+			pmp.IssueInto(nil, 64)
 		}
 		pmp.OnEvict(addr(region, 0)) // eviction closes the region pattern
 	}
 
 	// A single trigger access to a fresh region predicts the rest.
 	pmp.Train(prefetch.Access{PC: 0x400, Addr: addr(999, 0)})
-	for _, r := range pmp.Issue(64) {
+	for _, r := range pmp.IssueInto(nil, 64) {
 		fmt.Printf("prefetch offset %d -> %v\n", r.Addr.PageOffset(), r.Level)
 	}
 	// Output:

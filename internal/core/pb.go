@@ -171,20 +171,11 @@ func (pb *prefetchBuffer) lookup(region uint64) (int, bool) {
 	return 0, false
 }
 
-// Drain emits up to max requests, MRU entry first, nearest offsets
-// first within an entry.
-func (pb *prefetchBuffer) Drain(max int) []prefetch.Request {
-	if max <= 0 {
-		return nil
-	}
-	return pb.DrainInto(nil, max)
-}
-
-// DrainInto emits up to max requests like Drain, appending them to the
-// caller-owned dst: the allocation-free fast path behind
-// prefetch.BulkIssuer. The inner walk visits only pending targets —
-// one TrailingZeros64 per emitted request — instead of scanning every
-// rank of the order.
+// DrainInto emits up to max requests, MRU entry first, nearest offsets
+// first within an entry, appending them to the caller-owned dst: the
+// body of PMP's and Design B's IssueInto. The inner walk visits only
+// pending targets — one TrailingZeros64 per emitted request — instead
+// of scanning every rank of the order.
 //
 //pmp:hotpath
 func (pb *prefetchBuffer) DrainInto(dst []prefetch.Request, max int) []prefetch.Request {
@@ -224,7 +215,7 @@ func (pb *prefetchBuffer) DrainInto(dst []prefetch.Request, max int) []prefetch.
 	return dst
 }
 
-// Requeue re-arms the target at (region, offset) so a later Drain
+// Requeue re-arms the target at (region, offset) so a later DrainInto
 // re-issues it. Unknown regions (entry since replaced) are dropped.
 // With cross-region projection a target may live in the entry of the
 // preceding region.

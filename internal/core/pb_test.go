@@ -38,7 +38,7 @@ func TestPBDrainAssemblesAddresses(t *testing.T) {
 		1:  prefetch.LevelL1,
 		63: prefetch.LevelL2,
 	}))
-	got := pb.Drain(10)
+	got := pb.DrainInto(nil, 10)
 	if len(got) != 2 {
 		t.Fatalf("drained %d requests, want 2", len(got))
 	}
@@ -51,7 +51,7 @@ func TestPBDrainAssemblesAddresses(t *testing.T) {
 		t.Errorf("second request = %+v, want addr %#x L2C", got[1], uint64(wantAddr1))
 	}
 	// Entry fully drained; nothing more.
-	if more := pb.Drain(10); len(more) != 0 {
+	if more := pb.DrainInto(nil, 10); len(more) != 0 {
 		t.Errorf("drained extra requests: %v", more)
 	}
 }
@@ -61,11 +61,11 @@ func TestPBDrainRespectsMax(t *testing.T) {
 	pb.Insert(1, 0, levelsWith(64, map[int]prefetch.Level{
 		1: prefetch.LevelL1, 2: prefetch.LevelL1, 3: prefetch.LevelL1, 4: prefetch.LevelL1,
 	}))
-	if got := pb.Drain(2); len(got) != 2 {
-		t.Fatalf("Drain(2) gave %d", len(got))
+	if got := pb.DrainInto(nil, 2); len(got) != 2 {
+		t.Fatalf("DrainInto(nil, 2) gave %d", len(got))
 	}
 	// Remaining targets drain later without repeats.
-	rest := pb.Drain(10)
+	rest := pb.DrainInto(nil, 10)
 	if len(rest) != 2 {
 		t.Fatalf("second drain gave %d, want 2", len(rest))
 	}
@@ -76,7 +76,7 @@ func TestPBDrainRespectsMax(t *testing.T) {
 		}
 		seen[r.Addr] = true
 	}
-	if got := pb.Drain(10); len(got) != 0 {
+	if got := pb.DrainInto(nil, 10); len(got) != 0 {
 		t.Error("third drain should be empty")
 	}
 }
@@ -86,7 +86,7 @@ func TestPBTouchResumesRegion(t *testing.T) {
 	pb.Insert(1, 0, levelsWith(64, map[int]prefetch.Level{1: prefetch.LevelL1, 2: prefetch.LevelL1}))
 	pb.Insert(2, 0, levelsWith(64, map[int]prefetch.Level{1: prefetch.LevelL1, 2: prefetch.LevelL1}))
 	// Region 2 is MRU: drains first.
-	r := pb.Drain(1)
+	r := pb.DrainInto(nil, 1)
 	if len(r) != 1 || mem.NewRegion(4096).ID(r[0].Addr) != 2 {
 		t.Fatalf("MRU drain = %+v, want region 2", r)
 	}
@@ -94,7 +94,7 @@ func TestPBTouchResumesRegion(t *testing.T) {
 	if !pb.Touch(1) {
 		t.Fatal("Touch(1) should find the entry")
 	}
-	r = pb.Drain(1)
+	r = pb.DrainInto(nil, 1)
 	if len(r) != 1 || mem.NewRegion(4096).ID(r[0].Addr) != 1 {
 		t.Fatalf("post-touch drain = %+v, want region 1", r)
 	}
@@ -121,12 +121,12 @@ func TestPBReinsertResetsIssued(t *testing.T) {
 	pb := newPrefetchBuffer(2, mem.NewRegion(4096))
 	l := levelsWith(64, map[int]prefetch.Level{1: prefetch.LevelL1})
 	pb.Insert(1, 0, l)
-	if got := pb.Drain(10); len(got) != 1 {
+	if got := pb.DrainInto(nil, 10); len(got) != 1 {
 		t.Fatal("first drain should issue one request")
 	}
 	// Re-inserting the same region re-arms its pattern.
 	pb.Insert(1, 0, l)
-	if got := pb.Drain(10); len(got) != 1 {
+	if got := pb.DrainInto(nil, 10); len(got) != 1 {
 		t.Error("re-inserted pattern should issue again")
 	}
 }
@@ -134,8 +134,8 @@ func TestPBReinsertResetsIssued(t *testing.T) {
 func TestPBDrainZero(t *testing.T) {
 	pb := newPrefetchBuffer(2, mem.NewRegion(4096))
 	pb.Insert(1, 0, levelsWith(64, map[int]prefetch.Level{1: prefetch.LevelL1}))
-	if got := pb.Drain(0); got != nil {
-		t.Errorf("Drain(0) = %v", got)
+	if got := pb.DrainInto(nil, 0); got != nil {
+		t.Errorf("DrainInto(nil, 0) = %v", got)
 	}
 }
 
@@ -149,7 +149,7 @@ func TestPBSmallRegions(t *testing.T) {
 		1: prefetch.LevelL1, // offset (14+1)%16 = 15
 		2: prefetch.LevelL2, // offset 0 (wraps)
 	}))
-	got := pb.Drain(10)
+	got := pb.DrainInto(nil, 10)
 	if len(got) != 2 {
 		t.Fatalf("drained %d", len(got))
 	}
@@ -164,16 +164,16 @@ func TestPBSmallRegions(t *testing.T) {
 func TestPBRequeueReissues(t *testing.T) {
 	pb := newPrefetchBuffer(4, mem.NewRegion(4096))
 	pb.Insert(7, 0, levelsWith(64, map[int]prefetch.Level{1: prefetch.LevelL1}))
-	got := pb.Drain(10)
+	got := pb.DrainInto(nil, 10)
 	if len(got) != 1 {
 		t.Fatalf("drained %d", len(got))
 	}
-	if more := pb.Drain(10); len(more) != 0 {
+	if more := pb.DrainInto(nil, 10); len(more) != 0 {
 		t.Fatal("entry should be exhausted")
 	}
 	// The system hands the request back: it must re-issue.
 	pb.Requeue(7, 1)
-	again := pb.Drain(10)
+	again := pb.DrainInto(nil, 10)
 	if len(again) != 1 || again[0].Addr != got[0].Addr {
 		t.Fatalf("requeue did not re-arm the target: %v", again)
 	}
@@ -182,7 +182,7 @@ func TestPBRequeueReissues(t *testing.T) {
 func TestPBRequeueUnknownRegionDropped(t *testing.T) {
 	pb := newPrefetchBuffer(2, mem.NewRegion(4096))
 	pb.Requeue(99, 1) // must not panic
-	if got := pb.Drain(10); len(got) != 0 {
+	if got := pb.DrainInto(nil, 10); len(got) != 0 {
 		t.Errorf("unexpected requests %v", got)
 	}
 }
@@ -191,7 +191,7 @@ func TestPBRequeueNeverIssuedIsNoop(t *testing.T) {
 	pb := newPrefetchBuffer(2, mem.NewRegion(4096))
 	pb.Insert(7, 0, levelsWith(64, map[int]prefetch.Level{1: prefetch.LevelL1}))
 	pb.Requeue(7, 1) // not yet issued: pending count must not inflate
-	if got := pb.Drain(10); len(got) != 1 {
+	if got := pb.DrainInto(nil, 10); len(got) != 1 {
 		t.Errorf("drained %d, want exactly 1", len(got))
 	}
 }
@@ -203,7 +203,7 @@ func TestPBCrossRegionDrainAndRequeue(t *testing.T) {
 	// Trigger at offset 63: anchored k=1 wraps; with projection it
 	// targets region+1 offset 0.
 	pb.Insert(5, 63, levelsWith(64, map[int]prefetch.Level{1: prefetch.LevelL1}))
-	got := pb.Drain(10)
+	got := pb.DrainInto(nil, 10)
 	if len(got) != 1 {
 		t.Fatalf("drained %d", len(got))
 	}
@@ -213,7 +213,7 @@ func TestPBCrossRegionDrainAndRequeue(t *testing.T) {
 	}
 	// Requeue with the projected coordinates finds the entry of region 5.
 	pb.Requeue(6, 0)
-	again := pb.Drain(10)
+	again := pb.DrainInto(nil, 10)
 	if len(again) != 1 || again[0].Addr != want {
 		t.Fatalf("cross-region requeue failed: %v", again)
 	}

@@ -255,12 +255,7 @@ func (p *PMP) capLowLevel() {
 	}
 }
 
-// Issue implements prefetch.Prefetcher.
-func (p *PMP) Issue(max int) []prefetch.Request {
-	return p.pb.Drain(max)
-}
-
-// IssueInto implements prefetch.BulkIssuer, the allocation-free drain.
+// IssueInto implements prefetch.Prefetcher.
 //
 //pmp:hotpath
 func (p *PMP) IssueInto(dst []prefetch.Request, max int) []prefetch.Request {

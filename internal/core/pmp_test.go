@@ -24,7 +24,7 @@ func teach(p prefetch.Prefetcher, pc uint64, startRegion uint64, rounds int, off
 		region := startRegion + uint64(r)
 		for _, o := range offsets {
 			train(p, pc, regionAddr(region, o))
-			p.Issue(64) // drain so earlier predictions don't accumulate
+			p.IssueInto(nil, 64) // drain so earlier predictions don't accumulate
 		}
 		p.OnEvict(regionAddr(region, offsets[0]))
 	}
@@ -37,7 +37,7 @@ func TestPMPLearnsSequentialPattern(t *testing.T) {
 	// A trigger access at offset 0 of a fresh region predicts the
 	// learned pattern.
 	train(p, 0x400, regionAddr(1000, 0))
-	reqs := p.Issue(64)
+	reqs := p.IssueInto(nil, 64)
 	if len(reqs) != 3 {
 		t.Fatalf("issued %d requests, want 3: %v", len(reqs), reqs)
 	}
@@ -65,7 +65,7 @@ func TestPMPTriggerNeverPrefetched(t *testing.T) {
 	p := New(DefaultConfig())
 	teach(p, 0x400, 0, 20, []int{5, 6, 7})
 	train(p, 0x400, regionAddr(1000, 5))
-	for _, r := range p.Issue(64) {
+	for _, r := range p.IssueInto(nil, 64) {
 		if r.Addr == regionAddr(1000, 5) {
 			t.Fatal("trigger line was prefetched")
 		}
@@ -78,7 +78,7 @@ func TestPMPBackwardPatternWraps(t *testing.T) {
 	p := New(DefaultConfig())
 	teach(p, 0x600, 0, 20, []int{63, 62, 61})
 	train(p, 0x600, regionAddr(500, 63))
-	reqs := p.Issue(64)
+	reqs := p.IssueInto(nil, 64)
 	if len(reqs) != 2 {
 		t.Fatalf("issued %d requests, want 2: %v", len(reqs), reqs)
 	}
@@ -99,7 +99,7 @@ func TestPMPPatternsShareAcrossRegions(t *testing.T) {
 	p := New(DefaultConfig())
 	teach(p, 0x400, 0, 20, []int{0, 1})
 	train(p, 0x400, regionAddr(1<<30, 0))
-	if reqs := p.Issue(64); len(reqs) == 0 {
+	if reqs := p.IssueInto(nil, 64); len(reqs) == 0 {
 		t.Error("no prefetch in a fresh region despite trained pattern")
 	}
 }
@@ -118,7 +118,7 @@ func TestPMPArbitrationDowngradesWithoutPPT(t *testing.T) {
 		otherPC += 4
 	}
 	train(p, otherPC, regionAddr(2000, 0))
-	reqs := p.Issue(64)
+	reqs := p.IssueInto(nil, 64)
 	if len(reqs) == 0 {
 		t.Fatal("OPT prediction should survive PPT silence")
 	}
@@ -144,11 +144,11 @@ func TestPMPArbitrationRule2(t *testing.T) {
 		// Always include offset 32 so patterns have >= 2 accesses and
 		// complete.
 		train(p, pc, regionAddr(region, 32))
-		p.Issue(64)
+		p.IssueInto(nil, 64)
 		p.OnEvict(regionAddr(region, 0))
 	}
 	train(p, pc, regionAddr(3000, 0))
-	reqs := p.Issue(64)
+	reqs := p.IssueInto(nil, 64)
 	var got prefetch.Level
 	for _, r := range reqs {
 		if r.Addr == regionAddr(3000, 3) {
@@ -166,7 +166,7 @@ func TestPMPOPTOnlySkipsArbitration(t *testing.T) {
 	p := New(cfg)
 	teach(p, 0x400, 0, 20, []int{0, 1})
 	train(p, 0x999, regionAddr(2000, 0)) // unknown PC is irrelevant here
-	reqs := p.Issue(64)
+	reqs := p.IssueInto(nil, 64)
 	if len(reqs) == 0 {
 		t.Fatal("OPT-only should predict")
 	}
@@ -181,7 +181,7 @@ func TestPMPPPTOnlyPredictsByPC(t *testing.T) {
 	p := New(cfg)
 	teach(p, 0x400, 0, 20, []int{0, 1})
 	train(p, 0x400, regionAddr(2000, 0))
-	if reqs := p.Issue(64); len(reqs) == 0 {
+	if reqs := p.IssueInto(nil, 64); len(reqs) == 0 {
 		t.Error("PPT-only should predict for the trained PC")
 	}
 }
@@ -192,7 +192,7 @@ func TestPMPCombinedFeature(t *testing.T) {
 	p := New(cfg)
 	teach(p, 0x400, 0, 20, []int{0, 1})
 	train(p, 0x400, regionAddr(2000, 0))
-	if reqs := p.Issue(64); len(reqs) == 0 {
+	if reqs := p.IssueInto(nil, 64); len(reqs) == 0 {
 		t.Error("combined feature should predict for trained (PC, offset)")
 	}
 	// A different PC maps to a different combined entry: silent.
@@ -202,7 +202,7 @@ func TestPMPCombinedFeature(t *testing.T) {
 		otherPC += 4
 	}
 	train(p, otherPC, regionAddr(3000, 0))
-	if reqs := p.Issue(64); len(reqs) != 0 {
+	if reqs := p.IssueInto(nil, 64); len(reqs) != 0 {
 		t.Errorf("combined feature predicted %d targets for untrained PC", len(reqs))
 	}
 }
@@ -220,12 +220,12 @@ func TestPMPLimitCapsLowLevelPrefetches(t *testing.T) {
 		train(p, pc, regionAddr(region, 32))
 		o := 1 + r%4*8 // rotates among 1, 9, 17, 25 -> each at freq 1/4
 		train(p, pc, regionAddr(region, o))
-		p.Issue(64)
+		p.IssueInto(nil, 64)
 		p.OnEvict(regionAddr(region, 0))
 	}
 	train(p, pc, regionAddr(4000, 0))
 	lowLevel := 0
-	for _, r := range p.Issue(64) {
+	for _, r := range p.IssueInto(nil, 64) {
 		if r.Level != prefetch.LevelL1 {
 			lowLevel++
 		}
@@ -239,11 +239,11 @@ func TestPMPIssueRespectsMax(t *testing.T) {
 	p := New(DefaultConfig())
 	teach(p, 0x400, 0, 20, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	train(p, 0x400, regionAddr(1000, 0))
-	first := p.Issue(3)
+	first := p.IssueInto(nil, 3)
 	if len(first) > 3 {
-		t.Fatalf("Issue(3) returned %d", len(first))
+		t.Fatalf("IssueInto(nil, 3) returned %d", len(first))
 	}
-	rest := p.Issue(64)
+	rest := p.IssueInto(nil, 64)
 	seen := map[mem.Addr]bool{}
 	for _, r := range append(first, rest...) {
 		if seen[r.Addr] {
@@ -264,7 +264,7 @@ func TestPMPResumeOnRegionReaccess(t *testing.T) {
 	train(p, 0x400, regionAddr(2000, 0))
 	// Touching region 1000 resumes its draining first.
 	train(p, 0x400, regionAddr(1000, 1))
-	reqs := p.Issue(1)
+	reqs := p.IssueInto(nil, 1)
 	if len(reqs) != 1 {
 		t.Fatal("expected a request")
 	}
@@ -277,7 +277,7 @@ func TestPMPResumeOnRegionReaccess(t *testing.T) {
 func TestPMPUntrainedIsSilent(t *testing.T) {
 	p := New(DefaultConfig())
 	train(p, 0x400, regionAddr(1, 0))
-	if reqs := p.Issue(64); len(reqs) != 0 {
+	if reqs := p.IssueInto(nil, 64); len(reqs) != 0 {
 		t.Errorf("untrained PMP issued %v", reqs)
 	}
 }
@@ -329,11 +329,11 @@ func TestPMPSmallRegion(t *testing.T) {
 		for o := 0; o < 3; o++ {
 			train(p, 0x400, base+mem.Addr(o*64))
 		}
-		p.Issue(64)
+		p.IssueInto(nil, 64)
 		p.OnEvict(base)
 	}
 	train(p, 0x400, mem.Addr(999*1024))
-	reqs := p.Issue(64)
+	reqs := p.IssueInto(nil, 64)
 	if len(reqs) != 2 {
 		t.Fatalf("issued %d, want 2", len(reqs))
 	}
@@ -350,7 +350,7 @@ func TestPMPWideTriggerBits(t *testing.T) {
 	p := New(cfg)
 	teach(p, 0x400, 0, 20, []int{0, 1})
 	train(p, 0x400, regionAddr(2000, 0))
-	if reqs := p.Issue(64); len(reqs) == 0 {
+	if reqs := p.IssueInto(nil, 64); len(reqs) == 0 {
 		t.Error("wide trigger bits should still predict (same sub-line offsets)")
 	}
 }
@@ -374,7 +374,7 @@ func TestPMPNoHalvingFreezes(t *testing.T) {
 	}
 	// Frozen counters still predict.
 	train(p, 0x400, regionAddr(900, 0))
-	if len(p.Issue(64)) == 0 {
+	if len(p.IssueInto(nil, 64)) == 0 {
 		t.Error("frozen vectors should still produce predictions")
 	}
 }
@@ -389,7 +389,7 @@ func TestPMPNoResumeStopsDraining(t *testing.T) {
 	train(p, 0x400, regionAddr(1000, 0))
 	train(p, 0x400, regionAddr(2000, 0))
 	train(p, 0x400, regionAddr(1000, 1)) // would resume 1000 if enabled
-	reqs := p.Issue(1)
+	reqs := p.IssueInto(nil, 1)
 	if len(reqs) != 1 {
 		t.Fatal("expected one request")
 	}
@@ -408,7 +408,7 @@ func TestPMPCrossRegionProjectsForward(t *testing.T) {
 	// next region's worth of lines.
 	teach(p, 0x400, 0, 20, []int{62, 63, 0, 1})
 	train(p, 0x400, regionAddr(1000, 62))
-	reqs := p.Issue(64)
+	reqs := p.IssueInto(nil, 64)
 	if len(reqs) == 0 {
 		t.Fatal("no prefetches")
 	}
@@ -432,7 +432,7 @@ func TestPMPDefaultWrapsWithinRegion(t *testing.T) {
 	p := New(DefaultConfig())
 	teach(p, 0x400, 0, 20, []int{62, 63, 0, 1})
 	train(p, 0x400, regionAddr(1000, 62))
-	for _, r := range p.Issue(64) {
+	for _, r := range p.IssueInto(nil, 64) {
 		if mem.NewRegion(4096).ID(r.Addr) != 1000 {
 			t.Fatalf("default PMP must not cross regions, target %#x", uint64(r.Addr))
 		}

@@ -28,7 +28,7 @@ func TestPMPRandomStreamInvariants(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				p.OnEvict(mem.Addr(rng.Int63n(1 << 30)).Line())
 			}
-			for _, r := range p.Issue(rng.Intn(9)) {
+			for _, r := range p.IssueInto(nil, rng.Intn(9)) {
 				if r.Addr != r.Addr.Line() {
 					t.Logf("unaligned target %#x", uint64(r.Addr))
 					return false
@@ -62,7 +62,7 @@ func TestDesignBRandomStreamInvariants(t *testing.T) {
 				PC:   uint64(0x400000 + rng.Intn(8)*4),
 				Addr: mem.Addr(rng.Int63n(1 << 28)),
 			})
-			for _, r := range d.Issue(8) {
+			for _, r := range d.IssueInto(nil, 8) {
 				if r.Addr != r.Addr.Line() {
 					return false
 				}
@@ -96,7 +96,7 @@ func TestPMPNeverPrefetchesTriggerLine(t *testing.T) {
 		for r := uint64(0); r < 30; r++ {
 			for off := 0; off < 8; off++ {
 				p.Train(prefetch.Access{PC: 0x400, Addr: mem.Addr(r*mem.PageBytes + uint64(off*mem.LineBytes))})
-				p.Issue(64)
+				p.IssueInto(nil, 64)
 			}
 			p.OnEvict(mem.Addr(r * mem.PageBytes))
 		}
@@ -105,7 +105,7 @@ func TestPMPNeverPrefetchesTriggerLine(t *testing.T) {
 			region := uint64(1_000_000 + i) // fresh region every probe
 			trig := rng.Intn(64)
 			p.Train(prefetch.Access{PC: 0x400, Addr: mem.Addr(region*mem.PageBytes + uint64(trig*mem.LineBytes))})
-			for _, r := range p.Issue(64) {
+			for _, r := range p.IssueInto(nil, 64) {
 				if r.Addr.PageID() == region && r.Addr.PageOffset() == trig {
 					t.Fatalf("scheme %v prefetched the trigger line (region %d offset %d)",
 						scheme, region, trig)

@@ -19,7 +19,7 @@ func (b *Bad) Name() string { return fmt.Sprintf("bad-%dw", b.ways) } // want "c
 
 func (b *Bad) Train(prefetch.Access) {}
 
-func (b *Bad) Issue(int) []prefetch.Request { return nil }
+func (b *Bad) IssueInto(dst []prefetch.Request, _ int) []prefetch.Request { return dst }
 
 func (b *Bad) OnEvict(mem.Addr) {}
 
@@ -36,7 +36,7 @@ func (g *Good) Name() string { return "good" }
 
 func (g *Good) Train(prefetch.Access) {}
 
-func (g *Good) Issue(int) []prefetch.Request { return nil }
+func (g *Good) IssueInto(dst []prefetch.Request, _ int) []prefetch.Request { return dst }
 
 func (g *Good) OnEvict(mem.Addr) {}
 
@@ -55,7 +55,7 @@ func (n *Named) Name() string { return n.name }
 
 func (n *Named) Train(prefetch.Access) {}
 
-func (n *Named) Issue(int) []prefetch.Request { return nil }
+func (n *Named) IssueInto(dst []prefetch.Request, _ int) []prefetch.Request { return dst }
 
 func (n *Named) OnEvict(mem.Addr) {}
 

@@ -30,9 +30,9 @@ func TestSatAdd(t *testing.T) {
 	cases := []struct {
 		v, d, min, max, want int8
 	}{
-		{10, 5, -16, 15, 15},   // clamps high
-		{-10, -20, -16, 15, -16}, // clamps low
-		{3, 4, -16, 15, 7},     // in range
+		{10, 5, -16, 15, 15},      // clamps high
+		{-10, -20, -16, 15, -16},  // clamps low
+		{3, 4, -16, 15, 7},        // in range
 		{120, 10, -128, 127, 127}, // would overflow int8
 		{-120, -10, -128, 127, -128},
 	}

@@ -2,7 +2,8 @@
 // checker that asserts, on every call, the invariants the simulator
 // relies on for meaningful cross-prefetcher comparisons:
 //
-//   - Issue(max) returns at most max requests, and none when max <= 0;
+//   - IssueInto(dst, max) keeps dst's existing entries and appends at
+//     most max requests, none when max <= 0;
 //   - every Request.Addr is line-aligned;
 //   - every Request.Level is a real cache level (L1/L2/LLC), never
 //     LevelNone or an out-of-range value;
@@ -80,43 +81,14 @@ func (c *Checker) Name() string {
 // Train implements prefetch.Prefetcher.
 func (c *Checker) Train(a prefetch.Access) { c.inner.Train(a) }
 
-// Issue implements prefetch.Prefetcher, asserting the count bound and
-// per-request validity.
-func (c *Checker) Issue(max int) []prefetch.Request {
-	reqs := c.inner.Issue(max)
-	if max <= 0 && len(reqs) > 0 {
-		//pmp:allocok contract-violation report: formats only when the wrapped prefetcher is broken
-		c.report("contract: Issue(%d) returned %d requests, want none for max <= 0", max, len(reqs))
-	} else if len(reqs) > max {
-		//pmp:allocok contract-violation report: formats only when the wrapped prefetcher is broken
-		c.report("contract: Issue(%d) returned %d requests (over budget)", max, len(reqs))
-	}
-	for i, r := range reqs {
-		if r.Addr.Line() != r.Addr {
-			//pmp:allocok contract-violation report: formats only when the wrapped prefetcher is broken
-			c.report("contract: Issue request %d target %#x is not line-aligned", i, uint64(r.Addr))
-		}
-		switch r.Level {
-		case prefetch.LevelL1, prefetch.LevelL2, prefetch.LevelLLC:
-		default:
-			//pmp:allocok contract-violation report: formats only when the wrapped prefetcher is broken
-			c.report("contract: Issue request %d has invalid level %d (must be L1/L2/LLC)", i, r.Level)
-		}
-	}
-	return reqs
-}
-
-// IssueInto implements prefetch.BulkIssuer with the same assertions as
-// Issue, additionally checking that dst's existing contents are
-// preserved. When the inner prefetcher does not implement BulkIssuer
-// the checker falls back to Issue — safe to expose unconditionally,
-// since the bulk path must produce exactly what Issue produces (unlike
-// Requeuer, whose presence changes the simulator's issue policy).
+// IssueInto implements prefetch.Prefetcher, asserting that dst's
+// existing contents are preserved, the count bound holds and every
+// appended request is valid.
 //
 //pmp:hotpath
 func (c *Checker) IssueInto(dst []prefetch.Request, max int) []prefetch.Request {
 	base := len(dst)
-	out := prefetch.IssueInto(c.inner, dst, max)
+	out := c.inner.IssueInto(dst, max)
 	if len(out) < base {
 		//pmp:allocok contract-violation report: formats only when the wrapped prefetcher is broken
 		c.report("contract: IssueInto shrank dst from %d to %d entries", base, len(out))

@@ -50,11 +50,11 @@ func (s *stub) Name() string {
 
 func (s *stub) Train(prefetch.Access) {}
 
-func (s *stub) Issue(max int) []prefetch.Request {
+func (s *stub) IssueInto(dst []prefetch.Request, max int) []prefetch.Request {
 	if s.issue == nil {
-		return nil
+		return dst
 	}
-	return s.issue(max)
+	return append(dst, s.issue(max)...)
 }
 
 func (s *stub) OnEvict(mem.Addr) {}
@@ -81,7 +81,7 @@ func TestCatchesOverBudgetIssue(t *testing.T) {
 		}
 		return out
 	}}, rec.report)
-	p.Issue(4)
+	p.IssueInto(nil, 4)
 	rec.contains(t, "over budget")
 }
 
@@ -90,7 +90,7 @@ func TestCatchesIssueOnZeroBudget(t *testing.T) {
 	p := Wrap(&stub{name: "zero", issue: func(int) []prefetch.Request {
 		return []prefetch.Request{{Addr: line(1), Level: prefetch.LevelL1}}
 	}}, rec.report)
-	p.Issue(0)
+	p.IssueInto(nil, 0)
 	rec.contains(t, "max <= 0")
 }
 
@@ -99,7 +99,7 @@ func TestCatchesUnalignedAddress(t *testing.T) {
 	p := Wrap(&stub{name: "unaligned", issue: func(int) []prefetch.Request {
 		return []prefetch.Request{{Addr: line(1) + 8, Level: prefetch.LevelL1}}
 	}}, rec.report)
-	p.Issue(4)
+	p.IssueInto(nil, 4)
 	rec.contains(t, "not line-aligned")
 }
 
@@ -108,8 +108,20 @@ func TestCatchesInvalidLevel(t *testing.T) {
 	p := Wrap(&stub{name: "levelnone", issue: func(int) []prefetch.Request {
 		return []prefetch.Request{{Addr: line(1), Level: prefetch.LevelNone}}
 	}}, rec.report)
-	p.Issue(4)
+	p.IssueInto(nil, 4)
 	rec.contains(t, "invalid level")
+}
+
+// shrinker drops the caller's existing dst entries.
+type shrinker struct{ stub }
+
+func (*shrinker) IssueInto(dst []prefetch.Request, _ int) []prefetch.Request { return dst[:0] }
+
+func TestCatchesShrunkDst(t *testing.T) {
+	rec := &recorder{}
+	p := Wrap(&shrinker{stub{name: "shrink"}}, rec.report)
+	p.IssueInto([]prefetch.Request{{Addr: line(1), Level: prefetch.LevelL1}}, 4)
+	rec.contains(t, "shrank dst")
 }
 
 func TestCatchesEmptyAndUnstableName(t *testing.T) {
@@ -153,8 +165,8 @@ func TestCleanPrefetcherPasses(t *testing.T) {
 	}}, rec.report)
 	p.Name()
 	p.Train(prefetch.Access{Addr: line(3)})
-	p.Issue(8)
-	p.Issue(1)
+	p.IssueInto(nil, 8)
+	p.IssueInto(nil, 1)
 	p.OnEvict(line(3))
 	p.OnFill(line(4), prefetch.LevelL2, true)
 	p.StorageBits()

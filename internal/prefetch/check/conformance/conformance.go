@@ -52,12 +52,13 @@ func Run(t TB, mk func() prefetch.Prefetcher, opts ...Option) {
 
 	budgets := []int{0, 1, 3, 8, 64}
 	cycle := uint64(0)
-	drain := func() []prefetch.Request {
-		var all []prefetch.Request
+	// Every drain appends to one running buffer, so the checker's
+	// dst-preservation assertion runs against a non-empty dst.
+	var issued []prefetch.Request
+	drain := func() {
 		for _, max := range budgets {
-			all = append(all, p.Issue(max)...)
+			issued = p.IssueInto(issued, max)
 		}
-		return all
 	}
 	train := func(pc uint64, addr mem.Addr, hit bool) {
 		cycle += 4
@@ -111,12 +112,15 @@ func Run(t TB, mk func() prefetch.Prefetcher, opts ...Option) {
 			cycle += 4
 			p.Train(prefetch.Access{PC: 0x800, Addr: base + mem.Addr(i*mem.LineBytes), Cycle: cycle, Hit: false})
 		}
-		reqs := p.Issue(16)
+		base := len(issued)
+		issued = p.IssueInto(issued, 16)
+		reqs := issued[base:]
 		for _, r := range reqs {
 			rq.Requeue(r)
 		}
-		again := p.Issue(len(reqs) + 8)
-		if len(reqs) > 0 && len(again) == 0 {
+		before := len(issued)
+		issued = p.IssueInto(issued, len(reqs)+8)
+		if len(reqs) > 0 && len(issued) == before {
 			t.Errorf("conformance: %d requeued requests never re-issued", len(reqs))
 		}
 		drain()

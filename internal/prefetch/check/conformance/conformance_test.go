@@ -38,23 +38,22 @@ func (r *recorder) Errorf(format string, args ...any) {
 	r.violations = append(r.violations, fmt.Sprintf(format, args...))
 }
 
-// overIssuer violates the Issue(max) bound.
+// overIssuer violates the IssueInto(dst, max) bound.
 type overIssuer struct{ prefetch.Nop }
 
 func (overIssuer) Name() string { return "over-issuer" }
 
-func (overIssuer) Issue(max int) []prefetch.Request {
-	out := make([]prefetch.Request, max+1)
-	for i := range out {
-		out[i] = prefetch.Request{Addr: mem.Addr(i * mem.LineBytes), Level: prefetch.LevelL1}
+func (overIssuer) IssueInto(dst []prefetch.Request, max int) []prefetch.Request {
+	for i := 0; i <= max; i++ {
+		dst = append(dst, prefetch.Request{Addr: mem.Addr(i * mem.LineBytes), Level: prefetch.LevelL1})
 	}
-	return out
+	return dst
 }
 
 func (overIssuer) StorageBits() int { return 8 }
 
 // TestHarnessCatchesOverIssue is the meta-test: deliberately breaking
-// the Issue contract must fail the harness.
+// the IssueInto contract must fail the harness.
 func TestHarnessCatchesOverIssue(t *testing.T) {
 	rec := &recorder{}
 	conformance.Run(rec, func() prefetch.Prefetcher { return overIssuer{} })
@@ -66,7 +65,7 @@ func TestHarnessCatchesOverIssue(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("harness missed an over-budget Issue; violations: %v", rec.violations)
+		t.Fatalf("harness missed an over-budget IssueInto; violations: %v", rec.violations)
 	}
 }
 
@@ -75,11 +74,11 @@ type unalignedIssuer struct{ prefetch.Nop }
 
 func (unalignedIssuer) Name() string { return "unaligned-issuer" }
 
-func (unalignedIssuer) Issue(max int) []prefetch.Request {
+func (unalignedIssuer) IssueInto(dst []prefetch.Request, max int) []prefetch.Request {
 	if max < 1 {
-		return nil
+		return dst
 	}
-	return []prefetch.Request{{Addr: mem.Addr(mem.LineBytes + 4), Level: prefetch.LevelL1}}
+	return append(dst, prefetch.Request{Addr: mem.Addr(mem.LineBytes + 4), Level: prefetch.LevelL1})
 }
 
 func (unalignedIssuer) StorageBits() int { return 8 }

@@ -73,7 +73,7 @@ type Request struct {
 //
 // The simulator calls Train on every demand load that reaches the L1D
 // (hit or miss), then drains up to the free prefetch-queue capacity via
-// Issue. OnEvict notifies the prefetcher of L1D line evictions so
+// IssueInto. OnEvict notifies the prefetcher of L1D line evictions so
 // SMS-style accumulation can close regions.
 type Prefetcher interface {
 	// Name returns a short stable identifier ("pmp", "bingo", ...).
@@ -82,11 +82,14 @@ type Prefetcher interface {
 	// Train observes one demand access.
 	Train(a Access)
 
-	// Issue returns up to max prefetch requests. The simulator calls
-	// this after each Train with the currently free PQ capacity; the
-	// prefetcher should return its most valuable requests first
-	// (nearest-first for spatial prefetchers).
-	Issue(max int) []Request
+	// IssueInto appends up to max prefetch requests to the
+	// caller-owned dst and returns the extended slice; it appends
+	// nothing when max <= 0 and never drops dst's existing entries.
+	// The simulator calls this after each Train with the currently
+	// free PQ capacity and a reused scratch buffer, so a steady-state
+	// drain allocates nothing. The prefetcher should return its most
+	// valuable requests first (nearest-first for spatial prefetchers).
+	IssueInto(dst []Request, max int) []Request
 
 	// OnEvict notifies that the given line-aligned address was evicted
 	// from the L1D.
@@ -103,37 +106,13 @@ type Prefetcher interface {
 	StorageBits() int
 }
 
-// BulkIssuer is the allocation-free fast path of Issue: instead of
-// returning a fresh slice per call, the prefetcher appends up to max
-// requests to the caller-owned dst and returns the extended slice. The
-// simulator drains every prefetcher through IssueInto with a reused
-// per-system scratch buffer, so a steady-state simulated access
-// performs no heap allocation on the issue path.
-//
-// Implementations must behave exactly like Issue: same requests, same
-// order, at most max appended (none when max <= 0). Issue itself
-// should remain correct — the idiomatic shim is
-//
-//	func (p *Prefetcher) Issue(max int) []prefetch.Request {
-//		return p.IssueInto(nil, max)
-//	}
-type BulkIssuer interface {
-	// IssueInto appends up to max requests to dst and returns it.
-	IssueInto(dst []Request, max int) []Request
-}
-
-// IssueInto drains up to max requests from p into dst, using the
-// allocation-free BulkIssuer fast path when p implements it and
-// falling back to Issue (one allocation per call) otherwise, so
-// third-party prefetchers keep working unmodified.
+// IssueInto drains up to max requests from p into dst: it is
+// p.IssueInto, kept for callers outside this module (perfbench's
+// timing wrapper forwards through it).
 //
 //pmp:hotpath
 func IssueInto(p Prefetcher, dst []Request, max int) []Request {
-	if b, ok := p.(BulkIssuer); ok {
-		return b.IssueInto(dst, max)
-	}
-	//pmp:allocok documented fallback: Issue itself allocates once per call for non-BulkIssuer prefetchers
-	return append(dst, p.Issue(max)...)
+	return p.IssueInto(dst, max)
 }
 
 // Requeuer is implemented by prefetchers that can take back a request
@@ -155,13 +134,10 @@ func (Nop) Name() string { return "none" }
 // Train implements Prefetcher.
 func (Nop) Train(Access) {}
 
-// Issue implements Prefetcher.
+// IssueInto implements Prefetcher.
 //
-// Nop deliberately does not implement BulkIssuer: test doubles embed
-// Nop and override Issue, and a promoted IssueInto would silently
-// bypass their override. The IssueInto fallback path appends Issue's
-// nil result, which allocates nothing either way.
-func (Nop) Issue(int) []Request { return nil }
+//pmp:hotpath
+func (Nop) IssueInto(dst []Request, _ int) []Request { return dst }
 
 // OnEvict implements Prefetcher.
 func (Nop) OnEvict(mem.Addr) {}

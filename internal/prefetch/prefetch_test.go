@@ -36,8 +36,12 @@ func TestLevelDowngrade(t *testing.T) {
 func TestNopIsInert(t *testing.T) {
 	var p Prefetcher = Nop{}
 	p.Train(Access{PC: 1, Addr: 64})
-	if got := p.Issue(8); got != nil {
+	if got := p.IssueInto(nil, 8); got != nil {
 		t.Errorf("Nop issued %v", got)
+	}
+	dst := []Request{{Addr: 64, Level: LevelL1}}
+	if got := IssueInto(p, dst, 4); len(got) != 1 || got[0] != dst[0] {
+		t.Errorf("IssueInto(Nop) changed dst to %v", got)
 	}
 	if p.StorageBits() != 0 {
 		t.Error("Nop should cost 0 bits")
@@ -54,13 +58,13 @@ func TestOutQueueFIFO(t *testing.T) {
 			t.Fatalf("push %d rejected", i)
 		}
 	}
-	got := q.Pop(2)
+	got := q.PopInto(nil, 2)
 	if len(got) != 2 || got[0].Addr != 0 || got[1].Addr != 64 {
-		t.Fatalf("Pop(2) = %v", got)
+		t.Fatalf("PopInto(nil, 2) = %v", got)
 	}
-	got = q.Pop(10)
+	got = q.PopInto(nil, 10)
 	if len(got) != 1 || got[0].Addr != 128 {
-		t.Fatalf("second Pop = %v", got)
+		t.Fatalf("second PopInto = %v", got)
 	}
 	if q.Len() != 0 {
 		t.Error("queue should be empty")
@@ -82,7 +86,7 @@ func TestOutQueueDedupAndCapacity(t *testing.T) {
 		t.Error("push beyond capacity should be rejected")
 	}
 	// After popping, the line can be requested again.
-	q.Pop(2)
+	q.PopInto(nil, 2)
 	if !q.Push(Request{Addr: 64, Level: LevelL1}) {
 		t.Error("line should be pushable again after pop")
 	}
@@ -91,22 +95,10 @@ func TestOutQueueDedupAndCapacity(t *testing.T) {
 func TestOutQueuePopZero(t *testing.T) {
 	q := NewOutQueue(2)
 	q.Push(Request{Addr: 64})
-	if got := q.Pop(0); got != nil {
-		t.Errorf("Pop(0) = %v, want nil", got)
+	if got := q.PopInto(nil, 0); got != nil {
+		t.Errorf("PopInto(nil, 0) = %v, want nil", got)
 	}
-	if got := q.Pop(-1); got != nil {
-		t.Errorf("Pop(-1) = %v, want nil", got)
-	}
-}
-
-func TestOutQueueReset(t *testing.T) {
-	q := NewOutQueue(4)
-	q.Push(Request{Addr: 64})
-	q.Reset()
-	if q.Len() != 0 {
-		t.Error("Reset should empty the queue")
-	}
-	if !q.Push(Request{Addr: 64}) {
-		t.Error("line should be pushable after Reset")
+	if got := q.PopInto(nil, -1); got != nil {
+		t.Errorf("PopInto(nil, -1) = %v, want nil", got)
 	}
 }

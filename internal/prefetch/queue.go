@@ -1,53 +1,27 @@
 package prefetch
 
-import (
-	"math/bits"
+import "pmp/internal/mem"
 
-	"pmp/internal/mem"
-)
-
-// OutQueue is the bounded buffer of pending prefetch requests shared by
+// OutQueue is the bounded FIFO of pending prefetch requests shared by
 // the prefetcher implementations: generated targets are pushed once
-// (duplicate lines suppressed) and drained by Issue.
+// (duplicate lines suppressed) and drained in arrival order by
+// IssueInto.
 //
-// Internally it is a hierarchical-bitmap priority queue rather than a
-// slice-plus-map FIFO:
-//
-//   - Requests live in a fixed slot array; a two-level HierBitmap over
-//     the slots is the free list, so allocation is a CLZ (First) and
-//     release is a masked OR — no Go allocator traffic ever.
-//   - Each of the 64 priority classes is an intrusive FIFO (head/tail
-//     plus a next-link per slot) and a one-word summary bitmap records
-//     which classes are occupied; the next request to drain is found
-//     with a single bits.LeadingZeros64 regardless of occupancy.
-//   - Duplicate suppression is a compact per-region line bitmap (one
-//     {regionID, uint64} pair per 4KB region with pending lines)
-//     instead of a map[mem.Addr]struct{}: membership is a shift and an
-//     AND against a handful of L1-resident words.
-//
-// Push enqueues at the highest priority class (0), so a Push-only
-// producer drains in exact FIFO order — byte-identical to the historic
-// FIFO implementation. PushPri lets confidence-aware producers demote
-// low-confidence requests; lower class numbers drain first, FIFO within
-// a class.
+// Requests live in a fixed ring buffer, so Push and PopInto never touch
+// the Go allocator. Duplicate suppression is a compact per-region line
+// bitmap (one {regionID, uint64} pair per 4KB region with pending
+// lines) instead of a map[mem.Addr]struct{}: membership is a shift and
+// an AND against a handful of L1-resident words.
 type OutQueue struct {
-	slots []Request
-	next  []int32 // intrusive bucket links, -1 terminates
-	free  mem.HierBitmap
-	head  [numPriorities]int32
-	tail  [numPriorities]int32
-	pris  uint64 // bit 63-p set when class p is non-empty
-	n     int
-	cap   int
+	ring []Request
+	head int // ring index of the oldest request
+	n    int
 
 	// Pending-line bitmaps, one entry per 4KB region with queued lines.
 	// Queues are small (tens of slots), so a linear scan over a few
 	// 16-byte entries beats hashing.
 	regions []regionLines
 }
-
-// numPriorities is the number of priority classes (0 drains first).
-const numPriorities = 64
 
 type regionLines struct {
 	id   uint64
@@ -63,69 +37,35 @@ func regionOf(a mem.Addr) (id uint64, bit uint64) {
 // NewOutQueue returns a queue bounded at capacity requests. When full,
 // Push drops the new request (matching hardware PQ behaviour, where the
 // prefetcher simply stalls generation). Non-positive capacities yield a
-// queue that accepts nothing; capacities beyond the bitmap universe
-// (mem.MaxHierBitmap) are clamped to it.
+// queue that accepts nothing.
 func NewOutQueue(capacity int) *OutQueue {
 	capacity = max(capacity, 0)
-	capacity = min(capacity, mem.MaxHierBitmap)
-	q := &OutQueue{
-		slots:   make([]Request, capacity),
-		next:    make([]int32, capacity),
-		cap:     capacity,
+	return &OutQueue{
+		ring:    make([]Request, capacity),
 		regions: make([]regionLines, 0, capacity),
 	}
-	if capacity > 0 {
-		q.free = mem.NewHierBitmap(capacity)
-		q.free.Fill()
-	}
-	for p := range q.head {
-		q.head[p], q.tail[p] = -1, -1
-	}
-	return q
 }
 
 // Len returns the number of queued requests.
 func (q *OutQueue) Len() int { return q.n }
 
-// Cap returns the queue's capacity.
-func (q *OutQueue) Cap() int { return q.cap }
-
-// Push enqueues a request at the highest priority class unless the
-// queue is full or the same line is already pending. It reports whether
-// the request was accepted. A Push-only producer drains in FIFO order.
+// Push enqueues a request unless the queue is full or the same line is
+// already pending. It reports whether the request was accepted.
 //
 //pmp:hotpath
-func (q *OutQueue) Push(r Request) bool { return q.PushPri(r, 0) }
-
-// PushPri enqueues a request at priority class pri (clamped to
-// [0, 63]); lower classes drain first, FIFO within a class. The full
-// and duplicate checks match Push.
-//
-//pmp:hotpath
-func (q *OutQueue) PushPri(r Request, pri int) bool {
+func (q *OutQueue) Push(r Request) bool {
 	r.Addr = r.Addr.Line()
-	if q.n >= q.cap {
+	if q.n == len(q.ring) {
 		return false
 	}
 	if !q.markPending(r.Addr) {
 		return false
 	}
-	if pri < 0 {
-		pri = 0
-	} else if pri >= numPriorities {
-		pri = numPriorities - 1
+	tail := q.head + q.n
+	if tail >= len(q.ring) {
+		tail -= len(q.ring)
 	}
-	s, _ := q.free.First() // n < cap, so a free slot exists
-	q.free.Clear(s)
-	q.slots[s] = r
-	q.next[s] = -1
-	if q.head[pri] < 0 {
-		q.head[pri] = int32(s)
-		q.pris |= 1 << uint(63-pri)
-	} else {
-		q.next[q.tail[pri]] = int32(s)
-	}
-	q.tail[pri] = int32(s)
+	q.ring[tail] = r
 	q.n++
 	return true
 }
@@ -173,46 +113,22 @@ func (q *OutQueue) clearPending(a mem.Addr) {
 	}
 }
 
-// Pop dequeues up to max requests in priority order.
-func (q *OutQueue) Pop(max int) []Request {
-	if max <= 0 || q.n == 0 {
-		return nil
-	}
-	return q.PopInto(nil, max)
-}
-
-// PopInto dequeues up to max requests in priority order (FIFO within a
-// class), appending them to dst. Unlike Pop it performs no allocation
-// when dst has capacity, so a steady-state Push/PopInto cycle against a
-// reused buffer is allocation-free.
+// PopInto dequeues up to max requests, oldest first, appending them to
+// dst. It performs no allocation when dst has capacity, so a
+// steady-state Push/PopInto cycle against a reused buffer is
+// allocation-free.
 //
 //pmp:hotpath
 func (q *OutQueue) PopInto(dst []Request, max int) []Request {
-	for ; max > 0 && q.pris != 0; max-- {
-		p := bits.LeadingZeros64(q.pris)
-		s := q.head[p]
-		q.head[p] = q.next[s]
-		if q.head[p] < 0 {
-			q.tail[p] = -1
-			q.pris &^= 1 << uint(63-p)
+	for ; max > 0 && q.n > 0; max-- {
+		r := q.ring[q.head]
+		q.head++
+		if q.head == len(q.ring) {
+			q.head = 0
 		}
-		q.free.Set(int(s))
-		q.clearPending(q.slots[s].Addr)
-		dst = append(dst, q.slots[s])
 		q.n--
+		q.clearPending(r.Addr)
+		dst = append(dst, r)
 	}
 	return dst
-}
-
-// Reset discards all queued requests.
-func (q *OutQueue) Reset() {
-	if q.cap > 0 {
-		q.free.Fill()
-	}
-	for p := range q.head {
-		q.head[p], q.tail[p] = -1, -1
-	}
-	q.pris = 0
-	q.n = 0
-	q.regions = q.regions[:0]
 }

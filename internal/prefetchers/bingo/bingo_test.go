@@ -17,7 +17,7 @@ func teach(p *Prefetcher, pc uint64, start uint64, rounds int, offsets []int) {
 		region := start + uint64(r)
 		for _, o := range offsets {
 			p.Train(prefetch.Access{PC: pc, Addr: addr2k(region, o)})
-			p.Issue(64)
+			p.IssueInto(nil, 64)
 		}
 		p.OnEvict(addr2k(region, offsets[0]))
 	}
@@ -29,7 +29,7 @@ func TestBingoLongEventMatchFillsL1(t *testing.T) {
 	// long event (PC+Address) matches exactly.
 	teach(p, 0x400, 7, 1, []int{3, 4, 5})
 	p.Train(prefetch.Access{PC: 0x400, Addr: addr2k(7, 3)})
-	got := p.Issue(64)
+	got := p.IssueInto(nil, 64)
 	if len(got) != 2 {
 		t.Fatalf("issued %d, want 2", len(got))
 	}
@@ -53,7 +53,7 @@ func TestBingoShortEventFallback(t *testing.T) {
 	// still hits via voting.
 	teach(p, 0x400, 0, 6, []int{3, 4})
 	p.Train(prefetch.Access{PC: 0x400, Addr: addr2k(5000, 3)})
-	got := p.Issue(64)
+	got := p.IssueInto(nil, 64)
 	if len(got) == 0 {
 		t.Fatal("short-event fallback should predict")
 	}
@@ -74,7 +74,7 @@ func TestBingoVotingSplitsLevels(t *testing.T) {
 	teach(p, 0x400, 100, 1, []int{3, 10})
 	p.Train(prefetch.Access{PC: 0x400, Addr: addr2k(5000, 3)})
 	levels := map[mem.Addr]prefetch.Level{}
-	for _, r := range p.Issue(64) {
+	for _, r := range p.IssueInto(nil, 64) {
 		levels[r.Addr] = r.Level
 	}
 	if levels[addr2k(5000, 4)] != prefetch.LevelL1 {
@@ -88,7 +88,7 @@ func TestBingoVotingSplitsLevels(t *testing.T) {
 func TestBingoUntrainedSilent(t *testing.T) {
 	p := New(DefaultConfig())
 	p.Train(prefetch.Access{PC: 0x400, Addr: addr2k(1, 0)})
-	if got := p.Issue(64); len(got) != 0 {
+	if got := p.IssueInto(nil, 64); len(got) != 0 {
 		t.Errorf("untrained Bingo issued %v", got)
 	}
 }
@@ -133,13 +133,13 @@ func TestBingoLongMatchRefreshesLRU(t *testing.T) {
 	teach(p, 0x404, 8, 1, []int{5, 6})
 	// Use the first entry via a long-event match...
 	p.Train(prefetch.Access{PC: 0x400, Addr: addr2k(7, 3)})
-	p.Issue(64)
+	p.IssueInto(nil, 64)
 	// ...then insert a third pattern: the victim must be the *unused*
 	// second entry, not the just-matched first one.
 	teach(p, 0x408, 9, 1, []int{1, 2})
 	p.OnEvict(addr2k(7, 3)) // close region 7 so it can re-trigger
 	p.Train(prefetch.Access{PC: 0x400, Addr: addr2k(7, 3)})
-	if got := p.Issue(64); len(got) == 0 {
+	if got := p.IssueInto(nil, 64); len(got) == 0 {
 		t.Error("recently matched entry was evicted (LRU not refreshed on use)")
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 func access(p *Prefetcher, line uint64) []prefetch.Request {
 	p.Train(prefetch.Access{PC: 0x400, Addr: mem.Addr(line * mem.LineBytes)})
-	return p.Issue(16)
+	return p.IssueInto(nil, 16)
 }
 
 // testConfig trims the candidate list so learning rounds finish fast
@@ -76,9 +76,9 @@ func TestBOPStaysInPage(t *testing.T) {
 		access(p, uint64(i))
 	}
 	// Access the last line of a page: the +1 target would cross.
-	p.Issue(64)
+	p.IssueInto(nil, 64)
 	p.Train(prefetch.Access{PC: 1, Addr: mem.Addr(100*mem.PageBytes - mem.LineBytes)})
-	for _, r := range p.Issue(16) {
+	for _, r := range p.IssueInto(nil, 16) {
 		if r.Addr.PageID() != 99 {
 			t.Errorf("prefetch crossed the page: %#x", uint64(r.Addr))
 		}

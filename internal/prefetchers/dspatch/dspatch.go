@@ -170,10 +170,7 @@ func (p *Prefetcher) predict(trig sms.Trigger) {
 	}
 }
 
-// Issue implements prefetch.Prefetcher.
-func (p *Prefetcher) Issue(max int) []prefetch.Request { return p.q.Pop(max) }
-
-// IssueInto implements prefetch.BulkIssuer, the allocation-free drain.
+// IssueInto implements prefetch.Prefetcher.
 //
 //pmp:hotpath
 func (p *Prefetcher) IssueInto(dst []prefetch.Request, max int) []prefetch.Request {

@@ -17,7 +17,7 @@ func teach(p *Prefetcher, pc uint64, start uint64, rounds int, offsets []int) {
 		region := start + uint64(r)
 		for _, o := range offsets {
 			p.Train(prefetch.Access{PC: pc, Addr: addr(region, o)})
-			p.Issue(64)
+			p.IssueInto(nil, 64)
 		}
 		p.OnEvict(addr(region, offsets[0]))
 	}
@@ -27,7 +27,7 @@ func TestDSPatchLearnsAndReplays(t *testing.T) {
 	p := New(DefaultConfig())
 	teach(p, 0x400, 0, 5, []int{0, 1, 2})
 	p.Train(prefetch.Access{PC: 0x400, Addr: addr(1000, 0)})
-	got := p.Issue(64)
+	got := p.IssueInto(nil, 64)
 	if len(got) != 2 {
 		t.Fatalf("issued %d, want 2", len(got))
 	}
@@ -49,7 +49,7 @@ func TestDSPatchCovPIsUnion(t *testing.T) {
 	teach(p, 0x400, 0, 3, []int{0, 1})
 	teach(p, 0x400, 100, 3, []int{0, 2})
 	p.Train(prefetch.Access{PC: 0x400, Addr: addr(1000, 0)})
-	got := p.Issue(64)
+	got := p.IssueInto(nil, 64)
 	if len(got) != 2 {
 		t.Fatalf("CovP should predict the union, issued %d", len(got))
 	}
@@ -65,7 +65,7 @@ func TestDSPatchSwitchesToAccPUnderPressure(t *testing.T) {
 		p.OnFill(0, prefetch.LevelL1, false) // all useless
 	}
 	p.Train(prefetch.Access{PC: 0x400, Addr: addr(1000, 0)})
-	if got := p.Issue(64); len(got) != 0 {
+	if got := p.IssueInto(nil, 64); len(got) != 0 {
 		t.Errorf("AccP of disjoint patterns should be empty, issued %v", got)
 	}
 }
@@ -76,7 +76,7 @@ func TestDSPatchAnchorsOnTrigger(t *testing.T) {
 	teach(p, 0x400, 0, 5, []int{10, 11, 12})
 	// Replay at trigger 20: targets shift with the trigger.
 	p.Train(prefetch.Access{PC: 0x400, Addr: addr(1000, 20)})
-	got := p.Issue(64)
+	got := p.IssueInto(nil, 64)
 	want := map[mem.Addr]bool{addr(1000, 21): true, addr(1000, 22): true}
 	if len(got) != 2 {
 		t.Fatalf("issued %d, want 2", len(got))
@@ -92,7 +92,7 @@ func TestDSPatchNeedsTraining(t *testing.T) {
 	p := New(DefaultConfig())
 	teach(p, 0x400, 0, 1, []int{0, 1}) // single observation
 	p.Train(prefetch.Access{PC: 0x400, Addr: addr(1000, 0)})
-	if got := p.Issue(64); len(got) != 0 {
+	if got := p.IssueInto(nil, 64); len(got) != 0 {
 		t.Errorf("single pattern should not trigger replay, issued %v", got)
 	}
 }

@@ -10,7 +10,7 @@ import (
 // miss drives one L1D miss through the prefetcher.
 func miss(p *Prefetcher, line uint64) []prefetch.Request {
 	p.Train(prefetch.Access{PC: 1, Addr: mem.Addr(line * mem.LineBytes), Hit: false})
-	return p.Issue(16)
+	return p.IssueInto(nil, 16)
 }
 
 func TestGHBReplaysTemporalSequence(t *testing.T) {
@@ -37,7 +37,7 @@ func TestGHBIgnoresHits(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		p.Train(prefetch.Access{PC: 1, Addr: mem.Addr(i * 64), Hit: true})
 	}
-	if got := p.Issue(16); len(got) != 0 {
+	if got := p.IssueInto(nil, 16); len(got) != 0 {
 		t.Errorf("hits should not train the GHB, issued %v", got)
 	}
 }

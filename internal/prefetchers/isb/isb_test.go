@@ -9,7 +9,7 @@ import (
 
 func miss(p *Prefetcher, pc, line uint64) []prefetch.Request {
 	p.Train(prefetch.Access{PC: pc, Addr: mem.Addr(line * mem.LineBytes), Hit: false})
-	return p.Issue(16)
+	return p.IssueInto(nil, 16)
 }
 
 func TestISBLinearizesIrregularStream(t *testing.T) {
@@ -18,7 +18,7 @@ func TestISBLinearizesIrregularStream(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		for _, l := range seq {
 			p.Train(prefetch.Access{PC: 1, Addr: mem.Addr(l * mem.LineBytes), Hit: false})
-			p.Issue(16) // drain so the assertion sees only the final prediction
+			p.IssueInto(nil, 16) // drain so the assertion sees only the final prediction
 		}
 	}
 	// Third encounter of the stream head: structural successors known.
@@ -58,7 +58,7 @@ func TestISBIgnoresHits(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		p.Train(prefetch.Access{PC: 1, Addr: mem.Addr(i * 64), Hit: true})
 	}
-	if got := p.Issue(16); len(got) != 0 {
+	if got := p.IssueInto(nil, 16); len(got) != 0 {
 		t.Errorf("hits should not train, issued %v", got)
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 func miss(p *Prefetcher, pc, line uint64) []prefetch.Request {
 	p.Train(prefetch.Access{PC: pc, Addr: mem.Addr(line * mem.LineBytes), Hit: false})
-	return p.Issue(16)
+	return p.IssueInto(nil, 16)
 }
 
 func TestMISBLinearizesStream(t *testing.T) {
@@ -93,7 +93,7 @@ func TestMISBInterface(t *testing.T) {
 	p.OnEvict(0)
 	p.OnFill(0, prefetch.LevelL1, true)
 	p.Train(prefetch.Access{PC: 1, Addr: 64, Hit: true}) // hits ignored
-	if got := p.Issue(8); len(got) != 0 {
+	if got := p.IssueInto(nil, 8); len(got) != 0 {
 		t.Errorf("hit trained a prediction: %v", got)
 	}
 }

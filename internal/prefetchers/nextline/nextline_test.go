@@ -10,7 +10,7 @@ import (
 func TestNextLinePrefetchesFollowingLines(t *testing.T) {
 	p := New(2)
 	p.Train(prefetch.Access{PC: 1, Addr: 0x1000})
-	got := p.Issue(8)
+	got := p.IssueInto(nil, 8)
 	if len(got) != 2 {
 		t.Fatalf("issued %d, want 2", len(got))
 	}
@@ -27,7 +27,7 @@ func TestNextLinePrefetchesFollowingLines(t *testing.T) {
 func TestNextLineDegreeClamped(t *testing.T) {
 	p := New(0)
 	p.Train(prefetch.Access{Addr: 0})
-	if got := p.Issue(8); len(got) != 1 {
+	if got := p.IssueInto(nil, 8); len(got) != 1 {
 		t.Errorf("degree 0 should clamp to 1, issued %d", len(got))
 	}
 }
@@ -36,7 +36,7 @@ func TestNextLineDedup(t *testing.T) {
 	p := New(1)
 	p.Train(prefetch.Access{Addr: 0x1000})
 	p.Train(prefetch.Access{Addr: 0x1008}) // same line
-	if got := p.Issue(8); len(got) != 1 {
+	if got := p.IssueInto(nil, 8); len(got) != 1 {
 		t.Errorf("duplicate target should be suppressed, issued %d", len(got))
 	}
 }

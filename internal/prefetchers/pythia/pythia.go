@@ -190,10 +190,7 @@ func (p *Prefetcher) update(s1, s2 uint32, action int, target float64) {
 	p.q2[s2][action] += delta / 2
 }
 
-// Issue implements prefetch.Prefetcher.
-func (p *Prefetcher) Issue(max int) []prefetch.Request { return p.out.Pop(max) }
-
-// IssueInto implements prefetch.BulkIssuer, the allocation-free drain.
+// IssueInto implements prefetch.Prefetcher.
 //
 //pmp:hotpath
 func (p *Prefetcher) IssueInto(dst []prefetch.Request, max int) []prefetch.Request {

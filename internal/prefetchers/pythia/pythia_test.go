@@ -15,7 +15,7 @@ func TestPythiaAtMostOnePrefetchPerAccess(t *testing.T) {
 	p := New(DefaultConfig())
 	for i := 0; i < 1000; i++ {
 		p.Train(prefetch.Access{PC: 0x400, Addr: pageAddr(uint64(i/64), i%64)})
-		if got := p.Issue(8); len(got) > 1 {
+		if got := p.IssueInto(nil, 8); len(got) > 1 {
 			t.Fatalf("issued %d prefetches for one access, want <= 1", len(got))
 		}
 	}
@@ -52,7 +52,7 @@ func TestPythiaLearnsStreamOnline(t *testing.T) {
 	line := uint64(0)
 	for i := 0; i < 30000; i++ {
 		p.Train(prefetch.Access{PC: 0x400, Addr: mem.Addr(line * mem.LineBytes)})
-		for _, r := range p.Issue(8) {
+		for _, r := range p.IssueInto(nil, 8) {
 			issued++
 			// A +delta prefetch on an ascending stream is always useful.
 			isUseful := r.Addr.LineID() > line
@@ -75,7 +75,7 @@ func TestPythiaStaysInPage(t *testing.T) {
 	p := New(DefaultConfig())
 	for i := 0; i < 5000; i++ {
 		p.Train(prefetch.Access{PC: 0x400, Addr: pageAddr(uint64(i), 63)})
-		for _, r := range p.Issue(8) {
+		for _, r := range p.IssueInto(nil, 8) {
 			if r.Addr.PageID() != uint64(i) {
 				t.Fatalf("prefetch escaped the page: %#x from page %d", uint64(r.Addr), i)
 			}

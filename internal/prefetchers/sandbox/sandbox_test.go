@@ -9,7 +9,7 @@ import (
 
 func access(p *Prefetcher, line uint64) []prefetch.Request {
 	p.Train(prefetch.Access{PC: 0x400, Addr: mem.Addr(line * mem.LineBytes)})
-	return p.Issue(16)
+	return p.IssueInto(nil, 16)
 }
 
 func TestSandboxQualifiesStreamOffsets(t *testing.T) {
@@ -82,7 +82,7 @@ func TestSandboxDegreeLevels(t *testing.T) {
 	for i := 0; i < 3*cfg.RoundLen; i++ {
 		access(p, uint64(i))
 	}
-	p.Issue(64)
+	p.IssueInto(nil, 64)
 	got := access(p, 1<<20)
 	if len(got) != 2 {
 		t.Fatalf("degree-2 should issue 2, got %d", len(got))

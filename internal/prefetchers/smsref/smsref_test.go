@@ -16,7 +16,7 @@ func teach(p *Prefetcher, pc uint64, start uint64, rounds int, offs []int) {
 		region := start + uint64(r)
 		for _, o := range offs {
 			p.Train(prefetch.Access{PC: pc, Addr: addr2k(region, o)})
-			p.Issue(64)
+			p.IssueInto(nil, 64)
 		}
 		p.OnEvict(addr2k(region, offs[0]))
 	}
@@ -26,7 +26,7 @@ func TestSMSReplaysPattern(t *testing.T) {
 	p := New(DefaultConfig())
 	teach(p, 0x400, 0, 3, []int{3, 4, 5})
 	p.Train(prefetch.Access{PC: 0x400, Addr: addr2k(1000, 3)})
-	got := p.Issue(64)
+	got := p.IssueInto(nil, 64)
 	if len(got) != 2 {
 		t.Fatalf("issued %d, want 2", len(got))
 	}
@@ -46,12 +46,12 @@ func TestSMSEventNeedsSamePCAndOffset(t *testing.T) {
 	teach(p, 0x400, 0, 3, []int{3, 4})
 	// Different trigger offset: different event, no replay.
 	p.Train(prefetch.Access{PC: 0x400, Addr: addr2k(1000, 7)})
-	if got := p.Issue(64); len(got) != 0 {
+	if got := p.IssueInto(nil, 64); len(got) != 0 {
 		t.Errorf("different offset should miss the PHT, issued %v", got)
 	}
 	// Different PC: different event.
 	p.Train(prefetch.Access{PC: 0x999, Addr: addr2k(2000, 3)})
-	if got := p.Issue(64); len(got) != 0 {
+	if got := p.IssueInto(nil, 64); len(got) != 0 {
 		t.Errorf("different PC should miss the PHT, issued %v", got)
 	}
 }
@@ -61,7 +61,7 @@ func TestSMSLatestPatternWins(t *testing.T) {
 	teach(p, 0x400, 0, 2, []int{3, 4})
 	teach(p, 0x400, 100, 2, []int{3, 9}) // same event, new pattern
 	p.Train(prefetch.Access{PC: 0x400, Addr: addr2k(1000, 3)})
-	got := p.Issue(64)
+	got := p.IssueInto(nil, 64)
 	if len(got) != 1 || got[0].Addr != addr2k(1000, 9) {
 		t.Errorf("replay should use the latest pattern, got %v", got)
 	}

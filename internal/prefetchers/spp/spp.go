@@ -258,10 +258,7 @@ func (p *Prefetcher) remember(line mem.Addr, feats [numFeatures]uint32) {
 	p.recIdx = (p.recIdx + 1) % len(p.records)
 }
 
-// Issue implements prefetch.Prefetcher.
-func (p *Prefetcher) Issue(max int) []prefetch.Request { return p.q.Pop(max) }
-
-// IssueInto implements prefetch.BulkIssuer, the allocation-free drain.
+// IssueInto implements prefetch.Prefetcher.
 //
 //pmp:hotpath
 func (p *Prefetcher) IssueInto(dst []prefetch.Request, max int) []prefetch.Request {

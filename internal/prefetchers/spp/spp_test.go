@@ -15,7 +15,7 @@ func drive(p *Prefetcher, pc uint64, page uint64, offsets []int) []prefetch.Requ
 	var got []prefetch.Request
 	for _, o := range offsets {
 		p.Train(prefetch.Access{PC: pc, Addr: pageAddr(page, o)})
-		got = append(got, p.Issue(64)...)
+		got = append(got, p.IssueInto(nil, 64)...)
 	}
 	return got
 }
@@ -51,7 +51,7 @@ func TestSPPLookaheadDepth(t *testing.T) {
 	}
 	p.Train(prefetch.Access{PC: 0x400, Addr: pageAddr(50, 0)})
 	p.Train(prefetch.Access{PC: 0x400, Addr: pageAddr(50, 1)})
-	got := p.Issue(64)
+	got := p.IssueInto(nil, 64)
 	if len(got) > cfg.MaxDepth {
 		t.Errorf("issued %d targets, lookahead bound is %d", len(got), cfg.MaxDepth)
 	}

@@ -9,7 +9,7 @@ import (
 
 func access(p *Prefetcher, pc uint64, line uint64) []prefetch.Request {
 	p.Train(prefetch.Access{PC: pc, Addr: mem.Addr(line * mem.LineBytes)})
-	return p.Issue(64)
+	return p.IssueInto(nil, 64)
 }
 
 func TestStrideDetectsConstantStride(t *testing.T) {

@@ -141,10 +141,7 @@ func (p *Prefetcher) Train(a prefetch.Access) {
 	}
 }
 
-// Issue implements prefetch.Prefetcher.
-func (p *Prefetcher) Issue(max int) []prefetch.Request { return p.q.Pop(max) }
-
-// IssueInto implements prefetch.BulkIssuer, the allocation-free drain.
+// IssueInto implements prefetch.Prefetcher.
 //
 //pmp:hotpath
 func (p *Prefetcher) IssueInto(dst []prefetch.Request, max int) []prefetch.Request {

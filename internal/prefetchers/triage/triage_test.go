@@ -9,7 +9,7 @@ import (
 
 func miss(p *Prefetcher, pc, line uint64) []prefetch.Request {
 	p.Train(prefetch.Access{PC: pc, Addr: mem.Addr(line * mem.LineBytes), Hit: false})
-	return p.Issue(16)
+	return p.IssueInto(nil, 16)
 }
 
 func TestTriageFollowsCorrelationChain(t *testing.T) {
@@ -61,7 +61,7 @@ func TestTriageIgnoresHits(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		p.Train(prefetch.Access{PC: 1, Addr: mem.Addr(i * 64), Hit: true})
 	}
-	if got := p.Issue(16); len(got) != 0 {
+	if got := p.IssueInto(nil, 16); len(got) != 0 {
 		t.Errorf("hits trained predictions: %v", got)
 	}
 }

@@ -15,7 +15,7 @@ func drive(p *Prefetcher, page uint64, offs []int) []prefetch.Request {
 	var got []prefetch.Request
 	for _, o := range offs {
 		p.Train(prefetch.Access{PC: 0x400, Addr: pageAddr(page, o)})
-		got = append(got, p.Issue(16)...)
+		got = append(got, p.IssueInto(nil, 16)...)
 	}
 	return got
 }
@@ -69,10 +69,10 @@ func TestVLDPDegreeBounded(t *testing.T) {
 	for page := uint64(0); page < 8; page++ {
 		drive(p, page, []int{0, 1, 2, 3, 4, 5})
 	}
-	p.Issue(64)
+	p.IssueInto(nil, 64)
 	p.Train(prefetch.Access{PC: 0x400, Addr: pageAddr(50, 0)})
 	p.Train(prefetch.Access{PC: 0x400, Addr: pageAddr(50, 1)})
-	if got := p.Issue(64); len(got) > cfg.Degree {
+	if got := p.IssueInto(nil, 64); len(got) > cfg.Degree {
 		t.Errorf("issued %d, degree bound is %d", len(got), cfg.Degree)
 	}
 }

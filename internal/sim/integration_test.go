@@ -17,14 +17,11 @@ type recorder struct {
 	evicted []mem.Addr
 }
 
-func (r *recorder) Issue(max int) []prefetch.Request {
-	if max <= 0 || len(r.reqs) == 0 {
-		return nil
-	}
-	n := min(max, len(r.reqs))
-	out := r.reqs[:n]
+func (r *recorder) IssueInto(dst []prefetch.Request, budget int) []prefetch.Request {
+	n := min(max(budget, 0), len(r.reqs))
+	dst = append(dst, r.reqs[:n]...)
 	r.reqs = r.reqs[n:]
-	return out
+	return dst
 }
 
 func (r *recorder) OnFill(line mem.Addr, _ prefetch.Level, useful bool) {
@@ -46,7 +43,7 @@ func TestPrefetchFeedbackDelivered(t *testing.T) {
 
 	target := mem.Addr(0x100000)
 	rec.reqs = []prefetch.Request{{Addr: target, Level: prefetch.LevelL1}}
-	// First access triggers Issue (after Train); second access demands
+	// First access triggers IssueInto (after Train); second access demands
 	// the prefetched line.
 	recs := []trace.Record{
 		{PC: 1, Addr: 0x200000},

@@ -67,11 +67,11 @@ type Core struct {
 	prevDone  uint64
 	chainDone [64]uint64
 
-	// issueBuf is the scratch buffer reused by the primary issue path
-	// so a steady-state access allocates nothing (see
-	// prefetch.BulkIssuer). Level-attached prefetchers drain through
-	// their own level.attachBuf — separate because an attached drain
-	// can run while a demand access is still between lookup and issue.
+	// issueBuf is the scratch buffer the primary issue path hands to
+	// IssueInto, so a steady-state access allocates nothing.
+	// Level-attached prefetchers drain through their own
+	// level.attachBuf — separate because an attached drain can run
+	// while a demand access is still between lookup and issue.
 	issueBuf []prefetch.Request
 }
 
@@ -683,7 +683,7 @@ func (c *Core) issuePrefetches(now uint64) {
 	}
 	budget := c.levels[0].pqSize
 	if rq, ok := c.pf.(prefetch.Requeuer); ok {
-		reqs := prefetch.IssueInto(c.pf, c.issueBuf[:0], budget)
+		reqs := c.pf.IssueInto(c.issueBuf[:0], budget)
 		c.issueBuf = reqs[:0]
 		for _, r := range reqs {
 			if !c.admit(r, now, src) {
@@ -693,7 +693,7 @@ func (c *Core) issuePrefetches(now uint64) {
 		return
 	}
 	for ; budget > 0; budget-- {
-		reqs := prefetch.IssueInto(c.pf, c.issueBuf[:0], 1)
+		reqs := c.pf.IssueInto(c.issueBuf[:0], 1)
 		c.issueBuf = reqs[:0]
 		if len(reqs) == 0 {
 			return
@@ -714,7 +714,7 @@ func (c *Core) issueAttached(idx int, now uint64) {
 		src = lv.attached.Name()
 	}
 	for budget := lv.pqSize; budget > 0; budget-- {
-		reqs := prefetch.IssueInto(lv.attached, lv.attachBuf[:0], 1)
+		reqs := lv.attached.IssueInto(lv.attachBuf[:0], 1)
 		lv.attachBuf = reqs[:0]
 		if len(reqs) == 0 {
 			return

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strings"
 )
 
 // ReadRecords loads a results store file read-only and resolves it the
@@ -21,22 +20,8 @@ func ReadRecords(path string) (map[string]Record, int, error) {
 	}
 	defer f.Close()
 	byID := map[string]Record{}
-	skipped := 0
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal([]byte(line), &rec); err != nil || rec.ID == "" {
-			skipped++
-			continue
-		}
-		byID[rec.ID] = rec
-	}
-	if err := sc.Err(); err != nil {
+	_, skipped, err := scanRecords(f, byID)
+	if err != nil {
 		return nil, skipped, fmt.Errorf("sweep: read store: %w", err)
 	}
 	return byID, skipped, nil

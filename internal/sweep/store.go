@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -97,7 +98,19 @@ func (st *Store) load() error {
 		return fmt.Errorf("sweep: load store: %w", err)
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
+	st.loaded, st.skipped, err = scanRecords(f, st.byID)
+	if err != nil {
+		return fmt.Errorf("sweep: load store: %w", err)
+	}
+	return nil
+}
+
+// scanRecords reads JSONL store lines from r into byID, the last
+// record per ID winning. Blank lines are ignored; malformed and
+// ID-less lines are skipped. It returns the number of valid lines
+// read (not distinct IDs) and of lines skipped.
+func scanRecords(r io.Reader, byID map[string]Record) (valid, skipped int, err error) {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -106,13 +119,13 @@ func (st *Store) load() error {
 		}
 		var rec Record
 		if err := json.Unmarshal([]byte(line), &rec); err != nil || rec.ID == "" {
-			st.skipped++
+			skipped++
 			continue
 		}
-		st.byID[rec.ID] = rec // last record per ID wins
-		st.loaded++
+		byID[rec.ID] = rec
+		valid++
 	}
-	return sc.Err()
+	return valid, skipped, sc.Err()
 }
 
 // Lookup returns the last record stored for the ID.
