@@ -103,7 +103,7 @@ func main() {
 			Coordinator:     *connect,
 			Name:            *name,
 			Parallel:        *parallel,
-			Build:           bench.BuildJobRun,
+			Build:           bench.BuildRun,
 			Token:           *authToken,
 			MaxAttempts:     *retries,
 			JobTimeout:      *jobTimeout,

@@ -118,20 +118,9 @@ func Names() []string {
 	}
 }
 
-// TryNewPrefetcher constructs a prefetcher by name, reporting unknown
-// names as an error (for CLI surfaces).
-func TryNewPrefetcher(name string) (pf prefetch.Prefetcher, err error) {
-	for _, known := range Names() {
-		if name == known {
-			return NewPrefetcher(name), nil
-		}
-	}
-	return nil, fmt.Errorf("unknown prefetcher %q (known: %s)", name, strings.Join(Names(), ", "))
-}
-
 // NewPrefetcher constructs a fresh prefetcher by name; it panics on an
 // unknown name (the registry is fixed). CLI surfaces should prefer
-// TryNewPrefetcher.
+// BuildVariant(RegistryVariant(name)), which reports it as an error.
 func NewPrefetcher(name string) prefetch.Prefetcher {
 	switch name {
 	case NameNone:
@@ -289,10 +278,11 @@ func defaultSweep() *sweep.Sweep {
 type Runner struct {
 	Scale Scale
 	specs []trace.Spec
-	sw    *sweep.Sweep
-
-	rc  *remote.Client  // non-nil: submit to a coordinator instead of sw
-	ctx context.Context // governs remote submission/polling
+	// runJobs resolves a batch of jobs on the runner's scheduler and
+	// returns each job's per-core results, in order. A canceled sweep
+	// unwinds via a sweep.Interrupted panic, recovered at the
+	// experiment driver.
+	runJobs func(jobs []remote.JobSpec) [][]sim.Result
 
 	mu   sync.Mutex
 	base map[string]*baseline // config fingerprint -> baseline singleflight
@@ -305,6 +295,12 @@ type baseline struct {
 	res  []sim.Result
 }
 
+// newRunner builds a Runner over the trace specs with its own baseline
+// cache, submitting to runJobs.
+func newRunner(scale Scale, specs []trace.Spec, runJobs func([]remote.JobSpec) [][]sim.Result) *Runner {
+	return &Runner{Scale: scale, specs: specs, runJobs: runJobs, base: map[string]*baseline{}}
+}
+
 // NewRunner builds a Runner for the scale on the process-wide shared
 // sweep (no results store).
 func NewRunner(scale Scale) *Runner {
@@ -313,40 +309,75 @@ func NewRunner(scale Scale) *Runner {
 
 // NewRunnerWith builds a Runner submitting to the given sweep, e.g. a
 // store-backed one created by cmd/pmpexperiments for resumable runs.
+// Each job is built through BuildRun; an unbuildable one is an
+// experiment's programming error, not a job failure, so it panics.
 func NewRunnerWith(scale Scale, sw *sweep.Sweep) *Runner {
-	return &Runner{
-		Scale: scale,
-		specs: scale.Specs(),
-		sw:    sw,
-		base:  map[string]*baseline{},
-	}
+	return newRunner(scale, scale.Specs(), func(jobs []remote.JobSpec) [][]sim.Result {
+		tickets := make([]*sweep.Ticket, len(jobs))
+		for i, j := range jobs {
+			run, err := BuildRun(j.Run)
+			if err != nil {
+				panic(fmt.Sprintf("bench: build %s: %v", j.Label, err))
+			}
+			tickets[i] = sw.Submit(j.Job(run))
+		}
+		out := make([][]sim.Result, len(tickets))
+		for i, t := range tickets {
+			rec, err := t.Wait()
+			if err != nil {
+				panic(sweep.Interrupted{Err: err})
+			}
+			out[i] = rec.Runs()
+		}
+		return out
+	})
 }
 
 // NewRunnerRemote builds a Runner that submits its jobs to a running
-// pmpsweepd coordinator (cmd/pmpexperiments -remote). The context
-// governs submission and polling; canceling it unwinds experiments
-// through the usual sweep.Interrupted path.
+// pmpsweepd coordinator (cmd/pmpexperiments -remote). The coordinator
+// deduplicates by job ID exactly like the in-process sweep, so
+// cross-experiment sharing survives the network hop. The context
+// governs submission and polling; canceling it, or a submission or
+// polling failure, unwinds experiments through the usual
+// sweep.Interrupted path.
 func NewRunnerRemote(ctx context.Context, scale Scale, rc *remote.Client) *Runner {
-	return &Runner{
-		Scale: scale,
-		specs: scale.Specs(),
-		rc:    rc,
-		ctx:   ctx,
-		base:  map[string]*baseline{},
-	}
+	return newRunner(scale, scale.Specs(), func(jobs []remote.JobSpec) [][]sim.Result {
+		if _, err := rc.Submit(ctx, jobs); err != nil {
+			panic(sweep.Interrupted{Err: err})
+		}
+		ids := make([]string, len(jobs))
+		for i, j := range jobs {
+			ids[i] = j.ID
+		}
+		recs, err := rc.Wait(ctx, ids)
+		if err != nil {
+			panic(sweep.Interrupted{Err: err})
+		}
+		out := make([][]sim.Result, len(ids))
+		for i, id := range ids {
+			out[i] = recs[id].Runs()
+		}
+		return out
+	})
 }
 
 // Specs returns the runner's trace subset.
 func (r *Runner) Specs() []trace.Spec { return r.specs }
 
-// specJob pairs a sweep job's identity name with its declarative run
-// spec. The name keys job identity together with the spec's trace key,
-// record count and config fingerprint — exactly the tuple legacy jobs
-// used — so identical jobs submitted by other experiments (or by
-// pre-spec store files) deduplicate against it.
-type specJob struct {
-	name string
-	run  runspec.RunSpec
+// jobSpec gives a run spec its sweep identity under a job name: the ID
+// hashes the name with the spec's trace key, record count and config
+// fingerprint — exactly the tuple legacy jobs used — so identical jobs
+// submitted by other experiments (or by pre-spec store files)
+// deduplicate against it.
+func jobSpec(name string, rs runspec.RunSpec) remote.JobSpec {
+	key := rs.TraceKey()
+	return remote.JobSpec{
+		ID:         sweep.JobID(name, key, rs.Records, rs.Config.Fingerprint()),
+		Label:      name + "/" + key,
+		Prefetcher: name,
+		Trace:      key,
+		Run:        rs,
+	}
 }
 
 // traceRef renders a trace spec as its wire reference.
@@ -354,103 +385,20 @@ func traceRef(sp trace.Spec) runspec.TraceRef {
 	return runspec.TraceRef{Name: sp.Name, File: sp.File}
 }
 
-// recResults extracts a record's per-core results: the multicore
-// result set when present, else the single-core result (zero for a
-// quarantined job, so the suite — and the rest of the sweep — keeps
-// going).
-func recResults(rec sweep.Record) []sim.Result {
-	if len(rec.Results) > 0 {
-		return rec.Results
-	}
-	return []sim.Result{rec.Result}
-}
-
-// runSpecs submits one sweep job per spec and waits for all results in
-// order, returning each job's per-core result set. Local runners build
-// executables through BuildRun and submit to the shared pool; remote
-// runners ship the specs themselves to the coordinator. A canceled
-// sweep unwinds via a sweep.Interrupted panic, recovered at the
-// experiment driver.
-func (r *Runner) runSpecs(jobs []specJob) [][]sim.Result {
-	if r.rc != nil {
-		return r.runSpecsRemote(jobs)
-	}
-	tickets := make([]*sweep.Ticket, len(jobs))
-	for i, j := range jobs {
-		key := j.run.TraceKey()
-		exec, err := BuildRun(j.run)
-		if err != nil {
-			// Local specs are experiment-constructed; an unbuildable one
-			// is a programming error, not a job failure.
-			panic(fmt.Sprintf("bench: build %s/%s: %v", j.name, key, err))
-		}
-		tickets[i] = r.sw.Submit(sweep.Job{
-			ID:         sweep.JobID(j.name, key, j.run.Records, j.run.Config.Fingerprint()),
-			Label:      j.name + "/" + key,
-			Prefetcher: j.name,
-			Trace:      key,
-			Run:        exec.Run,
-			RunMulti:   exec.RunMulti,
-		})
-	}
-	out := make([][]sim.Result, len(tickets))
-	for i, t := range tickets {
-		rec, err := t.Wait()
-		if err != nil {
-			panic(sweep.Interrupted{Err: err})
-		}
-		out[i] = recResults(rec)
-	}
-	return out
-}
-
-// runSpecsRemote submits the same job set as wire specs to the
-// coordinator and polls for the records. The coordinator deduplicates
-// by job ID exactly like the in-process sweep, so cross-experiment
-// sharing survives the network hop; submission and polling failures
-// unwind via sweep.Interrupted like a canceled local sweep.
-func (r *Runner) runSpecsRemote(jobs []specJob) [][]sim.Result {
-	specs := make([]remote.JobSpec, len(jobs))
-	ids := make([]string, len(jobs))
-	for i, j := range jobs {
-		key := j.run.TraceKey()
-		ids[i] = sweep.JobID(j.name, key, j.run.Records, j.run.Config.Fingerprint())
-		specs[i] = remote.JobSpec{
-			ID:         ids[i],
-			Label:      j.name + "/" + key,
-			Prefetcher: j.name,
-			Trace:      key,
-			Run:        j.run,
-		}
-	}
-	if _, err := r.rc.Submit(r.ctx, specs); err != nil {
-		panic(sweep.Interrupted{Err: err})
-	}
-	recs, err := r.rc.Wait(r.ctx, ids)
-	if err != nil {
-		panic(sweep.Interrupted{Err: err})
-	}
-	out := make([][]sim.Result, len(ids))
-	for i, id := range ids {
-		out[i] = recResults(recs[id])
-	}
-	return out
-}
-
 // suiteRun simulates every suite trace on a single core with the
 // variant (plus optional per-level placements) under the given job
 // name, returning one result per trace.
 func (r *Runner) suiteRun(name string, v VariantSpec, placements []runspec.Placement, cfg sim.Config) []sim.Result {
-	jobs := make([]specJob, len(r.specs))
+	jobs := make([]remote.JobSpec, len(r.specs))
 	for i, sp := range r.specs {
-		jobs[i] = specJob{name: name, run: runspec.RunSpec{
+		jobs[i] = jobSpec(name, runspec.RunSpec{
 			Cores:      []runspec.CoreSpec{{Trace: traceRef(sp), Variant: v}},
 			Placements: placements,
 			Records:    r.Scale.Records,
 			Config:     cfg,
-		}}
+		})
 	}
-	sets := r.runSpecs(jobs)
+	sets := r.runJobs(jobs)
 	res := make([]sim.Result, len(sets))
 	for i, s := range sets {
 		res[i] = s[0]
@@ -478,15 +426,10 @@ func (r *Runner) Baseline(cfg sim.Config) []sim.Result {
 }
 
 // Run simulates every suite trace with fresh instances of the named
-// design. The name may be any grammar name — a registry entry or a
-// parameterized variant such as "pmp-tw8"; experiments with typed
-// configurations in hand use RunVariant instead.
+// registry design; experiments with typed configurations in hand use
+// RunVariant instead.
 func (r *Runner) Run(name string, cfg sim.Config) SuiteResult {
-	v, err := ParseVariant(name)
-	if err != nil {
-		panic(fmt.Sprintf("bench: %v", err))
-	}
-	return r.RunVariant(v, cfg)
+	return r.RunVariant(RegistryVariant(name), cfg)
 }
 
 // RunVariant simulates every suite trace with the variant spec.

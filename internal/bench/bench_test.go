@@ -325,14 +325,3 @@ func TestBandwidthMonotonicity(t *testing.T) {
 		t.Errorf("PMP NIPC at 6400 MT/s (%.3f) should exceed 800 MT/s (%.3f)", high, low)
 	}
 }
-
-func TestTryNewPrefetcher(t *testing.T) {
-	for _, name := range Names() {
-		if _, err := TryNewPrefetcher(name); err != nil {
-			t.Errorf("TryNewPrefetcher(%q) = %v", name, err)
-		}
-	}
-	if _, err := TryNewPrefetcher("bogus"); err == nil {
-		t.Error("unknown name accepted")
-	}
-}

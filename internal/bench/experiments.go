@@ -8,6 +8,7 @@ import (
 	"pmp/internal/core"
 	"pmp/internal/runspec"
 	"pmp/internal/sim"
+	"pmp/internal/sweep/remote"
 	"pmp/internal/trace"
 )
 
@@ -21,9 +22,7 @@ func (r *Runner) subRunner() *Runner {
 	if s.Traces > 8 {
 		s.Traces = 8
 	}
-	sub := NewRunnerWith(s, r.sw)
-	sub.rc, sub.ctx = r.rc, r.ctx // remote runners stay remote
-	return sub
+	return newRunner(s, s.Specs(), r.runJobs)
 }
 
 // corpus captures the Section III pattern corpus over the scale's
@@ -509,17 +508,17 @@ func Fig12LLC(r *Runner) *Table {
 // cores, every core training a fresh instance of the variant, with
 // trace replay on (each trace wraps until every core's measurement
 // window completes).
-func mixJob(name string, v VariantSpec, specs []trace.Spec, n, records int, cfg sim.Config) specJob {
+func mixJob(name string, v VariantSpec, specs []trace.Spec, n, records int, cfg sim.Config) remote.JobSpec {
 	cores := make([]runspec.CoreSpec, n)
 	for i := range cores {
 		cores[i] = runspec.CoreSpec{Trace: traceRef(specs[i%len(specs)]), Variant: v}
 	}
-	return specJob{name: name, run: runspec.RunSpec{
+	return jobSpec(name, runspec.RunSpec{
 		Cores:   cores,
 		Records: records,
 		Config:  cfg,
 		Replay:  true,
-	}}
+	})
 }
 
 // coreNIPC returns the geomean per-core IPC ratio of one multicore run
@@ -588,9 +587,9 @@ func Fig13(r *Runner) *Table {
 
 	// One job per mix per prefetcher: homogeneous mixes first, then the
 	// heterogeneous ones, so res[i] aligns with base[i].
-	jobsFor := func(name string) []specJob {
+	jobsFor := func(name string) []remote.JobSpec {
 		v := RegistryVariant(name)
-		jobs := make([]specJob, 0, len(homoSpecs)+len(mixes))
+		jobs := make([]remote.JobSpec, 0, len(homoSpecs)+len(mixes))
 		for _, sp := range homoSpecs {
 			jobs = append(jobs, mixJob(name, v, []trace.Spec{sp}, 4, scale.Records, cfg))
 		}
@@ -599,11 +598,11 @@ func Fig13(r *Runner) *Table {
 		}
 		return jobs
 	}
-	base := r.runSpecs(jobsFor(NameNone))
+	base := r.runJobs(jobsFor(NameNone))
 
 	names := append(EvalNames(), NamePMPLimit)
 	for _, name := range names {
-		res := r.runSpecs(jobsFor(name))
+		res := r.runJobs(jobsFor(name))
 		var hoSum, heSum float64
 		for i := range homoSpecs {
 			hoSum += math.Log(coreNIPC(res[i], base[i]))

@@ -64,14 +64,7 @@ func LoadExternal(path string) ([]trace.Spec, error) {
 // baselines are per trace set. This is how an external manifest rides
 // the experiment harness: bench.External(r.WithSpecs(specs)).
 func (r *Runner) WithSpecs(specs []trace.Spec) *Runner {
-	return &Runner{
-		Scale: r.Scale,
-		specs: specs,
-		sw:    r.sw,
-		rc:    r.rc,
-		ctx:   r.ctx,
-		base:  map[string]*baseline{},
-	}
+	return newRunner(r.Scale, specs, r.runJobs)
 }
 
 // External is the EXTW experiment: the full prefetcher registry (the

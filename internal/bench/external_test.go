@@ -115,7 +115,7 @@ func TestExternalExperiment(t *testing.T) {
 // path: the same external-trace job set through (a) a serial
 // store-backed local sweep and (b) an in-process coordinator + worker
 // (the worker reconstructing sources from the wire TraceFile via
-// BuildJobRun) must produce byte-identical canonical store dumps.
+// BuildRun) must produce byte-identical canonical store dumps.
 func TestExternalRemoteCanonicalIdentity(t *testing.T) {
 	specs := externalManifest(t, 3_000)
 	scale := extScale()
@@ -161,7 +161,7 @@ func TestExternalRemoteCanonicalIdentity(t *testing.T) {
 				Coordinator:     srv.URL,
 				Name:            "ext-e2e",
 				Parallel:        2,
-				Build:           BuildJobRun,
+				Build:           BuildRun,
 				Poll:            10 * time.Millisecond,
 				ExitWhenDrained: true,
 			})
@@ -190,10 +190,9 @@ func TestExternalRemoteCanonicalIdentity(t *testing.T) {
 	}
 }
 
-// TestBuildJobRunTraceFile checks the wire path in isolation: a job
-// spec carrying only a TraceFile (no registry entry) reconstructs and
-// runs.
-func TestBuildJobRunTraceFile(t *testing.T) {
+// TestBuildRunTraceFile checks the wire path in isolation: a run spec
+// carrying only a TraceFile (no registry entry) reconstructs and runs.
+func TestBuildRunTraceFile(t *testing.T) {
 	dir := t.TempDir()
 	tr := trace.Collect(trace.NewStream("wire-only", 9, 2_000, trace.DefaultStreamParams()), 0)
 	path := filepath.Join(dir, "wire-only.pmpt")
@@ -208,33 +207,28 @@ func TestBuildJobRunTraceFile(t *testing.T) {
 
 	scale := extScale()
 	cfg := scale.Config()
-	exec, err := BuildJobRun(remote.JobSpec{
-		ID:         "wire-test",
-		Prefetcher: NamePMP,
-		Trace:      "wire-only-unregistered",
-		Run: runspec.RunSpec{
-			Cores: []runspec.CoreSpec{{
-				Trace:   runspec.TraceRef{Name: "wire-only-unregistered", File: path},
-				Variant: RegistryVariant(NamePMP),
-			}},
-			Records: scale.Records,
-			Config:  cfg,
-		},
+	run, err := BuildRun(runspec.RunSpec{
+		Cores: []runspec.CoreSpec{{
+			Trace:   runspec.TraceRef{Name: "wire-only-unregistered", File: path},
+			Variant: RegistryVariant(NamePMP),
+		}},
+		Records: scale.Records,
+		Config:  cfg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := exec.Run(context.Background())
-	if res.Instructions == 0 {
-		t.Error("wire-file job simulated nothing")
+	res := run(context.Background())
+	if len(res) != 1 || res[0].Instructions == 0 {
+		t.Errorf("wire-file job simulated nothing: %+v", res)
 	}
 
 	// And an unknown trace with no file is still an error.
-	if _, err := BuildJobRun(remote.JobSpec{Run: runspec.RunSpec{
+	if _, err := BuildRun(runspec.RunSpec{
 		Cores:   []runspec.CoreSpec{{Trace: runspec.TraceRef{Name: "nope"}, Variant: RegistryVariant(NamePMP)}},
 		Records: scale.Records,
 		Config:  cfg,
-	}}); err == nil {
+	}); err == nil {
 		t.Error("unknown trace without a wire file should error")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"pmp/internal/cache"
 	"pmp/internal/runspec"
 	"pmp/internal/sim"
+	"pmp/internal/sweep/remote"
 	"pmp/internal/trace"
 )
 
@@ -98,18 +99,18 @@ func HETM(r *Runner) *Table {
 		mixes[i] = specs
 	}
 
-	jobsFor := func(name string) []specJob {
+	jobsFor := func(name string) []remote.JobSpec {
 		v := RegistryVariant(name)
-		jobs := make([]specJob, len(mixes))
+		jobs := make([]remote.JobSpec, len(mixes))
 		for i, mix := range mixes {
 			jobs[i] = mixJob(name, v, mix, 8, r.Scale.Records, cfg)
 		}
 		return jobs
 	}
-	base := r.runSpecs(jobsFor(NameNone))
+	base := r.runJobs(jobsFor(NameNone))
 
 	for _, name := range EvalNames() {
-		res := r.runSpecs(jobsFor(name))
+		res := r.runJobs(jobsFor(name))
 		row := []string{name}
 		var sum float64
 		for i := range mixes {

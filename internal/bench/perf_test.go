@@ -38,7 +38,7 @@ func TestPerf(t *testing.T) {
 	names := strings.Split(*perfPF, ",")
 	for i := range names {
 		names[i] = strings.TrimSpace(names[i])
-		if _, err := TryNewPrefetcher(names[i]); err != nil {
+		if _, err := BuildVariant(RegistryVariant(names[i])); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -75,11 +75,11 @@ func TestBuildRunMatchesLocal(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			exec, err := BuildRun(tc.spec)
+			run, err := BuildRun(tc.spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, want := exec.Run(context.Background()), tc.local()
+			got, want := run(context.Background()), []sim.Result{tc.local()}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("spec build differs from legacy construction:\ngot  %+v\nwant %+v", got, want)
 			}
@@ -151,7 +151,7 @@ func TestRunnerRemoteMatchesLocal(t *testing.T) {
 			Coordinator: srv.URL,
 			Name:        "test",
 			Parallel:    2,
-			Build:       BuildJobRun,
+			Build:       BuildRun,
 			Token:       token,
 			Poll:        10 * time.Millisecond,
 		})

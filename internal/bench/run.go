@@ -9,8 +9,6 @@ import (
 	"pmp/internal/prefetchers/bingo"
 	"pmp/internal/runspec"
 	"pmp/internal/sim"
-	"pmp/internal/sweep"
-	"pmp/internal/sweep/remote"
 	"pmp/internal/trace"
 )
 
@@ -65,10 +63,10 @@ func BuildVariant(v VariantSpec) (prefetch.Prefetcher, error) {
 // variant, structural problems) surface here, before execution — a
 // worker quarantines the job instead of crashing mid-run — while the
 // heavy construction (tables, caches, trace generators) is deferred
-// into the returned closure.
-func BuildRun(rs runspec.RunSpec) (sweep.Exec, error) {
+// into the returned closure, which returns one result per core.
+func BuildRun(rs runspec.RunSpec) (func(context.Context) []sim.Result, error) {
 	if err := rs.Validate(); err != nil {
-		return sweep.Exec{}, err
+		return nil, err
 	}
 	specs := make([]trace.Spec, len(rs.Cores))
 	mks := make([]func() prefetch.Prefetcher, len(rs.Cores))
@@ -81,13 +79,13 @@ func BuildRun(rs runspec.RunSpec) (sweep.Exec, error) {
 		} else {
 			sp, ok := TraceByName(c.Trace.Name)
 			if !ok {
-				return sweep.Exec{}, fmt.Errorf("bench: unknown trace spec %q", c.Trace.Name)
+				return nil, fmt.Errorf("bench: unknown trace spec %q", c.Trace.Name)
 			}
 			specs[i] = sp
 		}
 		mk, err := variantMaker(c.Variant)
 		if err != nil {
-			return sweep.Exec{}, fmt.Errorf("bench: core %d: %w", i, err)
+			return nil, fmt.Errorf("bench: core %d: %w", i, err)
 		}
 		mks[i] = mk
 	}
@@ -95,36 +93,18 @@ func BuildRun(rs runspec.RunSpec) (sweep.Exec, error) {
 	for i, p := range rs.Placements {
 		mk, err := variantMaker(p.Variant)
 		if err != nil {
-			return sweep.Exec{}, fmt.Errorf("bench: placement %d: %w", i, err)
+			return nil, fmt.Errorf("bench: placement %d: %w", i, err)
 		}
 		attach[i] = sim.AttachSpec{Level: p.Level, New: mk}
 	}
 	cfg, records, replay := rs.Config, rs.Records, rs.Replay
-	machine := func() (*sim.Machine, []trace.Source) {
+	return func(context.Context) []sim.Result {
 		trained := make([]prefetch.Prefetcher, len(mks))
 		srcs := make([]trace.Source, len(mks))
 		for i := range mks {
 			trained[i] = mks[i]()
 			srcs[i] = specs[i].New(records)
 		}
-		return sim.NewMachineAt(cfg, trained, attach, replay), srcs
-	}
-	if len(rs.Cores) == 1 && !replay {
-		return sweep.Exec{Run: func(context.Context) sim.Result {
-			m, srcs := machine()
-			return m.Run(srcs)[0]
-		}}, nil
-	}
-	return sweep.Exec{RunMulti: func(context.Context) []sim.Result {
-		m, srcs := machine()
-		return m.Run(srcs)
-	}}, nil
-}
-
-// BuildJobRun resolves a wire job spec into its executable form — the
-// worker side of the protocol (remote.WorkerOptions.Build). It is the
-// same BuildRun call a serial run makes, so the worker produces the
-// byte-identical records.
-func BuildJobRun(spec remote.JobSpec) (sweep.Exec, error) {
-	return BuildRun(spec.Run)
+		return sim.NewMachineAt(cfg, trained, attach, replay).Run(srcs)
+	}, nil
 }

@@ -14,9 +14,8 @@ import (
 // (re-exported from internal/runspec, the wire vocabulary): a registry
 // name or a typed configuration for one of the parameterized families,
 // under the grammar name that keys sweep job identity. Experiments
-// build specs with the constructors below; ParseVariant maps a legacy
-// grammar name back to the identical spec, so job IDs, stores and
-// -resume files written before specs existed keep resolving.
+// build specs with the constructors below; ParseVariant maps a grammar
+// name back to the identical spec for the pmpsim -pf flag.
 type VariantSpec = runspec.VariantSpec
 
 // RegistryVariant names a stock design from the fixed registry.
@@ -113,8 +112,8 @@ func regionVariant(regionBytes int) VariantSpec {
 // ParseVariant maps a legacy grammar name — a registry name or an
 // experiment variant such as "designb-32w", "pmp-tw8" or
 // "pmp-0.5-0.15" — to the typed spec the same-named constructor above
-// builds. It exists only for surfaces that still speak names (CLI
-// flags, old store records); new code constructs specs directly.
+// builds. It is CLI sugar (pmpsim -pf) and off the run path: the
+// runner takes registry names or typed specs.
 // Unknown names are an error, so a stale caller fails loudly instead
 // of silently describing the wrong design.
 func ParseVariant(name string) (VariantSpec, error) {

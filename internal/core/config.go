@@ -151,7 +151,7 @@ func (c Config) Validate() error {
 		c.RegionBytes&(c.RegionBytes-1) != 0 {
 		return fmt.Errorf("pmp: region bytes must be a power of two in [128, 4096], got %d", c.RegionBytes)
 	}
-	minTrigger := log2(c.PatternLen())
+	minTrigger := mem.CeilLog2(c.PatternLen())
 	if c.TriggerBits < minTrigger || c.TriggerBits > 12 {
 		return fmt.Errorf("pmp: trigger bits must be in [%d, 12], got %d", minTrigger, c.TriggerBits)
 	}
@@ -204,10 +204,10 @@ func (s StorageBreakdown) TotalBytes() float64 { return float64(s.TotalBits) / 8
 func (c Config) Storage() StorageBreakdown {
 	region := mem.NewRegion(c.RegionBytes)
 	regionBits := 48 - region.Shift()
-	offBits := log2(c.PatternLen())
+	offBits := mem.CeilLog2(c.PatternLen())
 
-	ftEntry := (regionBits - log2(c.FTSets)) + 5 + offBits + log2(c.FTWays)
-	atEntry := (regionBits - log2(c.ATSets)) + 5 + c.PatternLen() + offBits + log2(c.ATWays)
+	ftEntry := (regionBits - mem.CeilLog2(c.FTSets)) + 5 + offBits + mem.CeilLog2(c.FTWays)
+	atEntry := (regionBits - mem.CeilLog2(c.ATSets)) + 5 + c.PatternLen() + offBits + mem.CeilLog2(c.ATWays)
 
 	var optBits, pptBits int
 	switch c.Feature {
@@ -227,7 +227,7 @@ func (c Config) Storage() StorageBreakdown {
 	// PB entry: full region tag + 2 bits per prefetchable offset
 	// (PatternLen-1 targets; the trigger itself is never prefetched) +
 	// LRU.
-	pbEntry := regionBits + 2*(c.PatternLen()-1) + log2(c.PBEntries)
+	pbEntry := regionBits + 2*(c.PatternLen()-1) + mem.CeilLog2(c.PBEntries)
 
 	s := StorageBreakdown{
 		FilterTableBits: c.FTSets * c.FTWays * ftEntry,
@@ -238,12 +238,4 @@ func (c Config) Storage() StorageBreakdown {
 	}
 	s.TotalBits = s.FilterTableBits + s.AccumTableBits + s.OPTBits + s.PPTBits + s.PrefetchBufBits
 	return s
-}
-
-func log2(n int) int {
-	b := 0
-	for 1<<b < n {
-		b++
-	}
-	return b
 }

@@ -204,7 +204,7 @@ func (d *DesignB) Requeue(r prefetch.Request) {
 // prefetch buffer.
 func (d *DesignB) StorageBits() int {
 	n := d.region.Lines()
-	entry := n + d.cfg.CounterBits + log2(d.cfg.Ways)
-	pb := d.cfg.PBEntries * ((48 - d.region.Shift()) + 2*(n-1) + log2(d.cfg.PBEntries))
+	entry := n + d.cfg.CounterBits + mem.CeilLog2(d.cfg.Ways)
+	pb := d.cfg.PBEntries * ((48 - d.region.Shift()) + 2*(n-1) + mem.CeilLog2(d.cfg.PBEntries))
 	return n*d.cfg.Ways*entry + d.fw.StorageBits() + pb
 }

@@ -11,6 +11,8 @@
 //     observed in that region.
 package mem
 
+import "math/bits"
+
 // Fundamental geometry constants. Line size is fixed at 64 bytes across
 // the whole repository (as in ChampSim); region size is configurable per
 // prefetcher but defaults to a 4KB page.
@@ -63,10 +65,7 @@ func NewRegion(sizeBytes int) Region {
 	if sizeBytes < LineBytes || sizeBytes > PageBytes || sizeBytes&(sizeBytes-1) != 0 {
 		panic("mem: region size must be a power of two in [64, 4096]")
 	}
-	shift := uint(0)
-	for 1<<shift != sizeBytes {
-		shift++
-	}
+	shift := uint(CeilLog2(sizeBytes))
 	return Region{
 		bytes:  uint64(sizeBytes),
 		shift:  shift,
@@ -99,4 +98,19 @@ func (r Region) Offset(a Addr) int {
 // region ID and line offset.
 func (r Region) LineAddr(regionID uint64, offset int) Addr {
 	return Addr(regionID<<r.shift | uint64(offset)<<LineShift)
+}
+
+// CeilLog2 returns the smallest b with 1<<b >= n (0 for n <= 1): the
+// index width of an n-entry table.
+func CeilLog2(n int) int {
+	if n <= 1 {
+		return 0
+	}
+	return bits.Len(uint(n - 1))
+}
+
+// CeilPow2 returns the smallest power of two that is at least both n
+// and floor.
+func CeilPow2(n, floor int) int {
+	return 1 << CeilLog2(max(n, floor))
 }

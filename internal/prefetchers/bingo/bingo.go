@@ -263,14 +263,6 @@ func (p *Prefetcher) IssueInto(dst []prefetch.Request, max int) []prefetch.Reque
 // enhanced 16K-entry configuration lands near the paper's Table V
 // figure of 127.8KB.
 func (p *Prefetcher) StorageBits() int {
-	entry := 30 + p.region.Lines() + log2(p.cfg.PHTWays)
+	entry := 30 + p.region.Lines() + mem.CeilLog2(p.cfg.PHTWays)
 	return p.cfg.PHTSets*p.cfg.PHTWays*entry + p.fw.StorageBits()
-}
-
-func log2(n int) int {
-	b := 0
-	for 1<<b < n {
-		b++
-	}
-	return b
 }

@@ -77,7 +77,7 @@ func New(cfg Config) *Prefetcher {
 func (p *Prefetcher) Name() string { return "bop" }
 
 func (p *Prefetcher) rrIndex(line uint64) int {
-	return int(mem.FoldXOR(mem.Mix64(line), log2(p.cfg.RRSize)))
+	return int(mem.FoldXOR(mem.Mix64(line), mem.CeilLog2(p.cfg.RRSize)))
 }
 
 // insertRR records a completed line fetch.
@@ -164,12 +164,4 @@ func (p *Prefetcher) OnFill(mem.Addr, prefetch.Level, bool) {}
 // per-candidate scores (the original reports well under 1KB).
 func (p *Prefetcher) StorageBits() int {
 	return p.cfg.RRSize*12 + len(p.cfg.Offsets)*(8+6)
-}
-
-func log2(n int) int {
-	b := 0
-	for 1<<b < n {
-		b++
-	}
-	return b
 }

@@ -183,11 +183,3 @@ func (p *Prefetcher) StorageBits() int {
 	entry := 2*p.region.Lines() + 8
 	return p.cfg.SPTEntries*entry + p.fw.StorageBits()
 }
-
-func log2(n int) int {
-	b := 0
-	for 1<<b < n {
-		b++
-	}
-	return b
-}

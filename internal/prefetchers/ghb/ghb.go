@@ -43,8 +43,8 @@ type Prefetcher struct {
 
 // New constructs a GHB; sizes are clamped to powers of two.
 func New(cfg Config) *Prefetcher {
-	cfg.BufferSize = ceilPow2(cfg.BufferSize, 64)
-	cfg.IndexSize = ceilPow2(cfg.IndexSize, 64)
+	cfg.BufferSize = mem.CeilPow2(cfg.BufferSize, 64)
+	cfg.IndexSize = mem.CeilPow2(cfg.IndexSize, 64)
 	if cfg.Width < 1 {
 		cfg.Width = 1
 	}
@@ -67,7 +67,7 @@ func New(cfg Config) *Prefetcher {
 func (p *Prefetcher) Name() string { return "ghb" }
 
 func (p *Prefetcher) key(line mem.Addr) int {
-	return int(mem.FoldXOR(mem.Mix64(uint64(line)), log2(p.cfg.IndexSize)))
+	return int(mem.FoldXOR(mem.Mix64(uint64(line)), mem.CeilLog2(p.cfg.IndexSize)))
 }
 
 // valid reports whether buffer position i still belongs to the current
@@ -142,25 +142,6 @@ func (p *Prefetcher) OnFill(mem.Addr, prefetch.Level, bool) {}
 // StorageBits implements prefetch.Prefetcher: buffer entries hold a
 // line address and a link; the index holds buffer positions.
 func (p *Prefetcher) StorageBits() int {
-	ptr := log2(p.cfg.BufferSize)
+	ptr := mem.CeilLog2(p.cfg.BufferSize)
 	return p.cfg.BufferSize*(36+ptr) + p.cfg.IndexSize*ptr
-}
-
-func ceilPow2(n, floor int) int {
-	if n < floor {
-		n = floor
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-func log2(n int) int {
-	b := 0
-	for 1<<b < n {
-		b++
-	}
-	return b
 }

@@ -159,14 +159,6 @@ func (p *Prefetcher) IssueInto(dst []prefetch.Request, max int) []prefetch.Reque
 
 // StorageBits implements prefetch.Prefetcher.
 func (p *Prefetcher) StorageBits() int {
-	entry := 30 + p.region.Lines() + log2(p.cfg.PHTWays)
+	entry := 30 + p.region.Lines() + mem.CeilLog2(p.cfg.PHTWays)
 	return p.cfg.PHTSets*p.cfg.PHTWays*entry + p.fw.StorageBits()
-}
-
-func log2(n int) int {
-	b := 0
-	for 1<<b < n {
-		b++
-	}
-	return b
 }

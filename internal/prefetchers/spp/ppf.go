@@ -31,7 +31,7 @@ func newPerceptron(cfg Config) *perceptron {
 // cache line, page offset, signature, confidence bucket, and
 // page⊕offset.
 func (p *perceptron) features(pc uint64, target mem.Addr, delta, depth int, sig uint32, conf float64) [numFeatures]uint32 {
-	bits := log2(p.cfg.TableSize)
+	bits := mem.CeilLog2(p.cfg.TableSize)
 	h := func(v uint64) uint32 { return uint32(mem.FoldXOR(mem.Mix64(v), bits)) }
 	confBucket := uint64(conf * 16)
 	return [numFeatures]uint32{

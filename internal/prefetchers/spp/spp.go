@@ -108,9 +108,9 @@ type Prefetcher struct {
 
 // New constructs SPP+PPF; table sizes are clamped to powers of two.
 func New(cfg Config) *Prefetcher {
-	cfg.STEntries = ceilPow2(cfg.STEntries, 16)
-	cfg.PTEntries = ceilPow2(cfg.PTEntries, 16)
-	cfg.TableSize = ceilPow2(cfg.TableSize, 64)
+	cfg.STEntries = mem.CeilPow2(cfg.STEntries, 16)
+	cfg.PTEntries = mem.CeilPow2(cfg.PTEntries, 16)
+	cfg.TableSize = mem.CeilPow2(cfg.TableSize, 64)
 	if cfg.DeltasPer < 1 {
 		cfg.DeltasPer = 4
 	}
@@ -146,7 +146,7 @@ func updateSig(sig uint32, delta int) uint32 {
 func (p *Prefetcher) Train(a prefetch.Access) {
 	page := a.Addr.PageID()
 	offset := a.Addr.PageOffset()
-	idx := mem.FoldXOR(mem.Mix64(page), log2(p.cfg.STEntries))
+	idx := mem.FoldXOR(mem.Mix64(page), mem.CeilLog2(p.cfg.STEntries))
 	e := &p.st[idx]
 
 	if !e.valid || e.tag != page {
@@ -175,7 +175,7 @@ func (p *Prefetcher) Train(a prefetch.Access) {
 }
 
 func (p *Prefetcher) ptIndex(sig uint32) int {
-	return int(mem.FoldXOR(mem.Mix64(uint64(sig)), log2(p.cfg.PTEntries)))
+	return int(mem.FoldXOR(mem.Mix64(uint64(sig)), mem.CeilLog2(p.cfg.PTEntries)))
 }
 
 func (p *Prefetcher) learn(sig uint32, delta int) {
@@ -300,23 +300,4 @@ func clampDelta(d int) int {
 		return -63
 	}
 	return d
-}
-
-func ceilPow2(n, floor int) int {
-	if n < floor {
-		n = floor
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-func log2(n int) int {
-	b := 0
-	for 1<<b < n {
-		b++
-	}
-	return b
 }

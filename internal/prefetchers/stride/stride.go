@@ -62,7 +62,7 @@ func (p *Prefetcher) Name() string { return "stride" }
 // Train implements prefetch.Prefetcher.
 func (p *Prefetcher) Train(a prefetch.Access) {
 	line := a.Addr.LineID()
-	idx := mem.HashPC(a.PC, log2(p.cfg.Entries))
+	idx := mem.HashPC(a.PC, mem.CeilLog2(p.cfg.Entries))
 	e := &p.rpt[idx]
 	if !e.valid || e.tag != a.PC {
 		*e = entry{valid: true, tag: a.PC, lastLine: line}
@@ -118,12 +118,4 @@ func (p *Prefetcher) OnFill(mem.Addr, prefetch.Level, bool) {}
 // PC tag (16b folded), last line (36b), stride (8b) and confidence (2b).
 func (p *Prefetcher) StorageBits() int {
 	return p.cfg.Entries * (16 + 36 + 8 + 2)
-}
-
-func log2(n int) int {
-	b := 0
-	for 1<<b < n {
-		b++
-	}
-	return b
 }

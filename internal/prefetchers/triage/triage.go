@@ -158,13 +158,5 @@ func (p *Prefetcher) OnFill(mem.Addr, prefetch.Level, bool) {}
 // compressed line addresses plus LRU — hundreds of KB, the §VI-C
 // complaint embodied.
 func (p *Prefetcher) StorageBits() int {
-	return p.cfg.TableEntries * (30 + 30 + log2(p.cfg.Ways))
-}
-
-func log2(n int) int {
-	b := 0
-	for 1<<b < n {
-		b++
-	}
-	return b
+	return p.cfg.TableEntries * (30 + 30 + mem.CeilLog2(p.cfg.Ways))
 }

@@ -54,8 +54,8 @@ func New(cfg Config) *Prefetcher {
 	if cfg.Tables > 3 {
 		cfg.Tables = 3
 	}
-	cfg.DHBEntries = ceilPow2(cfg.DHBEntries, 16)
-	cfg.DPTEntries = ceilPow2(cfg.DPTEntries, 16)
+	cfg.DHBEntries = mem.CeilPow2(cfg.DHBEntries, 16)
+	cfg.DPTEntries = mem.CeilPow2(cfg.DPTEntries, 16)
 	if cfg.Degree < 1 {
 		cfg.Degree = 1
 	}
@@ -88,7 +88,7 @@ func (p *Prefetcher) key(deltas []int8) (int, uint32) {
 func (p *Prefetcher) Train(a prefetch.Access) {
 	page := a.Addr.PageID()
 	off := a.Addr.PageOffset()
-	idx := mem.FoldXOR(mem.Mix64(page), log2(p.cfg.DHBEntries))
+	idx := mem.FoldXOR(mem.Mix64(page), mem.CeilLog2(p.cfg.DHBEntries))
 	e := &p.dhb[idx]
 
 	if !e.valid || e.tag != page {
@@ -209,23 +209,4 @@ func clamp(d int) int {
 		return -63
 	}
 	return d
-}
-
-func ceilPow2(n, floor int) int {
-	if n < floor {
-		n = floor
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-func log2(n int) int {
-	b := 0
-	for 1<<b < n {
-		b++
-	}
-	return b
 }

@@ -274,18 +274,10 @@ func (f *Framework) Flush() []Pattern {
 // add the bit vector.
 func (f *Framework) StorageBits() int {
 	regionBits := 48 - f.cfg.Region.Shift()
-	offBits := log2(f.cfg.Region.Lines())
-	ftTag := regionBits - log2(f.cfg.FTSets)
-	atTag := regionBits - log2(f.cfg.ATSets)
-	ftEntryBits := ftTag + 5 + offBits + log2(f.cfg.FTWays)
-	atEntryBits := atTag + 5 + f.cfg.Region.Lines() + offBits + log2(f.cfg.ATWays)
+	offBits := mem.CeilLog2(f.cfg.Region.Lines())
+	ftTag := regionBits - mem.CeilLog2(f.cfg.FTSets)
+	atTag := regionBits - mem.CeilLog2(f.cfg.ATSets)
+	ftEntryBits := ftTag + 5 + offBits + mem.CeilLog2(f.cfg.FTWays)
+	atEntryBits := atTag + 5 + f.cfg.Region.Lines() + offBits + mem.CeilLog2(f.cfg.ATWays)
 	return f.cfg.FTSets*f.cfg.FTWays*ftEntryBits + f.cfg.ATSets*f.cfg.ATWays*atEntryBits
-}
-
-func log2(n int) int {
-	b := 0
-	for 1<<b < n {
-		b++
-	}
-	return b
 }

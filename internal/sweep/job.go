@@ -35,25 +35,14 @@ type Job struct {
 	// Prefetcher and Trace annotate the store record.
 	Prefetcher string
 	Trace      string
-	// Run executes the simulation. It must be deterministic (the same
-	// result for the same Job.ID regardless of scheduling) and safe to
-	// call from any goroutine. The context is canceled when the sweep
-	// is interrupted or the per-job timeout fires; Run may ignore it —
-	// the worker stops waiting regardless — but a cooperative Run can
-	// use it to stop early.
-	Run func(ctx context.Context) sim.Result
-	// RunMulti, when set instead of Run, executes a multi-result
-	// simulation (one result per core of a multicore run). Exactly one
-	// of Run/RunMulti must be set; the results land in Record.Results.
-	RunMulti func(ctx context.Context) []sim.Result
-}
-
-// Exec is a built, executable form of a run spec: exactly one of Run
-// (single-core) or RunMulti (multicore) is set. bench.BuildRun
-// produces it; the local pool and remote workers submit it unchanged.
-type Exec struct {
-	Run      func(ctx context.Context) sim.Result
-	RunMulti func(ctx context.Context) []sim.Result
+	// Run executes the simulation and returns one result per core. It
+	// must be deterministic (the same results for the same Job.ID
+	// regardless of scheduling) and safe to call from any goroutine.
+	// The context is canceled when the sweep is interrupted or the
+	// per-job timeout fires; Run may ignore it — the worker stops
+	// waiting regardless — but a cooperative Run can use it to stop
+	// early.
+	Run func(ctx context.Context) []sim.Result
 }
 
 // JobID hashes the coordinates of one simulation into a deterministic

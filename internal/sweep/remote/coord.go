@@ -369,16 +369,8 @@ func (c *Coordinator) expireLocked() {
 			continue
 		}
 		j.state = jobDone
-		j.rec = sweep.Record{
-			ID:         j.spec.ID,
-			Label:      j.spec.Label,
-			Prefetcher: j.spec.Prefetcher,
-			Trace:      j.spec.Trace,
-			Status:     sweep.StatusQuarantined,
-			Err: fmt.Sprintf("lease expired %d times (last worker %s)",
-				j.attempts, j.workerID),
-			Attempts: j.attempts,
-		}
+		j.rec = j.spec.quarantined(fmt.Sprintf("lease expired %d times (last worker %s)",
+			j.attempts, j.workerID), j.attempts)
 		c.quarantined++
 		c.opts.Logf("expire: %s (%s) quarantined after %d leases", id, j.spec.Label, j.attempts)
 		if err := c.opts.Store.Append(j.rec); err != nil {

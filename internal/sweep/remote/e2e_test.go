@@ -3,6 +3,7 @@ package remote
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"net/http/httptest"
@@ -11,25 +12,28 @@ import (
 	"testing"
 	"time"
 
+	"pmp/internal/runspec"
 	"pmp/internal/sim"
 	"pmp/internal/sweep"
 )
 
-// fakeBuild resolves every spec into a deterministic synthetic result
-// derived from the spec itself — a stand-in for a real simulation that
-// makes record-for-record comparison meaningful.
-func fakeBuild(spec JobSpec) (sweep.Exec, error) {
+// fakeBuild resolves every run spec into a deterministic synthetic
+// result seeded from the spec's trace key and variant name — a
+// stand-in for a real simulation that makes record-for-record
+// comparison meaningful.
+func fakeBuild(rs runspec.RunSpec) (func(context.Context) []sim.Result, error) {
+	key, pf := rs.TraceKey(), rs.Cores[0].Variant.Name
 	h := fnv.New64a()
-	h.Write([]byte(spec.ID))
+	h.Write([]byte(key + "|" + pf))
 	seed := h.Sum64()
-	return sweep.Exec{Run: func(ctx context.Context) sim.Result {
-		return sim.Result{
-			Trace:        spec.Trace,
-			Prefetcher:   spec.Prefetcher,
+	return func(ctx context.Context) []sim.Result {
+		return []sim.Result{{
+			Trace:        key,
+			Prefetcher:   pf,
 			Instructions: seed % 1_000_000,
 			Cycles:       seed % 500_000,
-		}
-	}}, nil
+		}}
+	}, nil
 }
 
 // serveCoordinator spins up a coordinator over a fresh store behind an
@@ -64,6 +68,15 @@ func e2eSpecs(n int) []JobSpec {
 		}
 	}
 	return specs
+}
+
+// specIDs lists the job IDs of specs, in order.
+func specIDs(specs []JobSpec) []string {
+	ids := make([]string, len(specs))
+	for i, s := range specs {
+		ids[i] = s.ID
+	}
+	return ids
 }
 
 // runDistributed drives a full run: submit, N workers until drained,
@@ -102,11 +115,7 @@ func runDistributed(t *testing.T, nWorkers int, specs []JobSpec) []byte {
 		}(i)
 	}
 
-	ids := make([]string, len(specs))
-	for i, s := range specs {
-		ids[i] = s.ID
-	}
-	recs, err := cl.Wait(ctx, ids)
+	recs, err := cl.Wait(ctx, specIDs(specs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +145,8 @@ func TestDistributedDeterminism1v3(t *testing.T) {
 	}
 	pool := sweep.New(context.Background(), sweep.Options{Workers: 1, Store: store})
 	for _, s := range specs {
-		exec, _ := fakeBuild(s)
-		pool.Submit(sweep.Job{ID: s.ID, Label: s.Label, Prefetcher: s.Prefetcher, Trace: s.Trace, Run: exec.Run})
+		run, _ := fakeBuild(s.Run)
+		pool.Submit(s.Job(run))
 	}
 	pool.Close()
 	store.Close()
@@ -187,11 +196,11 @@ func TestWorkerDeathRelease(t *testing.T) {
 			Coordinator: srv.URL,
 			Name:        "victim",
 			Parallel:    2,
-			Build: func(spec JobSpec) (sweep.Exec, error) {
-				return sweep.Exec{Run: func(jctx context.Context) sim.Result {
+			Build: func(runspec.RunSpec) (func(context.Context) []sim.Result, error) {
+				return func(jctx context.Context) []sim.Result {
 					<-jctx.Done()
-					return sim.Result{}
-				}}, nil
+					return nil
+				}, nil
 			},
 			Poll: 10 * time.Millisecond,
 		})
@@ -225,11 +234,7 @@ func TestWorkerDeathRelease(t *testing.T) {
 		})
 	}()
 
-	ids := make([]string, len(specs))
-	for i, s := range specs {
-		ids[i] = s.ID
-	}
-	recs, err := cl.Wait(ctx, ids)
+	recs, err := cl.Wait(ctx, specIDs(specs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,6 +260,62 @@ func TestWorkerDeathRelease(t *testing.T) {
 	}
 	if len(onDisk) != len(specs) {
 		t.Fatalf("store has %d records, want %d", len(onDisk), len(specs))
+	}
+}
+
+// A spec the worker cannot build comes back as a quarantined record
+// instead of running, and the rest of its batch completes.
+func TestUnbuildableJobIsQuarantined(t *testing.T) {
+	coord, srv, _ := serveCoordinator(t, CoordinatorOptions{
+		LeaseMax:   4,
+		DrainGrace: 50 * time.Millisecond,
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	specs := e2eSpecs(6)
+	bad := specs[2]
+	cl := NewClient(srv.URL)
+	cl.Poll = 10 * time.Millisecond
+	if _, err := cl.Submit(ctx, specs); err != nil {
+		t.Fatal(err)
+	}
+	workerDone := make(chan error, 1)
+	go func() {
+		workerDone <- RunWorker(ctx, WorkerOptions{
+			Coordinator: srv.URL,
+			Name:        "picky",
+			Parallel:    2,
+			Build: func(rs runspec.RunSpec) (func(context.Context) []sim.Result, error) {
+				if rs.TraceKey() == bad.Trace {
+					return nil, errors.New("no such trace")
+				}
+				return fakeBuild(rs)
+			},
+			Poll:            10 * time.Millisecond,
+			ExitWhenDrained: true,
+		})
+	}()
+
+	recs, err := cl.Wait(ctx, specIDs(specs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-workerDone; err != nil && ctx.Err() == nil {
+		t.Fatalf("worker: %v", err)
+	}
+	rec := recs[bad.ID]
+	if rec.Status != sweep.StatusQuarantined || rec.Err != "resolve: no such trace" ||
+		rec.Attempts != 1 || rec.Label != bad.Label {
+		t.Errorf("unbuildable job record = %+v, want quarantined, resolve error, 1 attempt, label %q", rec, bad.Label)
+	}
+	for _, s := range specs {
+		if s.ID != bad.ID && recs[s.ID].Status != sweep.StatusOK {
+			t.Errorf("job %s: %+v, want ok", s.ID, recs[s.ID])
+		}
+	}
+	if st := coord.Status(); st.Quarantined != 1 || st.Completed != 5 {
+		t.Errorf("status quarantined/completed = %d/%d, want 1/5", st.Quarantined, st.Completed)
 	}
 }
 
@@ -293,14 +354,7 @@ func TestWorkerReregistersAfterCoordinatorRestart(t *testing.T) {
 		})
 	}()
 
-	ids := func(ss []JobSpec) []string {
-		out := make([]string, len(ss))
-		for i, s := range ss {
-			out[i] = s.ID
-		}
-		return out
-	}
-	if _, err := cl.Wait(ctx, ids(specs[:3])); err != nil {
+	if _, err := cl.Wait(ctx, specIDs(specs[:3])); err != nil {
 		t.Fatal(err)
 	}
 
@@ -323,7 +377,7 @@ func TestWorkerReregistersAfterCoordinatorRestart(t *testing.T) {
 	if resp.Cached != 3 || resp.Accepted != 3 {
 		t.Fatalf("resubmit after restart: %+v, want 3 cached 3 accepted", resp)
 	}
-	recs, err := cl.Wait(ctx, ids(specs))
+	recs, err := cl.Wait(ctx, specIDs(specs))
 	if err != nil {
 		t.Fatal(err)
 	}

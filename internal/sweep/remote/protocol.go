@@ -19,9 +19,11 @@
 package remote
 
 import (
+	"context"
 	"time"
 
 	"pmp/internal/runspec"
+	"pmp/internal/sim"
 	"pmp/internal/sweep"
 )
 
@@ -40,8 +42,8 @@ const (
 // runspec.RunSpec (per-core traces and variants, per-level placements,
 // record count, full sim.Config) plus identity and annotations —
 // everything a worker needs to reconstruct the run without sharing
-// memory with the submitter. bench.BuildJobRun materializes it on the
-// worker through the same BuildRun path a local run uses.
+// memory with the submitter. bench.BuildRun materializes Run on the
+// worker exactly as it does for a local run.
 type JobSpec struct {
 	// ID is the deterministic sweep job identity (sweep.JobID). The
 	// coordinator deduplicates and shards by it.
@@ -58,6 +60,21 @@ type JobSpec struct {
 	// coordinator validates it structurally at submit; the worker
 	// builds and executes it.
 	Run runspec.RunSpec `json:"run"`
+}
+
+// Job pairs the spec's identity with run, the built simulation, as the
+// sweep job a local pool or a worker's pool executes.
+func (s JobSpec) Job(run func(context.Context) []sim.Result) sweep.Job {
+	return sweep.Job{ID: s.ID, Label: s.Label, Prefetcher: s.Prefetcher, Trace: s.Trace, Run: run}
+}
+
+// quarantined is the store record of a job that never produced a
+// result: a worker could not build it, or its leases kept expiring.
+func (s JobSpec) quarantined(err string, attempts int) sweep.Record {
+	return sweep.Record{
+		ID: s.ID, Label: s.Label, Prefetcher: s.Prefetcher, Trace: s.Trace,
+		Status: sweep.StatusQuarantined, Err: err, Attempts: attempts,
+	}
 }
 
 // RegisterRequest announces a worker to the coordinator.

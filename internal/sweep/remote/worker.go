@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"time"
 
+	"pmp/internal/runspec"
+	"pmp/internal/sim"
 	"pmp/internal/sweep"
 )
 
@@ -21,11 +23,11 @@ type WorkerOptions struct {
 	Name string
 	// Parallel is the local pool size; <= 0 means GOMAXPROCS.
 	Parallel int
-	// Build resolves a wire job into its executable form (normally
-	// bench.BuildJobRun, which materializes spec.Run through the shared
-	// BuildRun path). A spec Build rejects is reported back as a
-	// quarantined record instead of being run.
-	Build func(spec JobSpec) (sweep.Exec, error)
+	// Build resolves a job's run spec into the simulation it runs
+	// (normally bench.BuildRun, the path a local run takes). A spec
+	// Build rejects is reported back as a quarantined record instead of
+	// being run.
+	Build func(rs runspec.RunSpec) (func(context.Context) []sim.Result, error)
 	// Token is the shared-secret bearer token sent with every request
 	// when the coordinator requires auth (-auth-token).
 	Token string
@@ -171,28 +173,16 @@ func (w *worker) runBatch(ctx context.Context, lease LeaseResponse) error {
 	recs := make(chan sweep.Record, len(lease.Jobs))
 	outstanding := 0
 	for _, spec := range lease.Jobs {
-		spec := spec
-		exec, err := w.opts.Build(spec)
+		run, err := w.opts.Build(spec.Run)
 		if err != nil {
 			// Unresolvable on this worker: its quarantine record, not a
 			// crash, so the coordinator and store see the failure.
 			w.opts.Logf("resolve %s (%s): %v", spec.ID, spec.Label, err)
-			recs <- sweep.Record{
-				ID: spec.ID, Label: spec.Label,
-				Prefetcher: spec.Prefetcher, Trace: spec.Trace,
-				Status: sweep.StatusQuarantined, Err: "resolve: " + err.Error(), Attempts: 1,
-			}
+			recs <- spec.quarantined("resolve: "+err.Error(), 1)
 			outstanding++
 			continue
 		}
-		t := w.pool.Submit(sweep.Job{
-			ID:         spec.ID,
-			Label:      spec.Label,
-			Prefetcher: spec.Prefetcher,
-			Trace:      spec.Trace,
-			Run:        exec.Run,
-			RunMulti:   exec.RunMulti,
-		})
+		t := w.pool.Submit(spec.Job(run))
 		outstanding++
 		go func() {
 			rec, err := t.Wait()

@@ -36,10 +36,29 @@ type Record struct {
 	Attempts   int        `json:"attempts"`
 	WallNS     int64      `json:"wall_ns"`
 	Result     sim.Result `json:"result"`
-	// Results holds the per-core results of a multicore job (Job.
-	// RunMulti); single-core jobs leave it nil, so legacy store bytes
-	// are unchanged.
+	// Results holds a multicore job's per-core results and stays nil
+	// for a one-core job, whose result is in Result. Runs reads both.
 	Results []sim.Result `json:"results,omitempty"`
+}
+
+// setResults stores a job's per-core results in the record layout: a
+// single result in Result, several in Results.
+func (r *Record) setResults(res []sim.Result) {
+	if len(res) == 1 {
+		r.Result = res[0]
+		return
+	}
+	r.Results = res
+}
+
+// Runs returns the record's per-core results: Results when set, else
+// the one Result (the zero result for a quarantined record, so a
+// caller's table keeps going).
+func (r Record) Runs() []sim.Result {
+	if len(r.Results) > 0 {
+		return r.Results
+	}
+	return []sim.Result{r.Result}
 }
 
 // Store is the persistent append-only JSONL results store. Every

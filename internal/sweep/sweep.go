@@ -191,11 +191,10 @@ func (s *Sweep) runJob(t *Ticket) {
 	attempts := 0
 	for attempts < s.opts.MaxAttempts {
 		attempts++
-		res, multi, err := s.attempt(t.job)
+		res, err := s.attempt(t.job)
 		if err == nil {
 			rec = s.record(t.job, StatusOK, "", attempts, start)
-			rec.Result = res
-			rec.Results = multi
+			rec.setResults(res)
 			break
 		}
 		if errors.Is(err, context.Canceled) && s.ctx.Err() != nil {
@@ -249,9 +248,7 @@ func (s *Sweep) record(j Job, status, errMsg string, attempts int, start time.Ti
 
 // attempt runs the job once in its own goroutine so a panic is
 // recoverable and a stuck simulation can be abandoned on timeout.
-// Multi-core jobs (RunMulti) return their per-core results in the
-// second value; single-core jobs in the first.
-func (s *Sweep) attempt(j Job) (sim.Result, []sim.Result, error) {
+func (s *Sweep) attempt(j Job) ([]sim.Result, error) {
 	ctx := s.ctx
 	if s.opts.JobTimeout > 0 {
 		var cancel context.CancelFunc
@@ -259,9 +256,8 @@ func (s *Sweep) attempt(j Job) (sim.Result, []sim.Result, error) {
 		defer cancel()
 	}
 	type outcome struct {
-		res   sim.Result
-		multi []sim.Result
-		err   error
+		res []sim.Result
+		err error
 	}
 	ch := make(chan outcome, 1)
 	go func() {
@@ -270,19 +266,15 @@ func (s *Sweep) attempt(j Job) (sim.Result, []sim.Result, error) {
 				ch <- outcome{err: &PanicError{Value: p, Stack: string(debug.Stack())}}
 			}
 		}()
-		if j.RunMulti != nil {
-			ch <- outcome{multi: j.RunMulti(ctx)}
-			return
-		}
 		ch <- outcome{res: j.Run(ctx)}
 	}()
 	select {
 	case o := <-ch:
-		return o.res, o.multi, o.err
+		return o.res, o.err
 	case <-ctx.Done():
 		// Timeout or sweep cancellation: abandon the attempt. The
 		// goroutine is left to finish (and be discarded) on its own.
-		return sim.Result{}, nil, ctx.Err()
+		return nil, ctx.Err()
 	}
 }
 

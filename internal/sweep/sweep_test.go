@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -15,8 +16,8 @@ import (
 	"pmp/internal/sim"
 )
 
-// testJob builds a trivial job whose Result encodes its identity, so
-// tests can verify which job produced which record.
+// testJob builds a trivial one-core job whose Result encodes its
+// identity, so tests can verify which job produced which record.
 func testJob(i int, body func(context.Context) sim.Result) Job {
 	id := fmt.Sprintf("job-%d", i)
 	if body == nil {
@@ -24,7 +25,8 @@ func testJob(i int, body func(context.Context) sim.Result) Job {
 			return sim.Result{Trace: id, Instructions: uint64(i), Cycles: 1}
 		}
 	}
-	return Job{ID: id, Label: id, Prefetcher: "test", Trace: id, Run: body}
+	run := func(ctx context.Context) []sim.Result { return []sim.Result{body(ctx)} }
+	return Job{ID: id, Label: id, Prefetcher: "test", Trace: id, Run: run}
 }
 
 func TestJobIDDeterministicAndDistinct(t *testing.T) {
@@ -105,7 +107,7 @@ func TestPanickingJobIsQuarantinedRestCompletes(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		j := testJob(i, nil)
 		if i == 3 {
-			j.Run = func(context.Context) sim.Result { panic("poisoned job") }
+			j.Run = func(context.Context) []sim.Result { panic("poisoned job") }
 		}
 		tickets = append(tickets, s.Submit(j))
 	}
@@ -339,5 +341,77 @@ func TestManifestWrittenNextToStore(t *testing.T) {
 	}
 	if got.Completed != 1 || got.Workers != 1 {
 		t.Errorf("manifest completed/workers = %d/%d, want 1/1", got.Completed, got.Workers)
+	}
+}
+
+// The store keeps a one-core job's result under "result" and a
+// multicore job's under "results", and Runs reads either form back,
+// including the zero result of a quarantined record.
+func TestRecordLayout(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.jsonl")
+	st, err := OpenStore(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(context.Background(), Options{Workers: 1, MaxAttempts: 1, Store: st})
+	four := testJob(4, nil)
+	four.Run = func(context.Context) []sim.Result {
+		res := make([]sim.Result, 4)
+		for i := range res {
+			res[i] = sim.Result{Instructions: uint64(i + 1), Cycles: 1}
+		}
+		return res
+	}
+	bad := testJob(9, func(context.Context) sim.Result { panic("poisoned job") })
+	for _, j := range []Job{testJob(1, nil), four, bad} {
+		if _, err := s.Submit(j).Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(b), []byte("\n"))
+	if len(lines) != 3 {
+		t.Fatalf("store has %d lines, want 3", len(lines))
+	}
+	var one, multi map[string]json.RawMessage
+	if err := json.Unmarshal(lines[0], &one); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(lines[1], &multi); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := one["result"]; !ok {
+		t.Errorf("one-result line has no result key: %s", lines[0])
+	}
+	if _, ok := one["results"]; ok {
+		t.Errorf("one-result line has a results key: %s", lines[0])
+	}
+	var perCore []sim.Result
+	var zero sim.Result
+	if err := json.Unmarshal(multi["results"], &perCore); err != nil || len(perCore) != 4 {
+		t.Errorf("four-result line holds %d results (%v), want 4: %s", len(perCore), err, lines[1])
+	}
+	if err := json.Unmarshal(multi["result"], &zero); err != nil || !reflect.DeepEqual(zero, sim.Result{}) {
+		t.Errorf("four-result line has a non-zero result (%v): %s", err, lines[1])
+	}
+
+	recs, _, err := ReadRecords(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := recs["job-1"].Runs(); len(got) != 1 || got[0].Instructions != 1 {
+		t.Errorf("one-core Runs = %+v, want the one result", got)
+	}
+	if got := recs["job-4"].Runs(); len(got) != 4 || got[3].Instructions != 4 {
+		t.Errorf("four-core Runs = %+v, want the four results in order", got)
+	}
+	q := recs["job-9"]
+	if got := q.Runs(); q.Status != StatusQuarantined || len(got) != 1 || !reflect.DeepEqual(got[0], sim.Result{}) {
+		t.Errorf("quarantined record (%s) Runs = %+v, want one zero result", q.Status, got)
 	}
 }

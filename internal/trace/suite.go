@@ -33,7 +33,7 @@ type Spec struct {
 	// File is the backing .pmpt path for external (manifest) traces and
 	// empty for synthetic generators. It travels in distributed job
 	// specs so remote workers open the file directly instead of needing
-	// the manifest (see bench.BuildJobRun).
+	// the manifest (see bench.BuildRun).
 	File string
 }
 

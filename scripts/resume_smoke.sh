@@ -6,10 +6,16 @@
 #   2. a run SIGINT'd mid-sweep,
 #   3. a -resume of the interrupted run,
 # then asserts that
-#   a. no job completed before the interrupt is re-recorded by the
+#   a. the reference store's canonical dump (pmpsweepd -canon) hashes
+#      to the committed scripts/quick_canon.sha256, pinning every job
+#      ID, label, variant, placement and stored result;
+#   b. no job completed before the interrupt is re-recorded by the
 #      resume (its store record count is unchanged), and
-#   b. the resumed run's rendered tables are byte-identical to the
+#   c. the resumed run's rendered tables are byte-identical to the
 #      uninterrupted reference (timing lines stripped).
+#
+# A change that alters QuickScale results or job identity on purpose
+# regenerates the digest (docs/sweep.md, "Canonical store digest").
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,10 +24,21 @@ trap 'rm -rf "$tmp"' EXIT
 
 echo "== build =="
 go build -o "$tmp/pmpexperiments" ./cmd/pmpexperiments
+go build -o "$tmp/pmpsweepd" ./cmd/pmpsweepd
 
 echo "== reference (uninterrupted) run =="
 "$tmp/pmpexperiments" -scale quick -store "$tmp/ref.jsonl" \
   >"$tmp/ref.out" 2>"$tmp/ref.err"
+
+echo "== assert: canonical store matches the committed digest =="
+want=$(cut -d' ' -f1 scripts/quick_canon.sha256)
+got=$("$tmp/pmpsweepd" -canon "$tmp/ref.jsonl" | sha256sum | cut -d' ' -f1)
+if [ "$got" != "$want" ]; then
+  echo "FAIL: QuickScale canonical store sha256 $got, want $want"
+  echo "      (scripts/quick_canon.sha256; see docs/sweep.md to regenerate)"
+  exit 1
+fi
+echo "PASS: canonical store sha256 $got"
 
 echo "== interrupted run =="
 # The interrupt must land while the sweep is still running, or the
