@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	traceName := flag.String("trace", "", "single suite trace to analyze")
+	traceName := flag.String("trace", "", "single built-in trace to analyze (suite or extra generator)")
 	suite := flag.Int("suite", 0, "analyze a representative subset of N suite traces")
 	records := flag.Int("records", 200_000, "records per trace")
 	heatmap := flag.String("heatmap", "", "render a heat map: trigger, pc, pcaddr, addr, pctrigger")
@@ -79,10 +79,8 @@ func main() {
 }
 
 func findTrace(name string, records int) (trace.Source, error) {
-	for _, sp := range trace.Suite() {
-		if sp.Name == name {
-			return sp.New(records), nil
-		}
+	if sp, ok := trace.ByName(name); ok {
+		return sp.New(records), nil
 	}
 	return nil, fmt.Errorf("pmpanalyze: unknown trace %q", name)
 }

@@ -150,7 +150,7 @@ func main() {
 
 	var extSpecs []trace.Spec
 	if *manifestPath != "" {
-		extSpecs, err = bench.LoadExternal(*manifestPath)
+		extSpecs, err = trace.LoadManifest(*manifestPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pmpexperiments:", err)
 			os.Exit(1)

@@ -12,13 +12,7 @@
 // ({"analyzer", "file", "line", "col", "message"}), for machine
 // consumption (the CI lint artifact).
 //
-// It also speaks the cmd/go vet-tool protocol, so after `go build -o
-// pmplint ./cmd/pmplint` it can run as:
-//
-//	go vet -vettool=$PWD/pmplint ./...
-//
-// Exit status is 1 (standalone) or 2 (vet mode) when diagnostics are
-// reported, 0 otherwise.
+// Exit status is 1 when diagnostics are reported, 0 otherwise.
 package main
 
 import (
@@ -32,18 +26,6 @@ import (
 )
 
 func main() {
-	// cmd/go probes vet tools with -V=full (build-cache identity,
-	// must print "<name> version <non-devel>") and -flags (supported
-	// flags as a JSON array) before invoking them on packages.
-	if len(os.Args) == 2 && os.Args[1] == "-V=full" {
-		fmt.Println("pmplint version 1")
-		return
-	}
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		fmt.Println(`[{"Name":"analyzers","Bool":false,"Usage":"comma-separated analyzers to run"}]`)
-		return
-	}
-
 	var (
 		analyzerList = flag.String("analyzers", "", "comma-separated analyzers to run (default: all)")
 		list         = flag.Bool("list", false, "list available analyzers and exit")
@@ -67,23 +49,7 @@ func main() {
 		return
 	}
 
-	args := flag.Args()
-
-	// Vet-tool mode: cmd/go passes a single JSON config file ending in
-	// ".cfg" describing one package.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		found, err := lint.RunVetUnit(args[0], analyzers, os.Stderr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pmplint:", err)
-			os.Exit(1)
-		}
-		if found {
-			os.Exit(2)
-		}
-		return
-	}
-
-	pkgs, err := lint.Load(".", args...)
+	pkgs, err := lint.Load(".", flag.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pmplint:", err)
 		os.Exit(1)

@@ -168,10 +168,8 @@ func openSource(file, name string, records int) (trace.Source, error) {
 		// source alive for its whole lifetime anyway.
 		return trace.OpenFile(file)
 	}
-	for _, sp := range append(trace.Suite(), trace.ExtraSpecs()...) {
-		if sp.Name == name {
-			return sp.New(records), nil
-		}
+	if sp, ok := trace.ByName(name); ok {
+		return sp.New(records), nil
 	}
 	return nil, fmt.Errorf("pmpsim: unknown trace %q (try -list-traces)", name)
 }

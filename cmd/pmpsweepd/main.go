@@ -65,7 +65,6 @@ func main() {
 
 	workerMode := flag.Bool("worker", false, "run as a worker instead of the coordinator")
 	connect := flag.String("connect", "", "worker: coordinator address to connect to")
-	manifest := flag.String("manifest", "", "worker: external-suite manifest (docs/traces.md); registers its traces so manifest-named jobs resolve even without a trace_file on the wire")
 	name := flag.String("name", "", "worker: label shown in /status and the manifest (default host/pid)")
 	parallel := flag.Int("parallel", 0, "worker: local pool size (0 = GOMAXPROCS)")
 	jobTimeout := flag.Duration("job-timeout", 30*time.Minute, "worker: per-job attempt timeout (0 = none)")
@@ -89,13 +88,6 @@ func main() {
 	case *workerMode:
 		if *connect == "" {
 			logger.Fatal("-worker requires -connect")
-		}
-		if *manifest != "" {
-			specs, err := bench.LoadExternal(*manifest)
-			if err != nil {
-				logger.Fatal(err)
-			}
-			logger.Printf("registered %d external traces from %s", len(specs), *manifest)
 		}
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()

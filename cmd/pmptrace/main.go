@@ -74,23 +74,21 @@ func legacyMain() error {
 }
 
 func generate(name string, records int, out string) error {
-	for _, sp := range append(trace.Suite(), trace.ExtraSpecs()...) {
-		if sp.Name != name {
-			continue
-		}
-		tr := trace.Collect(sp.New(records), 0)
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := trace.Write(f, tr); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d records to %s\n", tr.Len(), out)
-		return nil
+	sp, ok := trace.ByName(name)
+	if !ok {
+		return fmt.Errorf("unknown trace %q", name)
 	}
-	return fmt.Errorf("unknown trace %q", name)
+	tr := trace.Collect(sp.New(records), 0)
+	f, err := os.Create(out)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := trace.Write(f, tr); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %d records to %s\n", tr.Len(), out)
+	return nil
 }
 
 // convertCmd implements `pmptrace convert [flags] <champsim-trace>`.

@@ -1,62 +1,16 @@
 package bench
 
 import (
-	"fmt"
 	"strings"
-	"sync"
 
 	"pmp/internal/trace"
 )
 
 // External workloads: manifest-listed .pmpt traces (converted from
 // ChampSim/DPC sets by `pmptrace convert`) run through the same Runner
-// machinery as the synthetic suite. The specs register in a process
-// index so TraceByName — and through it a pmpsweepd worker handed a
-// spec name — resolves them like suite traces.
-
-var (
-	externalMu    sync.RWMutex
-	externalIndex = map[string]trace.Spec{}
-)
-
-// RegisterExternal adds external trace specs to the process-wide trace
-// index consulted by TraceByName. Registering a name twice replaces
-// the earlier spec; shadowing a synthetic suite name is an error (the
-// suite index wins there, which would make job identities ambiguous).
-func RegisterExternal(specs []trace.Spec) error {
-	for _, sp := range specs {
-		if _, taken := suiteTrace(sp.Name); taken {
-			return fmt.Errorf("bench: external trace %q shadows a synthetic suite trace", sp.Name)
-		}
-	}
-	externalMu.Lock()
-	defer externalMu.Unlock()
-	for _, sp := range specs {
-		externalIndex[sp.Name] = sp
-	}
-	return nil
-}
-
-// externalTrace resolves a registered external spec by name.
-func externalTrace(name string) (trace.Spec, bool) {
-	externalMu.RLock()
-	defer externalMu.RUnlock()
-	sp, ok := externalIndex[name]
-	return sp, ok
-}
-
-// LoadExternal loads a verified external-suite manifest and registers
-// its traces, returning the specs in manifest order.
-func LoadExternal(path string) ([]trace.Spec, error) {
-	specs, err := trace.LoadManifest(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := RegisterExternal(specs); err != nil {
-		return nil, err
-	}
-	return specs, nil
-}
+// machinery as the synthetic suite. Their run specs carry the .pmpt
+// path (runspec.TraceRef.File), so any worker resolves them without
+// the manifest.
 
 // WithSpecs returns a Runner over the given trace specs instead of the
 // scale's synthetic subset, sharing this runner's scheduler (local pool

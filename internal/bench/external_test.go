@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,13 +18,23 @@ import (
 )
 
 // externalManifest materializes two small converted-style .pmpt traces
-// plus a manifest listing them, and returns the loaded (registered)
-// specs.
+// plus a manifest listing them, and returns the loaded specs.
 func externalManifest(t *testing.T, records int) []trace.Spec {
 	t.Helper()
+	specs, err := trace.LoadManifest(writeExternalManifest(t, records, "extbench-a", "extbench-b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return specs
+}
+
+// writeExternalManifest writes one small .pmpt trace per name plus a
+// manifest listing them, and returns the manifest path.
+func writeExternalManifest(t *testing.T, records int, names ...string) string {
+	t.Helper()
 	dir := t.TempDir()
-	entries := make([]trace.ExternalSpec, 0, 2)
-	for i, name := range []string{"extbench-a", "extbench-b"} {
+	entries := make([]trace.ExternalSpec, 0, len(names))
+	for i, name := range names {
 		tr := trace.Collect(trace.NewStride(name, int64(100+i), records, trace.DefaultStrideParams()), 0)
 		path := filepath.Join(dir, name+".pmpt")
 		f, err := os.Create(path)
@@ -53,11 +64,7 @@ func externalManifest(t *testing.T, records int) []trace.Spec {
 	if err := os.WriteFile(mpath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	specs, err := LoadExternal(mpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return specs
+	return mpath
 }
 
 // extScale keeps the external e2e runs fast and sized to the small
@@ -66,27 +73,14 @@ func extScale() Scale {
 	return Scale{Traces: 4, Records: 3_000, Warmup: 500, Measure: 2_000}
 }
 
+// TestRegisterExternalShadowsSuite checks that an external trace named
+// after a suite trace never reaches a run: the manifest loader that
+// feeds Runner.WithSpecs refuses it.
 func TestRegisterExternalShadowsSuite(t *testing.T) {
 	name := trace.Suite()[0].Name
-	err := RegisterExternal([]trace.Spec{{Name: name}})
-	if err == nil {
-		t.Fatalf("registering external trace named %q (a suite trace) should fail", name)
-	}
-}
-
-func TestTraceByNameExternal(t *testing.T) {
-	specs := externalManifest(t, 200)
-	for _, sp := range specs {
-		got, ok := TraceByName(sp.Name)
-		if !ok {
-			t.Fatalf("TraceByName(%q) after LoadExternal: not found", sp.Name)
-		}
-		if got.File != sp.File {
-			t.Errorf("TraceByName(%q).File = %q, want %q", sp.Name, got.File, sp.File)
-		}
-	}
-	if _, ok := TraceByName("no-such-trace-xyz"); ok {
-		t.Error("unknown name resolved")
+	_, err := trace.LoadManifest(writeExternalManifest(t, 200, name))
+	if err == nil || !strings.Contains(err.Error(), "shadows a built-in") {
+		t.Fatalf("loading external trace named %q (a suite trace): err %v, want a shadowing error", name, err)
 	}
 }
 

@@ -77,7 +77,7 @@ func BuildRun(rs runspec.RunSpec) (func(context.Context) []sim.Result, error) {
 			// job identity.
 			specs[i] = trace.FileSpec(trace.ExternalSpec{Name: c.Trace.Name, Path: c.Trace.File})
 		} else {
-			sp, ok := TraceByName(c.Trace.Name)
+			sp, ok := trace.ByName(c.Trace.Name)
 			if !ok {
 				return nil, fmt.Errorf("bench: unknown trace spec %q", c.Trace.Name)
 			}

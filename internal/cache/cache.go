@@ -65,6 +65,9 @@ func (c Config) Validate() error {
 	if c.MSHRs <= 0 {
 		return fmt.Errorf("cache %s: MSHRs must be positive, got %d", c.Name, c.MSHRs)
 	}
+	if c.PQSize < 0 {
+		return fmt.Errorf("cache %s: PQ size must be >= 0, got %d", c.Name, c.PQSize)
+	}
 	if c.Policy > SRRIP {
 		return fmt.Errorf("cache %s: unknown replacement policy %d", c.Name, c.Policy)
 	}
@@ -92,8 +95,8 @@ type lineMeta struct {
 // mem.LineShift bits zero), so this value can never collide.
 const invalidTag mem.Addr = 1
 
-// Stats accumulates per-level counters. Demand counters only advance
-// while the owning Cache has stats enabled (warm-up runs with them off).
+// Stats accumulates per-level counters from construction on; the
+// simulator zeroes them with ResetStats at the warm-up boundary.
 type Stats struct {
 	DemandAccesses uint64
 	DemandHits     uint64
@@ -168,7 +171,8 @@ func (k PrefetchEventKind) String() string {
 // PrefetchEvent is one per-request lifecycle observation for a
 // prefetched line at this cache level. The simulator's lifecycle
 // tracker correlates these with issue records to classify every
-// prefetch as timely, late or useless.
+// prefetch as timely, late or useless, and feedback-driven prefetchers
+// learn from the uses and deaths.
 type PrefetchEvent struct {
 	Kind      PrefetchEventKind
 	Line      mem.Addr
@@ -184,22 +188,13 @@ type Cache struct {
 	meta    []lineMeta // parallel to tags
 	setMask uint64
 	stamp   uint64
-	statsOn bool
 	stats   Stats
 	mshr    mshrFile // outstanding misses (fixed capacity, see mshr.go)
 
-	// PrefetchOutcome, when non-nil, is invoked the moment a prefetched
-	// line's fate is decided: useful (first demand hit after the
-	// prefetch fill) or useless (evicted or invalidated untouched).
-	// Feedback-driven prefetchers learn from this; it fires regardless
-	// of whether statistics are enabled.
-	PrefetchOutcome func(line mem.Addr, useful bool)
-
-	// PrefetchTrace, when non-nil, receives per-request lifecycle
-	// events for prefetched lines (fill, first demand use, untouched
-	// death). Like PrefetchOutcome it fires regardless of whether
-	// statistics are enabled; leave it nil to keep the hot path free of
-	// tracing overhead.
+	// PrefetchTrace, when non-nil, receives every lifecycle event of a
+	// prefetched line: its fill, its first demand use (useful) and its
+	// untouched death (useless). Feedback-driven prefetchers learn from
+	// the last two, and lifecycle tracing follows all three.
 	PrefetchTrace func(ev PrefetchEvent)
 }
 
@@ -227,10 +222,6 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// EnableStats switches demand/prefetch accounting on or off (off during
-// warm-up).
-func (c *Cache) EnableStats(on bool) { c.statsOn = on }
 
 // ResetStats zeroes the counters (end of warm-up).
 func (c *Cache) ResetStats() { c.stats = Stats{} }
@@ -271,7 +262,7 @@ func (c *Cache) findWay(a mem.Addr) int {
 func (c *Cache) Lookup(a mem.Addr, now uint64, demand bool) (bool, uint64) {
 	a = a.Line()
 	c.stamp++
-	if demand && c.statsOn {
+	if demand {
 		c.stats.DemandAccesses++
 	}
 	if i := c.findWay(a); i >= 0 {
@@ -281,15 +272,13 @@ func (c *Cache) Lookup(a mem.Addr, now uint64, demand bool) (bool, uint64) {
 		ready := now + c.cfg.Latency
 		if l.ready > ready {
 			ready = l.ready
-			if demand && l.prefetched && !l.used && c.statsOn {
+			if demand && l.prefetched && !l.used {
 				c.stats.LatePrefetch++
 			}
 		}
 		if demand {
 			if l.prefetched && !l.used {
-				if c.statsOn {
-					c.stats.UsefulPrefetch++
-				}
+				c.stats.UsefulPrefetch++
 				l.used = true
 				if c.PrefetchTrace != nil {
 					c.PrefetchTrace(PrefetchEvent{
@@ -297,17 +286,12 @@ func (c *Cache) Lookup(a mem.Addr, now uint64, demand bool) (bool, uint64) {
 						FillCycle: l.ready, Late: l.ready > now+c.cfg.Latency,
 					})
 				}
-				if c.PrefetchOutcome != nil {
-					c.PrefetchOutcome(a, true)
-				}
 			}
-			if c.statsOn {
-				c.stats.DemandHits++
-			}
+			c.stats.DemandHits++
 		}
 		return true, ready
 	}
-	if demand && c.statsOn {
+	if demand {
 		c.stats.DemandMisses++
 	}
 	return false, 0
@@ -331,7 +315,7 @@ func (c *Cache) Contains(a mem.Addr) bool {
 func (c *Cache) Fill(a mem.Addr, readyCycle uint64, prefetched bool) Eviction {
 	a = a.Line()
 	c.stamp++
-	if prefetched && c.statsOn {
+	if prefetched {
 		c.stats.PrefetchFills++
 	}
 	if i := c.findWay(a); i >= 0 {
@@ -346,16 +330,11 @@ func (c *Cache) Fill(a mem.Addr, readyCycle uint64, prefetched bool) Eviction {
 	if vt := c.tags[victim]; vt != invalidTag {
 		ev = Eviction{Kind: EvictClean, Line: vt, Prefetched: v.prefetched, Used: v.used}
 		if v.prefetched && !v.used {
-			if c.statsOn {
-				c.stats.UselessPrefetx++
-			}
+			c.stats.UselessPrefetx++
 			if c.PrefetchTrace != nil {
 				// The displacing fill's completion is the closest clock
 				// this path has to "now".
 				c.PrefetchTrace(PrefetchEvent{Kind: PrefetchDead, Line: vt, Cycle: readyCycle})
-			}
-			if c.PrefetchOutcome != nil {
-				c.PrefetchOutcome(vt, false)
 			}
 		}
 	}
@@ -414,14 +393,9 @@ func (c *Cache) Invalidate(a mem.Addr) bool {
 	}
 	l := &c.meta[i]
 	if l.prefetched && !l.used {
-		if c.statsOn {
-			c.stats.UselessPrefetx++
-		}
+		c.stats.UselessPrefetx++
 		if c.PrefetchTrace != nil {
 			c.PrefetchTrace(PrefetchEvent{Kind: PrefetchDead, Line: a})
-		}
-		if c.PrefetchOutcome != nil {
-			c.PrefetchOutcome(a, false)
 		}
 	}
 	c.tags[i] = invalidTag
@@ -465,15 +439,4 @@ func (c *Cache) ReserveMSHR(a mem.Addr, now, done uint64, demand bool) bool {
 // full MSHR file.
 func (c *Cache) EarliestCompletion(now uint64) (uint64, bool) {
 	return c.mshr.earliest(now)
-}
-
-// Flush invalidates every line and clears in-flight state (used between
-// runs that share a cache object).
-func (c *Cache) Flush() {
-	for i := range c.tags {
-		c.tags[i] = invalidTag
-	}
-	clear(c.meta)
-	c.mshr.reset()
-	c.stamp = 0
 }

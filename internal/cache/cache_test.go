@@ -38,7 +38,6 @@ func TestConfigSizeBytes(t *testing.T) {
 
 func TestMissThenFillThenHit(t *testing.T) {
 	c := New(testConfig())
-	c.EnableStats(true)
 	a := mem.Addr(0x1000)
 	if hit, _ := c.Lookup(a, 100, true); hit {
 		t.Fatal("cold cache should miss")
@@ -92,7 +91,6 @@ func TestLRUEviction(t *testing.T) {
 
 func TestPrefetchAccounting(t *testing.T) {
 	c := New(testConfig())
-	c.EnableStats(true)
 	stride := mem.Addr(4 * mem.LineBytes)
 
 	// Useful: prefetched then demanded.
@@ -119,7 +117,6 @@ func TestPrefetchAccounting(t *testing.T) {
 
 func TestUsefulCountedOnce(t *testing.T) {
 	c := New(testConfig())
-	c.EnableStats(true)
 	c.Fill(0, 0, true)
 	c.Lookup(0, 1, true)
 	c.Lookup(0, 2, true)
@@ -130,7 +127,6 @@ func TestUsefulCountedOnce(t *testing.T) {
 
 func TestLatePrefetchCounted(t *testing.T) {
 	c := New(testConfig())
-	c.EnableStats(true)
 	c.Fill(0, 1000, true)             // in flight until cycle 1000
 	_, ready := c.Lookup(0, 10, true) // demand arrives early
 	if ready != 1000 {
@@ -143,7 +139,6 @@ func TestLatePrefetchCounted(t *testing.T) {
 
 func TestInvalidate(t *testing.T) {
 	c := New(testConfig())
-	c.EnableStats(true)
 	c.Fill(0, 0, true)
 	if !c.Invalidate(0) {
 		t.Fatal("invalidate should find the line")
@@ -225,29 +220,6 @@ func TestInFlightMerge(t *testing.T) {
 	}
 	if _, ok := c.InFlight(64, 100); ok {
 		t.Error("other line should not be in flight")
-	}
-}
-
-func TestFlush(t *testing.T) {
-	c := New(testConfig())
-	c.Fill(0, 0, false)
-	c.ReserveMSHR(64, 0, 1000, true)
-	c.Flush()
-	if c.Contains(0) {
-		t.Error("flush should invalidate lines")
-	}
-	if _, ok := c.InFlight(64, 10); ok {
-		t.Error("flush should clear in-flight misses")
-	}
-}
-
-func TestWarmupStatsFrozen(t *testing.T) {
-	c := New(testConfig())
-	c.Lookup(0, 0, true)
-	c.Fill(0, 0, true)
-	c.Lookup(0, 1, true)
-	if s := c.Stats(); s != (Stats{}) {
-		t.Errorf("stats should be frozen before EnableStats, got %+v", s)
 	}
 }
 
@@ -403,13 +375,13 @@ func TestPrefetchTraceLateUse(t *testing.T) {
 	if events[1].FillCycle != 500 {
 		t.Errorf("FillCycle = %d, want 500", events[1].FillCycle)
 	}
-	// Consistency with the aggregate counter.
-	c.EnableStats(true)
+	// Consistency with the aggregate counter, which counts both late
+	// uses.
 	b := mem.Addr(0x4000)
 	c.Fill(b, 900, true)
 	c.Lookup(b, 200, true)
-	if s := c.Stats(); s.LatePrefetch != 1 {
-		t.Errorf("LatePrefetch = %d, want 1", s.LatePrefetch)
+	if s := c.Stats(); s.LatePrefetch != 2 {
+		t.Errorf("LatePrefetch = %d, want 2", s.LatePrefetch)
 	}
 	if last := events[len(events)-1]; last.Kind != PrefetchUsed || !last.Late {
 		t.Errorf("trace and Stats.LatePrefetch disagree: %+v", last)

@@ -157,10 +157,3 @@ func (m *mshrFile) earliest(now uint64) (uint64, bool) {
 	}
 	return best, found
 }
-
-// reset discards every entry.
-func (m *mshrFile) reset() {
-	m.n = 0
-	m.minDone = ^uint64(0)
-	m.sig = 0
-}

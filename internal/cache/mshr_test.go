@@ -57,10 +57,6 @@ func TestMSHRFileBasics(t *testing.T) {
 	if e, ok := m.earliest(60); !ok || e != 70 {
 		t.Fatalf("earliest = (%d, %v), want (70, true)", e, ok)
 	}
-	m.reset()
-	if got := m.prune(0); got != 0 {
-		t.Fatalf("reset left %d entries", got)
-	}
 }
 
 func TestMSHRFileCoalesce(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"pmp/internal/mem"
+	"pmp/internal/sms"
 )
 
 // Scheme selects the prefetch-pattern extraction strategy (paper §IV-B).
@@ -183,7 +184,17 @@ func (c Config) Validate() error {
 	if c.LowLevelDegree < 0 {
 		return fmt.Errorf("pmp: low-level degree must be >= 0, got %d", c.LowLevelDegree)
 	}
-	return nil
+	return c.smsConfig().Validate()
+}
+
+// smsConfig is the capture geometry New builds; the region size must
+// already be valid.
+func (c Config) smsConfig() sms.Config {
+	return sms.Config{
+		Region: mem.NewRegion(c.RegionBytes),
+		FTSets: c.FTSets, FTWays: c.FTWays,
+		ATSets: c.ATSets, ATWays: c.ATWays,
+	}
 }
 
 // StorageBreakdown itemizes the hardware budget like the paper's

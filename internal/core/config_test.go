@@ -31,6 +31,8 @@ func TestConfigValidateRejects(t *testing.T) {
 		func(c *Config) { c.Scheme = Scheme(9) },
 		func(c *Config) { c.Feature = FeatureMode(9) },
 		func(c *Config) { c.LowLevelDegree = -1 },
+		func(c *Config) { c.FTSets = 3 },
+		func(c *Config) { c.ATWays = 0 },
 	}
 	for i, m := range mutate {
 		c := DefaultConfig()

@@ -58,13 +58,23 @@ func (c DesignBConfig) Validate() error {
 	if c.Ways < 1 {
 		return fmt.Errorf("designb: ways must be >= 1, got %d", c.Ways)
 	}
-	if c.RegionBytes < 2*mem.LineBytes || c.RegionBytes&(c.RegionBytes-1) != 0 {
+	if c.RegionBytes < 2*mem.LineBytes || c.RegionBytes > mem.PageBytes || c.RegionBytes&(c.RegionBytes-1) != 0 {
 		return fmt.Errorf("designb: bad region size %d", c.RegionBytes)
 	}
 	if c.L2Threshold > c.L1Threshold {
 		return fmt.Errorf("designb: L2 threshold above L1 threshold")
 	}
-	return nil
+	return c.smsConfig().Validate()
+}
+
+// smsConfig is the capture geometry NewDesignB builds; the region size
+// must already be valid.
+func (c DesignBConfig) smsConfig() sms.Config {
+	return sms.Config{
+		Region: mem.NewRegion(c.RegionBytes),
+		FTSets: c.FTSets, FTWays: c.FTWays,
+		ATSets: c.ATSets, ATWays: c.ATWays,
+	}
 }
 
 type designBEntry struct {
@@ -80,7 +90,8 @@ func NewDesignB(cfg DesignBConfig) *DesignB {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	region := mem.NewRegion(cfg.RegionBytes)
+	fw := sms.New(cfg.smsConfig())
+	region := fw.Region()
 	n := region.Lines()
 	sets := make([][]designBEntry, n) // one set per trigger offset
 	for i := range sets {
@@ -90,14 +101,10 @@ func NewDesignB(cfg DesignBConfig) *DesignB {
 		cfg:    cfg,
 		name:   fmt.Sprintf("designb-%dw", cfg.Ways),
 		region: region,
-		fw: sms.New(sms.Config{
-			Region: region,
-			FTSets: cfg.FTSets, FTWays: cfg.FTWays,
-			ATSets: cfg.ATSets, ATWays: cfg.ATWays,
-		}),
-		pb:    newPrefetchBuffer(cfg.PBEntries, region),
-		sets:  sets,
-		final: make([]prefetch.Level, n),
+		fw:     fw,
+		pb:     newPrefetchBuffer(cfg.PBEntries, region),
+		sets:   sets,
+		final:  make([]prefetch.Level, n),
 	}
 }
 

@@ -25,6 +25,16 @@ func TestDesignBConfigValidate(t *testing.T) {
 	if err := c.Validate(); err == nil {
 		t.Error("bad region should be invalid")
 	}
+	c = DefaultDesignBConfig()
+	c.RegionBytes = 8192
+	if err := c.Validate(); err == nil {
+		t.Error("region larger than a page should be invalid")
+	}
+	c = DefaultDesignBConfig()
+	c.FTWays = 0
+	if err := c.Validate(); err == nil {
+		t.Error("zero FT ways should be invalid")
+	}
 }
 
 func TestDesignBLearnsIdenticalPatterns(t *testing.T) {

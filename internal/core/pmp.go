@@ -55,19 +55,16 @@ func New(cfg Config) *PMP {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	region := mem.NewRegion(cfg.RegionBytes)
+	fw := sms.New(cfg.smsConfig())
+	region := fw.Region()
 	n := cfg.PatternLen()
 
 	p := &PMP{
 		cfg:    cfg,
 		region: region,
-		fw: sms.New(sms.Config{
-			Region: region,
-			FTSets: cfg.FTSets, FTWays: cfg.FTWays,
-			ATSets: cfg.ATSets, ATWays: cfg.ATWays,
-		}),
-		ext: newExtractor(cfg),
-		pb:  newPrefetchBuffer(cfg.PBEntries, region),
+		fw:     fw,
+		ext:    newExtractor(cfg),
+		pb:     newPrefetchBuffer(cfg.PBEntries, region),
 		// crossRegion set below once the buffer exists.
 		optLevels: make([]prefetch.Level, n),
 		final:     make([]prefetch.Level, n),

@@ -48,9 +48,6 @@ func New(cfg Config) *Core {
 	return &Core{cfg: cfg, rob: make([]uint64, cfg.ROB)}
 }
 
-// Config returns the core configuration.
-func (c *Core) Config() Config { return c.cfg }
-
 // Cycle returns the current dispatch cycle.
 func (c *Core) Cycle() uint64 { return c.cycle }
 
@@ -137,9 +134,4 @@ func (c *Core) Drain() uint64 {
 	c.cycle = final
 	c.slot = 0
 	return final
-}
-
-// Reset returns the core to its initial state.
-func (c *Core) Reset() {
-	c.cycle, c.slot, c.head, c.size, c.dispatched = 0, 0, 0, 0, 0
 }

@@ -93,16 +93,6 @@ func TestDispatchedCount(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c := New(Config{Width: 4, ROB: 8})
-	c.DispatchNonLoads(100)
-	c.Drain()
-	c.Reset()
-	if c.Cycle() != 0 || c.Dispatched() != 0 {
-		t.Error("Reset should zero cycle and dispatch counters")
-	}
-}
-
 func TestDrainIdempotent(t *testing.T) {
 	c := New(Config{Width: 1, ROB: 4})
 	c.DispatchLoad(func(issue uint64) uint64 { return issue + 10 })

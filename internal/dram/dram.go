@@ -66,7 +66,6 @@ type DRAM struct {
 	demandFree []uint64 // per-channel next-free cycle as seen by demands
 	allFree    []uint64 // per-channel next-free cycle including prefetches
 	xfer       uint64
-	statsOn    bool
 	stats      Stats
 }
 
@@ -83,14 +82,8 @@ func New(cfg Config) *DRAM {
 	}
 }
 
-// Config returns the configuration.
-func (d *DRAM) Config() Config { return d.cfg }
-
 // Stats returns a snapshot of the counters.
 func (d *DRAM) Stats() Stats { return d.stats }
-
-// EnableStats switches traffic accounting on or off.
-func (d *DRAM) EnableStats(on bool) { d.statsOn = on }
 
 // ResetStats zeroes the counters.
 func (d *DRAM) ResetStats() { d.stats = Stats{} }
@@ -117,22 +110,12 @@ func (d *DRAM) Access(lineID uint64, now uint64, demand bool) uint64 {
 		start = max(now, d.allFree[ch], d.demandFree[ch])
 		d.allFree[ch] = start + d.xfer
 	}
-	if d.statsOn {
-		d.stats.Requests++
-		if demand {
-			d.stats.DemandRequests++
-		} else {
-			d.stats.PrefetchRequests++
-		}
-		d.stats.BusyCycles += d.xfer
+	d.stats.Requests++
+	if demand {
+		d.stats.DemandRequests++
+	} else {
+		d.stats.PrefetchRequests++
 	}
+	d.stats.BusyCycles += d.xfer
 	return start + d.xfer + d.cfg.LatencyCycles
-}
-
-// Reset clears channel occupancy (between runs).
-func (d *DRAM) Reset() {
-	for i := range d.demandFree {
-		d.demandFree[i] = 0
-		d.allFree[i] = 0
-	}
 }

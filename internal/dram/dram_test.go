@@ -69,8 +69,6 @@ func TestChannelsIndependent(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	d := New(cfg())
-	d.Access(0, 0, true) // warm-up access, stats off
-	d.EnableStats(true)
 	d.Access(1, 0, true)
 	d.Access(2, 0, false)
 	s := d.Stats()
@@ -83,15 +81,6 @@ func TestStats(t *testing.T) {
 	d.ResetStats()
 	if d.Stats() != (Stats{}) {
 		t.Error("ResetStats should zero counters")
-	}
-}
-
-func TestReset(t *testing.T) {
-	d := New(cfg())
-	d.Access(0, 0, true)
-	d.Reset()
-	if got := d.Access(0, 0, true); got != 90 {
-		t.Errorf("after Reset access completes at %d, want 90", got)
 	}
 }
 

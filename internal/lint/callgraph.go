@@ -102,12 +102,6 @@ type Program struct {
 
 	facts map[factKey]Fact
 
-	// singleUnit marks a Program built from one vet-tool unit: only one
-	// package's source is visible, so cross-package analyses degrade to
-	// intra-package scope and suppression-hygiene reporting is skipped
-	// (a directive may be "used" only via packages this unit can't see).
-	singleUnit bool
-
 	hotOnce   bool
 	hotInfo   map[*Func]hotPath
 	sinkOnce  bool

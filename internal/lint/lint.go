@@ -14,8 +14,7 @@
 // every loaded package with an intra-module call graph and a
 // per-function fact store, which the cross-package analyzers
 // (hotalloc, determinism) build on. Analyzers are compiled into
-// cmd/pmplint, which runs standalone over package patterns and also
-// speaks the `go vet -vettool` protocol.
+// cmd/pmplint, which runs over package patterns.
 //
 // See docs/linting.md for what each analyzer checks and why the
 // invariant matters for the paper's hardware model.
@@ -125,15 +124,11 @@ func ByName(names []string) ([]*Analyzer, error) {
 
 // Run builds the whole-program view for the packages, applies every
 // analyzer, checks suppression hygiene, and returns the combined
-// findings in a deterministic total order.
+// findings in a deterministic total order. Packages run in dependency
+// order so bottom-up fact computation in one pass is visible to later
+// ones.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return runProgram(NewProgram(pkgs), analyzers)
-}
-
-// runProgram is the shared engine behind Run (whole module) and
-// RunVetUnit (one vet unit). Packages run in dependency order so
-// bottom-up fact computation in one pass is visible to later ones.
-func runProgram(prog *Program, analyzers []*Analyzer) []Diagnostic {
+	prog := NewProgram(pkgs)
 	var diags []Diagnostic
 	for _, pkg := range prog.Pkgs {
 		for _, a := range analyzers {
@@ -141,9 +136,7 @@ func runProgram(prog *Program, analyzers []*Analyzer) []Diagnostic {
 			a.Run(pass)
 		}
 	}
-	if !prog.singleUnit {
-		reportUnusedDirectives(prog, analyzers, &diags)
-	}
+	reportUnusedDirectives(prog, analyzers, &diags)
 	return sortDiagnostics(diags)
 }
 

@@ -82,16 +82,6 @@ func TestUnusedDirectivePartialRun(t *testing.T) {
 	}
 }
 
-// One vet unit sees one package: hygiene is skipped entirely, since a
-// directive may be used only via packages the unit cannot see.
-func TestUnusedDirectiveSingleUnit(t *testing.T) {
-	prog := NewProgram([]*Package{typecheckHygieneSrc(t)})
-	prog.singleUnit = true
-	if diags := runProgram(prog, Analyzers()); len(diags) != 0 {
-		t.Fatalf("singleUnit run should skip hygiene, got %v", diags)
-	}
-}
-
 // TestSortDiagnostics pins the canonical total order and duplicate
 // suppression.
 func TestSortDiagnostics(t *testing.T) {

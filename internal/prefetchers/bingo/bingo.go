@@ -49,18 +49,32 @@ func DefaultConfig() Config {
 
 // Validate reports a descriptive error for malformed configurations.
 func (c Config) Validate() error {
+	if c.RegionBytes < mem.LineBytes || c.RegionBytes > mem.PageBytes || c.RegionBytes&(c.RegionBytes-1) != 0 {
+		return errBadRegion
+	}
 	if c.PHTSets <= 0 || c.PHTSets&(c.PHTSets-1) != 0 {
 		return errBadSets
 	}
 	if c.PHTWays <= 0 {
 		return errBadWays
 	}
-	return nil
+	return c.smsConfig().Validate()
+}
+
+// smsConfig is the capture geometry New builds; the region size must
+// already be valid.
+func (c Config) smsConfig() sms.Config {
+	return sms.Config{
+		Region: mem.NewRegion(c.RegionBytes),
+		FTSets: c.FTSets, FTWays: c.FTWays,
+		ATSets: c.ATSets, ATWays: c.ATWays,
+	}
 }
 
 var (
-	errBadSets = configError("bingo: PHT sets must be a positive power of two")
-	errBadWays = configError("bingo: PHT ways must be positive")
+	errBadRegion = configError("bingo: region bytes must be a power of two in [64, 4096]")
+	errBadSets   = configError("bingo: PHT sets must be a positive power of two")
+	errBadWays   = configError("bingo: PHT ways must be positive")
 )
 
 type configError string
@@ -89,17 +103,14 @@ func New(cfg Config) *Prefetcher {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	region := mem.NewRegion(cfg.RegionBytes)
+	fw := sms.New(cfg.smsConfig())
+	region := fw.Region()
 	p := &Prefetcher{
 		cfg:    cfg,
 		region: region,
-		fw: sms.New(sms.Config{
-			Region: region,
-			FTSets: cfg.FTSets, FTWays: cfg.FTWays,
-			ATSets: cfg.ATSets, ATWays: cfg.ATWays,
-		}),
-		pht: make([]phtEntry, cfg.PHTSets*cfg.PHTWays),
-		q:   prefetch.NewOutQueue(2 * region.Lines()),
+		fw:     fw,
+		pht:    make([]phtEntry, cfg.PHTSets*cfg.PHTWays),
+		q:      prefetch.NewOutQueue(2 * region.Lines()),
 	}
 	return p
 }

@@ -113,6 +113,16 @@ func TestBingoConfigValidate(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Error("zero ways accepted")
 	}
+	cfg = DefaultConfig()
+	cfg.RegionBytes = 8192
+	if err := cfg.Validate(); err == nil {
+		t.Error("region larger than a page accepted")
+	}
+	cfg = DefaultConfig()
+	cfg.ATSets = 3
+	if err := cfg.Validate(); err == nil {
+		t.Error("non-power-of-two AT sets accepted")
+	}
 }
 
 func TestBingoInterface(t *testing.T) {

@@ -40,8 +40,9 @@ type VariantSpec struct {
 	Bingo    *bingo.Config       `json:"bingo,omitempty"`
 }
 
-// Validate reports the first structural error: a missing name, or a
-// variant that sets zero or several constructions.
+// Validate reports the first error: a missing name, a variant that
+// sets zero or several constructions, or a typed configuration its
+// family's constructor would reject.
 func (v VariantSpec) Validate() error {
 	if v.Name == "" {
 		return fmt.Errorf("runspec: variant has no name")
@@ -61,6 +62,18 @@ func (v VariantSpec) Validate() error {
 	}
 	if n != 1 {
 		return fmt.Errorf("runspec: variant %q must set exactly one of registry/pmp/designb/bingo, has %d", v.Name, n)
+	}
+	var err error
+	switch {
+	case v.PMP != nil:
+		err = v.PMP.Validate()
+	case v.DesignB != nil:
+		err = v.DesignB.Validate()
+	case v.Bingo != nil:
+		err = v.Bingo.Validate()
+	}
+	if err != nil {
+		return fmt.Errorf("runspec: variant %q: %w", v.Name, err)
 	}
 	return nil
 }

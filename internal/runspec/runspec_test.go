@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pmp/internal/core"
+	"pmp/internal/prefetchers/bingo"
 	"pmp/internal/sim"
 )
 
@@ -66,6 +67,20 @@ func TestRunSpecValidate(t *testing.T) {
 		}},
 		{"zero records", func(rs *RunSpec) { rs.Records = 0 }},
 		{"replay unbounded", func(rs *RunSpec) { rs.Replay = true; rs.Config.Measure = 0 }},
+		// Each of these would panic inside the job if it got that far.
+		{"negative L1D PQ size", func(rs *RunSpec) { rs.Config.L1D.PQSize = -1 }},
+		{"PMP trigger bits 0", func(rs *RunSpec) { rs.Cores[0].Variant.PMP.TriggerBits = 0 }},
+		{"PMP FT sets 3", func(rs *RunSpec) { rs.Cores[0].Variant.PMP.FTSets = 3 }},
+		{"Design B FT sets 3", func(rs *RunSpec) {
+			c := core.DefaultDesignBConfig()
+			c.FTSets = 3
+			rs.Cores[0].Variant = VariantSpec{Name: "designb-8w", DesignB: &c}
+		}},
+		{"Bingo FT sets 3", func(rs *RunSpec) {
+			c := bingo.DefaultConfig()
+			c.FTSets = 3
+			rs.Placements = []Placement{{Level: 2, Variant: VariantSpec{Name: "bingo@llc", Bingo: &c}}}
+		}},
 	}
 	for _, tc := range cases {
 		rs := validSpec()

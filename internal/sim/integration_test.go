@@ -59,6 +59,41 @@ func TestPrefetchFeedbackDelivered(t *testing.T) {
 	}
 }
 
+// TestSharedLevelFeedbackGoesToLastCore pins the OnFill routing: a
+// private level reports to its own core's prefetcher, a shared level
+// to the last core's prefetcher only, whichever core issued or used
+// the line.
+func TestSharedLevelFeedbackGoesToLastCore(t *testing.T) {
+	rec0, rec1 := &recorder{}, &recorder{}
+	m := NewMachineAt(quickConfig(), []prefetch.Prefetcher{rec0, rec1}, nil, false)
+	llcLine := mem.Addr(0x100000)
+	l1Line := mem.Addr(0x300000)
+	rec0.reqs = []prefetch.Request{
+		{Addr: llcLine, Level: prefetch.LevelLLC},
+		{Addr: l1Line, Level: prefetch.LevelL1},
+	}
+	c0 := m.Core(0)
+	c0.demandAccess(1, 0x200000, 0)
+	if !c0.CacheAt(2).Contains(llcLine) || !c0.CacheAt(0).Contains(l1Line) {
+		t.Fatal("setup: core 0 should have prefetched both lines")
+	}
+	c0.demandAccess(1, llcLine, 10_000)
+	c0.demandAccess(1, l1Line, 20_000)
+
+	if useful, ok := rec1.fills[llcLine]; !ok || !useful {
+		t.Errorf("LLC use: core 1 feedback (useful=%v, delivered=%v), want useful", useful, ok)
+	}
+	if _, ok := rec0.fills[llcLine]; ok {
+		t.Error("LLC use reached core 0, want the last core only")
+	}
+	if useful, ok := rec0.fills[l1Line]; !ok || !useful {
+		t.Errorf("L1D use: core 0 feedback (useful=%v, delivered=%v), want useful", useful, ok)
+	}
+	if _, ok := rec1.fills[l1Line]; ok {
+		t.Error("L1D use reached core 1, want its own core only")
+	}
+}
+
 // TestInclusionMaintained checks that LLC evictions back-invalidate the
 // upper levels: after a run, no L1D-resident line may be missing from
 // the LLC.

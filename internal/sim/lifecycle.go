@@ -154,31 +154,6 @@ type LifecycleSnapshot struct {
 	Open       uint64            // issued but unresolved at snapshot time
 }
 
-// AggregateLifecycle sums snapshots (e.g. per-core multicore results)
-// into one combined view labelled "all". Region aggregates merge by
-// region base; Open counts add.
-func AggregateLifecycle(snaps []LifecycleSnapshot) LifecycleSnapshot {
-	out := LifecycleSnapshot{Prefetcher: "all"}
-	regions := map[mem.Addr]*LifecycleStats{}
-	for _, sn := range snaps {
-		out.Total.add(sn.Total)
-		for lv := range sn.PerLevel {
-			out.PerLevel[lv].add(sn.PerLevel[lv])
-		}
-		out.Open += sn.Open
-		for _, r := range sn.Regions {
-			st := regions[r.Region]
-			if st == nil {
-				st = &LifecycleStats{}
-				regions[r.Region] = st
-			}
-			st.add(r.Stats)
-		}
-	}
-	out.Regions = sortedRegions(regions)
-	return out
-}
-
 func sortedRegions(regions map[mem.Addr]*LifecycleStats) []RegionLifecycle {
 	out := make([]RegionLifecycle, 0, len(regions))
 	for base, st := range regions {
@@ -272,30 +247,28 @@ func (t *lifecycleTracker) redundant(src string, level prefetch.Level, line mem.
 	t.emit(src, level, line, lifecycleRecord{src: src, issue: now}, LifecycleRedundant, 0)
 }
 
-// cacheHook returns the cache.PrefetchTrace callback for one level.
-func (t *lifecycleTracker) cacheHook(level prefetch.Level) func(cache.PrefetchEvent) {
-	return func(ev cache.PrefetchEvent) {
-		key := lifecycleKey{level, ev.Line}
-		rec, ok := t.open[key]
-		if !ok {
-			// Untracked: an inclusive fill below the request's target
-			// level, or a lifecycle discarded at a stats reset.
-			return
+// cacheEvent applies one prefetch event from the cache at level.
+func (t *lifecycleTracker) cacheEvent(level prefetch.Level, ev cache.PrefetchEvent) {
+	key := lifecycleKey{level, ev.Line}
+	rec, ok := t.open[key]
+	if !ok {
+		// Untracked: an inclusive fill below the request's target
+		// level, or a lifecycle discarded at a stats reset.
+		return
+	}
+	switch ev.Kind {
+	case cache.PrefetchFilled:
+		rec.fill, rec.filled = ev.Cycle, true
+		t.open[key] = rec
+	case cache.PrefetchUsed:
+		rec.fill, rec.filled = ev.FillCycle, true
+		class := LifecycleTimely
+		if ev.Late {
+			class = LifecycleLate
 		}
-		switch ev.Kind {
-		case cache.PrefetchFilled:
-			rec.fill, rec.filled = ev.Cycle, true
-			t.open[key] = rec
-		case cache.PrefetchUsed:
-			rec.fill, rec.filled = ev.FillCycle, true
-			class := LifecycleTimely
-			if ev.Late {
-				class = LifecycleLate
-			}
-			t.resolve(key, rec, class, ev.Cycle)
-		case cache.PrefetchDead:
-			t.resolve(key, rec, LifecycleUseless, ev.Cycle)
-		}
+		t.resolve(key, rec, class, ev.Cycle)
+	case cache.PrefetchDead:
+		t.resolve(key, rec, LifecycleUseless, ev.Cycle)
 	}
 }
 

@@ -53,6 +53,9 @@ type Core struct {
 	levels []level
 
 	pfStats PrefetchIssueStats
+	// statsOn is the core's measurement window, open from its warm-up
+	// boundary: PF.Issued and lifecycle issue records count only
+	// inside it.
 	statsOn bool
 
 	// lt, when non-nil, tracks every prefetch request from issue to
@@ -140,10 +143,42 @@ func newMachine(cfg Config, prefetchers []prefetch.Prefetcher) *Machine {
 			}
 		}
 		c.issueBuf = make([]prefetch.Request, 0, max(specs[0].Cache.PQSize, 1))
-		c.wireFeedback()
 		m.cores = append(m.cores, c)
 	}
+	for j, cc := range m.shared {
+		pfLevel := pfLevelFor(j, len(specs))
+		if cc != nil {
+			cc.PrefetchTrace = prefetchEventHook(m.cores, pfLevel)
+			continue
+		}
+		for i, c := range m.cores {
+			c.levels[j].cache.PrefetchTrace = prefetchEventHook(m.cores[i:i+1], pfLevel)
+		}
+	}
 	return m
+}
+
+// prefetchEventHook builds the one prefetch-event hook of a cache
+// object at pfLevel seen by the cores cs: the owning core of a
+// private level, every core for a shared one. When tracing is on,
+// each event reaches every one of those cores' lifecycle trackers;
+// each tracker resolves only the requests it issued, so per-core
+// snapshots stay attributable. Uses and deaths then reach the OnFill
+// of the last core in cs (SPP+PPF, Pythia and DSPatch learn from
+// them): the owner of a private level, but the machine's last core
+// for a shared one, whichever core issued the line.
+func prefetchEventHook(cs []*Core, pfLevel prefetch.Level) func(cache.PrefetchEvent) {
+	fb := cs[len(cs)-1].pf
+	return func(ev cache.PrefetchEvent) {
+		if cs[0].lt != nil { // tracing covers every core or none
+			for _, c := range cs {
+				c.lt.cacheEvent(pfLevel, ev)
+			}
+		}
+		if ev.Kind != cache.PrefetchFilled {
+			fb.OnFill(ev.Line, pfLevel, ev.Kind == cache.PrefetchUsed)
+		}
+	}
 }
 
 // pfLevelFor maps a hierarchy index to the prefetch.Level label used
@@ -213,27 +248,12 @@ func (c *Core) attachPrefetcher(idx int, pf prefetch.Prefetcher) {
 	lv.attachBuf = make([]prefetch.Request, 0, max(lv.pqSize, 1))
 }
 
-// wireFeedback routes prefetched-line outcomes back to the core's
-// prefetcher (SPP+PPF and Pythia learn from them). Every core wires
-// every level, so on shared caches the last core's hook wins — the
-// behaviour the 4-core system has always had.
-func (c *Core) wireFeedback() {
-	for j := range c.levels {
-		lv := &c.levels[j]
-		pfLevel := lv.pfLevel
-		lv.cache.PrefetchOutcome = func(line mem.Addr, useful bool) {
-			c.pf.OnFill(line, pfLevel, useful)
-		}
-	}
-}
-
 // EnableLifecycleTracing turns on per-request prefetch lifecycle
 // tracking on every core: each prefetch is followed from issue through
 // fill to its first demand use (or untouched death) and classified as
 // timely, late, useless or redundant, aggregated per prefetcher, per
 // cache level and per 4KB region. Shared levels fan their lifecycle
-// events out to every core's tracker; each tracker resolves only the
-// requests it issued, so per-core snapshots stay attributable. When
+// events out to every core's tracker (see prefetchEventHook). When
 // two cores race a prefetch for the same shared line, both lifecycles
 // resolve on the same event — a small over-count that keeps the
 // trackers independent. The optional sink receives one LifecycleEvent
@@ -243,59 +263,10 @@ func (c *Core) wireFeedback() {
 func (m *Machine) EnableLifecycleTracing(sink func(LifecycleEvent)) {
 	for _, c := range m.cores {
 		c.lt = newLifecycleTracker(sink)
-		for j := range c.levels {
-			if c.levels[j].shared {
-				continue
-			}
-			c.levels[j].cache.PrefetchTrace = c.lt.cacheHook(c.levels[j].pfLevel)
-		}
 	}
-	for j, cc := range m.shared {
-		if cc == nil {
-			continue
-		}
-		pfLevel := pfLevelFor(j, len(m.specs))
-		hooks := make([]func(cache.PrefetchEvent), len(m.cores))
-		for i, c := range m.cores {
-			hooks[i] = c.lt.cacheHook(pfLevel)
-		}
-		cc.PrefetchTrace = func(ev cache.PrefetchEvent) {
-			for _, h := range hooks {
-				h(ev)
-			}
-		}
-	}
-}
-
-// LifecycleSnapshots returns the core's current per-prefetcher
-// lifecycle aggregates (nil when tracing is off). Run also stores
-// them in the core's Result.
-func (c *Core) LifecycleSnapshots() []LifecycleSnapshot {
-	if c.lt == nil {
-		return nil
-	}
-	return c.lt.snapshots()
 }
 
 // --- statistics windows ---
-
-// enableStats switches demand/traffic accounting on every structure.
-func (m *Machine) enableStats(on bool) {
-	for _, c := range m.cores {
-		for j := range c.levels {
-			if !c.levels[j].shared {
-				c.levels[j].cache.EnableStats(on)
-			}
-		}
-		c.dtlb.EnableStats(on)
-	}
-	for _, cc := range m.shared {
-		if cc != nil {
-			cc.EnableStats(on)
-		}
-	}
-	m.mem.EnableStats(on)
-}
 
 // resetPrivateStats zeroes one core's private-structure counters (its
 // warm-up boundary). Shared levels reset once, via resetSharedStats,
@@ -339,11 +310,11 @@ type coreState struct {
 // the measurement window; measurement then covers cfg.Measure
 // instructions (or the rest of the trace if 0).
 //
-// Statistics are enabled from cycle 0 and reset at each core's
-// warm-up boundary (shared structures when the last core warms), so a
-// trace that ends before cfg.Warmup still yields a Result whose
-// cache/DRAM/TLB statistics cover the whole run instead of reading
-// all-zero.
+// Cache, DRAM and TLB statistics count from cycle 0 and reset at each
+// core's warm-up boundary (shared structures when the last core
+// warms), so a trace that ends before cfg.Warmup still yields a Result
+// whose cache/DRAM/TLB statistics cover the whole run instead of
+// reading all-zero.
 //
 // With trace replay enabled (NewMachineAt's replay argument), traces
 // that end before a core finishes its measurement window are replayed
@@ -365,12 +336,6 @@ func (m *Machine) Run(traces []trace.Source) []Result {
 		src.Reset()
 		states[i] = coreState{src: src}
 	}
-	m.enableStats(true)
-	for _, c := range m.cores {
-		c.statsOn = false
-		c.resetPrivateStats()
-	}
-	m.resetSharedStats()
 	warmed := 0
 
 	for {

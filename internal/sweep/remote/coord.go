@@ -505,8 +505,8 @@ func (c *Coordinator) Handler() http.Handler {
 		if !decode(w, r, &req) {
 			return
 		}
-		// Structural validation only: the coordinator vets that every
-		// spec describes a well-formed run (cores, placements within the
+		// The coordinator vets that every spec describes a well-formed
+		// run (cores, variant configurations, placements within the
 		// hierarchy, records, config) without constructing designs or
 		// resolving traces — that stays on the workers.
 		for _, spec := range req.Jobs {

@@ -6,12 +6,15 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"pmp/internal/core"
 	"pmp/internal/runspec"
 	"pmp/internal/sim"
 	"pmp/internal/sweep"
@@ -319,6 +322,26 @@ func TestUnbuildableJobIsQuarantined(t *testing.T) {
 	}
 }
 
+// A spec whose variant would panic inside the job (a PMP with no
+// trigger bits) is refused at /submit with 400, and nothing from its
+// batch is queued.
+func TestSubmitRejectsInvalidVariant(t *testing.T) {
+	coord, srv, _ := serveCoordinator(t, CoordinatorOptions{})
+	specs := e2eSpecs(3)
+	cfg := core.DefaultConfig()
+	cfg.TriggerBits = 0
+	specs[1].Run.Cores[0].Variant = runspec.VariantSpec{Name: "pmp-tw0", PMP: &cfg}
+
+	_, err := NewClient(srv.URL).Submit(context.Background(), specs)
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+		t.Fatalf("submit of an invalid variant: err %v, want a 400 StatusError", err)
+	}
+	if st := coord.Status(); st.Submitted != 0 || st.Pending != 0 {
+		t.Errorf("status after a rejected submit = %+v, want nothing queued", st)
+	}
+}
+
 // A worker surviving a coordinator restart re-registers and keeps
 // working against the replacement (resumed from the same store).
 func TestWorkerReregistersAfterCoordinatorRestart(t *testing.T) {
@@ -328,7 +351,13 @@ func TestWorkerReregistersAfterCoordinatorRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	c1 := NewCoordinator(CoordinatorOptions{Store: store, LeaseMax: 2})
-	srv := httptest.NewServer(c1.Handler())
+	// The restart swaps the coordinator while the listener keeps
+	// serving, so the handler is read atomically per request.
+	var current atomic.Value
+	current.Store(c1.Handler())
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		current.Load().(http.Handler).ServeHTTP(w, r)
+	}))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -368,7 +397,7 @@ func TestWorkerReregistersAfterCoordinatorRestart(t *testing.T) {
 	}
 	defer store.Close()
 	c2 := NewCoordinator(CoordinatorOptions{Store: store, LeaseMax: 2})
-	srv.Config.Handler = c2.Handler()
+	current.Store(c2.Handler())
 
 	resp, err := cl.Submit(ctx, specs)
 	if err != nil {

@@ -81,10 +81,9 @@ func (l *level) insert(page uint64) {
 
 // TLB is the two-level structure. Construct with New.
 type TLB struct {
-	cfg     Config
-	l1, l2  *level
-	statsOn bool
-	stats   Stats
+	cfg    Config
+	l1, l2 *level
+	stats  Stats
 }
 
 // New constructs a TLB; it panics on invalid configuration.
@@ -95,14 +94,8 @@ func New(cfg Config) *TLB {
 	return &TLB{cfg: cfg, l1: newLevel(cfg.L1Entries), l2: newLevel(cfg.L2Entries)}
 }
 
-// Config returns the configuration.
-func (t *TLB) Config() Config { return t.cfg }
-
 // Stats returns a snapshot of the counters.
 func (t *TLB) Stats() Stats { return t.stats }
-
-// EnableStats switches accounting on or off (off during warm-up).
-func (t *TLB) EnableStats(on bool) { t.statsOn = on }
 
 // ResetStats zeroes the counters.
 func (t *TLB) ResetStats() { t.stats = Stats{} }
@@ -113,33 +106,17 @@ func (t *TLB) ResetStats() { t.stats = Stats{} }
 // the way out.
 func (t *TLB) Translate(addr mem.Addr) uint64 {
 	page := addr.PageID()
-	if t.statsOn {
-		t.stats.Accesses++
-	}
+	t.stats.Accesses++
 	if t.l1.lookup(page) {
 		return 0
 	}
-	if t.statsOn {
-		t.stats.L1Misses++
-	}
+	t.stats.L1Misses++
 	if t.l2.lookup(page) {
 		t.l1.insert(page)
 		return t.cfg.L2Latency
 	}
-	if t.statsOn {
-		t.stats.L2Misses++
-	}
+	t.stats.L2Misses++
 	t.l2.insert(page)
 	t.l1.insert(page)
 	return t.cfg.L2Latency + t.cfg.WalkCost
-}
-
-// Flush invalidates all translations.
-func (t *TLB) Flush() {
-	for i := range t.l1.tags {
-		t.l1.tags[i] = ^uint64(0)
-	}
-	for i := range t.l2.tags {
-		t.l2.tags[i] = ^uint64(0)
-	}
 }

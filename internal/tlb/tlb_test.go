@@ -26,7 +26,6 @@ func TestConfigValidate(t *testing.T) {
 
 func TestColdMissThenHit(t *testing.T) {
 	tl := New(DefaultConfig())
-	tl.EnableStats(true)
 	a := addrOfPage(42)
 	if lat := tl.Translate(a); lat != 68 { // L2Latency + WalkCost
 		t.Errorf("cold translate latency = %d, want 68", lat)
@@ -44,7 +43,6 @@ func TestL2HitPath(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.L1Entries = 2 // tiny DTLB so entries fall out fast
 	tl := New(cfg)
-	tl.EnableStats(true)
 	// Touch enough pages to displace page 0 from the DTLB but not the
 	// L2 TLB.
 	tl.Translate(addrOfPage(0))
@@ -67,18 +65,8 @@ func TestSameLineSamePage(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	tl := New(DefaultConfig())
-	tl.Translate(addrOfPage(3))
-	tl.Flush()
-	if lat := tl.Translate(addrOfPage(3)); lat == 0 {
-		t.Error("flush should force a walk")
-	}
-}
-
 func TestHugeFootprintWalks(t *testing.T) {
 	tl := New(DefaultConfig())
-	tl.EnableStats(true)
 	// A footprint far beyond 1536 pages must keep walking.
 	for p := uint64(0); p < 20_000; p++ {
 		tl.Translate(addrOfPage(p))
@@ -86,13 +74,5 @@ func TestHugeFootprintWalks(t *testing.T) {
 	s := tl.Stats()
 	if s.L2Misses < 15_000 {
 		t.Errorf("only %d walks over a 20000-page cold footprint", s.L2Misses)
-	}
-}
-
-func TestStatsGatedByEnable(t *testing.T) {
-	tl := New(DefaultConfig())
-	tl.Translate(addrOfPage(1))
-	if tl.Stats() != (Stats{}) {
-		t.Error("stats should be frozen before EnableStats")
 	}
 }

@@ -76,6 +76,11 @@ func ReadManifest(path string) (*Manifest, error) {
 			return nil, fmt.Errorf("trace: manifest %s: duplicate trace name %q", path, e.Name)
 		}
 		seen[e.Name] = true
+		// Job identities key on the trace name, so it must not also
+		// name a built-in trace.
+		if _, ok := ByName(e.Name); ok {
+			return nil, fmt.Errorf("trace: manifest %s: trace %q shadows a built-in trace", path, e.Name)
+		}
 		if e.Path == "" {
 			return nil, fmt.Errorf("trace: manifest %s: trace %q has no path", path, e.Name)
 		}

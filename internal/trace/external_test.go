@@ -123,6 +123,12 @@ func TestManifestValidation(t *testing.T) {
 		{"dup name", Manifest{Version: ManifestVersion, Traces: []ExternalSpec{
 			{Name: "x", Path: "ext-a.pmpt"}, {Name: "x", Path: "ext-a.pmpt"},
 		}}, "duplicate"},
+		{"shadows suite", Manifest{Version: ManifestVersion, Traces: []ExternalSpec{
+			{Name: Suite()[0].Name, Path: "ext-a.pmpt"},
+		}}, "shadows a built-in"},
+		{"shadows extra", Manifest{Version: ManifestVersion, Traces: []ExternalSpec{
+			{Name: ExtraSpecs()[0].Name, Path: "ext-a.pmpt"},
+		}}, "shadows a built-in"},
 	}
 	for _, c := range cases {
 		path := writeManifest(t, t.TempDir(), c.m)

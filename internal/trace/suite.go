@@ -1,6 +1,9 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Family labels a benchmark family from the paper's Table VI.
 type Family string
@@ -142,6 +145,23 @@ func Suite() []Spec {
 		specs = append(specs, makeSpec(PARSEC, kMixed, 300+i))
 	}
 	return specs
+}
+
+// builtin indexes Suite and ExtraSpecs by name, built on first use.
+var builtin = sync.OnceValue(func() map[string]Spec {
+	idx := map[string]Spec{}
+	for _, sp := range append(Suite(), ExtraSpecs()...) {
+		idx[sp.Name] = sp
+	}
+	return idx
+})
+
+// ByName resolves a built-in trace by name: a Suite trace or one of the
+// ExtraSpecs generators. External traces are not built in; they travel
+// as files (Spec.File).
+func ByName(name string) (Spec, bool) {
+	sp, ok := builtin()[name]
+	return sp, ok
 }
 
 // Representative returns a reduced, family-balanced subset of the suite

@@ -284,3 +284,22 @@ func TestByClass(t *testing.T) {
 		t.Errorf("classes cover %d traces, want 125", total)
 	}
 }
+
+func TestByName(t *testing.T) {
+	all := append(Suite(), ExtraSpecs()...)
+	for _, want := range all {
+		got, ok := ByName(want.Name)
+		if !ok || got.Name != want.Name || got.Family != want.Family || got.Class != want.Class {
+			t.Errorf("ByName(%q) = (%s/%s/%s, %v), want %s/%s/%s",
+				want.Name, got.Name, got.Family, got.Class, ok, want.Name, want.Family, want.Class)
+		}
+	}
+	if len(builtin()) != len(all) {
+		t.Errorf("index holds %d names for %d built-in traces: names collide", len(builtin()), len(all))
+	}
+	for _, name := range []string{"", "no-such-trace", "ext-a"} {
+		if _, ok := ByName(name); ok {
+			t.Errorf("ByName(%q) resolved", name)
+		}
+	}
+}

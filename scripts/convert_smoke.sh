@@ -96,7 +96,7 @@ for _ in $(seq 1 50); do
   if curl -sf -X POST -d '{}' "http://$addr/status" >/dev/null 2>&1; then break; fi
   sleep 0.1
 done
-# The worker gets no -manifest: jobs must resolve via trace_file alone.
+# The worker has no manifest: jobs resolve via trace_file alone.
 "$tmp/pmpsweepd" -worker -connect "$addr" -name convert-smoke \
   >"$tmp/worker.log" 2>&1 &
 pids+=("$!")

@@ -5,8 +5,8 @@
 # For each trace URL this script downloads the compressed ChampSim
 # trace (skipping files already present), converts it to `.pmpt` with
 # `pmptrace convert`, and assembles `traces.json` — a verified
-# external-suite manifest that `pmpexperiments -manifest` and
-# `pmpsweepd -worker -manifest` consume directly.
+# external-suite manifest that `pmpexperiments -manifest` consumes
+# directly.
 #
 # Usage:
 #
