@@ -265,40 +265,29 @@ func defaultSweep() *sweep.Sweep {
 }
 
 // Runner executes suite runs by submitting one sweep job per (trace,
-// prefetcher, config) triple to a shared scheduler, with a
-// singleflight baseline cache so concurrent experiments that reuse
-// the same system configuration only simulate the baseline once per
-// trace. Runners are safe for concurrent use.
+// prefetcher, config) run spec to a shared scheduler. The scheduler
+// keys jobs by RunSpec.ID, so concurrent experiments that reuse a run
+// — most often the baseline of a shared system configuration —
+// simulate it once per trace. Runners are safe for concurrent use.
 //
-// A Runner built with NewRunnerRemote submits the same jobs as wire
-// specs to a pmpsweepd coordinator instead of the in-process pool;
-// everything downstream (dedup, baselines, table assembly) is
-// unchanged, and the results are byte-identical by the sweep's
-// determinism invariant.
+// A Runner built with NewRunnerRemote submits the same run specs to a
+// pmpsweepd coordinator instead of the in-process pool; everything
+// downstream (dedup, baselines, table assembly) is unchanged, and the
+// results are byte-identical by the sweep's determinism invariant.
 type Runner struct {
 	Scale Scale
 	specs []trace.Spec
-	// runJobs resolves a batch of jobs on the runner's scheduler and
-	// returns each job's per-core results, in order. A canceled sweep
-	// unwinds via a sweep.Interrupted panic, recovered at the
+	// runJobs resolves a batch of run specs on the runner's scheduler
+	// and returns each run's per-core results, in order. A canceled
+	// sweep unwinds via a sweep.Interrupted panic, recovered at the
 	// experiment driver.
-	runJobs func(jobs []remote.JobSpec) [][]sim.Result
-
-	mu   sync.Mutex
-	base map[string]*baseline // config fingerprint -> baseline singleflight
+	runJobs func(jobs []runspec.RunSpec) [][]sim.Result
 }
 
-// baseline is one singleflight slot of the baseline cache: the first
-// caller computes res inside once, every other caller blocks on it.
-type baseline struct {
-	once sync.Once
-	res  []sim.Result
-}
-
-// newRunner builds a Runner over the trace specs with its own baseline
-// cache, submitting to runJobs.
-func newRunner(scale Scale, specs []trace.Spec, runJobs func([]remote.JobSpec) [][]sim.Result) *Runner {
-	return &Runner{Scale: scale, specs: specs, runJobs: runJobs, base: map[string]*baseline{}}
+// newRunner builds a Runner over the trace specs, submitting to
+// runJobs.
+func newRunner(scale Scale, specs []trace.Spec, runJobs func([]runspec.RunSpec) [][]sim.Result) *Runner {
+	return &Runner{Scale: scale, specs: specs, runJobs: runJobs}
 }
 
 // NewRunner builds a Runner for the scale on the process-wide shared
@@ -312,14 +301,14 @@ func NewRunner(scale Scale) *Runner {
 // Each job is built through BuildRun; an unbuildable one is an
 // experiment's programming error, not a job failure, so it panics.
 func NewRunnerWith(scale Scale, sw *sweep.Sweep) *Runner {
-	return newRunner(scale, scale.Specs(), func(jobs []remote.JobSpec) [][]sim.Result {
+	return newRunner(scale, scale.Specs(), func(jobs []runspec.RunSpec) [][]sim.Result {
 		tickets := make([]*sweep.Ticket, len(jobs))
-		for i, j := range jobs {
-			run, err := BuildRun(j.Run)
+		for i, rs := range jobs {
+			run, err := BuildRun(rs)
 			if err != nil {
-				panic(fmt.Sprintf("bench: build %s: %v", j.Label, err))
+				panic(fmt.Sprintf("bench: build %s: %v", rs.Label(), err))
 			}
-			tickets[i] = sw.Submit(j.Job(run))
+			tickets[i] = sw.Submit(remote.Job(rs, run))
 		}
 		out := make([][]sim.Result, len(tickets))
 		for i, t := range tickets {
@@ -341,13 +330,13 @@ func NewRunnerWith(scale Scale, sw *sweep.Sweep) *Runner {
 // polling failure, unwinds experiments through the usual
 // sweep.Interrupted path.
 func NewRunnerRemote(ctx context.Context, scale Scale, rc *remote.Client) *Runner {
-	return newRunner(scale, scale.Specs(), func(jobs []remote.JobSpec) [][]sim.Result {
+	return newRunner(scale, scale.Specs(), func(jobs []runspec.RunSpec) [][]sim.Result {
 		if _, err := rc.Submit(ctx, jobs); err != nil {
 			panic(sweep.Interrupted{Err: err})
 		}
 		ids := make([]string, len(jobs))
-		for i, j := range jobs {
-			ids[i] = j.ID
+		for i, rs := range jobs {
+			ids[i] = rs.ID()
 		}
 		recs, err := rc.Wait(ctx, ids)
 		if err != nil {
@@ -364,65 +353,42 @@ func NewRunnerRemote(ctx context.Context, scale Scale, rc *remote.Client) *Runne
 // Specs returns the runner's trace subset.
 func (r *Runner) Specs() []trace.Spec { return r.specs }
 
-// jobSpec gives a run spec its sweep identity under a job name: the ID
-// hashes the name with the spec's trace key, record count and config
-// fingerprint — exactly the tuple legacy jobs used — so identical jobs
-// submitted by other experiments (or by pre-spec store files)
-// deduplicate against it.
-func jobSpec(name string, rs runspec.RunSpec) remote.JobSpec {
-	key := rs.TraceKey()
-	return remote.JobSpec{
-		ID:         sweep.JobID(name, key, rs.Records, rs.Config.Fingerprint()),
-		Label:      name + "/" + key,
-		Prefetcher: name,
-		Trace:      key,
-		Run:        rs,
-	}
-}
-
 // traceRef renders a trace spec as its wire reference.
 func traceRef(sp trace.Spec) runspec.TraceRef {
 	return runspec.TraceRef{Name: sp.Name, File: sp.File}
 }
 
 // suiteRun simulates every suite trace on a single core with the
-// variant (plus optional per-level placements) under the given job
-// name, returning one result per trace.
-func (r *Runner) suiteRun(name string, v VariantSpec, placements []runspec.Placement, cfg sim.Config) []sim.Result {
-	jobs := make([]remote.JobSpec, len(r.specs))
+// variant plus optional per-level placements: one run spec per trace,
+// named by the spec (runspec.RunSpec.Name). The caller fills Baseline.
+func (r *Runner) suiteRun(v VariantSpec, placements []runspec.Placement, cfg sim.Config) SuiteResult {
+	jobs := make([]runspec.RunSpec, len(r.specs))
 	for i, sp := range r.specs {
-		jobs[i] = jobSpec(name, runspec.RunSpec{
+		jobs[i] = runspec.RunSpec{
 			Cores:      []runspec.CoreSpec{{Trace: traceRef(sp), Variant: v}},
 			Placements: placements,
 			Records:    r.Scale.Records,
 			Config:     cfg,
-		})
+		}
 	}
-	sets := r.runJobs(jobs)
-	res := make([]sim.Result, len(sets))
-	for i, s := range sets {
-		res[i] = s[0]
+	res := SuiteResult{
+		Name:    runspec.RunSpec{Cores: []runspec.CoreSpec{{Variant: v}}, Placements: placements}.Name(),
+		Specs:   r.specs,
+		Results: make([]sim.Result, len(jobs)),
+	}
+	for i, s := range r.runJobs(jobs) {
+		res.Results[i] = s[0]
 	}
 	return res
 }
 
-// Baseline returns (computing if needed) the non-prefetching results
-// for the configuration. Baselines are sweep jobs under the name
-// "none", so a store-backed run persists them keyed by the config
-// fingerprint and a resumed run skips them like any other job.
+// Baseline returns the non-prefetching results for the configuration:
+// the suite under the registry design "none". Baselines are ordinary
+// sweep jobs, so concurrent callers share one simulation per trace
+// through the sweep's dedup table, and a store-backed run persists and
+// resumes them like any other job.
 func (r *Runner) Baseline(cfg sim.Config) []sim.Result {
-	key := cfg.Fingerprint()
-	r.mu.Lock()
-	b := r.base[key]
-	if b == nil {
-		b = &baseline{}
-		r.base[key] = b
-	}
-	r.mu.Unlock()
-	b.once.Do(func() {
-		b.res = r.suiteRun(NameNone, RegistryVariant(NameNone), nil, cfg)
-	})
-	return b.res
+	return r.suiteRun(RegistryVariant(NameNone), nil, cfg).Results
 }
 
 // Run simulates every suite trace with fresh instances of the named
@@ -434,21 +400,18 @@ func (r *Runner) Run(name string, cfg sim.Config) SuiteResult {
 
 // RunVariant simulates every suite trace with the variant spec.
 func (r *Runner) RunVariant(v VariantSpec, cfg sim.Config) SuiteResult {
-	return r.RunPlaced(v.Name, v, nil, cfg)
+	return r.RunPlaced(v, nil, cfg)
 }
 
 // RunPlaced simulates every suite trace with the core variant plus
-// extra per-level prefetcher placements, under an explicit job name
-// (placements are part of the run, not of any single variant, so the
-// caller names the combination — e.g. the §V-B "bingo@llc" row runs a
-// "none" core with the original Bingo placed at the LLC).
-func (r *Runner) RunPlaced(name string, v VariantSpec, placements []runspec.Placement, cfg sim.Config) SuiteResult {
-	return SuiteResult{
-		Name:     name,
-		Specs:    r.specs,
-		Baseline: r.Baseline(cfg),
-		Results:  r.suiteRun(name, v, placements, cfg),
-	}
+// extra per-level prefetcher placements (e.g. the §V-B row runs a
+// "none" core with the original Bingo placed at the LLC), alongside
+// the baseline of the same configuration.
+func (r *Runner) RunPlaced(v VariantSpec, placements []runspec.Placement, cfg sim.Config) SuiteResult {
+	base := r.Baseline(cfg)
+	res := r.suiteRun(v, placements, cfg)
+	res.Baseline = base
+	return res
 }
 
 // --- Table rendering ---

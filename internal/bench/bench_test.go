@@ -55,21 +55,6 @@ func TestNewPrefetcherUnknownPanics(t *testing.T) {
 	NewPrefetcher("bogus")
 }
 
-func TestRunnerBaselineCached(t *testing.T) {
-	r := NewRunner(tinyScale())
-	cfg := r.Scale.Config()
-	b1 := r.Baseline(cfg)
-	b2 := r.Baseline(cfg)
-	if &b1[0] != &b2[0] {
-		t.Error("baseline should be cached per configuration")
-	}
-	// A different configuration gets its own baseline.
-	b3 := r.Baseline(cfg.WithBandwidth(800))
-	if &b1[0] == &b3[0] {
-		t.Error("different config should not share the baseline")
-	}
-}
-
 func TestSuiteResultMetrics(t *testing.T) {
 	r := NewRunner(tinyScale())
 	cfg := r.Scale.Config()

@@ -5,8 +5,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
+	"pmp/internal/sim"
 	"pmp/internal/sweep"
 )
 
@@ -82,38 +84,41 @@ func TestResumeMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestBaselineSingleflightUnderConcurrency hammers Baseline from many
+// TestBaselineDedupUnderConcurrency hammers Baseline from many
 // goroutines (the pmpexperiments driver runs every experiment
-// concurrently against one Runner): all callers must get the same
-// slice and the baseline suite must be simulated exactly once per
-// config fingerprint. Run with -race this also guards the old
-// unsynchronized-map regression.
-func TestBaselineSingleflightUnderConcurrency(t *testing.T) {
+// concurrently against one Runner) on a private sweep. Callers get
+// equal results within a config and distinct ones across configs, and
+// the sweep's dedup table simulates each baseline suite exactly once
+// per config. Run with -race this also guards the submission path.
+func TestBaselineDedupUnderConcurrency(t *testing.T) {
 	scale := tinyScale()
-	r := NewRunner(scale)
-	cfgA := scale.Config()
-	cfgB := scale.Config().WithBandwidth(800)
+	sw := sweep.New(context.Background(), sweep.Options{Workers: 2})
+	defer sw.Close()
+	r := NewRunnerWith(scale, sw)
+	cfgs := []sim.Config{scale.Config(), scale.Config().WithBandwidth(800)}
 
 	const callers = 8
-	got := make(chan map[int]uintptr, callers)
-	for i := 0; i < callers; i++ {
+	got := make([][2][]sim.Result, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
 		go func() {
-			a := r.Baseline(cfgA)
-			b := r.Baseline(cfgB)
-			got <- map[int]uintptr{
-				0: reflect.ValueOf(a).Pointer(),
-				1: reflect.ValueOf(b).Pointer(),
+			defer wg.Done()
+			for c, cfg := range cfgs {
+				got[i][c] = r.Baseline(cfg)
 			}
 		}()
 	}
-	first := <-got
+	wg.Wait()
 	for i := 1; i < callers; i++ {
-		other := <-got
-		if other[0] != first[0] || other[1] != first[1] {
-			t.Fatal("concurrent Baseline callers received different slices for the same config")
+		if !reflect.DeepEqual(got[i], got[0]) {
+			t.Fatalf("caller %d received different baselines from caller 0", i)
 		}
 	}
-	if first[0] == first[1] {
+	if reflect.DeepEqual(got[0][0], got[0][1]) {
 		t.Error("different configs must have distinct baselines")
+	}
+	if n, want := sw.Snapshot().Completed, 2*len(r.Specs()); n != want {
+		t.Errorf("sweep simulated %d jobs, want %d: one per trace per config", n, want)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"pmp/internal/core"
 	"pmp/internal/runspec"
 	"pmp/internal/sim"
-	"pmp/internal/sweep/remote"
 	"pmp/internal/trace"
 )
 
@@ -508,17 +507,17 @@ func Fig12LLC(r *Runner) *Table {
 // cores, every core training a fresh instance of the variant, with
 // trace replay on (each trace wraps until every core's measurement
 // window completes).
-func mixJob(name string, v VariantSpec, specs []trace.Spec, n, records int, cfg sim.Config) remote.JobSpec {
+func mixJob(v VariantSpec, specs []trace.Spec, n, records int, cfg sim.Config) runspec.RunSpec {
 	cores := make([]runspec.CoreSpec, n)
 	for i := range cores {
 		cores[i] = runspec.CoreSpec{Trace: traceRef(specs[i%len(specs)]), Variant: v}
 	}
-	return jobSpec(name, runspec.RunSpec{
+	return runspec.RunSpec{
 		Cores:   cores,
 		Records: records,
 		Config:  cfg,
 		Replay:  true,
-	})
+	}
 }
 
 // coreNIPC returns the geomean per-core IPC ratio of one multicore run
@@ -587,14 +586,14 @@ func Fig13(r *Runner) *Table {
 
 	// One job per mix per prefetcher: homogeneous mixes first, then the
 	// heterogeneous ones, so res[i] aligns with base[i].
-	jobsFor := func(name string) []remote.JobSpec {
+	jobsFor := func(name string) []runspec.RunSpec {
 		v := RegistryVariant(name)
-		jobs := make([]remote.JobSpec, 0, len(homoSpecs)+len(mixes))
+		jobs := make([]runspec.RunSpec, 0, len(homoSpecs)+len(mixes))
 		for _, sp := range homoSpecs {
-			jobs = append(jobs, mixJob(name, v, []trace.Spec{sp}, 4, scale.Records, cfg))
+			jobs = append(jobs, mixJob(v, []trace.Spec{sp}, 4, scale.Records, cfg))
 		}
 		for _, mix := range mixes {
-			jobs = append(jobs, mixJob(name, v, mix, 4, scale.Records, cfg))
+			jobs = append(jobs, mixJob(v, mix, 4, scale.Records, cfg))
 		}
 		return jobs
 	}
@@ -685,9 +684,9 @@ func Placement(r *Runner) *Table {
 	// Original (non-doubled) Bingo: half the enhanced PHT, placed at
 	// the LLC of an otherwise prefetcher-less machine. The placement
 	// travels in the run spec, so remote workers reconstruct the same
-	// system shape; the job keeps its historical "bingo@llc" name so
-	// existing stores resolve it.
-	llcBingo := r.RunPlaced("bingo@llc", RegistryVariant(NameNone),
+	// system shape, and the run is labeled from the spec
+	// ("none+bingo@llc@L2").
+	llcBingo := r.RunPlaced(RegistryVariant(NameNone),
 		[]runspec.Placement{{Level: 2, Variant: BingoLLCVariant()}}, cfg)
 	t.AddRow("original Bingo at LLC", f3(llcBingo.NIPC()))
 

@@ -14,9 +14,8 @@ import (
 
 // WithSpecs returns a Runner over the given trace specs instead of the
 // scale's synthetic subset, sharing this runner's scheduler (local pool
-// or remote coordinator) and scale but with its own baseline cache —
-// baselines are per trace set. This is how an external manifest rides
-// the experiment harness: bench.External(r.WithSpecs(specs)).
+// or remote coordinator) and scale. This is how an external manifest
+// rides the experiment harness: bench.External(r.WithSpecs(specs)).
 func (r *Runner) WithSpecs(specs []trace.Spec) *Runner {
 	return newRunner(r.Scale, specs, r.runJobs)
 }

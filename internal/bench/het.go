@@ -7,7 +7,6 @@ import (
 	"pmp/internal/cache"
 	"pmp/internal/runspec"
 	"pmp/internal/sim"
-	"pmp/internal/sweep/remote"
 	"pmp/internal/trace"
 )
 
@@ -21,19 +20,18 @@ import (
 
 // hetStacks is the stacked-configuration lineup shared by HETS and
 // HETB: PMP and Bingo alone, then PMP at L1D with the original
-// (non-doubled) Bingo placed deeper. The combined names are job
-// identities; the placements travel in the run spec.
+// (non-doubled) Bingo placed deeper. The labels are table rows only;
+// the placements travel in the run spec, which is the job's identity.
 var hetStacks = []struct {
 	label string
-	name  string
 	core  VariantSpec
 	place []runspec.Placement
 }{
-	{"pmp @ L1D", NamePMP, RegistryVariant(NamePMP), nil},
-	{"bingo @ L1D", NameBingo, RegistryVariant(NameBingo), nil},
-	{"pmp @ L1D + bingo @ L2C", "pmp+bingo@l2",
+	{"pmp @ L1D", RegistryVariant(NamePMP), nil},
+	{"bingo @ L1D", RegistryVariant(NameBingo), nil},
+	{"pmp @ L1D + bingo @ L2C",
 		RegistryVariant(NamePMP), []runspec.Placement{{Level: 1, Variant: BingoLLCVariant()}}},
-	{"pmp @ L1D + bingo @ LLC", "pmp+bingo@llc",
+	{"pmp @ L1D + bingo @ LLC",
 		RegistryVariant(NamePMP), []runspec.Placement{{Level: 2, Variant: BingoLLCVariant()}}},
 }
 
@@ -51,7 +49,7 @@ func HETS(r *Runner) *Table {
 		Header: []string{"Configuration", "NIPC", "NMT"},
 	}
 	for _, s := range hetStacks {
-		res := sw.RunPlaced(s.name, s.core, s.place, cfg)
+		res := sw.RunPlaced(s.core, s.place, cfg)
 		t.AddRow(s.label, f3(res.NIPC()), pct(res.NMT()))
 	}
 	t.Notes = append(t.Notes,
@@ -99,11 +97,11 @@ func HETM(r *Runner) *Table {
 		mixes[i] = specs
 	}
 
-	jobsFor := func(name string) []remote.JobSpec {
+	jobsFor := func(name string) []runspec.RunSpec {
 		v := RegistryVariant(name)
-		jobs := make([]remote.JobSpec, len(mixes))
+		jobs := make([]runspec.RunSpec, len(mixes))
 		for i, mix := range mixes {
-			jobs[i] = mixJob(name, v, mix, 8, r.Scale.Records, cfg)
+			jobs[i] = mixJob(v, mix, 8, r.Scale.Records, cfg)
 		}
 		return jobs
 	}
@@ -174,7 +172,7 @@ func HETH(r *Runner) *Table {
 		h.mut(&cfg)
 		outer := cfg.HierarchyDepth() - 1
 		pmp := sw.Run(NamePMP, cfg)
-		stacked := sw.RunPlaced("pmp+bingo@outer", RegistryVariant(NamePMP),
+		stacked := sw.RunPlaced(RegistryVariant(NamePMP),
 			[]runspec.Placement{{Level: outer, Variant: BingoLLCVariant()}}, cfg)
 		t.AddRow(h.name, f3(pmp.NIPC()), f3(stacked.NIPC()))
 	}
@@ -199,7 +197,7 @@ func HETB(r *Runner) *Table {
 		row := []string{s.label}
 		for _, mtps := range rates {
 			cfg := sw.Scale.Config().WithBandwidth(mtps)
-			res := sw.RunPlaced(s.name, s.core, s.place, cfg)
+			res := sw.RunPlaced(s.core, s.place, cfg)
 			row = append(row, f3(res.NIPC()))
 		}
 		t.AddRow(row...)

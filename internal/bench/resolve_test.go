@@ -23,21 +23,23 @@ import (
 // for equality, not performance.
 var resolveScale = Scale{Traces: 1, Records: 12_000, Warmup: 3_000, Measure: 30_000}
 
-// sim.Config must survive the wire: a JSON round-trip preserves the
-// fingerprint that keys job identity, or remote job IDs would never
+// Every experiment config must survive the wire: a JSON round-trip of
+// the scale's config keeps the run's ID, or remote job IDs would never
 // match local ones.
-func TestConfigFingerprintSurvivesJSON(t *testing.T) {
-	cfg := QuickScale().Config()
-	b, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back sim.Config
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := back.Fingerprint(), cfg.Fingerprint(); got != want {
-		t.Errorf("fingerprint changed across JSON round-trip:\nbefore %s\nafter  %s", want, got)
+func TestConfigIDSurvivesJSON(t *testing.T) {
+	for _, cfg := range []sim.Config{QuickScale().Config(), DefaultScale().Config().WithLLCMB(8)} {
+		b, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back sim.Config
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatal(err)
+		}
+		v := RegistryVariant(NamePMP)
+		if got, want := singleSpec("t", v, nil, back).ID(), singleSpec("t", v, nil, cfg).ID(); got != want {
+			t.Errorf("ID changed across a JSON round-trip of the config: %s, want %s", got, want)
+		}
 	}
 }
 

@@ -73,8 +73,7 @@ func BuildRun(rs runspec.RunSpec) (func(context.Context) []sim.Result, error) {
 	for i, c := range rs.Cores {
 		if c.Trace.File != "" {
 			// Wire-shipped external trace: the spec carries the .pmpt
-			// path, so the worker needs no manifest. The name still keys
-			// job identity.
+			// path, so the worker needs no manifest.
 			specs[i] = trace.FileSpec(trace.ExternalSpec{Name: c.Trace.Name, Path: c.Trace.File})
 		} else {
 			sp, ok := trace.ByName(c.Trace.Name)

@@ -13,9 +13,10 @@ import (
 // VariantSpec is the declarative prefetcher-construction spec
 // (re-exported from internal/runspec, the wire vocabulary): a registry
 // name or a typed configuration for one of the parameterized families,
-// under the grammar name that keys sweep job identity. Experiments
-// build specs with the constructors below; ParseVariant maps a grammar
-// name back to the identical spec for the pmpsim -pf flag.
+// under the grammar name that labels it in tables and store records.
+// Experiments build specs with the constructors below; ParseVariant
+// maps a grammar name back to the identical spec for the pmpsim -pf
+// flag.
 type VariantSpec = runspec.VariantSpec
 
 // RegistryVariant names a stock design from the fixed registry.
@@ -66,9 +67,9 @@ var (
 	pmpFeatureModes = []core.FeatureMode{core.DualTables, core.Combined, core.OPTOnly, core.PPTOnly}
 )
 
-// pmpAblations is the ordered ablation lineup. The names are
-// sweep-visible job identities, so they are part of the variant
-// grammar.
+// pmpAblations is the ordered ablation lineup. The names label the
+// ABL rows and their store records, and ParseVariant accepts them as
+// variant grammar.
 var pmpAblations = []struct {
 	Name string
 	Mut  func(*core.Config)

@@ -154,10 +154,12 @@ func TestBuildVariantConstructsAll(t *testing.T) {
 	}
 }
 
-// Variant fingerprints must survive the wire: marshal → unmarshal →
-// identical fingerprint, since the coordinator dedups by the IDs
-// clients derive from these specs.
-func TestVariantFingerprintSurvivesJSON(t *testing.T) {
+// Every experiment variant must survive the wire: marshal → unmarshal
+// keeps the run's ID, since the coordinator keys jobs by the IDs of
+// the specs clients send. Distinct variants keep distinct IDs.
+func TestVariantIDSurvivesJSON(t *testing.T) {
+	cfg := QuickScale().Config()
+	seen := map[string]string{}
 	for _, v := range ExperimentVariants() {
 		b, err := json.Marshal(v)
 		if err != nil {
@@ -167,8 +169,13 @@ func TestVariantFingerprintSurvivesJSON(t *testing.T) {
 		if err := json.Unmarshal(b, &back); err != nil {
 			t.Fatal(err)
 		}
-		if back.Fingerprint() != v.Fingerprint() {
-			t.Errorf("%q: fingerprint changed across JSON round-trip", v.Name)
+		id := singleSpec("t", v, nil, cfg).ID()
+		if singleSpec("t", back, nil, cfg).ID() != id {
+			t.Errorf("%q: ID changed across JSON round-trip", v.Name)
 		}
+		if prev, ok := seen[id]; ok {
+			t.Errorf("%q and %q share ID %s", v.Name, prev, id)
+		}
+		seen[id] = v.Name
 	}
 }

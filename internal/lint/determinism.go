@@ -26,10 +26,9 @@ import (
 //
 // Rule 2: time.Now/time.Since and math/rand have no place in simulated
 // behavior: they are flagged anywhere in internal/sim and
-// internal/core, and inside internal/sweep's job-identity closure
-// (JobID / *Fingerprint* functions and everything they call), where
-// they would make job IDs differ across runs and silently defeat
-// resume.
+// internal/core, and inside the job-identity closure (RunSpec.ID in
+// internal/runspec and everything it calls), where they would make job
+// IDs differ across runs and silently defeat resume.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "flags range-over-map loops whose bodies reach a result sink (store writes, " +
@@ -241,9 +240,9 @@ func checkSimClock(pass *Pass) {
 }
 
 // checkIdentityClock flags wall-clock and randomness calls inside the
-// sweep job-identity closure: JobID / *Fingerprint* functions in
-// internal/sweep and everything they transitively call. A job ID that
-// differs across runs silently defeats resume — every job re-runs.
+// job-identity closure: RunSpec.ID in internal/runspec and everything
+// it transitively calls. A job ID that differs across runs silently
+// defeats resume — every job re-runs.
 func checkIdentityClock(pass *Pass) {
 	prog := pass.Prog
 	roots := identityRoots(prog)
@@ -291,16 +290,15 @@ func checkIdentityClock(pass *Pass) {
 	}
 }
 
-// identityRoots returns the job-identity functions: those declared in
-// an internal/sweep package named JobID or containing "Fingerprint".
+// identityRoots returns the job-identity functions: the ID method of
+// RunSpec in an internal/runspec package.
 func identityRoots(prog *Program) []*Func {
 	var roots []*Func
 	for _, fn := range prog.Functions() {
-		if fn.Pkg == nil || fn.Decl == nil || !strings.Contains(fn.Pkg.ImportPath, "internal/sweep") {
+		if fn.Pkg == nil || fn.Decl == nil || !strings.Contains(fn.Pkg.ImportPath, "internal/runspec") {
 			continue
 		}
-		name := fn.Decl.Name.Name
-		if name == "JobID" || strings.Contains(name, "Fingerprint") {
+		if strings.HasSuffix(fn.Key, ".RunSpec).ID") {
 			roots = append(roots, fn)
 		}
 	}

@@ -18,5 +18,5 @@ func TestDeterminismSimClock(t *testing.T) {
 }
 
 func TestDeterminismJobIdentity(t *testing.T) {
-	linttest.RunAt(t, lint.Determinism, "testdata/determinismsweep", "pmp/internal/sweep/fixture")
+	linttest.RunAt(t, lint.Determinism, "testdata/determinismrunspec", "pmp/internal/runspec/fixture")
 }

@@ -1,8 +1,8 @@
 // Fixtures for the determinism analyzer's job-identity rule. The test
 // harness type-checks this package under an import path containing
-// "internal/sweep"; wall-clock use is then forbidden inside the
-// identity closure (JobID and everything it calls) but fine elsewhere
-// (progress reporting legitimately reads the clock).
+// "internal/runspec"; wall-clock use is then forbidden inside the
+// identity closure (RunSpec.ID and everything it calls) but fine
+// elsewhere (progress reporting legitimately reads the clock).
 package fixture
 
 import (
@@ -10,9 +10,12 @@ import (
 	"time"
 )
 
-// JobID is an identity root by name.
-func JobID(name string) string {
-	return fmt.Sprintf("%s-%s", name, salt())
+// RunSpec stands in for the run description whose ID is job identity.
+type RunSpec struct{ Name string }
+
+// ID is the identity root.
+func (rs RunSpec) ID() string {
+	return fmt.Sprintf("%s-%s", rs.Name, salt())
 }
 
 // salt is inside the identity closure: flagged.

@@ -6,14 +6,16 @@
 // a run is *described* here and *constructed* exactly once, in
 // bench.BuildRun, no matter which scheduler executes it.
 //
+// A RunSpec is also the run's identity: ID hashes the whole spec, and
+// Name, Label and TraceKey render it for tables and store records.
+//
 // The package is a leaf: it depends only on the design-config packages
 // (core, bingo) and sim, never on bench or sweep, so the wire protocol
-// (internal/sweep/remote) can embed these types without an import
+// (internal/sweep/remote) can carry these types without an import
 // cycle.
 package runspec
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -27,11 +29,11 @@ import (
 // parameterized families (PMP, Design B, Bingo). Exactly one of the
 // four fields besides Name must be set.
 //
-// Name is the variant's wire identity — the same legacy grammar string
-// (`pmp-tw8`, `designb-32w`, `bingo@llc`, ablation literals, …) that
-// keyed job IDs before specs existed, so stores and -resume files
-// written by older builds keep resolving. The typed fields carry the
-// construction itself; nothing parses Name at run time.
+// Name labels the variant in tables, job labels and store records,
+// using the grammar of bench.ParseVariant (`pmp-tw8`, `designb-32w`,
+// `bingo@llc`, ablation literals, …). It is hashed into RunSpec.ID with
+// the rest of the spec, but the typed fields carry the construction
+// itself; nothing parses Name at run time.
 type VariantSpec struct {
 	Name     string              `json:"name"`
 	Registry string              `json:"registry,omitempty"`
@@ -78,18 +80,6 @@ func (v VariantSpec) Validate() error {
 	return nil
 }
 
-// Fingerprint returns the canonical JSON rendering of the variant.
-// Two variants with equal fingerprints construct identical
-// prefetchers; the round-trip tests pin that the legacy name grammar
-// and this rendering agree.
-func (v VariantSpec) Fingerprint() string {
-	b, err := json.Marshal(v)
-	if err != nil { // all fields are plain data; cannot fail
-		panic(err)
-	}
-	return string(b)
-}
-
 // TraceRef names one trace: a registered suite/external name, plus an
 // optional file path for wire-shipped traces with no registry entry on
 // the worker.
@@ -117,7 +107,8 @@ type Placement struct {
 // RunSpec describes one complete simulation run: N cores with their
 // traces and variants, optional per-level placements, the record count
 // per trace, and the full machine configuration. It is pure data —
-// JSON-stable, comparable, and constructible anywhere — and BuildRun
+// JSON-stable and constructible anywhere — and it is the job itself:
+// the distributed protocol ships it bare, ID keys it, and bench.BuildRun
 // turns it into an executable job identically on every scheduler.
 type RunSpec struct {
 	Cores      []CoreSpec  `json:"cores"`
@@ -165,9 +156,34 @@ func (rs RunSpec) Validate() error {
 	return rs.Config.Validate()
 }
 
-// TraceKey renders the run's trace identity for job IDs: the single
-// trace name for single-core runs (so legacy store records keep
-// matching), or a deterministic mix label for multicore runs.
+// Name renders the run's prefetchers for labels and store records: the
+// core variants' names, comma-separated with runs of one name collapsed
+// (so a homogeneous mix shows one name), then "+<name>@L<level>" for
+// each placement. An unplaced single-core run is its variant's name.
+func (rs RunSpec) Name() string {
+	var sb strings.Builder
+	for i, c := range rs.Cores {
+		if i > 0 && c.Variant.Name == rs.Cores[i-1].Variant.Name {
+			continue
+		}
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(c.Variant.Name)
+	}
+	for _, p := range rs.Placements {
+		fmt.Fprintf(&sb, "+%s@L%d", p.Variant.Name, p.Level)
+	}
+	return sb.String()
+}
+
+// Label is the run's human-readable form, Name()/TraceKey(), shown by
+// progress reporting and logs.
+func (rs RunSpec) Label() string { return rs.Name() + "/" + rs.TraceKey() }
+
+// TraceKey renders the run's traces for labels and store records: the
+// single trace name for single-core runs, or a deterministic mix label
+// for multicore runs.
 func (rs RunSpec) TraceKey() string {
 	if len(rs.Cores) == 1 {
 		return rs.Cores[0].Trace.Name

@@ -102,9 +102,29 @@ func TestTraceKey(t *testing.T) {
 	}
 }
 
+func TestNameAndLabel(t *testing.T) {
+	rs := validSpec()
+	if got := rs.Label(); got != "pmp/t0" {
+		t.Errorf("unplaced single-core Label = %q, want the variant and trace names", got)
+	}
+	rs.Placements = []Placement{{Level: 2, Variant: pmpVariant("bingo@llc")}}
+	if got := rs.Name(); got != "pmp+bingo@llc@L2" {
+		t.Errorf("placed Name = %q, want pmp+bingo@llc@L2", got)
+	}
+	rs.Placements = nil
+	rs.Cores = append(rs.Cores, rs.Cores[0])
+	if got := rs.Name(); got != "pmp" {
+		t.Errorf("homogeneous mix Name = %q, want one name", got)
+	}
+	rs.Cores = append(rs.Cores, CoreSpec{Trace: TraceRef{Name: "t1"}, Variant: pmpVariant("pmp-tw8")})
+	if got := rs.Name(); got != "pmp,pmp-tw8" {
+		t.Errorf("heterogeneous mix Name = %q, want pmp,pmp-tw8", got)
+	}
+}
+
 // The whole run spec must survive the wire with its identity intact:
-// deep-equal after a JSON round-trip, and the config fingerprint (a job
-// ID component) unchanged.
+// deep-equal after a JSON round-trip, with the same ID, so a worker and
+// the coordinator key a job exactly as its submitter did.
 func TestRunSpecSurvivesJSON(t *testing.T) {
 	rs := validSpec()
 	rs.Placements = []Placement{{Level: 2, Variant: pmpVariant("bingo@llc")}}
@@ -122,7 +142,7 @@ func TestRunSpecSurvivesJSON(t *testing.T) {
 	if !reflect.DeepEqual(back, rs) {
 		t.Errorf("run spec changed across JSON round-trip:\nbefore %+v\nafter  %+v", rs, back)
 	}
-	if back.Config.Fingerprint() != rs.Config.Fingerprint() {
-		t.Error("config fingerprint changed across JSON round-trip")
+	if back.ID() != rs.ID() {
+		t.Error("ID changed across JSON round-trip")
 	}
 }

@@ -101,15 +101,16 @@ func (c Config) hierarchy() []LevelSpec {
 	}
 }
 
-// Fingerprint returns a canonical string identifying the complete
-// configuration. Config is all value types (Levels renders
-// element-wise), so the rendered form covers every field — system
-// geometry, bandwidth, TLB, warm-up and measure windows. Baseline
-// caches and sweep job IDs key on it: any configuration change yields
-// a new fingerprint, so persisted results are never served to a
-// reconfigured run.
-func (c Config) Fingerprint() string {
-	return fmt.Sprintf("%+v", c)
+// Resolved returns the configuration with its hierarchy in Levels
+// form: the classic L1D/L2C/LLC/NonInclusiveLLC fields move into an
+// explicit Levels list and are cleared. The result simulates the same
+// machine, and two descriptions of one machine resolve equal, which is
+// why job identity (runspec.RunSpec.ID) hashes this form.
+func (c Config) Resolved() Config {
+	c.Levels = c.hierarchy()
+	c.L1D, c.L2C, c.LLC = cache.Config{}, cache.Config{}, cache.Config{}
+	c.NonInclusiveLLC = false
+	return c
 }
 
 // WithLLCMB returns the configuration with the LLC resized to the given

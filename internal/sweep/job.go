@@ -14,8 +14,6 @@ package sweep
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 
 	"pmp/internal/sim"
@@ -25,9 +23,10 @@ import (
 // jobs with the same ID are assumed interchangeable — the Sweep runs
 // whichever is submitted first and hands every later submitter the
 // same ticket — so the ID must capture everything the simulation
-// depends on (see JobID).
+// depends on. Simulation jobs take it from runspec.RunSpec.ID, which
+// hashes the whole run spec.
 type Job struct {
-	// ID is the deterministic identity of the work (JobID). Required.
+	// ID is the deterministic identity of the work. Required.
 	ID string
 	// Label is the human-readable form shown by progress reporting,
 	// e.g. "pmp/spec06.stream-0".
@@ -43,18 +42,6 @@ type Job struct {
 	// waiting regardless — but a cooperative Run can use it to stop
 	// early.
 	Run func(ctx context.Context) []sim.Result
-}
-
-// JobID hashes the coordinates of one simulation into a deterministic
-// identity: prefetcher name, trace spec name, per-trace record count
-// (the scale), and the canonical sim.Config fingerprint (which covers
-// warm-up and measure windows along with the whole system geometry).
-// Any change to any coordinate yields a new ID, so a results store
-// never serves stale results to a reconfigured run.
-func JobID(prefetcher, trace string, records int, cfgFingerprint string) string {
-	h := sha256.Sum256([]byte(fmt.Sprintf("v1|pf=%s|trace=%s|records=%d|cfg=%s",
-		prefetcher, trace, records, cfgFingerprint)))
-	return hex.EncodeToString(h[:8])
 }
 
 // PanicError wraps a panic recovered from a job attempt.

@@ -6,12 +6,13 @@ import (
 	"net/http"
 	"time"
 
+	"pmp/internal/runspec"
 	"pmp/internal/sweep"
 )
 
 // Client is the submitter side of the protocol, used by
-// cmd/pmpexperiments -remote: submit job specs to a running
-// coordinator, poll for their records. A Client is safe for
+// cmd/pmpexperiments -remote: submit run specs to a running
+// coordinator, poll for their records by RunSpec.ID. A Client is safe for
 // concurrent use (every experiment goroutine submits through one).
 type Client struct {
 	base string
@@ -37,10 +38,10 @@ func NewClient(addr string) *Client {
 	}
 }
 
-// Submit sends a batch of job specs. Submission is idempotent: IDs
+// Submit sends a batch of run specs. Submission is idempotent: IDs
 // the coordinator already knows are deduplicated, IDs resolved in its
 // store are served from it.
-func (c *Client) Submit(ctx context.Context, jobs []JobSpec) (SubmitResponse, error) {
+func (c *Client) Submit(ctx context.Context, jobs []runspec.RunSpec) (SubmitResponse, error) {
 	var resp SubmitResponse
 	err := postJSON(ctx, c.hc, c.base+PathSubmit, c.Token, SubmitRequest{Jobs: jobs}, &resp)
 	return resp, err

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"pmp/internal/runspec"
 	"pmp/internal/sweep"
 )
 
@@ -61,7 +62,7 @@ const (
 
 // coordJob is the coordinator's bookkeeping for one job.
 type coordJob struct {
-	spec     JobSpec
+	spec     runspec.RunSpec
 	state    int
 	workerID string
 	leaseID  string
@@ -164,7 +165,8 @@ func (c *Coordinator) register(req RegisterRequest) RegisterResponse {
 	return RegisterResponse{WorkerID: w.id, LeaseTTL: c.opts.LeaseTTL}
 }
 
-// submit queues new jobs, folding duplicates and serving store hits.
+// submit queues new jobs under their RunSpec.ID, folding duplicates and
+// serving store hits.
 func (c *Coordinator) submit(req SubmitRequest) SubmitResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -172,26 +174,24 @@ func (c *Coordinator) submit(req SubmitRequest) SubmitResponse {
 	c.lastClient = c.opts.Now()
 	var resp SubmitResponse
 	for _, spec := range req.Jobs {
-		if spec.ID == "" {
-			continue
-		}
-		if _, ok := c.jobs[spec.ID]; ok {
+		id := spec.ID()
+		if _, ok := c.jobs[id]; ok {
 			c.deduped++
 			resp.Deduped++
 			continue
 		}
 		j := &coordJob{spec: spec}
-		if rec, ok := c.opts.Store.Lookup(spec.ID); ok && rec.Status == sweep.StatusOK {
+		if rec, ok := c.opts.Store.Lookup(id); ok && rec.Status == sweep.StatusOK {
 			j.state = jobDone
 			j.rec = rec
 			c.cached++
 			resp.Cached++
-			c.jobs[spec.ID] = j
+			c.jobs[id] = j
 			continue
 		}
 		j.state = jobPending
-		c.jobs[spec.ID] = j
-		c.backlog = append(c.backlog, spec.ID)
+		c.jobs[id] = j
+		c.backlog = append(c.backlog, id)
 		resp.Accepted++
 	}
 	if resp.Accepted > 0 {
@@ -365,14 +365,14 @@ func (c *Coordinator) expireLocked() {
 			j.state = jobPending
 			c.backlog = append(c.backlog, id)
 			c.opts.Logf("expire: %s (%s) re-queued (lease %s, worker %s)",
-				id, j.spec.Label, j.leaseID, j.workerID)
+				id, j.spec.Label(), j.leaseID, j.workerID)
 			continue
 		}
 		j.state = jobDone
-		j.rec = j.spec.quarantined(fmt.Sprintf("lease expired %d times (last worker %s)",
+		j.rec = quarantined(j.spec, fmt.Sprintf("lease expired %d times (last worker %s)",
 			j.attempts, j.workerID), j.attempts)
 		c.quarantined++
-		c.opts.Logf("expire: %s (%s) quarantined after %d leases", id, j.spec.Label, j.attempts)
+		c.opts.Logf("expire: %s (%s) quarantined after %d leases", id, j.spec.Label(), j.attempts)
 		if err := c.opts.Store.Append(j.rec); err != nil {
 			c.storeErrs++
 		}
@@ -509,12 +509,9 @@ func (c *Coordinator) Handler() http.Handler {
 		// run (cores, variant configurations, placements within the
 		// hierarchy, records, config) without constructing designs or
 		// resolving traces — that stays on the workers.
-		for _, spec := range req.Jobs {
-			if spec.ID == "" {
-				continue
-			}
-			if err := spec.Run.Validate(); err != nil {
-				http.Error(w, fmt.Sprintf("invalid job %s (%s): %v", spec.ID, spec.Label, err),
+		for i, spec := range req.Jobs {
+			if err := spec.Validate(); err != nil {
+				http.Error(w, fmt.Sprintf("invalid job %d (%s): %v", i, spec.Label(), err),
 					http.StatusBadRequest)
 				return
 			}

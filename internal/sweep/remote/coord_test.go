@@ -54,14 +54,8 @@ func testCoordinator(t *testing.T, opts CoordinatorOptions) (*Coordinator, *fake
 	return NewCoordinator(opts), clk, path
 }
 
-func spec(i int) JobSpec {
-	return JobSpec{
-		ID:         fmt.Sprintf("job%04d", i),
-		Label:      fmt.Sprintf("pf/trace-%d", i),
-		Prefetcher: "pf",
-		Trace:      fmt.Sprintf("trace-%d", i),
-		Run:        wireRun(fmt.Sprintf("trace-%d", i), "pf"),
-	}
+func spec(i int) runspec.RunSpec {
+	return wireRun(fmt.Sprintf("trace-%d", i), "pf")
 }
 
 // wireRun is a structurally valid single-core run spec for wire tests;
@@ -77,9 +71,9 @@ func wireRun(traceName, pf string) runspec.RunSpec {
 	}
 }
 
-func okRecord(s JobSpec) sweep.Record {
+func okRecord(rs runspec.RunSpec) sweep.Record {
 	return sweep.Record{
-		ID: s.ID, Label: s.Label, Prefetcher: s.Prefetcher, Trace: s.Trace,
+		ID: rs.ID(), Label: rs.Label(), Prefetcher: rs.Name(), Trace: rs.TraceKey(),
 		Status: sweep.StatusOK, Attempts: 1,
 		Result: sim.Result{Instructions: 100, Cycles: 50},
 	}
@@ -91,7 +85,7 @@ func okRecord(s JobSpec) sweep.Record {
 func TestLeaseExpiryReleaseThenQuarantine(t *testing.T) {
 	c, clk, path := testCoordinator(t, CoordinatorOptions{MaxAttempts: 2})
 
-	c.submit(SubmitRequest{Jobs: []JobSpec{spec(1)}})
+	c.submit(SubmitRequest{Jobs: []runspec.RunSpec{spec(1)}})
 	w1 := c.register(RegisterRequest{Name: "w1"}).WorkerID
 	w2 := c.register(RegisterRequest{Name: "w2"}).WorkerID
 
@@ -120,7 +114,7 @@ func TestLeaseExpiryReleaseThenQuarantine(t *testing.T) {
 	if st.Expired != 2 || st.Quarantined != 1 || st.Done != 1 {
 		t.Fatalf("after second expiry: %+v", st)
 	}
-	res := c.results(ResultsRequest{IDs: []string{spec(1).ID}})
+	res := c.results(ResultsRequest{IDs: []string{spec(1).ID()}})
 	if len(res.Records) != 1 || res.Records[0].Status != sweep.StatusQuarantined {
 		t.Fatalf("quarantine record not served: %+v", res)
 	}
@@ -132,7 +126,7 @@ func TestLeaseExpiryReleaseThenQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec, ok := recs[spec(1).ID]; !ok || rec.Status != sweep.StatusQuarantined {
+	if rec, ok := recs[spec(1).ID()]; !ok || rec.Status != sweep.StatusQuarantined {
 		t.Fatalf("store record after quarantine: %+v (ok=%v)", rec, ok)
 	}
 }
@@ -142,7 +136,7 @@ func TestLeaseExpiryReleaseThenQuarantine(t *testing.T) {
 func TestReportHeartbeatExtendsLease(t *testing.T) {
 	c, clk, _ := testCoordinator(t, CoordinatorOptions{})
 
-	c.submit(SubmitRequest{Jobs: []JobSpec{spec(1), spec(2)}})
+	c.submit(SubmitRequest{Jobs: []runspec.RunSpec{spec(1), spec(2)}})
 	w1 := c.register(RegisterRequest{Name: "w1"}).WorkerID
 	w2 := c.register(RegisterRequest{Name: "w2"}).WorkerID
 	lease, err := c.lease(LeaseRequest{WorkerID: w1})
@@ -171,7 +165,7 @@ func TestReportHeartbeatExtendsLease(t *testing.T) {
 func TestStaleReportDropped(t *testing.T) {
 	c, clk, path := testCoordinator(t, CoordinatorOptions{MaxAttempts: 3})
 
-	c.submit(SubmitRequest{Jobs: []JobSpec{spec(1)}})
+	c.submit(SubmitRequest{Jobs: []runspec.RunSpec{spec(1)}})
 	w1 := c.register(RegisterRequest{Name: "w1"}).WorkerID
 	w2 := c.register(RegisterRequest{Name: "w2"}).WorkerID
 	l1, _ := c.lease(LeaseRequest{WorkerID: w1})
@@ -220,17 +214,49 @@ func TestSubmitDedupAndResume(t *testing.T) {
 	defer store.Close()
 	c := NewCoordinator(CoordinatorOptions{Store: store})
 
-	resp := c.submit(SubmitRequest{Jobs: []JobSpec{spec(1), spec(2)}})
+	resp := c.submit(SubmitRequest{Jobs: []runspec.RunSpec{spec(1), spec(2)}})
 	if resp.Cached != 1 || resp.Accepted != 1 {
 		t.Fatalf("submit over resumed store: %+v, want 1 cached 1 accepted", resp)
 	}
-	resp = c.submit(SubmitRequest{Jobs: []JobSpec{spec(1), spec(2)}})
+	resp = c.submit(SubmitRequest{Jobs: []runspec.RunSpec{spec(1), spec(2)}})
 	if resp.Deduped != 2 {
 		t.Fatalf("re-submit: %+v, want 2 deduped", resp)
 	}
-	res := c.results(ResultsRequest{IDs: []string{spec(1).ID}})
+	res := c.results(ResultsRequest{IDs: []string{spec(1).ID()}})
 	if len(res.Records) != 1 || res.Records[0].Status != sweep.StatusOK {
 		t.Fatalf("cached record not served: %+v", res)
+	}
+}
+
+// Two specs that differ only in a placement are two runs: they get
+// distinct IDs and a submit of both queues two jobs, each leased with
+// its own placement. (Keyed by a caller-chosen name, both used to fold
+// onto the first.)
+func TestSubmitKeysPlacements(t *testing.T) {
+	c, _, _ := testCoordinator(t, CoordinatorOptions{})
+	at := func(level int) runspec.RunSpec {
+		rs := spec(1)
+		rs.Placements = []runspec.Placement{{Level: level, Variant: runspec.VariantSpec{Name: "pf", Registry: "pf"}}}
+		return rs
+	}
+	l1, l2 := at(1), at(2)
+	if l1.ID() == l2.ID() {
+		t.Fatalf("placements at L1 and L2 share ID %s", l1.ID())
+	}
+	if resp := c.submit(SubmitRequest{Jobs: []runspec.RunSpec{l1, l2}}); resp.Accepted != 2 || resp.Deduped != 0 {
+		t.Fatalf("submit of two placements: %+v, want 2 accepted, 0 deduped", resp)
+	}
+	w := c.register(RegisterRequest{Name: "w"}).WorkerID
+	lease, err := c.lease(LeaseRequest{WorkerID: w})
+	if err != nil || len(lease.Jobs) != 2 {
+		t.Fatalf("lease: %v jobs=%d, want 2", err, len(lease.Jobs))
+	}
+	levels := map[int]bool{}
+	for _, rs := range lease.Jobs {
+		levels[rs.Placements[0].Level] = true
+	}
+	if !levels[1] || !levels[2] {
+		t.Errorf("leased placements at levels %v, want 1 and 2", levels)
 	}
 }
 
@@ -241,7 +267,7 @@ func TestConcurrentReportMerge(t *testing.T) {
 	c, _, path := testCoordinator(t, CoordinatorOptions{LeaseMax: 1000})
 
 	const jobs = 200
-	var specs []JobSpec
+	var specs []runspec.RunSpec
 	for i := 0; i < jobs; i++ {
 		specs = append(specs, spec(i))
 	}
@@ -295,7 +321,7 @@ func TestConcurrentReportMerge(t *testing.T) {
 // address, worker count, per-worker tallies.
 func TestManifestRecordsWorkers(t *testing.T) {
 	c, _, _ := testCoordinator(t, CoordinatorOptions{Addr: "127.0.0.1:7077"})
-	c.submit(SubmitRequest{Jobs: []JobSpec{spec(1)}})
+	c.submit(SubmitRequest{Jobs: []runspec.RunSpec{spec(1)}})
 	w1 := c.register(RegisterRequest{Name: "alpha"}).WorkerID
 	l, _ := c.lease(LeaseRequest{WorkerID: w1})
 	c.report(ReportRequest{WorkerID: w1, LeaseID: l.LeaseID, Records: []sweep.Record{okRecord(spec(1))}})
@@ -317,7 +343,7 @@ func TestManifestRecordsWorkers(t *testing.T) {
 func TestLeaseSharding(t *testing.T) {
 	c, _, _ := testCoordinator(t, CoordinatorOptions{LeaseMax: 1000})
 	const jobs = 100
-	var specs []JobSpec
+	var specs []runspec.RunSpec
 	for i := 0; i < jobs; i++ {
 		specs = append(specs, spec(i))
 	}
@@ -334,8 +360,8 @@ func TestLeaseSharding(t *testing.T) {
 	// granted jobs should hash to w2's shard unless stolen, and there
 	// was nothing to steal yet.
 	for _, s := range l1.Jobs[:min(len(l1.Jobs), jobs/4)] {
-		if shardOf(s.ID, 2) != 0 {
-			t.Fatalf("w1 granted job %s from shard %d before its own shard drained", s.ID, shardOf(s.ID, 2))
+		if shardOf(s.ID(), 2) != 0 {
+			t.Fatalf("w1 granted job %s from shard %d before its own shard drained", s.ID(), shardOf(s.ID(), 2))
 		}
 	}
 }
@@ -359,7 +385,7 @@ func TestDrainSignalSurvivesSubmissionWaves(t *testing.T) {
 
 	// Wave 1: submit, run, report. The job space is now transiently
 	// drained, but the client contacted us moments ago.
-	c.submit(SubmitRequest{Jobs: []JobSpec{spec(1), spec(2)}})
+	c.submit(SubmitRequest{Jobs: []runspec.RunSpec{spec(1), spec(2)}})
 	l, err := c.lease(LeaseRequest{WorkerID: w1})
 	if err != nil || len(l.Jobs) != 2 {
 		t.Fatalf("wave 1 lease: %v jobs=%d", err, len(l.Jobs))
@@ -373,14 +399,14 @@ func TestDrainSignalSurvivesSubmissionWaves(t *testing.T) {
 	// A results poll inside the grace window is client contact and
 	// restarts the clock.
 	clk.Advance(4 * time.Second)
-	c.results(ResultsRequest{IDs: []string{spec(1).ID}})
+	c.results(ResultsRequest{IDs: []string{spec(1).ID()}})
 	clk.Advance(4 * time.Second)
 	if l, _ := c.lease(LeaseRequest{WorkerID: w1}); l.Drained {
 		t.Fatal("drained 4s after a results poll, inside the 5s grace")
 	}
 
 	// Wave 2 lands inside the grace: business as usual.
-	c.submit(SubmitRequest{Jobs: []JobSpec{spec(3)}})
+	c.submit(SubmitRequest{Jobs: []runspec.RunSpec{spec(3)}})
 	l, err = c.lease(LeaseRequest{WorkerID: w1})
 	if err != nil || len(l.Jobs) != 1 {
 		t.Fatalf("wave 2 lease: %v jobs=%d", err, len(l.Jobs))

@@ -59,32 +59,26 @@ func serveCoordinator(t *testing.T, opts CoordinatorOptions) (*Coordinator, *htt
 }
 
 // e2eSpecs is the shared job set for the determinism tests.
-func e2eSpecs(n int) []JobSpec {
-	specs := make([]JobSpec, n)
+func e2eSpecs(n int) []runspec.RunSpec {
+	specs := make([]runspec.RunSpec, n)
 	for i := range specs {
-		specs[i] = JobSpec{
-			ID:         fmt.Sprintf("e2e%04d", i),
-			Label:      fmt.Sprintf("pf-%d/trace-%d", i%3, i),
-			Prefetcher: fmt.Sprintf("pf-%d", i%3),
-			Trace:      fmt.Sprintf("trace-%d", i),
-			Run:        wireRun(fmt.Sprintf("trace-%d", i), fmt.Sprintf("pf-%d", i%3)),
-		}
+		specs[i] = wireRun(fmt.Sprintf("trace-%d", i), fmt.Sprintf("pf-%d", i%3))
 	}
 	return specs
 }
 
 // specIDs lists the job IDs of specs, in order.
-func specIDs(specs []JobSpec) []string {
+func specIDs(specs []runspec.RunSpec) []string {
 	ids := make([]string, len(specs))
 	for i, s := range specs {
-		ids[i] = s.ID
+		ids[i] = s.ID()
 	}
 	return ids
 }
 
 // runDistributed drives a full run: submit, N workers until drained,
 // wait for all records, and return the store's canonical dump.
-func runDistributed(t *testing.T, nWorkers int, specs []JobSpec) []byte {
+func runDistributed(t *testing.T, nWorkers int, specs []runspec.RunSpec) []byte {
 	t.Helper()
 	_, srv, path := serveCoordinator(t, CoordinatorOptions{
 		LeaseMax:   4,
@@ -148,8 +142,8 @@ func TestDistributedDeterminism1v3(t *testing.T) {
 	}
 	pool := sweep.New(context.Background(), sweep.Options{Workers: 1, Store: store})
 	for _, s := range specs {
-		run, _ := fakeBuild(s.Run)
-		pool.Submit(s.Job(run))
+		run, _ := fakeBuild(s)
+		pool.Submit(Job(s, run))
 	}
 	pool.Close()
 	store.Close()
@@ -245,9 +239,9 @@ func TestWorkerDeathRelease(t *testing.T) {
 		t.Fatalf("survivor: %v", err)
 	}
 	for _, s := range specs {
-		rec, ok := recs[s.ID]
+		rec, ok := recs[s.ID()]
 		if !ok || rec.Status != sweep.StatusOK {
-			t.Fatalf("job %s not OK after re-lease: %+v (ok=%v)", s.ID, rec, ok)
+			t.Fatalf("job %s not OK after re-lease: %+v (ok=%v)", s.ID(), rec, ok)
 		}
 	}
 	st := coord.Status()
@@ -290,7 +284,7 @@ func TestUnbuildableJobIsQuarantined(t *testing.T) {
 			Name:        "picky",
 			Parallel:    2,
 			Build: func(rs runspec.RunSpec) (func(context.Context) []sim.Result, error) {
-				if rs.TraceKey() == bad.Trace {
+				if rs.TraceKey() == bad.TraceKey() {
 					return nil, errors.New("no such trace")
 				}
 				return fakeBuild(rs)
@@ -307,14 +301,14 @@ func TestUnbuildableJobIsQuarantined(t *testing.T) {
 	if err := <-workerDone; err != nil && ctx.Err() == nil {
 		t.Fatalf("worker: %v", err)
 	}
-	rec := recs[bad.ID]
+	rec := recs[bad.ID()]
 	if rec.Status != sweep.StatusQuarantined || rec.Err != "resolve: no such trace" ||
-		rec.Attempts != 1 || rec.Label != bad.Label {
-		t.Errorf("unbuildable job record = %+v, want quarantined, resolve error, 1 attempt, label %q", rec, bad.Label)
+		rec.Attempts != 1 || rec.Label != bad.Label() {
+		t.Errorf("unbuildable job record = %+v, want quarantined, resolve error, 1 attempt, label %q", rec, bad.Label())
 	}
 	for _, s := range specs {
-		if s.ID != bad.ID && recs[s.ID].Status != sweep.StatusOK {
-			t.Errorf("job %s: %+v, want ok", s.ID, recs[s.ID])
+		if s.ID() != bad.ID() && recs[s.ID()].Status != sweep.StatusOK {
+			t.Errorf("job %s: %+v, want ok", s.ID(), recs[s.ID()])
 		}
 	}
 	if st := coord.Status(); st.Quarantined != 1 || st.Completed != 5 {
@@ -330,7 +324,7 @@ func TestSubmitRejectsInvalidVariant(t *testing.T) {
 	specs := e2eSpecs(3)
 	cfg := core.DefaultConfig()
 	cfg.TriggerBits = 0
-	specs[1].Run.Cores[0].Variant = runspec.VariantSpec{Name: "pmp-tw0", PMP: &cfg}
+	specs[1].Cores[0].Variant = runspec.VariantSpec{Name: "pmp-tw0", PMP: &cfg}
 
 	_, err := NewClient(srv.URL).Submit(context.Background(), specs)
 	var se *StatusError

@@ -38,41 +38,19 @@ const (
 	PathResults  = "/results"
 )
 
-// JobSpec is the wire form of one simulation job: a declarative
-// runspec.RunSpec (per-core traces and variants, per-level placements,
-// record count, full sim.Config) plus identity and annotations —
-// everything a worker needs to reconstruct the run without sharing
-// memory with the submitter. bench.BuildRun materializes Run on the
-// worker exactly as it does for a local run.
-type JobSpec struct {
-	// ID is the deterministic sweep job identity (sweep.JobID). The
-	// coordinator deduplicates and shards by it.
-	ID string `json:"id"`
-	// Label is the human-readable form used in progress and logs.
-	Label string `json:"label"`
-	// Prefetcher and Trace annotate store records (and quarantine
-	// records for jobs that never built); the run itself is described
-	// by Run. Prefetcher is the variant name, Trace the RunSpec's
-	// trace key.
-	Prefetcher string `json:"prefetcher"`
-	Trace      string `json:"trace"`
-	// Run is the declarative description of the simulation. The
-	// coordinator validates it structurally at submit; the worker
-	// builds and executes it.
-	Run runspec.RunSpec `json:"run"`
-}
-
-// Job pairs the spec's identity with run, the built simulation, as the
-// sweep job a local pool or a worker's pool executes.
-func (s JobSpec) Job(run func(context.Context) []sim.Result) sweep.Job {
-	return sweep.Job{ID: s.ID, Label: s.Label, Prefetcher: s.Prefetcher, Trace: s.Trace, Run: run}
+// Job builds the sweep job that runs rs, the way a local pool or a
+// worker's pool executes it: run is the built simulation
+// (bench.BuildRun), and the ID, label and record annotations all come
+// from the spec.
+func Job(rs runspec.RunSpec, run func(context.Context) []sim.Result) sweep.Job {
+	return sweep.Job{ID: rs.ID(), Label: rs.Label(), Prefetcher: rs.Name(), Trace: rs.TraceKey(), Run: run}
 }
 
 // quarantined is the store record of a job that never produced a
 // result: a worker could not build it, or its leases kept expiring.
-func (s JobSpec) quarantined(err string, attempts int) sweep.Record {
+func quarantined(rs runspec.RunSpec, err string, attempts int) sweep.Record {
 	return sweep.Record{
-		ID: s.ID, Label: s.Label, Prefetcher: s.Prefetcher, Trace: s.Trace,
+		ID: rs.ID(), Label: rs.Label(), Prefetcher: rs.Name(), Trace: rs.TraceKey(),
 		Status: sweep.StatusQuarantined, Err: err, Attempts: attempts,
 	}
 }
@@ -107,8 +85,8 @@ type LeaseRequest struct {
 type LeaseResponse struct {
 	// LeaseID identifies the batch in reports; empty when no jobs were
 	// granted.
-	LeaseID string    `json:"lease_id,omitempty"`
-	Jobs    []JobSpec `json:"jobs,omitempty"`
+	LeaseID string            `json:"lease_id,omitempty"`
+	Jobs    []runspec.RunSpec `json:"jobs,omitempty"`
 	// Drained is true when the run is over: at least one job was
 	// submitted, every job has resolved, and no client has submitted
 	// or polled for the coordinator's drain grace. An idle worker may
@@ -136,10 +114,11 @@ type ReportResponse struct {
 	Stale int `json:"stale"`
 }
 
-// SubmitRequest is the client path: a batch of job specs to resolve.
-// Submission is idempotent — known IDs are deduplicated.
+// SubmitRequest is the client path: a batch of bare run specs to
+// resolve. The coordinator keys each by its RunSpec.ID, so submission
+// is idempotent — known IDs are deduplicated.
 type SubmitRequest struct {
-	Jobs []JobSpec `json:"jobs"`
+	Jobs []runspec.RunSpec `json:"jobs"`
 }
 
 // SubmitResponse summarizes a submission.

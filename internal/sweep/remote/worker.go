@@ -173,16 +173,16 @@ func (w *worker) runBatch(ctx context.Context, lease LeaseResponse) error {
 	recs := make(chan sweep.Record, len(lease.Jobs))
 	outstanding := 0
 	for _, spec := range lease.Jobs {
-		run, err := w.opts.Build(spec.Run)
+		run, err := w.opts.Build(spec)
 		if err != nil {
 			// Unresolvable on this worker: its quarantine record, not a
 			// crash, so the coordinator and store see the failure.
-			w.opts.Logf("resolve %s (%s): %v", spec.ID, spec.Label, err)
-			recs <- spec.quarantined("resolve: "+err.Error(), 1)
+			w.opts.Logf("resolve %s: %v", spec.Label(), err)
+			recs <- quarantined(spec, "resolve: "+err.Error(), 1)
 			outstanding++
 			continue
 		}
-		t := w.pool.Submit(spec.Job(run))
+		t := w.pool.Submit(Job(spec, run))
 		outstanding++
 		go func() {
 			rec, err := t.Wait()

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,7 +17,7 @@ func TestStoreToleratesTruncatedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := st.Append(Record{ID: JobID("p", "t", i, "c"), Status: StatusOK,
+		if err := st.Append(Record{ID: fmt.Sprintf("job-%d", i), Status: StatusOK,
 			Result: sim.Result{Instructions: uint64(i)}}); err != nil {
 			t.Fatal(err)
 		}

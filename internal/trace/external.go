@@ -76,8 +76,8 @@ func ReadManifest(path string) (*Manifest, error) {
 			return nil, fmt.Errorf("trace: manifest %s: duplicate trace name %q", path, e.Name)
 		}
 		seen[e.Name] = true
-		// Job identities key on the trace name, so it must not also
-		// name a built-in trace.
+		// Labels, store records and tables refer to a trace by its
+		// name, so it must not also name a built-in trace.
 		if _, ok := ByName(e.Name); ok {
 			return nil, fmt.Errorf("trace: manifest %s: trace %q shadows a built-in trace", path, e.Name)
 		}
