@@ -16,33 +16,6 @@ import (
 	"pmp/internal/mem"
 )
 
-// Policy selects the replacement policy of a cache.
-type Policy uint8
-
-// Replacement policies.
-const (
-	// LRU evicts the least-recently-used line (the default).
-	LRU Policy = iota
-	// SRRIP is static re-reference interval prediction (Jaleel et al.,
-	// ISCA'10): 2-bit re-reference predictions per line; fills insert
-	// at long re-reference, hits promote to near, victims are lines at
-	// distant re-reference (aging the set as needed). More scan- and
-	// thrash-resistant than LRU at the LLC.
-	SRRIP
-)
-
-// String implements fmt.Stringer.
-func (p Policy) String() string {
-	switch p {
-	case LRU:
-		return "lru"
-	case SRRIP:
-		return "srrip"
-	default:
-		return "invalid"
-	}
-}
-
 // Config describes one cache level.
 type Config struct {
 	Name    string // display name ("L1D", "L2C", "LLC")
@@ -51,7 +24,6 @@ type Config struct {
 	Latency uint64 // access latency in core cycles
 	MSHRs   int    // miss status holding registers
 	PQSize  int    // prefetch queue entries
-	Policy  Policy // replacement policy (default LRU)
 }
 
 // Validate reports a descriptive error for malformed configurations.
@@ -68,9 +40,6 @@ func (c Config) Validate() error {
 	if c.PQSize < 0 {
 		return fmt.Errorf("cache %s: PQ size must be >= 0, got %d", c.Name, c.PQSize)
 	}
-	if c.Policy > SRRIP {
-		return fmt.Errorf("cache %s: unknown replacement policy %d", c.Name, c.Policy)
-	}
 	return nil
 }
 
@@ -84,9 +53,8 @@ func (c Config) SizeBytes() int { return c.Sets * c.Ways * mem.LineBytes }
 // the valid bit is folded into the tag as a sentinel so the tag-match
 // loop is one compare per way.
 type lineMeta struct {
-	lru        uint64 // last-touch stamp (LRU policy)
+	lru        uint64 // last-touch stamp (LRU replacement)
 	ready      uint64 // cycle the fill completes
-	rrpv       uint8  // re-reference prediction value (SRRIP policy)
 	prefetched bool   // filled by a prefetch
 	used       bool   // demand-touched since fill
 }
@@ -268,7 +236,6 @@ func (c *Cache) Lookup(a mem.Addr, now uint64, demand bool) (bool, uint64) {
 	if i := c.findWay(a); i >= 0 {
 		l := &c.meta[i]
 		l.lru = c.stamp
-		l.rrpv = 0 // SRRIP: near re-reference on hit
 		ready := now + c.cfg.Latency
 		if l.ready > ready {
 			ready = l.ready
@@ -339,7 +306,7 @@ func (c *Cache) Fill(a mem.Addr, readyCycle uint64, prefetched bool) Eviction {
 		}
 	}
 	c.tags[victim] = a
-	*v = lineMeta{lru: c.stamp, rrpv: 2, ready: readyCycle, prefetched: prefetched}
+	*v = lineMeta{lru: c.stamp, ready: readyCycle, prefetched: prefetched}
 	if prefetched && c.PrefetchTrace != nil {
 		c.PrefetchTrace(PrefetchEvent{Kind: PrefetchFilled, Line: a, Cycle: readyCycle})
 	}
@@ -347,7 +314,7 @@ func (c *Cache) Fill(a mem.Addr, readyCycle uint64, prefetched bool) Eviction {
 }
 
 // victimIn selects the replacement victim (as an array index) for the
-// set starting at base under the configured policy.
+// set starting at base: an empty way, else the least recently used.
 //
 //pmp:hotpath
 func (c *Cache) victimIn(base int) int {
@@ -355,18 +322,6 @@ func (c *Cache) victimIn(base int) int {
 	for i := base; i < end; i++ {
 		if c.tags[i] == invalidTag {
 			return i
-		}
-	}
-	if c.cfg.Policy == SRRIP {
-		for {
-			for i := base; i < end; i++ {
-				if c.meta[i].rrpv >= 3 {
-					return i
-				}
-			}
-			for i := base; i < end; i++ {
-				c.meta[i].rrpv++
-			}
 		}
 	}
 	victim := base

@@ -257,59 +257,6 @@ func TestCapacityInvariant(t *testing.T) {
 	}
 }
 
-func TestPolicyString(t *testing.T) {
-	if LRU.String() != "lru" || SRRIP.String() != "srrip" || Policy(9).String() != "invalid" {
-		t.Error("policy strings wrong")
-	}
-}
-
-func TestPolicyValidate(t *testing.T) {
-	cfg := testConfig()
-	cfg.Policy = Policy(9)
-	if err := cfg.Validate(); err == nil {
-		t.Error("unknown policy accepted")
-	}
-}
-
-func TestSRRIPScanResistance(t *testing.T) {
-	// A hot line that is re-referenced survives a scan of single-use
-	// lines under SRRIP, where LRU would evict it.
-	run := func(policy Policy) bool {
-		cfg := Config{Name: "t", Sets: 1, Ways: 4, Latency: 1, MSHRs: 2, Policy: policy}
-		c := New(cfg)
-		hot := mem.Addr(0)
-		c.Fill(hot, 0, false)
-		cycle := uint64(1)
-		for i := 1; i <= 12; i++ {
-			// Re-reference the hot line between scan fills.
-			c.Lookup(hot, cycle, true)
-			cycle++
-			c.Fill(mem.Addr(i*mem.LineBytes*1), cycle, false)
-			cycle++
-		}
-		return c.Contains(hot)
-	}
-	if !run(SRRIP) {
-		t.Error("SRRIP should keep the re-referenced hot line through a scan")
-	}
-}
-
-func TestSRRIPVictimAging(t *testing.T) {
-	cfg := Config{Name: "t", Sets: 1, Ways: 2, Latency: 1, MSHRs: 2, Policy: SRRIP}
-	c := New(cfg)
-	c.Fill(0, 0, false)
-	c.Fill(64, 0, false)
-	// Both at rrpv=2; a third fill must age the set and evict one
-	// without looping forever.
-	ev := c.Fill(128, 0, false)
-	if ev.Kind != EvictClean {
-		t.Fatal("third fill must evict")
-	}
-	if !c.Contains(128) {
-		t.Error("new line must be resident")
-	}
-}
-
 func TestReserveMSHRUpdatesExisting(t *testing.T) {
 	c := New(testConfig()) // 4 MSHRs
 	// Fill the file completely with demand reservations.

@@ -56,17 +56,7 @@ type Config struct {
 	// Measure is the number of instructions measured after warm-up;
 	// 0 measures to the end of the trace.
 	Measure uint64
-
-	// MaxTraceWraps bounds how many times a trace is replayed from the
-	// start when it ends before a core's measurement window does
-	// (multicore mixes). 0 means DefaultMaxTraceWraps; negative is
-	// rejected by Validate.
-	MaxTraceWraps int
 }
-
-// DefaultMaxTraceWraps is the trace-replay bound used when
-// Config.MaxTraceWraps is 0.
-const DefaultMaxTraceWraps = 1000
 
 // DefaultConfig returns the paper's Table IV system: 4GHz 4-wide core
 // with a 352-entry ROB, 48KB/12-way L1D (5 cyc), 512KB/8-way L2 (10
@@ -156,9 +146,6 @@ func (c Config) Validate() error {
 			return fmt.Errorf("sim: hierarchy must grow monotonically (%d bytes at level %d, %d bytes at level %d)",
 				levels[i-1].Cache.SizeBytes(), i-1, lv.Cache.SizeBytes(), i)
 		}
-	}
-	if c.MaxTraceWraps < 0 {
-		return fmt.Errorf("sim: MaxTraceWraps must be >= 0, got %d", c.MaxTraceWraps)
 	}
 	if err := c.DRAM.Validate(); err != nil {
 		return err

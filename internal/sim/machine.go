@@ -304,6 +304,10 @@ type coreState struct {
 	wraps      int
 }
 
+// maxTraceWraps bounds how many times trace replay restarts a trace
+// that ends before its core's measurement window does.
+const maxTraceWraps = 1000
+
 // Run replays one trace per core, interleaved by simulated time (the
 // core furthest behind in cycles steps next), and returns per-core
 // results. The first cfg.Warmup instructions of each core run outside
@@ -318,18 +322,14 @@ type coreState struct {
 //
 // With trace replay enabled (NewMachineAt's replay argument), traces
 // that end before a core finishes its measurement window are replayed
-// from the start, as ChampSim does for multi-programmed mixes, bounded
-// by cfg.MaxTraceWraps; cfg.Measure must be > 0 in that mode.
+// from the start, as ChampSim does for multi-programmed mixes, at most
+// maxTraceWraps times; cfg.Measure must be > 0 in that mode.
 func (m *Machine) Run(traces []trace.Source) []Result {
 	if len(traces) != len(m.cores) {
 		panic(fmt.Sprintf("sim: %d traces for %d cores", len(traces), len(m.cores)))
 	}
 	if m.replay && m.cfg.Measure == 0 {
 		panic("sim: trace-replay (multicore) runs need cfg.Measure > 0")
-	}
-	maxWraps := m.cfg.MaxTraceWraps
-	if maxWraps == 0 {
-		maxWraps = DefaultMaxTraceWraps
 	}
 	states := make([]coreState, len(m.cores))
 	for i, src := range traces {
@@ -364,7 +364,7 @@ func (m *Machine) Run(traces []trace.Source) []Result {
 			}
 			st.src.Reset()
 			st.wraps++
-			if r, ok = st.src.Next(); !ok || st.wraps > maxWraps {
+			if r, ok = st.src.Next(); !ok || st.wraps > maxTraceWraps {
 				st.finished = true
 				continue
 			}

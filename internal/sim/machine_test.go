@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"strings"
 	"testing"
 
 	"pmp/internal/cache"
@@ -211,36 +210,22 @@ func TestLaggardCoreStepsNext(t *testing.T) {
 }
 
 func TestMaxTraceWrapsBoundsReplay(t *testing.T) {
-	// A 1000-record trace (one instruction per record) under a huge
+	// A 10-record trace (one instruction per record) under a huge
 	// measure window finishes by the wrap limit: the initial pass plus
-	// MaxTraceWraps replays.
-	recs := make([]trace.Record, 1000)
+	// maxTraceWraps replays.
+	recs := make([]trace.Record, 10)
 	for i := range recs {
 		recs[i] = trace.Record{PC: 1, Addr: mem.Addr(i % 8 * mem.LineBytes)}
 	}
 	cfg := quickConfig()
 	cfg.Warmup = 0
 	cfg.Measure = 1 << 40
-	cfg.MaxTraceWraps = 3
 	res := NewMachineAt(cfg, []prefetch.Prefetcher{prefetch.Nop{}}, nil, true).
 		Run([]trace.Source{trace.NewTrace("w", recs)})
-	want := uint64((cfg.MaxTraceWraps + 1) * len(recs))
+	want := uint64((maxTraceWraps + 1) * len(recs))
 	if res[0].Instructions != want {
 		t.Errorf("instructions = %d, want %d (initial pass + %d wraps)",
-			res[0].Instructions, want, cfg.MaxTraceWraps)
-	}
-}
-
-func TestMaxTraceWrapsDefaultAndValidation(t *testing.T) {
-	cfg := quickConfig()
-	cfg.MaxTraceWraps = -1
-	err := cfg.Validate()
-	if err == nil || !strings.Contains(err.Error(), "MaxTraceWraps") {
-		t.Errorf("negative MaxTraceWraps should be rejected, got %v", err)
-	}
-	cfg.MaxTraceWraps = 0
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("zero MaxTraceWraps (use default) rejected: %v", err)
+			res[0].Instructions, want, maxTraceWraps)
 	}
 }
 
