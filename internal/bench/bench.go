@@ -176,7 +176,6 @@ func bingoOriginalConfig() bingo.Config {
 // SuiteResult holds one prefetcher's results across the trace subset,
 // aligned with the baseline runs.
 type SuiteResult struct {
-	Name     string
 	Results  []sim.Result // one per trace, same order as Baseline
 	Baseline []sim.Result
 	Specs    []trace.Spec
@@ -284,12 +283,6 @@ type Runner struct {
 	runJobs func(jobs []runspec.RunSpec) [][]sim.Result
 }
 
-// newRunner builds a Runner over the trace specs, submitting to
-// runJobs.
-func newRunner(scale Scale, specs []trace.Spec, runJobs func([]runspec.RunSpec) [][]sim.Result) *Runner {
-	return &Runner{Scale: scale, specs: specs, runJobs: runJobs}
-}
-
 // NewRunner builds a Runner for the scale on the process-wide shared
 // sweep (no results store).
 func NewRunner(scale Scale) *Runner {
@@ -301,7 +294,7 @@ func NewRunner(scale Scale) *Runner {
 // Each job is built through BuildRun; an unbuildable one is an
 // experiment's programming error, not a job failure, so it panics.
 func NewRunnerWith(scale Scale, sw *sweep.Sweep) *Runner {
-	return newRunner(scale, scale.Specs(), func(jobs []runspec.RunSpec) [][]sim.Result {
+	return &Runner{Scale: scale, specs: scale.Specs(), runJobs: func(jobs []runspec.RunSpec) [][]sim.Result {
 		tickets := make([]*sweep.Ticket, len(jobs))
 		for i, rs := range jobs {
 			run, err := BuildRun(rs)
@@ -319,7 +312,7 @@ func NewRunnerWith(scale Scale, sw *sweep.Sweep) *Runner {
 			out[i] = rec.Runs()
 		}
 		return out
-	})
+	}}
 }
 
 // NewRunnerRemote builds a Runner that submits its jobs to a running
@@ -330,7 +323,7 @@ func NewRunnerWith(scale Scale, sw *sweep.Sweep) *Runner {
 // polling failure, unwinds experiments through the usual
 // sweep.Interrupted path.
 func NewRunnerRemote(ctx context.Context, scale Scale, rc *remote.Client) *Runner {
-	return newRunner(scale, scale.Specs(), func(jobs []runspec.RunSpec) [][]sim.Result {
+	return &Runner{Scale: scale, specs: scale.Specs(), runJobs: func(jobs []runspec.RunSpec) [][]sim.Result {
 		if _, err := rc.Submit(ctx, jobs); err != nil {
 			panic(sweep.Interrupted{Err: err})
 		}
@@ -347,7 +340,7 @@ func NewRunnerRemote(ctx context.Context, scale Scale, rc *remote.Client) *Runne
 			out[i] = recs[id].Runs()
 		}
 		return out
-	})
+	}}
 }
 
 // Specs returns the runner's trace subset.
@@ -359,8 +352,8 @@ func traceRef(sp trace.Spec) runspec.TraceRef {
 }
 
 // suiteRun simulates every suite trace on a single core with the
-// variant plus optional per-level placements: one run spec per trace,
-// named by the spec (runspec.RunSpec.Name). The caller fills Baseline.
+// variant plus optional per-level placements, one run spec per trace.
+// The caller fills Baseline.
 func (r *Runner) suiteRun(v VariantSpec, placements []runspec.Placement, cfg sim.Config) SuiteResult {
 	jobs := make([]runspec.RunSpec, len(r.specs))
 	for i, sp := range r.specs {
@@ -371,11 +364,7 @@ func (r *Runner) suiteRun(v VariantSpec, placements []runspec.Placement, cfg sim
 			Config:     cfg,
 		}
 	}
-	res := SuiteResult{
-		Name:    runspec.RunSpec{Cores: []runspec.CoreSpec{{Variant: v}}, Placements: placements}.Name(),
-		Specs:   r.specs,
-		Results: make([]sim.Result, len(jobs)),
-	}
+	res := SuiteResult{Specs: r.specs, Results: make([]sim.Result, len(jobs))}
 	for i, s := range r.runJobs(jobs) {
 		res.Results[i] = s[0]
 	}

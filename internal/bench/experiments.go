@@ -21,7 +21,7 @@ func (r *Runner) subRunner() *Runner {
 	if s.Traces > 8 {
 		s.Traces = 8
 	}
-	return newRunner(s, s.Specs(), r.runJobs)
+	return &Runner{Scale: s, specs: s.Specs(), runJobs: r.runJobs}
 }
 
 // corpus captures the Section III pattern corpus over the scale's
@@ -334,8 +334,8 @@ func TableVIII(r *Runner) *Table {
 		Header: []string{"Design", "NIPC"},
 	}
 	for _, ways := range designBWays {
-		res := sw.RunVariant(DesignBVariant(ways), cfg)
-		t.AddRow(res.Name, f3(res.NIPC()))
+		v := DesignBVariant(ways)
+		t.AddRow(v.Name, f3(sw.RunVariant(v, cfg).NIPC()))
 	}
 	pmp := sw.Run(NamePMP, cfg)
 	t.AddRow("pmp (merging)", f3(pmp.NIPC()))

@@ -17,7 +17,7 @@ import (
 // or remote coordinator) and scale. This is how an external manifest
 // rides the experiment harness: bench.External(r.WithSpecs(specs)).
 func (r *Runner) WithSpecs(specs []trace.Spec) *Runner {
-	return newRunner(r.Scale, specs, r.runJobs)
+	return &Runner{Scale: r.Scale, specs: specs, runJobs: r.runJobs}
 }
 
 // External is the EXTW experiment: the full prefetcher registry (the

@@ -6,7 +6,7 @@ import "pmp/internal/prefetch"
 // resolves to (explicit Levels, or the classic 3-level fallback).
 // Run-spec validation uses it to bound placement levels without
 // constructing a machine.
-func (c Config) HierarchyDepth() int { return len(c.hierarchy()) }
+func (c Config) HierarchyDepth() int { return len(c.Resolved().Levels) }
 
 // AttachSpec places an extra prefetcher at one cache level of every
 // core: Level indexes the hierarchy (1 = the level below L1D,

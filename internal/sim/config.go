@@ -77,27 +77,20 @@ func DefaultConfig() Config {
 	}
 }
 
-// hierarchy resolves the configured cache hierarchy, innermost first.
-// With no explicit Levels it is the classic private L1D/L2C over a
-// shared LLC, inclusive unless NonInclusiveLLC is set.
-func (c Config) hierarchy() []LevelSpec {
-	if len(c.Levels) > 0 {
-		return c.Levels
-	}
-	return []LevelSpec{
-		{Cache: c.L1D},
-		{Cache: c.L2C},
-		{Cache: c.LLC, Shared: true, Inclusive: !c.NonInclusiveLLC},
-	}
-}
-
 // Resolved returns the configuration with its hierarchy in Levels
-// form: the classic L1D/L2C/LLC/NonInclusiveLLC fields move into an
-// explicit Levels list and are cleared. The result simulates the same
-// machine, and two descriptions of one machine resolve equal, which is
-// why job identity (runspec.RunSpec.ID) hashes this form.
+// form, innermost first: with no explicit Levels, the classic private
+// L1D/L2C over a shared LLC (inclusive unless NonInclusiveLLC is set).
+// The classic fields are cleared, so two descriptions of one machine
+// resolve equal; the simulator builds from this form and job identity
+// (runspec.RunSpec.ID) hashes it.
 func (c Config) Resolved() Config {
-	c.Levels = c.hierarchy()
+	if len(c.Levels) == 0 {
+		c.Levels = []LevelSpec{
+			{Cache: c.L1D},
+			{Cache: c.L2C},
+			{Cache: c.LLC, Shared: true, Inclusive: !c.NonInclusiveLLC},
+		}
+	}
 	c.L1D, c.L2C, c.LLC = cache.Config{}, cache.Config{}, cache.Config{}
 	c.NonInclusiveLLC = false
 	return c
@@ -126,7 +119,7 @@ func (c Config) Validate() error {
 	if err := c.Core.Validate(); err != nil {
 		return err
 	}
-	levels := c.hierarchy()
+	levels := c.Resolved().Levels
 	if len(levels) < 2 {
 		return fmt.Errorf("sim: hierarchy needs at least 2 levels, got %d", len(levels))
 	}

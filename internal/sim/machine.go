@@ -106,7 +106,7 @@ func newMachine(cfg Config, prefetchers []prefetch.Prefetcher) *Machine {
 	if len(prefetchers) == 0 {
 		panic("sim: machine needs at least one prefetcher")
 	}
-	specs := cfg.hierarchy()
+	specs := cfg.Resolved().Levels
 	m := &Machine{
 		cfg:    cfg,
 		specs:  specs,

@@ -12,8 +12,8 @@ import (
 
 // Client is the submitter side of the protocol, used by
 // cmd/pmpexperiments -remote: submit run specs to a running
-// coordinator, poll for their records by RunSpec.ID. A Client is safe for
-// concurrent use (every experiment goroutine submits through one).
+// coordinator, poll for their records by RunSpec.ID. A Client is safe
+// for concurrent use (every experiment goroutine submits through one).
 type Client struct {
 	base string
 	hc   *http.Client
