@@ -49,8 +49,9 @@ func Job(rs runspec.RunSpec, run func(context.Context) []sim.Result) sweep.Job {
 // quarantined is the store record of a job that never produced a
 // result: a worker could not build it, or its leases kept expiring.
 func quarantined(rs runspec.RunSpec, err string, attempts int) sweep.Record {
+	j := Job(rs, nil)
 	return sweep.Record{
-		ID: rs.ID(), Label: rs.Label(), Prefetcher: rs.Name(), Trace: rs.TraceKey(),
+		ID: j.ID, Label: j.Label, Prefetcher: j.Prefetcher, Trace: j.Trace,
 		Status: sweep.StatusQuarantined, Err: err, Attempts: attempts,
 	}
 }
