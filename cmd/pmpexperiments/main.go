@@ -13,10 +13,13 @@
 //
 // With -remote the per-trace simulations are submitted to a running
 // pmpsweepd coordinator instead of the in-process pool: the
-// coordinator deduplicates, shards and leases them across its
-// registered workers, and this process polls for the records and
-// renders the same tables. The results store then lives with the
-// coordinator, so -store/-resume/-workers are rejected client-side.
+// coordinator deduplicates them in its own sweep and leases them to
+// its workers, and this process polls for the records and renders the
+// same tables. The results store then lives with the coordinator, so
+// -store/-resume/-workers are rejected client-side.
+//
+// A store append, store close or manifest write that fails is
+// reported at the end, and the command exits 1.
 //
 // Usage:
 //
@@ -38,6 +41,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -120,7 +124,7 @@ func main() {
 	resumeFlag := flag.Bool("resume", false, "skip jobs already completed in -store (requires -store)")
 	remoteAddr := flag.String("remote", "", "submit jobs to a running pmpsweepd coordinator at this address")
 	authToken := flag.String("auth-token", "", "shared-secret bearer token for a -remote coordinator started with -auth-token")
-	workers := flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "sweep worker pool size")
 	jobTimeout := flag.Duration("job-timeout", 30*time.Minute, "per-job attempt timeout (0 = none)")
 	retries := flag.Int("retries", 2, "attempts per job before quarantine")
 	progressFlag := flag.Bool("progress", true, "report sweep progress on stderr")
@@ -208,8 +212,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-resume requires -store")
 		os.Exit(2)
 	}
-	if *remoteAddr != "" && (*storePath != "" || *resumeFlag || *workers != 0) {
+	workersSet := false
+	flag.Visit(func(f *flag.Flag) { workersSet = workersSet || f.Name == "workers" })
+	if *remoteAddr != "" && (*storePath != "" || *resumeFlag || workersSet) {
 		fmt.Fprintln(os.Stderr, "-remote runs keep the store with the coordinator; drop -store/-resume/-workers")
+		os.Exit(2)
+	}
+	if *remoteAddr == "" && *workers < 1 {
+		fmt.Fprintf(os.Stderr, "-workers must be at least 1, got %d\n", *workers)
 		os.Exit(2)
 	}
 	var store *sweep.Store
@@ -311,11 +321,18 @@ func main() {
 		fmt.Printf("-- %s completed in %v --\n\n", e.id, res.dur.Round(time.Millisecond))
 	}
 
+	storeErrs := 0
 	if sw != nil {
 		m := sw.Close()
+		storeErrs = m.StoreErrors
 		if store != nil {
-			fmt.Fprintf(os.Stderr, "sweep: store %s: %d new, %d cached, %d quarantined (manifest: %s)\n",
-				store.Path(), m.Completed, m.Cached, m.Quarantined, store.ManifestPath())
+			fmt.Fprintf(os.Stderr, "sweep: store %s: %d new, %d cached, %d quarantined",
+				store.Path(), m.Completed, m.Cached, m.Quarantined)
+			if storeErrs > 0 {
+				fmt.Fprintf(os.Stderr, ", %d store errors (results or manifest not persisted)\n", storeErrs)
+			} else {
+				fmt.Fprintf(os.Stderr, " (manifest: %s)\n", store.ManifestPath())
+			}
 		}
 	}
 	if interrupted {
@@ -327,11 +344,15 @@ func main() {
 		os.Exit(130)
 	}
 	fmt.Printf("total elapsed: %v\n", time.Since(start).Round(time.Millisecond))
+	if storeErrs > 0 {
+		os.Exit(1)
+	}
 }
 
-// remoteProgress prints one coordinator status line every 5s while a
-// -remote run is in flight.
+// remoteProgress renders the coordinator's sweep snapshot every 5s
+// while a -remote run is in flight.
 func remoteProgress(ctx context.Context, rc *remote.Client) {
+	report := sweep.WriterProgress(os.Stderr)
 	tick := time.NewTicker(5 * time.Second)
 	defer tick.Stop()
 	for {
@@ -344,18 +365,7 @@ func remoteProgress(ctx context.Context, rc *remote.Client) {
 				fmt.Fprintf(os.Stderr, "remote: status: %v\n", err)
 				continue
 			}
-			fmt.Fprintf(os.Stderr, "remote: %d/%d done · %d leased · %d workers",
-				st.Done, st.Submitted, st.Leased, len(st.Workers))
-			if st.Cached > 0 {
-				fmt.Fprintf(os.Stderr, " · %d cached", st.Cached)
-			}
-			if st.Quarantined > 0 {
-				fmt.Fprintf(os.Stderr, " · %d quarantined", st.Quarantined)
-			}
-			if st.Expired > 0 {
-				fmt.Fprintf(os.Stderr, " · %d expired leases", st.Expired)
-			}
-			fmt.Fprintln(os.Stderr)
+			report(st.Snapshot, false)
 		}
 	}
 }

@@ -1,23 +1,26 @@
 // Command pmpsweepd is the distributed sweep service (docs/sweep.md,
-// "Distributed mode"): a coordinator that owns the job space and the
-// merged results store of a sharded experiment run, and a worker mode
-// that executes leased jobs on the local machine.
+// "Distributed mode"): a coordinator that serves the job table and the
+// merged results store of a distributed experiment run, and a worker
+// mode that executes leased jobs on the local machine.
 //
 // Coordinator mode (default) serves the HTTP+JSON protocol of
-// internal/sweep/remote on -listen, merging every reported record
-// into the -store JSONL file. Clients submit work with
-// `pmpexperiments -remote <addr>`; any number of clients can submit
-// concurrently, and identical jobs are deduplicated by their
-// deterministic sweep IDs. A worker that dies or stalls has its
-// leased jobs re-leased to the survivors after -lease-ttl, then
-// quarantined after -retries expired leases. On SIGINT/SIGTERM the
-// coordinator writes the run manifest (including per-worker job
-// tallies) next to the store and exits.
+// internal/sweep/remote on -listen, in front of a sweep that keeps its
+// records in the -store JSONL file and runs no job itself. Clients
+// submit work with `pmpexperiments -remote <addr>`; any number of
+// clients can submit concurrently, and identical jobs are deduplicated
+// by their deterministic sweep IDs. Workers lease the oldest queued
+// jobs. A worker that dies or stalls has its leased jobs re-queued
+// for the survivors after -lease-ttl, then quarantined after -retries
+// lapsed leases. On SIGINT/SIGTERM the coordinator writes the run
+// manifest (including per-worker job tallies) next to the store and
+// exits.
 //
-// Worker mode (-worker) registers with -connect, leases batches, runs
-// them on a local sweep pool of -parallel goroutines, and streams the
-// records back, heartbeating so slow jobs are not re-leased while the
-// worker is alive.
+// Worker mode (-worker) leases batches from -connect, runs them on a
+// local sweep pool of -parallel goroutines, and streams the records
+// back, heartbeating so slow jobs are not re-leased while the worker
+// is alive. It names itself (-name plus a random suffix) on every
+// request, so it needs no registration and outlives a coordinator
+// restart.
 //
 // -canon prints the canonical resolution of a results store (last
 // record per ID, sorted, timing fields zeroed); two stores that
@@ -121,15 +124,14 @@ func main() {
 		if err != nil {
 			logger.Fatal(err)
 		}
+		sw := sweep.New(context.Background(), sweep.Options{MaxAttempts: *retries, Store: store})
 		coord := remote.NewCoordinator(remote.CoordinatorOptions{
-			Store:       store,
-			LeaseTTL:    *leaseTTL,
-			LeaseMax:    *leaseMax,
-			MaxAttempts: *retries,
-			DrainGrace:  *drainGrace,
-			AuthToken:   *authToken,
-			Addr:        ln.Addr().String(),
-			Logf:        eventLog,
+			Sweep:      sw,
+			LeaseTTL:   *leaseTTL,
+			LeaseMax:   *leaseMax,
+			DrainGrace: *drainGrace,
+			AuthToken:  *authToken,
+			Logf:       eventLog,
 		})
 		srv := &http.Server{Handler: coord.Handler()}
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -146,9 +148,15 @@ func main() {
 			logger.Fatal(err)
 		}
 		st := coord.Status()
-		m, err := coord.Shutdown()
-		if err != nil {
-			logger.Printf("shutdown: %v", err)
+		m := sw.Close()
+		m.Coordinator = ln.Addr().String()
+		m.RemoteWorkers = len(st.Workers)
+		if err := sweep.WriteManifest(store.ManifestPath(), m); err != nil {
+			logger.Printf("manifest: %v", err)
+			m.StoreErrors++
+		}
+		if m.StoreErrors > 0 {
+			logger.Printf("%d store errors: the merged store or its manifest is incomplete", m.StoreErrors)
 		}
 		fmt.Fprintf(os.Stderr,
 			"pmpsweepd: %d jobs (%d completed, %d cached, %d quarantined, %d deduped) via %d workers, %d expired leases (manifest: %s)\n",

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -249,8 +250,9 @@ func geomeanRatio(a, b []sim.Result, metric func(sim.Result) float64) float64 {
 
 // defaultSweep is the process-wide scheduler used by Runners built
 // without an explicit sweep (tests, benchmarks, library use): one
-// bounded worker pool and one job-dedup table shared by every such
-// Runner in the process. It has no results store and is never closed.
+// worker pool of GOMAXPROCS workers and one job-dedup table shared by
+// every such Runner in the process. It has no results store and is
+// never closed.
 var (
 	defaultSweepOnce sync.Once
 	defaultSweepVal  *sweep.Sweep
@@ -258,7 +260,7 @@ var (
 
 func defaultSweep() *sweep.Sweep {
 	defaultSweepOnce.Do(func() {
-		defaultSweepVal = sweep.New(context.Background(), sweep.Options{})
+		defaultSweepVal = sweep.New(context.Background(), sweep.Options{Workers: runtime.GOMAXPROCS(0)})
 	})
 	return defaultSweepVal
 }
@@ -301,7 +303,7 @@ func NewRunnerWith(scale Scale, sw *sweep.Sweep) *Runner {
 			if err != nil {
 				panic(fmt.Sprintf("bench: build %s: %v", rs.Label(), err))
 			}
-			tickets[i] = sw.Submit(remote.Job(rs, run))
+			tickets[i] = sw.Submit(sweep.Job{Spec: rs, Run: run})
 		}
 		out := make([][]sim.Result, len(tickets))
 		for i, t := range tickets {
@@ -317,27 +319,22 @@ func NewRunnerWith(scale Scale, sw *sweep.Sweep) *Runner {
 
 // NewRunnerRemote builds a Runner that submits its jobs to a running
 // pmpsweepd coordinator (cmd/pmpexperiments -remote). The coordinator
-// deduplicates by job ID exactly like the in-process sweep, so
-// cross-experiment sharing survives the network hop. The context
-// governs submission and polling; canceling it, or a submission or
-// polling failure, unwinds experiments through the usual
-// sweep.Interrupted path.
+// keeps its jobs in a sweep too, so cross-experiment dedup by job ID
+// survives the network hop. The context governs submission and
+// polling; canceling it, or a submission or polling failure, unwinds
+// experiments through the usual sweep.Interrupted path.
 func NewRunnerRemote(ctx context.Context, scale Scale, rc *remote.Client) *Runner {
 	return &Runner{Scale: scale, specs: scale.Specs(), runJobs: func(jobs []runspec.RunSpec) [][]sim.Result {
-		if _, err := rc.Submit(ctx, jobs); err != nil {
+		if err := rc.Submit(ctx, jobs); err != nil {
 			panic(sweep.Interrupted{Err: err})
 		}
-		ids := make([]string, len(jobs))
-		for i, rs := range jobs {
-			ids[i] = rs.ID()
-		}
-		recs, err := rc.Wait(ctx, ids)
+		recs, err := rc.Wait(ctx, jobs)
 		if err != nil {
 			panic(sweep.Interrupted{Err: err})
 		}
-		out := make([][]sim.Result, len(ids))
-		for i, id := range ids {
-			out[i] = recs[id].Runs()
+		out := make([][]sim.Result, len(jobs))
+		for i, rs := range jobs {
+			out[i] = recs[rs.ID()].Runs()
 		}
 		return out
 	}}

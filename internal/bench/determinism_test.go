@@ -54,7 +54,7 @@ func TestResumeMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := sweep.New(context.Background(), sweep.Options{Store: st})
+	sw := sweep.New(context.Background(), sweep.Options{Workers: 2, Store: st})
 	fresh := NewRunnerWith(scale, sw).Run(NamePMP, cfg)
 	m := sw.Close()
 	if m.Completed == 0 || m.Cached != 0 {
@@ -65,7 +65,7 @@ func TestResumeMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw2 := sweep.New(context.Background(), sweep.Options{Store: st2})
+	sw2 := sweep.New(context.Background(), sweep.Options{Workers: 2, Store: st2})
 	resumed := NewRunnerWith(scale, sw2).Run(NamePMP, cfg)
 	m2 := sw2.Close()
 

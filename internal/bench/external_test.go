@@ -139,8 +139,9 @@ func TestExternalRemoteCanonicalIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		sw := sweep.New(context.Background(), sweep.Options{Store: store})
 		coord := remote.NewCoordinator(remote.CoordinatorOptions{
-			Store:      store,
+			Sweep:      sw,
 			LeaseMax:   4,
 			DrainGrace: 50 * time.Millisecond,
 		})
@@ -168,7 +169,7 @@ func TestExternalRemoteCanonicalIdentity(t *testing.T) {
 		if err := <-workerDone; err != nil && ctx.Err() == nil {
 			t.Fatalf("worker: %v", err)
 		}
-		store.Close()
+		sw.Close()
 		var buf bytes.Buffer
 		if err := sweep.WriteCanonical(&buf, path); err != nil {
 			t.Fatal(err)

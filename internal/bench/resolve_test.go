@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -123,12 +122,9 @@ func TestRunnerRemoteMatchesLocal(t *testing.T) {
 
 	want := NewRunner(scale).Run(NamePMP, cfg)
 
-	store, err := sweep.OpenStore(filepath.Join(t.TempDir(), "store.jsonl"), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	coord := remote.NewCoordinator(remote.CoordinatorOptions{Store: store, AuthToken: token})
+	sw := sweep.New(context.Background(), sweep.Options{})
+	defer sw.Close()
+	coord := remote.NewCoordinator(remote.CoordinatorOptions{Sweep: sw, AuthToken: token})
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 

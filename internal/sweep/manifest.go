@@ -3,6 +3,7 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"sort"
 	"time"
@@ -31,10 +32,10 @@ type Manifest struct {
 
 	Store string `json:"store,omitempty"`
 
-	// Distributed-mode fields, populated by the pmpsweepd coordinator
-	// (internal/sweep/remote) so a sharded run is auditable after the
-	// fact: where it ran, how many workers registered, and how many
-	// records each worker contributed to the merged store.
+	// Distributed-mode fields, so a run through the pmpsweepd
+	// coordinator is auditable after the fact. WorkerJobs counts the
+	// records each remote worker finished, by worker ID; pmpsweepd adds
+	// where the coordinator ran and how many workers it saw.
 	Coordinator   string         `json:"coordinator,omitempty"`
 	RemoteWorkers int            `json:"remote_workers,omitempty"`
 	WorkerJobs    map[string]int `json:"worker_jobs,omitempty"`
@@ -58,6 +59,7 @@ func (s *Sweep) manifest() Manifest {
 		Quarantined: s.quarantined,
 		Canceled:    s.canceled,
 		StoreErrors: s.storeErrs,
+		WorkerJobs:  maps.Clone(s.workerJobs),
 	}
 	if s.quarantined > 0 {
 		for _, t := range s.tickets {
@@ -75,8 +77,8 @@ func (s *Sweep) manifest() Manifest {
 }
 
 // WriteManifest writes the manifest as indented JSON. Besides Close,
-// the remote coordinator uses it to persist a distributed run's
-// manifest next to the merged store.
+// pmpsweepd uses it to add the coordinator's address and worker count
+// to a distributed run's manifest.
 func WriteManifest(path string, m Manifest) error {
 	b, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {

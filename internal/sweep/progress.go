@@ -8,18 +8,21 @@ import (
 	"time"
 )
 
-// Snapshot is a point-in-time view of a sweep's progress.
+// Snapshot is a point-in-time view of a sweep's progress. The
+// pmpsweepd coordinator serves it as the body of /status.
 type Snapshot struct {
-	Submitted   int // unique jobs accepted
-	Deduped     int // submissions folded into an existing ticket
-	Done        int // resolved (completed + cached + quarantined + canceled)
-	Cached      int // served from the results store
-	Completed   int // executed to completion this run
-	Quarantined int
-	Canceled    int
-	StoreErrors int
-	Running     []string // labels of currently executing jobs
-	Elapsed     time.Duration
+	Submitted   int           `json:"submitted"` // unique jobs accepted
+	Deduped     int           `json:"deduped"`   // submissions folded into an existing ticket
+	Done        int           `json:"done"`      // resolved (completed + cached + quarantined + canceled)
+	Cached      int           `json:"cached"`    // served from the results store
+	Completed   int           `json:"completed"` // executed to completion this run
+	Leased      int           `json:"leased"`    // held by remote workers
+	Expired     int           `json:"expired"`   // leases that lapsed (worker death or stall)
+	Quarantined int           `json:"quarantined"`
+	Canceled    int           `json:"canceled"`
+	StoreErrors int           `json:"store_errors"`
+	Running     []string      `json:"running,omitempty"` // labels of jobs executing locally
+	Elapsed     time.Duration `json:"elapsed_ns"`
 }
 
 // ProgressFunc receives periodic snapshots; final is true for the
@@ -41,6 +44,8 @@ func (s *Sweep) Snapshot() Snapshot {
 		Done:        s.done,
 		Cached:      s.cached,
 		Completed:   s.completed,
+		Leased:      len(s.leases),
+		Expired:     s.expired,
 		Quarantined: s.quarantined,
 		Canceled:    s.canceled,
 		StoreErrors: s.storeErrs,
@@ -65,8 +70,8 @@ func (s *Sweep) progressLoop() {
 }
 
 // WriterProgress returns a ProgressFunc rendering one status line per
-// report to w (normally stderr): jobs done/total, throughput, ETA and
-// the currently running job labels.
+// report to w (normally stderr): jobs done/total, throughput, ETA, the
+// leases and failures when there are any, and the running job labels.
 func WriterProgress(w io.Writer) ProgressFunc {
 	return func(snap Snapshot, final bool) {
 		var sb strings.Builder
@@ -79,6 +84,15 @@ func WriterProgress(w io.Writer) ProgressFunc {
 		}
 		if snap.Canceled > 0 {
 			fmt.Fprintf(&sb, " · %d canceled", snap.Canceled)
+		}
+		if snap.Leased > 0 {
+			fmt.Fprintf(&sb, " · %d leased", snap.Leased)
+		}
+		if snap.Expired > 0 {
+			fmt.Fprintf(&sb, " · %d expired leases", snap.Expired)
+		}
+		if snap.StoreErrors > 0 {
+			fmt.Fprintf(&sb, " · %d store errors", snap.StoreErrors)
 		}
 		if secs := snap.Elapsed.Seconds(); secs > 0 && snap.Completed > 0 {
 			rate := float64(snap.Completed) / secs

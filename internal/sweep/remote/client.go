@@ -41,10 +41,8 @@ func NewClient(addr string) *Client {
 // Submit sends a batch of run specs. Submission is idempotent: IDs
 // the coordinator already knows are deduplicated, IDs resolved in its
 // store are served from it.
-func (c *Client) Submit(ctx context.Context, jobs []runspec.RunSpec) (SubmitResponse, error) {
-	var resp SubmitResponse
-	err := postJSON(ctx, c.hc, c.base+PathSubmit, c.Token, SubmitRequest{Jobs: jobs}, &resp)
-	return resp, err
+func (c *Client) Submit(ctx context.Context, jobs []runspec.RunSpec) error {
+	return postJSON(ctx, c.hc, c.base+PathSubmit, c.Token, SubmitRequest{Jobs: jobs}, nil)
 }
 
 // Status fetches the coordinator's current counters.
@@ -54,10 +52,12 @@ func (c *Client) Status(ctx context.Context) (Status, error) {
 	return st, err
 }
 
-// Wait polls until every requested ID has resolved, returning the
-// records by ID. Transport errors are retried until MaxSilence
-// elapses without a successful poll.
-func (c *Client) Wait(ctx context.Context, ids []string) (map[string]sweep.Record, error) {
+// Wait polls until every spec's job has resolved, returning the
+// records by RunSpec.ID. A spec the coordinator reports unknown — it
+// restarted since the spec was submitted — is submitted again; a
+// resumed store serves it if it had finished. Transport errors are
+// retried until MaxSilence elapses without a successful poll.
+func (c *Client) Wait(ctx context.Context, specs []runspec.RunSpec) (map[string]sweep.Record, error) {
 	poll := c.Poll
 	if poll <= 0 {
 		poll = 250 * time.Millisecond
@@ -66,15 +66,27 @@ func (c *Client) Wait(ctx context.Context, ids []string) (map[string]sweep.Recor
 	if maxSilence <= 0 {
 		maxSilence = 2 * time.Minute
 	}
-	out := make(map[string]sweep.Record, len(ids))
-	remaining := make([]string, 0, len(ids))
-	for _, id := range ids {
-		remaining = append(remaining, id)
+	byID := make(map[string]runspec.RunSpec, len(specs))
+	remaining := make([]string, 0, len(specs))
+	for _, rs := range specs {
+		id := rs.ID()
+		if _, dup := byID[id]; !dup {
+			remaining = append(remaining, id)
+		}
+		byID[id] = rs
 	}
+	out := make(map[string]sweep.Record, len(remaining))
 	lastOK := time.Now()
 	for len(remaining) > 0 {
 		var resp ResultsResponse
 		err := postJSON(ctx, c.hc, c.base+PathResults, c.Token, ResultsRequest{IDs: remaining}, &resp)
+		if err == nil && len(resp.Unknown) > 0 {
+			lost := make([]runspec.RunSpec, len(resp.Unknown))
+			for i, id := range resp.Unknown {
+				lost[i] = byID[id]
+			}
+			err = c.Submit(ctx, lost)
+		}
 		if err != nil {
 			if ctx.Err() != nil {
 				return out, ctx.Err()
@@ -90,9 +102,6 @@ func (c *Client) Wait(ctx context.Context, ids []string) (map[string]sweep.Recor
 		lastOK = time.Now()
 		for _, rec := range resp.Records {
 			out[rec.ID] = rec
-		}
-		if resp.Pending == 0 {
-			break
 		}
 		next := remaining[:0]
 		for _, id := range remaining {

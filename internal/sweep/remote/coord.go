@@ -4,32 +4,28 @@ import (
 	"crypto/subtle"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"sort"
 	"sync"
 	"time"
 
-	"pmp/internal/runspec"
 	"pmp/internal/sweep"
 )
 
 // CoordinatorOptions configures a Coordinator. The zero value is
-// usable apart from Store, which is required.
+// usable apart from Sweep, which is required.
 type CoordinatorOptions struct {
-	// Store receives one record per resolved job and serves
-	// already-completed jobs back to Submit (resume across coordinator
-	// restarts). Required.
-	Store *sweep.Store
+	// Sweep is the job table. Submissions join it, leases drain its
+	// queue, and reports resolve its jobs; its store, MaxAttempts and
+	// manifest give the coordinator resume, retry-then-quarantine and
+	// the run record. It should run no local workers, so that every
+	// job goes to a remote worker. Required.
+	Sweep *sweep.Sweep
 	// LeaseTTL is how long a leased batch survives without a report or
 	// heartbeat from its worker before being re-queued; <= 0 means 60s.
 	LeaseTTL time.Duration
 	// LeaseMax bounds one lease's batch size; <= 0 means 16.
 	LeaseMax int
-	// MaxAttempts bounds lease attempts per job: after MaxAttempts
-	// expired leases the job is quarantined, mirroring the local
-	// sweep's retry-then-quarantine path. <= 0 means 2.
-	MaxAttempts int
 	// DrainGrace is how long the coordinator must sit fully resolved
 	// with no client contact (submit or results poll) before an empty
 	// lease reports Drained. A driving client submits its waves
@@ -38,9 +34,6 @@ type CoordinatorOptions struct {
 	// that gap and the next wave hangs with no one to run it.
 	// <= 0 means 2s.
 	DrainGrace time.Duration
-	// Addr is the advertised coordinator address, recorded in the run
-	// manifest for auditability.
-	Addr string
 	// AuthToken, when non-empty, requires every request to carry a
 	// matching `Authorization: Bearer <token>` header (constant-time
 	// compare); unauthorized requests get 401. Shared-secret auth for
@@ -53,72 +46,27 @@ type CoordinatorOptions struct {
 	Now func() time.Time
 }
 
-// job lifecycle states.
-const (
-	jobPending = iota
-	jobLeased
-	jobDone
-)
-
-// coordJob is the coordinator's bookkeeping for one job.
-type coordJob struct {
-	spec     runspec.RunSpec
-	state    int
-	workerID string
-	leaseID  string
-	deadline time.Time
-	attempts int // lease attempts consumed (expiries included)
-	rec      sweep.Record
-}
-
-// workerState is the coordinator's bookkeeping for one registration.
-type workerState struct {
-	id       string
-	name     string
-	parallel int
-	index    int // shard index, fixed at registration
-	jobs     int // records merged from this worker
-	lastSeen time.Time
-}
-
-// Coordinator owns the job space of a distributed sweep: it
-// deduplicates submissions by job ID, shards pending jobs across
-// registered workers (hash of the job ID, with stealing so an idle
-// worker is never starved by a dead shard), tracks leases, merges
-// reported records into the store, and re-leases expired batches.
+// Coordinator is the HTTP front of a sweep: it adds clients' run specs
+// to the sweep, leases the sweep's queue to the workers that ask, and
+// resolves jobs with their reports. It keeps only what HTTP needs
+// beyond the sweep: the workers it has seen, lease timing, and the
+// drain grace.
 type Coordinator struct {
 	opts CoordinatorOptions
+	sw   *sweep.Sweep
 
-	mu      sync.Mutex
-	jobs    map[string]*coordJob
-	backlog []string // pending job IDs, FIFO; entries are skipped if no longer pending
-	workers map[string]*workerState
-
-	workerSeq  int
-	leaseSeq   int
-	started    time.Time
+	mu         sync.Mutex
+	workers    map[string]*WorkerStatus
 	lastClient time.Time // last submit or results poll
-
-	// counters (guarded by mu)
-	deduped     int
-	cached      int
-	completed   int
-	quarantined int
-	expired     int
-	stale       int
-	storeErrs   int
 }
 
-// NewCoordinator builds a coordinator around the merged store.
+// NewCoordinator builds a coordinator around opts.Sweep.
 func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = 60 * time.Second
 	}
 	if opts.LeaseMax <= 0 {
 		opts.LeaseMax = 16
-	}
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = 2
 	}
 	if opts.DrainGrace <= 0 {
 		opts.DrainGrace = 2 * time.Second
@@ -129,430 +77,185 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
-	c := &Coordinator{
-		opts:    opts,
-		jobs:    map[string]*coordJob{},
-		workers: map[string]*workerState{},
-	}
-	c.started = opts.Now()
-	return c
+	return &Coordinator{opts: opts, sw: opts.Sweep, workers: map[string]*WorkerStatus{}}
 }
 
-// shardOf maps a job ID onto one of n shards.
-func shardOf(id string, n int) int {
-	if n <= 0 {
-		return 0
-	}
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return int(h.Sum32() % uint32(n))
-}
-
-// register adds a worker and assigns its shard index.
-func (c *Coordinator) register(req RegisterRequest) RegisterResponse {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.workerSeq++
-	w := &workerState{
-		id:       fmt.Sprintf("w%d", c.workerSeq),
-		name:     req.Name,
-		parallel: req.Parallel,
-		index:    c.workerSeq - 1,
-		lastSeen: c.opts.Now(),
-	}
-	c.workers[w.id] = w
-	c.opts.Logf("register: %s (%s, parallel %d)", w.id, w.name, req.Parallel)
-	return RegisterResponse{WorkerID: w.id, LeaseTTL: c.opts.LeaseTTL}
-}
-
-// submit queues new jobs under their RunSpec.ID, folding duplicates and
-// serving store hits.
-func (c *Coordinator) submit(req SubmitRequest) SubmitResponse {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.expireLocked()
-	c.lastClient = c.opts.Now()
-	var resp SubmitResponse
-	for _, spec := range req.Jobs {
-		id := spec.ID()
-		if _, ok := c.jobs[id]; ok {
-			c.deduped++
-			resp.Deduped++
-			continue
-		}
-		j := &coordJob{spec: spec}
-		if rec, ok := c.opts.Store.Lookup(id); ok && rec.Status == sweep.StatusOK {
-			j.state = jobDone
-			j.rec = rec
-			c.cached++
-			resp.Cached++
-			c.jobs[id] = j
-			continue
-		}
-		j.state = jobPending
-		c.jobs[id] = j
-		c.backlog = append(c.backlog, id)
-		resp.Accepted++
-	}
-	if resp.Accepted > 0 {
-		c.opts.Logf("submit: %d queued, %d deduped, %d cached", resp.Accepted, resp.Deduped, resp.Cached)
-	}
-	return resp
-}
-
-// lease grants up to max pending jobs to the worker, preferring jobs
-// whose ID hashes to the worker's shard and stealing from other shards
-// when its own is empty, so a dead worker's backlog drains through the
-// survivors.
-func (c *Coordinator) lease(req LeaseRequest) (LeaseResponse, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.expireLocked()
-	w, ok := c.workers[req.WorkerID]
-	if !ok {
-		return LeaseResponse{}, fmt.Errorf("unknown worker %q", req.WorkerID)
-	}
+// now reads the clock for one request and first expires the leases
+// that lapsed by then, so a polling client alone is enough to keep a
+// dead worker's jobs moving.
+func (c *Coordinator) now() time.Time {
 	now := c.opts.Now()
-	w.lastSeen = now
+	if n := c.sw.Expire(now); n > 0 {
+		c.opts.Logf("expire: %d leases lapsed", n)
+	}
+	return now
+}
+
+// contact is now for a client request: it restarts the drain grace.
+func (c *Coordinator) contact() {
+	now := c.now()
+	c.mu.Lock()
+	c.lastClient = now
+	c.mu.Unlock()
+}
+
+// seen records contact from a worker, learning it on first contact.
+func (c *Coordinator) seen(w Worker, now time.Time) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ws, ok := c.workers[w.ID]
+	if !ok {
+		ws = &WorkerStatus{ID: w.ID, Name: w.Name}
+		c.workers[w.ID] = ws
+		c.opts.Logf("worker %s (%s) joined", w.ID, w.Name)
+	}
+	ws.LastSeen = now
+}
+
+// submit adds valid run specs to the sweep, which keys each by its
+// RunSpec.ID, folds duplicates and serves store hits. One invalid spec
+// rejects the whole batch.
+func (c *Coordinator) submit(req SubmitRequest) error {
+	// The coordinator vets that every spec describes a well-formed run
+	// (cores, variant configurations, placements within the hierarchy,
+	// records, config) without constructing designs or resolving
+	// traces — that stays on the workers.
+	for i, spec := range req.Jobs {
+		if err := spec.Validate(); err != nil {
+			return fmt.Errorf("invalid job %d (%s): %v", i, spec.Label(), err)
+		}
+	}
+	c.contact()
+	for _, spec := range req.Jobs {
+		c.sw.Submit(sweep.Job{Spec: spec})
+	}
+	c.opts.Logf("submit: %d jobs", len(req.Jobs))
+	return nil
+}
+
+// lease grants the worker up to max of the oldest queued jobs.
+func (c *Coordinator) lease(req LeaseRequest) LeaseResponse {
+	now := c.now()
+	c.seen(req.Worker, now)
 	max := req.Max
 	if max <= 0 || max > c.opts.LeaseMax {
 		max = c.opts.LeaseMax
 	}
-	// Compact the queue to live pending entries while splitting it into
-	// this worker's shard and the rest. A job can appear twice — its
-	// original entry is left behind at lease time and expiry re-queues
-	// it — so duplicates are folded here too.
-	var mine, theirs []string
-	live := c.backlog[:0]
-	seen := make(map[string]bool, len(c.backlog))
-	n := len(c.workers)
-	for _, id := range c.backlog {
-		j := c.jobs[id]
-		if j == nil || j.state != jobPending || seen[id] {
-			continue // resolved, leased since queuing, or duplicate
-		}
-		seen[id] = true
-		live = append(live, id)
-		if shardOf(id, n) == w.index%n {
-			mine = append(mine, id)
-		} else {
-			theirs = append(theirs, id)
-		}
+	resp := LeaseResponse{LeaseTTL: c.opts.LeaseTTL}
+	resp.Jobs = c.sw.Lease(req.ID, max, now.Add(c.opts.LeaseTTL))
+	if len(resp.Jobs) == 0 {
+		resp.Drained = c.quiescent(now)
+		return resp
 	}
-	c.backlog = live
-	picked := mine
-	if len(picked) > max {
-		picked = picked[:max]
-	}
-	if len(picked) < max { // shard drained: steal
-		picked = append(picked, theirs[:min(max-len(picked), len(theirs))]...)
-	}
-	if len(picked) == 0 {
-		return LeaseResponse{Drained: c.quiescentLocked(now)}, nil
-	}
-	c.leaseSeq++
-	leaseID := fmt.Sprintf("l%d", c.leaseSeq)
-	resp := LeaseResponse{LeaseID: leaseID}
-	for _, id := range picked {
-		j := c.jobs[id]
-		j.state = jobLeased
-		j.workerID = w.id
-		j.leaseID = leaseID
-		j.deadline = now.Add(c.opts.LeaseTTL)
-		j.attempts++
-		resp.Jobs = append(resp.Jobs, j.spec)
-	}
-	c.opts.Logf("lease %s -> %s: %d jobs", leaseID, w.id, len(resp.Jobs))
-	return resp, nil
+	c.opts.Logf("lease -> %s: %d jobs", req.ID, len(resp.Jobs))
+	return resp
 }
 
-// report merges completed records into the store and extends the
-// reporting worker's outstanding leases (heartbeat).
-func (c *Coordinator) report(req ReportRequest) (ReportResponse, error) {
-	c.mu.Lock()
-	c.expireLocked()
-	w, ok := c.workers[req.WorkerID]
-	if !ok {
-		c.mu.Unlock()
-		return ReportResponse{}, fmt.Errorf("unknown worker %q", req.WorkerID)
-	}
-	now := c.opts.Now()
-	w.lastSeen = now
-	// Heartbeat: everything this worker still holds gets a fresh
-	// deadline, so a slow job survives as long as its worker does.
-	for _, j := range c.jobs {
-		if j.state == jobLeased && j.workerID == w.id {
-			j.deadline = now.Add(c.opts.LeaseTTL)
-		}
-	}
+// report renews the worker's leases (heartbeat) and resolves the jobs
+// its records finish.
+func (c *Coordinator) report(req ReportRequest) ReportResponse {
+	now := c.now()
+	c.seen(req.Worker, now)
+	c.sw.Renew(req.ID, now.Add(c.opts.LeaseTTL))
 	var resp ReportResponse
-	var persist []sweep.Record
 	for _, rec := range req.Records {
-		j, ok := c.jobs[rec.ID]
-		if !ok || j.state == jobDone {
-			// Unknown, or already resolved by another worker after this
-			// worker's lease expired. Results are deterministic, so the
-			// extra copy is dropped rather than re-stored.
-			c.stale++
+		if c.sw.Finish(req.ID, rec) {
+			resp.Accepted++
+		} else {
 			resp.Stale++
-			continue
-		}
-		j.state = jobDone
-		j.rec = rec
-		switch rec.Status {
-		case sweep.StatusQuarantined:
-			c.quarantined++
-		default:
-			c.completed++
-		}
-		w.jobs++
-		resp.Accepted++
-		persist = append(persist, rec)
-	}
-	c.mu.Unlock()
-
-	for _, rec := range persist {
-		if err := c.opts.Store.Append(rec); err != nil {
-			c.mu.Lock()
-			c.storeErrs++
-			c.mu.Unlock()
-			c.opts.Logf("store append %s: %v", rec.ID, err)
 		}
 	}
-	if resp.Accepted > 0 {
-		c.opts.Logf("report %s <- %s: %d records (%d stale)", req.LeaseID, w.id, resp.Accepted, resp.Stale)
+	if len(req.Records) > 0 {
+		c.opts.Logf("report <- %s: %d records (%d stale)", req.ID, resp.Accepted, resp.Stale)
 	}
-	return resp, nil
+	return resp
 }
 
-// results serves resolved records for the requested IDs.
+// results serves resolved records for the requested IDs and lists the
+// IDs the sweep has never been submitted.
 func (c *Coordinator) results(req ResultsRequest) ResultsResponse {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.expireLocked()
-	c.lastClient = c.opts.Now()
+	c.contact()
 	var resp ResultsResponse
 	for _, id := range req.IDs {
-		if j, ok := c.jobs[id]; ok && j.state == jobDone {
-			resp.Records = append(resp.Records, j.rec)
-		} else {
+		rec, done, known := c.sw.Lookup(id)
+		switch {
+		case done:
+			resp.Records = append(resp.Records, rec)
+		case known:
 			resp.Pending++
+		default:
+			resp.Unknown = append(resp.Unknown, id)
 		}
 	}
 	return resp
 }
 
-// expireLocked re-queues jobs whose lease deadline has passed; a job
-// that has exhausted MaxAttempts lease attempts is quarantined with a
-// store record, mirroring the local sweep's retry-then-quarantine
-// path. Expiry runs lazily at every coordinator entry point, so a
-// polling client is enough to keep a dead worker's backlog moving.
-func (c *Coordinator) expireLocked() {
-	now := c.opts.Now()
-	var lapsed []string
-	for id, j := range c.jobs {
-		if j.state == jobLeased && !now.Before(j.deadline) {
-			lapsed = append(lapsed, id)
-		}
-	}
-	// Sorted, so simultaneous expiries re-queue and hit the store in a
-	// deterministic order.
-	sort.Strings(lapsed)
-	for _, id := range lapsed {
-		j := c.jobs[id]
-		c.expired++
-		if j.attempts < c.opts.MaxAttempts {
-			j.state = jobPending
-			c.backlog = append(c.backlog, id)
-			c.opts.Logf("expire: %s (%s) re-queued (lease %s, worker %s)",
-				id, j.spec.Label(), j.leaseID, j.workerID)
-			continue
-		}
-		j.state = jobDone
-		j.rec = quarantined(j.spec, fmt.Sprintf("lease expired %d times (last worker %s)",
-			j.attempts, j.workerID), j.attempts)
-		c.quarantined++
-		c.opts.Logf("expire: %s (%s) quarantined after %d leases", id, j.spec.Label(), j.attempts)
-		if err := c.opts.Store.Append(j.rec); err != nil {
-			c.storeErrs++
-		}
-	}
-}
-
-// drainedLocked reports whether every submitted job has resolved.
-func (c *Coordinator) drainedLocked() bool {
-	for _, j := range c.jobs {
-		if j.state != jobDone {
-			return false
-		}
-	}
-	return true
-}
-
-// quiescentLocked reports whether the run is over from a worker's
-// point of view: at least one job was submitted, every job has
-// resolved, and no client has submitted or polled for DrainGrace.
-// The grace guards against the transient drain between a driving
-// client's sequential submission waves; requiring a first submission
-// keeps an ExitWhenDrained worker that starts before its client from
-// exiting immediately.
-func (c *Coordinator) quiescentLocked(now time.Time) bool {
-	return len(c.jobs) > 0 && c.drainedLocked() &&
-		now.Sub(c.lastClient) >= c.opts.DrainGrace
-}
-
-// Status returns the coordinator's current counters, workers sorted by
-// ID.
-func (c *Coordinator) Status() Status {
+// quiescent reports whether the run is over from a worker's point of
+// view: at least one job was submitted, every job has resolved, and no
+// client has submitted or polled for DrainGrace. The grace guards
+// against the transient drain between a driving client's sequential
+// submission waves; requiring a first submission keeps an
+// ExitWhenDrained worker that starts before its client from exiting
+// immediately.
+func (c *Coordinator) quiescent(now time.Time) bool {
+	snap := c.sw.Snapshot()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.expireLocked()
-	st := Status{
-		Deduped:     c.deduped,
-		Cached:      c.cached,
-		Completed:   c.completed,
-		Quarantined: c.quarantined,
-		Expired:     c.expired,
-		Submitted:   len(c.jobs),
-	}
-	for _, j := range c.jobs {
-		switch j.state {
-		case jobPending:
-			st.Pending++
-		case jobLeased:
-			st.Leased++
-		case jobDone:
-			st.Done++
-		}
-	}
-	st.Drained = st.Done == len(c.jobs)
+	quiet := now.Sub(c.lastClient) >= c.opts.DrainGrace
+	c.mu.Unlock()
+	return snap.Submitted > 0 && snap.Done == snap.Submitted && quiet
+}
+
+// Status returns the sweep's snapshot with the queue length and the
+// workers seen, sorted by ID.
+func (c *Coordinator) Status() Status {
+	c.now()
+	st := Status{Snapshot: c.sw.Snapshot()}
+	st.Pending = st.Submitted - st.Done - st.Leased - len(st.Running)
+	st.Drained = st.Done == st.Submitted
+	held := c.sw.Held()
+	c.mu.Lock()
 	for _, w := range c.workers {
-		leased := 0
-		for _, j := range c.jobs {
-			if j.state == jobLeased && j.workerID == w.id {
-				leased++
-			}
-		}
-		st.Workers = append(st.Workers, WorkerStatus{
-			ID: w.id, Name: w.name, Parallel: w.parallel,
-			Jobs: w.jobs, Leased: leased, LastSeen: w.lastSeen,
-		})
+		ws := *w
+		ws.Leased = held[w.ID]
+		st.Workers = append(st.Workers, ws)
 	}
+	c.mu.Unlock()
 	sort.Slice(st.Workers, func(i, k int) bool { return st.Workers[i].ID < st.Workers[k].ID })
 	return st
-}
-
-// Manifest assembles the distributed run's manifest: the serial
-// manifest fields plus coordinator address, worker count and
-// per-worker merged-job tallies.
-func (c *Coordinator) Manifest() sweep.Manifest {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.opts.Now()
-	m := sweep.Manifest{
-		RunID:         fmt.Sprintf("%x", c.started.UnixNano()),
-		StartedAt:     c.started,
-		FinishedAt:    now,
-		WallSeconds:   now.Sub(c.started).Seconds(),
-		Submitted:     len(c.jobs),
-		Deduped:       c.deduped,
-		Completed:     c.completed,
-		Cached:        c.cached,
-		Quarantined:   c.quarantined,
-		StoreErrors:   c.storeErrs,
-		Coordinator:   c.opts.Addr,
-		RemoteWorkers: len(c.workers),
-	}
-	if len(c.workers) > 0 {
-		m.WorkerJobs = map[string]int{}
-		for _, w := range c.workers {
-			m.WorkerJobs[w.id+"/"+w.name] = w.jobs
-		}
-	}
-	for _, j := range c.jobs {
-		if j.state == jobDone && j.rec.Status == sweep.StatusQuarantined {
-			m.QuarantinedJobs = append(m.QuarantinedJobs, j.rec.Label)
-		}
-	}
-	sort.Strings(m.QuarantinedJobs)
-	return m
-}
-
-// Shutdown writes the run manifest next to the store and closes the
-// store. The coordinator must not receive requests afterwards.
-func (c *Coordinator) Shutdown() (sweep.Manifest, error) {
-	m := c.Manifest()
-	m.Store = c.opts.Store.Path()
-	err := sweep.WriteManifest(c.opts.Store.ManifestPath(), m)
-	if cerr := c.opts.Store.Close(); err == nil {
-		err = cerr
-	}
-	return m, err
 }
 
 // Handler returns the coordinator's HTTP API.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc(PathRegister, func(w http.ResponseWriter, r *http.Request) {
-		var req RegisterRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		reply(w, c.register(req))
-	})
 	mux.HandleFunc(PathSubmit, func(w http.ResponseWriter, r *http.Request) {
 		var req SubmitRequest
 		if !decode(w, r, &req) {
 			return
 		}
-		// The coordinator vets that every spec describes a well-formed
-		// run (cores, variant configurations, placements within the
-		// hierarchy, records, config) without constructing designs or
-		// resolving traces — that stays on the workers.
-		for i, spec := range req.Jobs {
-			if err := spec.Validate(); err != nil {
-				http.Error(w, fmt.Sprintf("invalid job %d (%s): %v", i, spec.Label(), err),
-					http.StatusBadRequest)
-				return
-			}
+		if err := c.submit(req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
-		reply(w, c.submit(req))
+		reply(w, struct{}{})
 	})
-	mux.HandleFunc(PathLease, func(w http.ResponseWriter, r *http.Request) {
-		var req LeaseRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		resp, err := c.lease(req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusGone)
-			return
-		}
-		reply(w, resp)
-	})
-	mux.HandleFunc(PathReport, func(w http.ResponseWriter, r *http.Request) {
-		var req ReportRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		resp, err := c.report(req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusGone)
-			return
-		}
-		reply(w, resp)
-	})
-	mux.HandleFunc(PathResults, func(w http.ResponseWriter, r *http.Request) {
-		var req ResultsRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		reply(w, c.results(req))
-	})
+	mux.HandleFunc(PathLease, serve(c.lease))
+	mux.HandleFunc(PathReport, serve(c.report))
+	mux.HandleFunc(PathResults, serve(c.results))
 	mux.HandleFunc(PathStatus, func(w http.ResponseWriter, r *http.Request) {
 		reply(w, c.Status())
 	})
 	return c.authMiddleware(mux)
+}
+
+// serve adapts a request handler to HTTP: decode the JSON body, reply
+// with the JSON result.
+func serve[Req, Resp any](handle func(Req) Resp) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if decode(w, r, &req) {
+			reply(w, handle(req))
+		}
+	}
 }
 
 // authMiddleware enforces the shared-secret bearer token on every

@@ -39,23 +39,39 @@ func fakeBuild(rs runspec.RunSpec) (func(context.Context) []sim.Result, error) {
 	}, nil
 }
 
-// serveCoordinator spins up a coordinator over a fresh store behind an
-// httptest server.
-func serveCoordinator(t *testing.T, opts CoordinatorOptions) (*Coordinator, *httptest.Server, string) {
+// serveCoordinator spins up a coordinator over a sweep on a fresh
+// store behind an httptest server.
+func serveCoordinator(t *testing.T, opts CoordinatorOptions, sopts sweep.Options) (*Coordinator, *httptest.Server, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "store.jsonl")
-	store, err := sweep.OpenStore(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Store = store
-	c := NewCoordinator(opts)
+	c, sw := coordinatorOver(t, path, false, opts, sopts)
 	srv := httptest.NewServer(c.Handler())
 	t.Cleanup(func() {
 		srv.Close()
-		store.Close()
+		sw.Close()
 	})
 	return c, srv, path
+}
+
+// coordinatorOver builds a coordinator over a sweep with no local
+// workers on the store at path, resuming the store when resume is set.
+func coordinatorOver(t *testing.T, path string, resume bool, opts CoordinatorOptions, sopts sweep.Options) (*Coordinator, *sweep.Sweep) {
+	t.Helper()
+	store, err := sweep.OpenStore(path, resume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sopts.Store = store
+	opts.Sweep = sweep.New(context.Background(), sopts)
+	return NewCoordinator(opts), opts.Sweep
+}
+
+// swappable serves whichever handler was stored last, so a test can
+// restart the coordinator behind a listener that keeps serving.
+type swappable struct{ atomic.Value }
+
+func (s *swappable) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.Load().(http.Handler).ServeHTTP(w, r)
 }
 
 // e2eSpecs is the shared job set for the determinism tests.
@@ -67,15 +83,6 @@ func e2eSpecs(n int) []runspec.RunSpec {
 	return specs
 }
 
-// specIDs lists the job IDs of specs, in order.
-func specIDs(specs []runspec.RunSpec) []string {
-	ids := make([]string, len(specs))
-	for i, s := range specs {
-		ids[i] = s.ID()
-	}
-	return ids
-}
-
 // runDistributed drives a full run: submit, N workers until drained,
 // wait for all records, and return the store's canonical dump.
 func runDistributed(t *testing.T, nWorkers int, specs []runspec.RunSpec) []byte {
@@ -83,13 +90,13 @@ func runDistributed(t *testing.T, nWorkers int, specs []runspec.RunSpec) []byte 
 	_, srv, path := serveCoordinator(t, CoordinatorOptions{
 		LeaseMax:   4,
 		DrainGrace: 50 * time.Millisecond,
-	})
+	}, sweep.Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
 	cl := NewClient(srv.URL)
 	cl.Poll = 10 * time.Millisecond
-	if _, err := cl.Submit(ctx, specs); err != nil {
+	if err := cl.Submit(ctx, specs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -112,7 +119,7 @@ func runDistributed(t *testing.T, nWorkers int, specs []runspec.RunSpec) []byte 
 		}(i)
 	}
 
-	recs, err := cl.Wait(ctx, specIDs(specs))
+	recs, err := cl.Wait(ctx, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +150,7 @@ func TestDistributedDeterminism1v3(t *testing.T) {
 	pool := sweep.New(context.Background(), sweep.Options{Workers: 1, Store: store})
 	for _, s := range specs {
 		run, _ := fakeBuild(s)
-		pool.Submit(Job(s, run))
+		pool.Submit(sweep.Job{Spec: s, Run: run})
 	}
 	pool.Close()
 	store.Close()
@@ -167,18 +174,17 @@ func TestDistributedDeterminism1v3(t *testing.T) {
 // and the run still completes with every record intact.
 func TestWorkerDeathRelease(t *testing.T) {
 	coord, srv, path := serveCoordinator(t, CoordinatorOptions{
-		LeaseTTL:    400 * time.Millisecond,
-		LeaseMax:    4,
-		MaxAttempts: 5,
-		DrainGrace:  50 * time.Millisecond,
-	})
+		LeaseTTL:   400 * time.Millisecond,
+		LeaseMax:   4,
+		DrainGrace: 50 * time.Millisecond,
+	}, sweep.Options{MaxAttempts: 5})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
 	specs := e2eSpecs(8)
 	cl := NewClient(srv.URL)
 	cl.Poll = 10 * time.Millisecond
-	if _, err := cl.Submit(ctx, specs); err != nil {
+	if err := cl.Submit(ctx, specs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -231,7 +237,7 @@ func TestWorkerDeathRelease(t *testing.T) {
 		})
 	}()
 
-	recs, err := cl.Wait(ctx, specIDs(specs))
+	recs, err := cl.Wait(ctx, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +272,7 @@ func TestUnbuildableJobIsQuarantined(t *testing.T) {
 	coord, srv, _ := serveCoordinator(t, CoordinatorOptions{
 		LeaseMax:   4,
 		DrainGrace: 50 * time.Millisecond,
-	})
+	}, sweep.Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -274,7 +280,7 @@ func TestUnbuildableJobIsQuarantined(t *testing.T) {
 	bad := specs[2]
 	cl := NewClient(srv.URL)
 	cl.Poll = 10 * time.Millisecond
-	if _, err := cl.Submit(ctx, specs); err != nil {
+	if err := cl.Submit(ctx, specs); err != nil {
 		t.Fatal(err)
 	}
 	workerDone := make(chan error, 1)
@@ -294,7 +300,7 @@ func TestUnbuildableJobIsQuarantined(t *testing.T) {
 		})
 	}()
 
-	recs, err := cl.Wait(ctx, specIDs(specs))
+	recs, err := cl.Wait(ctx, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,13 +326,13 @@ func TestUnbuildableJobIsQuarantined(t *testing.T) {
 // trigger bits) is refused at /submit with 400, and nothing from its
 // batch is queued.
 func TestSubmitRejectsInvalidVariant(t *testing.T) {
-	coord, srv, _ := serveCoordinator(t, CoordinatorOptions{})
+	coord, srv, _ := serveCoordinator(t, CoordinatorOptions{}, sweep.Options{})
 	specs := e2eSpecs(3)
 	cfg := core.DefaultConfig()
 	cfg.TriggerBits = 0
 	specs[1].Cores[0].Variant = runspec.VariantSpec{Name: "pmp-tw0", PMP: &cfg}
 
-	_, err := NewClient(srv.URL).Submit(context.Background(), specs)
+	err := NewClient(srv.URL).Submit(context.Background(), specs)
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
 		t.Fatalf("submit of an invalid variant: err %v, want a 400 StatusError", err)
@@ -336,29 +342,23 @@ func TestSubmitRejectsInvalidVariant(t *testing.T) {
 	}
 }
 
-// A worker surviving a coordinator restart re-registers and keeps
-// working against the replacement (resumed from the same store).
-func TestWorkerReregistersAfterCoordinatorRestart(t *testing.T) {
+// A worker outlives a coordinator restart: it keeps leasing from the
+// replacement (resumed from the same store) with no registration, and
+// the coordinator learns it on first contact.
+func TestWorkerSurvivesCoordinatorRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.jsonl")
-	store, err := sweep.OpenStore(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1 := NewCoordinator(CoordinatorOptions{Store: store, LeaseMax: 2})
-	// The restart swaps the coordinator while the listener keeps
-	// serving, so the handler is read atomically per request.
-	var current atomic.Value
+	c1, sw1 := coordinatorOver(t, path, false, CoordinatorOptions{LeaseMax: 2}, sweep.Options{})
+	var current swappable
 	current.Store(c1.Handler())
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		current.Load().(http.Handler).ServeHTTP(w, r)
-	}))
+	srv := httptest.NewServer(&current)
+	defer srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
 	specs := e2eSpecs(6)
 	cl := NewClient(srv.URL)
 	cl.Poll = 10 * time.Millisecond
-	if _, err := cl.Submit(ctx, specs[:3]); err != nil {
+	if err := cl.Submit(ctx, specs[:3]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -377,42 +377,81 @@ func TestWorkerReregistersAfterCoordinatorRestart(t *testing.T) {
 		})
 	}()
 
-	if _, err := cl.Wait(ctx, specIDs(specs[:3])); err != nil {
+	if _, err := cl.Wait(ctx, specs[:3]); err != nil {
 		t.Fatal(err)
 	}
 
 	// Restart: a fresh coordinator resumes the same store behind the
-	// same listener. The worker's next lease is rejected (unknown
-	// worker), it re-registers, and drains the remaining jobs.
-	store.Close()
-	store, err = sweep.OpenStore(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	c2 := NewCoordinator(CoordinatorOptions{Store: store, LeaseMax: 2})
+	// same listener, and the worker's next lease goes to it.
+	sw1.Close()
+	c2, sw2 := coordinatorOver(t, path, true, CoordinatorOptions{LeaseMax: 2}, sweep.Options{})
+	defer sw2.Close()
 	current.Store(c2.Handler())
 
-	resp, err := cl.Submit(ctx, specs)
-	if err != nil {
+	if err := cl.Submit(ctx, specs); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Cached != 3 || resp.Accepted != 3 {
-		t.Fatalf("resubmit after restart: %+v, want 3 cached 3 accepted", resp)
+	if st := c2.Status(); st.Submitted != 6 || st.Cached != 3 {
+		t.Fatalf("status after resubmit: %+v, want 6 submitted, 3 cached", st)
 	}
-	recs, err := cl.Wait(ctx, specIDs(specs))
+	recs, err := cl.Wait(ctx, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != len(specs) {
 		t.Fatalf("resolved %d/%d after restart", len(recs), len(specs))
 	}
-	if st := c2.Status(); len(st.Workers) == 0 {
-		t.Fatal("worker never re-registered with the replacement coordinator")
+	if st := c2.Status(); len(st.Workers) != 1 || st.Workers[0].Name != "steady" {
+		t.Fatalf("replacement coordinator's workers = %+v, want the steady worker", st.Workers)
 	}
 	stopWorker()
 	if err := <-workerDone; err != nil && ctx.Err() == nil && err != context.Canceled {
 		t.Fatalf("worker: %v", err)
 	}
-	srv.Close()
+}
+
+// A client waiting across a coordinator restart gets every record: the
+// replacement reports the IDs it was never submitted as unknown, the
+// client submits them again, and the resumed store serves them.
+func TestWaitResubmitsAfterCoordinatorRestart(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	c1, sw1 := coordinatorOver(t, path, false, CoordinatorOptions{}, sweep.Options{})
+	var current swappable
+	current.Store(c1.Handler())
+	srv := httptest.NewServer(&current)
+	defer srv.Close()
+
+	specs := e2eSpecs(3)
+	cl := NewClient(srv.URL)
+	cl.Poll = 10 * time.Millisecond
+	if err := cl.Submit(context.Background(), specs); err != nil {
+		t.Fatal(err)
+	}
+	var recs []sweep.Record
+	for _, rs := range specs {
+		recs = append(recs, okRecord(rs))
+	}
+	if resp := c1.report(ReportRequest{Worker: testWorker("w"), Records: recs}); resp.Accepted != 3 {
+		t.Fatalf("report: %+v, want 3 accepted", resp)
+	}
+
+	sw1.Close()
+	c2, sw2 := coordinatorOver(t, path, true, CoordinatorOptions{}, sweep.Options{})
+	defer sw2.Close()
+	current.Store(c2.Handler())
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	got, err := cl.Wait(ctx, specs)
+	if err != nil {
+		t.Fatalf("wait after restart: %v (%d of %d records)", err, len(got), len(specs))
+	}
+	for _, rs := range specs {
+		if got[rs.ID()].Status != sweep.StatusOK {
+			t.Errorf("%s: %+v, want the stored ok record", rs.Label(), got[rs.ID()])
+		}
+	}
+	if st := c2.Status(); st.Cached != 3 {
+		t.Errorf("replacement coordinator cached %d jobs, want 3", st.Cached)
+	}
 }

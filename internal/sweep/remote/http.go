@@ -24,9 +24,9 @@ func normalizeBase(addr string) string {
 
 // postJSON sends one JSON request and decodes the JSON response,
 // attaching the shared-secret bearer token when one is configured. A
-// non-2xx status is returned as a *StatusError so callers can
-// distinguish protocol rejections (re-register) from transport
-// failures (retry).
+// non-2xx status is returned as a *StatusError so callers can tell a
+// rejected request (a 400 for an invalid submission, a 401 without
+// the token) from a transport failure.
 func postJSON(ctx context.Context, hc *http.Client, url, token string, req, resp any) error {
 	body, err := json.Marshal(req)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"os"
 	"runtime"
@@ -18,8 +19,9 @@ import (
 type WorkerOptions struct {
 	// Coordinator is the coordinator's address (host:port or URL).
 	Coordinator string
-	// Name labels the worker in /status and the manifest; defaults to
-	// host/pid.
+	// Name labels the worker in /status; with a random suffix it forms
+	// the worker's ID, which keys the manifest's worker_jobs. Defaults
+	// to host/pid.
 	Name string
 	// Parallel is the local pool size; <= 0 means GOMAXPROCS.
 	Parallel int
@@ -47,12 +49,12 @@ type WorkerOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// RunWorker registers with the coordinator and serves leases until the
-// context dies (or, with ExitWhenDrained, until the job space is
-// drained): lease a batch, run it on a local sweep pool, stream the
-// records back as they complete, heartbeat while anything is still
-// running. Transport errors back off and retry; a coordinator restart
-// (lease/report rejected) triggers re-registration.
+// RunWorker serves leases from the coordinator until the context dies
+// (or, with ExitWhenDrained, until the job space is drained): lease a
+// batch, run it on a local sweep pool, stream the records back as they
+// complete, heartbeat while anything is still running. Every error
+// backs off and retries, so the worker keeps serving a coordinator
+// that restarts.
 func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	if opts.Parallel <= 0 {
 		opts.Parallel = runtime.GOMAXPROCS(0)
@@ -72,6 +74,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	}
 	w := &worker{
 		opts: opts,
+		self: Worker{ID: fmt.Sprintf("%s-%08x", opts.Name, rand.Uint32()), Name: opts.Name},
 		base: normalizeBase(opts.Coordinator),
 		hc:   &http.Client{Timeout: 30 * time.Second},
 	}
@@ -87,42 +90,15 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 // worker is the state of one RunWorker invocation.
 type worker struct {
 	opts WorkerOptions
+	self Worker
 	base string
 	hc   *http.Client
 	pool *sweep.Sweep
-
-	id  string
-	ttl time.Duration
-}
-
-// register announces the worker, retrying with backoff until the
-// context dies.
-func (w *worker) register(ctx context.Context) error {
-	for attempt := 0; ; attempt++ {
-		var resp RegisterResponse
-		err := postJSON(ctx, w.hc, w.base+PathRegister, w.opts.Token,
-			RegisterRequest{Name: w.opts.Name, Parallel: w.opts.Parallel}, &resp)
-		if err == nil {
-			w.id = resp.WorkerID
-			w.ttl = resp.LeaseTTL
-			w.opts.Logf("registered as %s (lease TTL %v)", w.id, w.ttl)
-			return nil
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		w.opts.Logf("register: %v (retrying)", err)
-		if err := sleepCtx(ctx, backoff(attempt, 200*time.Millisecond, 10*time.Second)); err != nil {
-			return err
-		}
-	}
 }
 
 // run is the lease/execute/report loop.
 func (w *worker) run(ctx context.Context) error {
-	if err := w.register(ctx); err != nil {
-		return err
-	}
+	w.opts.Logf("worker %s leasing from %s", w.self.ID, w.base)
 	errs := 0
 	for {
 		if ctx.Err() != nil {
@@ -130,17 +106,8 @@ func (w *worker) run(ctx context.Context) error {
 		}
 		var lease LeaseResponse
 		err := postJSON(ctx, w.hc, w.base+PathLease, w.opts.Token,
-			LeaseRequest{WorkerID: w.id, Max: 2 * w.opts.Parallel}, &lease)
+			LeaseRequest{Worker: w.self, Max: 2 * w.opts.Parallel}, &lease)
 		if err != nil {
-			var se *StatusError
-			if errors.As(err, &se) {
-				// The coordinator no longer knows us (restart): start over.
-				w.opts.Logf("lease rejected (%v); re-registering", err)
-				if err := w.register(ctx); err != nil {
-					return err
-				}
-				continue
-			}
 			errs++
 			w.opts.Logf("lease: %v (retrying)", err)
 			if err := sleepCtx(ctx, backoff(errs, 200*time.Millisecond, 10*time.Second)); err != nil {
@@ -159,7 +126,7 @@ func (w *worker) run(ctx context.Context) error {
 			}
 			continue
 		}
-		w.opts.Logf("leased %d jobs (%s)", len(lease.Jobs), lease.LeaseID)
+		w.opts.Logf("leased %d jobs", len(lease.Jobs))
 		if err := w.runBatch(ctx, lease); err != nil {
 			return err
 		}
@@ -171,19 +138,16 @@ func (w *worker) run(ctx context.Context) error {
 // running.
 func (w *worker) runBatch(ctx context.Context, lease LeaseResponse) error {
 	recs := make(chan sweep.Record, len(lease.Jobs))
-	outstanding := 0
 	for _, spec := range lease.Jobs {
 		run, err := w.opts.Build(spec)
 		if err != nil {
 			// Unresolvable on this worker: its quarantine record, not a
 			// crash, so the coordinator and store see the failure.
 			w.opts.Logf("resolve %s: %v", spec.Label(), err)
-			recs <- quarantined(spec, "resolve: "+err.Error(), 1)
-			outstanding++
+			recs <- sweep.Quarantined(spec, "resolve: "+err.Error(), 1)
 			continue
 		}
-		t := w.pool.Submit(Job(spec, run))
-		outstanding++
+		t := w.pool.Submit(sweep.Job{Spec: spec, Run: run})
 		go func() {
 			rec, err := t.Wait()
 			if err != nil {
@@ -195,14 +159,14 @@ func (w *worker) runBatch(ctx context.Context, lease LeaseResponse) error {
 		}()
 	}
 
-	heartbeat := w.ttl / 3
+	heartbeat := lease.LeaseTTL / 3
 	if heartbeat <= 0 {
 		heartbeat = 5 * time.Second
 	}
 	tick := time.NewTicker(heartbeat)
 	defer tick.Stop()
-	var buf []sweep.Record
-	for outstanding > 0 {
+	for outstanding := len(lease.Jobs); outstanding > 0; {
+		var buf []sweep.Record
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
@@ -211,40 +175,32 @@ func (w *worker) runBatch(ctx context.Context, lease LeaseResponse) error {
 			if rec.ID != "" {
 				buf = append(buf, rec)
 			}
-			// Flush eagerly so the coordinator's store and the lease
-			// deadline advance with every completed job.
-			if err := w.report(ctx, lease.LeaseID, buf); err != nil {
-				return err
-			}
-			buf = nil
 		case <-tick.C:
-			if err := w.report(ctx, lease.LeaseID, nil); err != nil {
-				return err
-			}
+		}
+		// Report every record at once, so the coordinator's store and
+		// the lease deadline advance with each completed job; a tick
+		// reports nothing and is a bare heartbeat.
+		if err := w.report(ctx, buf); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// report posts records (empty = heartbeat), retrying transport errors
-// until the context dies. A protocol rejection re-registers and drops
-// the batch — the lease is gone, and the jobs will be re-leased and
-// re-run deterministically.
-func (w *worker) report(ctx context.Context, leaseID string, recs []sweep.Record) error {
+// report posts records (empty = heartbeat), retrying until the context
+// dies. The coordinator drops records for jobs that resolved elsewhere
+// or that it does not know, as after a restart before the client has
+// submitted them again.
+func (w *worker) report(ctx context.Context, recs []sweep.Record) error {
 	for attempt := 0; ; attempt++ {
 		var resp ReportResponse
 		err := postJSON(ctx, w.hc, w.base+PathReport, w.opts.Token,
-			ReportRequest{WorkerID: w.id, LeaseID: leaseID, Records: recs}, &resp)
+			ReportRequest{Worker: w.self, Records: recs}, &resp)
 		if err == nil {
 			if resp.Stale > 0 {
-				w.opts.Logf("report: %d records stale (re-leased elsewhere)", resp.Stale)
+				w.opts.Logf("report: %d records stale (resolved elsewhere or unknown)", resp.Stale)
 			}
 			return nil
-		}
-		var se *StatusError
-		if errors.As(err, &se) {
-			w.opts.Logf("report rejected (%v); re-registering", err)
-			return w.register(ctx)
 		}
 		if ctx.Err() != nil {
 			return ctx.Err()

@@ -108,3 +108,36 @@ func TestManifestPathSuffixHandling(t *testing.T) {
 		t.Error("manifest path should end in .manifest.json")
 	}
 }
+
+// The store scanner never panics on arbitrary bytes: every non-blank
+// line is either a valid record or skipped, and every record it keeps
+// is indexed under its own non-empty ID.
+func FuzzScanRecords(f *testing.F) {
+	f.Add([]byte(`{"id":"a","label":"pmp/t","status":"ok","attempts":1,"wall_ns":5,"result":{}}` + "\n"))
+	f.Add([]byte("{\"id\":\"a\",\"status\":\"ok\"}\n\n  \n{\"id\":\"a\",\"status\":\"quarantined\"}\r\n{\"id\":\"b\""))
+	f.Add([]byte(`{"id":""}` + "\nnull\n[1,2]\n" + `{"id":"x","results":[{},{}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		byID := map[string]Record{}
+		valid, skipped, err := scanRecords(strings.NewReader(string(data)), byID)
+		if err != nil {
+			t.Fatalf("scan error on %d bytes: %v", len(data), err)
+		}
+		lines := 0
+		for _, line := range strings.Split(string(data), "\n") {
+			if strings.TrimSpace(line) != "" {
+				lines++
+			}
+		}
+		if valid+skipped != lines {
+			t.Errorf("valid %d + skipped %d != %d non-blank lines", valid, skipped, lines)
+		}
+		if len(byID) > valid {
+			t.Errorf("%d records indexed from %d valid lines", len(byID), valid)
+		}
+		for id, rec := range byID {
+			if id == "" || rec.ID != id {
+				t.Errorf("record %q indexed under %q", rec.ID, id)
+			}
+		}
+	})
+}

@@ -13,20 +13,32 @@ import (
 	"testing"
 	"time"
 
+	"pmp/internal/runspec"
 	"pmp/internal/sim"
 )
+
+// testSpec is a one-core run spec on trace job-<i>, labeled
+// test/job-<i>. Nothing builds it: test jobs carry their own Run.
+func testSpec(i int) runspec.RunSpec {
+	return runspec.RunSpec{
+		Cores: []runspec.CoreSpec{{
+			Trace:   runspec.TraceRef{Name: fmt.Sprintf("job-%d", i)},
+			Variant: runspec.VariantSpec{Name: "test", Registry: "test"},
+		}},
+		Records: 1,
+	}
+}
 
 // testJob builds a trivial one-core job whose Result encodes its
 // identity, so tests can verify which job produced which record.
 func testJob(i int, body func(context.Context) sim.Result) Job {
-	id := fmt.Sprintf("job-%d", i)
 	if body == nil {
 		body = func(context.Context) sim.Result {
-			return sim.Result{Trace: id, Instructions: uint64(i), Cycles: 1}
+			return sim.Result{Trace: fmt.Sprintf("job-%d", i), Instructions: uint64(i), Cycles: 1}
 		}
 	}
 	run := func(ctx context.Context) []sim.Result { return []sim.Result{body(ctx)} }
-	return Job{ID: id, Label: id, Prefetcher: "test", Trace: id, Run: run}
+	return Job{Spec: testSpec(i), Run: run}
 }
 
 func TestSubmitDeduplicatesByID(t *testing.T) {
@@ -121,8 +133,8 @@ func TestPanickingJobIsQuarantinedRestCompletes(t *testing.T) {
 	if m.Quarantined != 1 || m.Completed != 7 {
 		t.Errorf("manifest quarantined/completed = %d/%d, want 1/7", m.Quarantined, m.Completed)
 	}
-	if len(m.QuarantinedJobs) != 1 || m.QuarantinedJobs[0] != "job-3" {
-		t.Errorf("manifest quarantined jobs = %v, want [job-3]", m.QuarantinedJobs)
+	if len(m.QuarantinedJobs) != 1 || m.QuarantinedJobs[0] != "test/job-3" {
+		t.Errorf("manifest quarantined jobs = %v, want [test/job-3]", m.QuarantinedJobs)
 	}
 }
 
@@ -293,7 +305,7 @@ func TestQuarantinedRecordIsRetriedOnResume(t *testing.T) {
 	if rec, ok := st3.Lookup("job-unknown"); ok {
 		t.Fatalf("unexpected record %+v", rec)
 	}
-	got, ok := st3.Lookup("job-0")
+	got, ok := st3.Lookup(testSpec(0).ID())
 	if !ok || got.Status != StatusOK {
 		t.Errorf("store should serve the OK record after retry, got %+v (ok=%v)", got, ok)
 	}
@@ -386,13 +398,13 @@ func TestRecordLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := recs["job-1"].Runs(); len(got) != 1 || got[0].Instructions != 1 {
+	if got := recs[testSpec(1).ID()].Runs(); len(got) != 1 || got[0].Instructions != 1 {
 		t.Errorf("one-core Runs = %+v, want the one result", got)
 	}
-	if got := recs["job-4"].Runs(); len(got) != 4 || got[3].Instructions != 4 {
+	if got := recs[testSpec(4).ID()].Runs(); len(got) != 4 || got[3].Instructions != 4 {
 		t.Errorf("four-core Runs = %+v, want the four results in order", got)
 	}
-	q := recs["job-9"]
+	q := recs[testSpec(9).ID()]
 	if got := q.Runs(); q.Status != StatusQuarantined || len(got) != 1 || !reflect.DeepEqual(got[0], sim.Result{}) {
 		t.Errorf("quarantined record (%s) Runs = %+v, want one zero result", q.Status, got)
 	}
