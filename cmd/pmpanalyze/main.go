@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	traceName := flag.String("trace", "", "single built-in trace to analyze (suite or extra generator)")
+	traceName := flag.String("trace", "", "single suite trace to analyze")
 	suite := flag.Int("suite", 0, "analyze a representative subset of N suite traces")
 	records := flag.Int("records", 200_000, "records per trace")
 	heatmap := flag.String("heatmap", "", "render a heat map: trigger, pc, pcaddr, addr, pctrigger")

@@ -1,6 +1,6 @@
-// Command pmpsim runs a single simulation: one trace (a suite trace by
-// name, a trace file, or a synthetic generator) against one prefetcher,
-// and prints the measured result.
+// Command pmpsim runs a single simulation: one trace (one of the 125
+// synthetic suite traces by name, or a .pmpt trace file) against one
+// prefetcher, and prints the measured result.
 //
 // Usage:
 //
@@ -54,7 +54,7 @@ func main() {
 	defer stopProf()
 
 	if *listTraces {
-		for _, sp := range append(trace.Suite(), trace.ExtraSpecs()...) {
+		for _, sp := range trace.Suite() {
 			fmt.Printf("%-24s %-8s %s MPKI class\n", sp.Name, sp.Family, sp.Class)
 		}
 		return
@@ -162,10 +162,10 @@ func lifecycleSink(path string) (func(sim.LifecycleEvent), func(), error) {
 
 func openSource(file, name string, records int) (trace.Source, error) {
 	if file != "" {
-		// Lazy streaming source: records decode on demand (mmap'd on
-		// Linux) instead of materializing the whole trace up front. The
-		// process exit releases the handle; simulation replays need the
-		// source alive for its whole lifetime anyway.
+		// Lazy streaming source: records decode on demand instead of
+		// materializing the whole trace up front. The process exit
+		// releases the handle; simulation replays need the source alive
+		// for its whole lifetime anyway.
 		return trace.OpenFile(file)
 	}
 	if sp, ok := trace.ByName(name); ok {

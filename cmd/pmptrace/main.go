@@ -14,12 +14,12 @@
 // output's SHA-256, and a ready-to-paste external-manifest snippet.
 //
 // The info subcommand prints the file header (name, version, record
-// count, size) and whether this platform serves it via mmap; -records
-// additionally decodes every record for the distribution summary, and
-// -verify round-trips the file through both the lazy FileSource and
-// the buffered Read path and byte-compares the two. On a ChampSim
-// input (by naming convention, e.g. *.champsim.trace.xz) info prints
-// the instruction-stream summary instead.
+// count, size); -records additionally streams every record for the
+// distribution summary, and -verify reads the file through both the
+// lazy FileSource and the buffered Read decoder and compares the two
+// record by record. On a ChampSim input (by naming convention, e.g.
+// *.champsim.trace.xz) info prints the instruction-stream summary
+// instead.
 package main
 
 import (
@@ -174,19 +174,14 @@ func convertCmd(args []string) error {
 // champsimBase strips the compression and ChampSim naming suffixes:
 // "dir/astar.champsim.trace.xz" -> "astar".
 func champsimBase(path string) string {
-	base := filepath.Base(path)
-	if champsim.ForPath(base) != nil {
-		base = strings.TrimSuffix(base, filepath.Ext(base))
-	}
-	base = strings.TrimSuffix(base, ".trace")
-	base = strings.TrimSuffix(base, ".champsim")
-	return base
+	base := strings.TrimSuffix(champsim.TrimCodec(filepath.Base(path)), ".trace")
+	return strings.TrimSuffix(base, ".champsim")
 }
 
 // infoCmd implements `pmptrace info [-verify] [-records] <file>`.
 func infoCmd(args []string) error {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
-	verify := fs.Bool("verify", false, "cross-check the lazy (mmap/windowed) reader against the buffered reader")
+	verify := fs.Bool("verify", false, "cross-check the lazy FileSource reader against the buffered reader")
 	withRecords := fs.Bool("records", false, "decode all records for the distribution summary")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
@@ -206,7 +201,6 @@ func infoCmd(args []string) error {
 	fmt.Printf("format version %d\n", inf.Version)
 	fmt.Printf("records        %d\n", inf.Records)
 	fmt.Printf("file size      %d bytes\n", inf.SizeBytes)
-	fmt.Printf("mmap eligible  %v\n", inf.MmapEligible)
 
 	if *withRecords {
 		if err := printRecordSummary(path); err != nil {
@@ -251,7 +245,7 @@ func champsimInfo(path string) error {
 
 // verifyFile streams the file through the lazy FileSource and the
 // buffered Read path and compares every record; the two decoders share
-// no I/O machinery, so agreement certifies both.
+// only the header parser, so agreement certifies both record paths.
 func verifyFile(path string) error {
 	src, err := trace.OpenFile(path)
 	if err != nil {
@@ -291,19 +285,19 @@ func verifyFile(path string) error {
 }
 
 func printRecordSummary(path string) error {
-	f, err := os.Open(path)
+	src, err := trace.OpenFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	tr, err := trace.Read(f)
-	if err != nil {
-		return err
-	}
+	defer src.Close()
 	var instr, deps uint64
 	pcs := map[uint64]struct{}{}
 	pages := map[uint64]struct{}{}
-	for _, r := range tr.Records() {
+	for {
+		r, ok := src.Next()
+		if !ok {
+			break
+		}
 		instr += r.Instructions()
 		if r.Dep != trace.DepNone {
 			deps++
@@ -311,9 +305,9 @@ func printRecordSummary(path string) error {
 		pcs[r.PC] = struct{}{}
 		pages[r.Addr.PageID()] = struct{}{}
 	}
-	fmt.Printf("name        %s\n", tr.Name())
-	fmt.Printf("records     %d (%d instructions)\n", tr.Len(), instr)
-	fmt.Printf("dependent   %d (%.1f%%)\n", deps, 100*float64(deps)/float64(tr.Len()))
+	fmt.Printf("name        %s\n", src.Name())
+	fmt.Printf("records     %d (%d instructions)\n", src.Len(), instr)
+	fmt.Printf("dependent   %d (%.1f%%)\n", deps, 100*float64(deps)/float64(src.Len()))
 	fmt.Printf("static PCs  %d\n", len(pcs))
 	fmt.Printf("4KB pages   %d\n", len(pages))
 	return nil

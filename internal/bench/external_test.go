@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -225,5 +227,43 @@ func TestBuildRunTraceFile(t *testing.T) {
 		Config:  cfg,
 	}); err == nil {
 		t.Error("unknown trace without a wire file should error")
+	}
+}
+
+// TestBuildRunClosesTraceFiles runs many jobs over one trace file and
+// checks that none leaves its file open. GC stays off so that no
+// finalizer closes a leaked file behind the test's back.
+func TestBuildRunClosesTraceFiles(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts open descriptors in /proc/self/fd")
+	}
+	manifest := writeExternalManifest(t, 200, "leak")
+	cfg := extScale().Config()
+	cfg.Warmup, cfg.Measure = 50, 100
+	run, err := BuildRun(runspec.RunSpec{
+		Cores: []runspec.CoreSpec{{
+			Trace:   runspec.TraceRef{Name: "leak", File: filepath.Join(filepath.Dir(manifest), "leak.pmpt")},
+			Variant: RegistryVariant(NameNone),
+		}},
+		Records: 200,
+		Config:  cfg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	before := openFDs()
+	for i := 0; i < 200; i++ {
+		run(context.Background())
+	}
+	if after := openFDs(); after != before {
+		t.Errorf("200 jobs changed open descriptors from %d to %d", before, after)
 	}
 }

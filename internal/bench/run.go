@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"io"
 
 	"pmp/internal/core"
 	"pmp/internal/prefetch"
@@ -100,6 +101,15 @@ func BuildRun(rs runspec.RunSpec) (func(context.Context) []sim.Result, error) {
 	return func(context.Context) []sim.Result {
 		trained := make([]prefetch.Prefetcher, len(mks))
 		srcs := make([]trace.Source, len(mks))
+		// A file-backed source holds an open file; release it even when
+		// the run panics.
+		defer func() {
+			for _, src := range srcs {
+				if c, ok := src.(io.Closer); ok {
+					c.Close()
+				}
+			}
+		}()
 		for i := range mks {
 			trained[i] = mks[i]()
 			srcs[i] = specs[i].New(records)

@@ -21,7 +21,7 @@
 // (ChampSim's trace_instr_format_t with NUM_INSTR_DESTINATIONS=2 and
 // NUM_INSTR_SOURCES=4; the layout has no padding, so the struct size
 // equals the field sum.) Distributed trace sets are xz- or
-// gzip-compressed; see Open and the Decompressor registry.
+// gzip-compressed; see Open.
 //
 // # Field mapping
 //

@@ -8,56 +8,29 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 )
 
-// Decompressor turns a compressed stream into a plain one. The
-// registry below maps file extensions to implementations; Register
-// lets callers plug in additional codecs (zstd, bz2, ...) without this
-// package growing dependencies — the module stays stdlib-only by
-// design: gzip comes from compress/gzip and xz from exec'ing the host
-// `xz` binary, never from cgo or a third-party module in go.mod.
-type Decompressor interface {
-	// Name labels the codec in errors and stats.
-	Name() string
-	// Wrap returns a reader of the decompressed stream. Closing it must
-	// release codec resources but not the underlying reader.
-	Wrap(r io.Reader) (io.ReadCloser, error)
-}
-
-var (
-	decompressorsMu sync.RWMutex
-	decompressors   = map[string]Decompressor{
-		".gz": gzipDecompressor{},
-		".xz": xzDecompressor{},
+// codec returns path's compression extension in lower case: ".gz"
+// (decoded by compress/gzip) or ".xz" (decoded by the host `xz`
+// binary, so go.mod stays dependency-free), or "" for a raw
+// instruction stream.
+func codec(path string) string {
+	ext := strings.ToLower(filepath.Ext(path))
+	if ext == ".gz" || ext == ".xz" {
+		return ext
 	}
-)
-
-// Register installs a Decompressor for a file extension (".zst"),
-// replacing any previous registration.
-func Register(ext string, d Decompressor) {
-	decompressorsMu.Lock()
-	defer decompressorsMu.Unlock()
-	decompressors[ext] = d
+	return ""
 }
 
-// ForPath returns the registered Decompressor for the path's final
-// extension, or nil when the path reads as a raw instruction stream.
-func ForPath(path string) Decompressor {
-	decompressorsMu.RLock()
-	defer decompressorsMu.RUnlock()
-	return decompressors[strings.ToLower(filepath.Ext(path))]
-}
+// TrimCodec strips a ".gz" or ".xz" extension, in any case, from path.
+func TrimCodec(path string) string { return path[:len(path)-len(codec(path))] }
 
 // IsTracePath reports whether the path looks like a ChampSim/DPC trace
 // by naming convention: a ".champsim" or ".trace" component, optionally
 // followed by a compression extension (the DPC-3 sets ship as
 // <bench>.champsim.trace.xz).
 func IsTracePath(path string) bool {
-	base := strings.ToLower(filepath.Base(path))
-	if ForPath(base) != nil {
-		base = strings.TrimSuffix(base, filepath.Ext(base))
-	}
+	base := strings.ToLower(TrimCodec(filepath.Base(path)))
 	return strings.HasSuffix(base, ".champsim") || strings.HasSuffix(base, ".trace")
 }
 
@@ -68,14 +41,18 @@ func Open(path string) (io.ReadCloser, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := ForPath(path)
-	if d == nil {
+	var rc io.ReadCloser
+	switch codec(path) {
+	case ".gz":
+		rc, err = gzip.NewReader(f)
+	case ".xz":
+		rc, err = openXz(f)
+	default:
 		return f, nil
 	}
-	rc, err := d.Wrap(f)
 	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("champsim: %s: %s: %w", d.Name(), path, err)
+		return nil, fmt.Errorf("champsim: %s: %w", path, err)
 	}
 	return &chainCloser{ReadCloser: rc, under: f}, nil
 }
@@ -94,28 +71,12 @@ func (c *chainCloser) Close() error {
 	return err
 }
 
-// --- gzip (stdlib) ---
-
-type gzipDecompressor struct{}
-
-func (gzipDecompressor) Name() string { return "gzip" }
-
-func (gzipDecompressor) Wrap(r io.Reader) (io.ReadCloser, error) {
-	return gzip.NewReader(r)
-}
-
-// --- xz (host binary) ---
-
-// xzDecompressor shells out to `xz -dc` with the compressed stream on
-// stdin. The subprocess dies with Close (kill + wait), so abandoned
+// openXz shells out to `xz -dc` with the compressed stream on stdin.
+// The subprocess dies with Close (kill + wait), so abandoned
 // conversions do not leak decompressors.
-type xzDecompressor struct{}
-
-func (xzDecompressor) Name() string { return "xz" }
-
-func (xzDecompressor) Wrap(r io.Reader) (io.ReadCloser, error) {
+func openXz(r io.Reader) (io.ReadCloser, error) {
 	if _, err := exec.LookPath("xz"); err != nil {
-		return nil, fmt.Errorf("xz binary not in PATH (install xz-utils, or Register a pure-Go codec): %w", err)
+		return nil, fmt.Errorf("xz binary not in PATH (install xz-utils): %w", err)
 	}
 	cmd := exec.Command("xz", "-q", "-dc")
 	cmd.Stdin = r

@@ -6,29 +6,21 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
-func TestForPath(t *testing.T) {
-	cases := []struct {
-		path string
-		want string // codec name, "" = raw
-	}{
-		{"bench.champsim.trace", ""},
-		{"bench.champsim.trace.gz", "gzip"},
-		{"bench.champsim.trace.GZ", "gzip"},
-		{"bench.champsim.trace.xz", "xz"},
-		{"bench.pmpt", ""},
+func TestTrimCodec(t *testing.T) {
+	cases := []struct{ path, want string }{
+		{"bench.champsim.trace", "bench.champsim.trace"},
+		{"bench.champsim.trace.gz", "bench.champsim.trace"},
+		{"bench.champsim.trace.GZ", "bench.champsim.trace"},
+		{"bench.champsim.trace.xz", "bench.champsim.trace"},
+		{"bench.pmpt", "bench.pmpt"},
+		{"a.trace.zst", "a.trace.zst"},
 	}
 	for _, c := range cases {
-		d := ForPath(c.path)
-		got := ""
-		if d != nil {
-			got = d.Name()
-		}
-		if got != c.want {
-			t.Errorf("ForPath(%q) = %q, want %q", c.path, got, c.want)
+		if got := TrimCodec(c.path); got != c.want {
+			t.Errorf("TrimCodec(%q) = %q, want %q", c.path, got, c.want)
 		}
 	}
 }
@@ -96,8 +88,7 @@ func TestOpenTruncatedGzipMember(t *testing.T) {
 }
 
 // TestOpenXz exercises the exec'd xz path when the binary is present;
-// skipped otherwise (the codec itself reports a clear error then, see
-// TestXzMissingBinaryError's contract in Wrap).
+// skipped otherwise (openXz reports a clear error then).
 func TestOpenXz(t *testing.T) {
 	if _, err := exec.LookPath("xz"); err != nil {
 		t.Skip("xz binary not in PATH")
@@ -151,38 +142,4 @@ func TestOpenXz(t *testing.T) {
 	if err := rc.Close(); err != nil {
 		t.Errorf("early Close: %v", err)
 	}
-}
-
-// TestRegister plugs a pass-through codec in under a fake extension and
-// checks Open routes through it.
-func TestRegister(t *testing.T) {
-	Register(".ident", identCodec{})
-	raw, err := os.ReadFile(fixtureRaw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "golden.champsim.trace.ident")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if !IsTracePath(path) {
-		t.Error("registered extension not recognized by IsTracePath")
-	}
-	tr, _, err := ConvertFile(path, ConvertOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 100 {
-		t.Errorf("pass-through codec decoded %d records, want 100", tr.Len())
-	}
-	if !strings.HasSuffix(tr.Name(), ".ident") {
-		t.Errorf("default trace name %q should be the path", tr.Name())
-	}
-}
-
-type identCodec struct{}
-
-func (identCodec) Name() string { return "ident" }
-func (identCodec) Wrap(r io.Reader) (io.ReadCloser, error) {
-	return io.NopCloser(r), nil
 }

@@ -94,14 +94,18 @@ func TestRoundTrip(t *testing.T) {
 
 // TestRoundTripCompressed runs the same conversion through the gzip
 // decompressor: the .gz fixture must decode to the identical records.
+// Without a name, the converted trace is named after the input path.
 func TestRoundTripCompressed(t *testing.T) {
 	raw, _, err := ConvertFile(fixtureRaw, ConvertOptions{Name: "golden"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gz, _, err := ConvertFile(fixtureGz, ConvertOptions{Name: "golden"})
+	gz, _, err := ConvertFile(fixtureGz, ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if gz.Name() != fixtureGz {
+		t.Errorf("default trace name %q, want the input path %q", gz.Name(), fixtureGz)
 	}
 	if gz.Len() != raw.Len() {
 		t.Fatalf("gz decode has %d records, raw has %d", gz.Len(), raw.Len())

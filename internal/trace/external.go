@@ -149,9 +149,9 @@ func LoadManifest(path string) ([]Spec, error) {
 // a fresh lazy FileSource per call (sources are single-use streams; see
 // trace.Source) and caps it at the requested record count, so a
 // converted 200M-load trace participates in a QuickScale run without
-// loading whole. New panics when the file cannot be opened — inside a
-// sweep that quarantines the job, exactly like a crashed simulation,
-// instead of wedging the whole run.
+// loading whole. The caller closes the source. New panics when the
+// file cannot be opened — inside a sweep that quarantines the job,
+// exactly like a crashed simulation, instead of wedging the whole run.
 func FileSpec(e ExternalSpec) Spec {
 	name, path := e.Name, e.Path
 	return Spec{
@@ -164,7 +164,10 @@ func FileSpec(e ExternalSpec) Spec {
 			if err != nil {
 				panic(fmt.Sprintf("trace: external trace %q: %v", name, err))
 			}
-			return Limit(fs, n)
+			if 0 < n && n < fs.count {
+				fs.count = n
+			}
+			return fs
 		},
 	}
 }
@@ -181,37 +184,4 @@ func FileSHA256(path string) (string, error) {
 		return "", err
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// Limit caps a source at max records (max <= 0: unlimited). Reset
-// rewinds both the cap and the underlying source.
-func Limit(s Source, max int) Source {
-	if max <= 0 {
-		return s
-	}
-	return &limitSource{src: s, max: max}
-}
-
-type limitSource struct {
-	src Source
-	max int
-	n   int
-}
-
-func (l *limitSource) Name() string { return l.src.Name() }
-
-func (l *limitSource) Next() (Record, bool) {
-	if l.n >= l.max {
-		return Record{}, false
-	}
-	r, ok := l.src.Next()
-	if ok {
-		l.n++
-	}
-	return r, ok
-}
-
-func (l *limitSource) Reset() {
-	l.src.Reset()
-	l.n = 0
 }

@@ -73,36 +73,31 @@ func TestLoadManifest(t *testing.T) {
 		t.Errorf("spec b defaults not applied: %+v", b)
 	}
 
-	// The spec's New opens the file lazily and caps at the request.
+	count := func(src Source) int {
+		n := 0
+		for {
+			if _, ok := src.Next(); !ok {
+				return n
+			}
+			n++
+		}
+	}
+	// The spec's New opens the file lazily and caps at the request,
+	// also after a Reset.
 	src := a.New(100)
 	if src.Name() != "ext-a" {
 		t.Errorf("source name %q", src.Name())
 	}
-	n := 0
-	for {
-		if _, ok := src.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 100 {
+	if n := count(src); n != 100 {
 		t.Errorf("capped source yielded %d records, want 100", n)
 	}
 	src.Reset()
-	if _, ok := src.Next(); !ok {
-		t.Error("source empty after Reset")
+	if n := count(src); n != 100 {
+		t.Errorf("capped source yielded %d records after Reset, want 100", n)
 	}
 
 	// Asking for more than the file holds drains the file and stops.
-	src = a.New(10_000)
-	n = 0
-	for {
-		if _, ok := src.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 500 {
+	if n := count(a.New(10_000)); n != 500 {
 		t.Errorf("oversized request yielded %d records, want 500", n)
 	}
 }
@@ -125,9 +120,6 @@ func TestManifestValidation(t *testing.T) {
 		}}, "duplicate"},
 		{"shadows suite", Manifest{Version: ManifestVersion, Traces: []ExternalSpec{
 			{Name: Suite()[0].Name, Path: "ext-a.pmpt"},
-		}}, "shadows a built-in"},
-		{"shadows extra", Manifest{Version: ManifestVersion, Traces: []ExternalSpec{
-			{Name: ExtraSpecs()[0].Name, Path: "ext-a.pmpt"},
 		}}, "shadows a built-in"},
 	}
 	for _, c := range cases {
@@ -173,33 +165,5 @@ func TestManifestVerify(t *testing.T) {
 		Traces: []ExternalSpec{{Name: "ext-a", Path: "ext-a.pmpt", SHA256: sum, Records: 100}}})
 	if _, err := LoadManifest(path); err != nil {
 		t.Errorf("valid manifest: %v", err)
-	}
-}
-
-func TestLimitSource(t *testing.T) {
-	tr := Collect(NewStream("lim", 7, 50, DefaultStreamParams()), 0)
-	if s := Limit(tr, 0); s != Source(tr) {
-		t.Error("Limit(0) should return the source unchanged")
-	}
-	tr.Reset()
-	s := Limit(tr, 10)
-	for i := 0; i < 10; i++ {
-		if _, ok := s.Next(); !ok {
-			t.Fatalf("record %d missing", i)
-		}
-	}
-	if _, ok := s.Next(); ok {
-		t.Error("limit not enforced")
-	}
-	s.Reset()
-	n := 0
-	for {
-		if _, ok := s.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 10 {
-		t.Errorf("after Reset: %d records, want 10", n)
 	}
 }

@@ -29,6 +29,30 @@ func decodeRecord(b []byte) Record {
 	}
 }
 
+// parseHeader reads and validates the header Write emits and the name
+// that follows it, returning the name and the record count.
+func parseHeader(r io.Reader) (name string, count int, err error) {
+	var hdr [headerSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return "", 0, fmt.Errorf("trace: reading header: %w", err)
+	}
+	if [4]byte(hdr[0:4]) != magic {
+		return "", 0, ErrBadFormat
+	}
+	if v := binary.LittleEndian.Uint32(hdr[4:]); v != formatVersion {
+		return "", 0, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, v)
+	}
+	nameLen := binary.LittleEndian.Uint32(hdr[12:])
+	if nameLen > 4096 {
+		return "", 0, fmt.Errorf("%w: unreasonable name length %d", ErrBadFormat, nameLen)
+	}
+	nb := make([]byte, nameLen)
+	if _, err := io.ReadFull(r, nb); err != nil {
+		return "", 0, fmt.Errorf("trace: reading name: %w", err)
+	}
+	return string(nb), int(binary.LittleEndian.Uint32(hdr[8:])), nil
+}
+
 // Info summarizes a trace file's header without decoding its records.
 type Info struct {
 	Path      string
@@ -36,10 +60,6 @@ type Info struct {
 	Version   int    // format version
 	Records   int    // record count from the header
 	SizeBytes int64  // file size on disk
-	// MmapEligible reports whether OpenFile will serve this file from a
-	// memory mapping on this platform (false on non-Linux builds and
-	// for empty record payloads, where the ReaderAt window is used).
-	MmapEligible bool
 }
 
 // Stat reads and validates a trace file's header. Unlike Read it does
@@ -50,82 +70,47 @@ func Stat(path string) (Info, error) {
 		return Info{}, err
 	}
 	defer f.Close()
-	name, version, count, size, err := readHeader(f)
-	if err != nil {
-		return Info{}, fmt.Errorf("%s: %w", path, err)
-	}
-	return Info{
-		Path:         path,
-		Name:         name,
-		Version:      version,
-		Records:      count,
-		SizeBytes:    size,
-		MmapEligible: mmapSupported && count > 0,
-	}, nil
+	return readHeader(f)
 }
 
-// readHeader parses and validates the header of an open trace file,
-// returning the embedded name, format version, record count and total
-// file size. The file position is left at the first record.
-func readHeader(f *os.File) (name string, version, count int, size int64, err error) {
-	var hdr [headerSize]byte
-	if _, err = io.ReadFull(f, hdr[:]); err != nil {
-		return "", 0, 0, 0, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if [4]byte(hdr[0:4]) != magic {
-		return "", 0, 0, 0, ErrBadFormat
-	}
-	v := binary.LittleEndian.Uint32(hdr[4:])
-	if v != formatVersion {
-		return "", 0, 0, 0, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, v)
-	}
-	n := binary.LittleEndian.Uint32(hdr[8:])
-	nameLen := binary.LittleEndian.Uint32(hdr[12:])
-	if nameLen > 4096 {
-		return "", 0, 0, 0, fmt.Errorf("%w: unreasonable name length %d", ErrBadFormat, nameLen)
+// readHeader parses the header of an open trace file and checks that
+// the file is long enough to hold every record the header promises.
+func readHeader(f *os.File) (Info, error) {
+	name, count, err := parseHeader(f)
+	if err != nil {
+		return Info{}, fmt.Errorf("%s: %w", f.Name(), err)
 	}
 	st, err := f.Stat()
 	if err != nil {
-		return "", 0, 0, 0, err
+		return Info{}, err
 	}
-	want := int64(headerSize) + int64(nameLen) + int64(n)*recordSize
+	want := int64(headerSize) + int64(len(name)) + int64(count)*recordSize
 	if st.Size() < want {
-		return "", 0, 0, 0, fmt.Errorf("%w: truncated: %d bytes, header promises %d",
-			ErrBadFormat, st.Size(), want)
+		return Info{}, fmt.Errorf("%s: %w: truncated: %d bytes, header promises %d",
+			f.Name(), ErrBadFormat, st.Size(), want)
 	}
-	nb := make([]byte, nameLen)
-	if _, err = io.ReadFull(f, nb); err != nil {
-		return "", 0, 0, 0, fmt.Errorf("trace: reading name: %w", err)
-	}
-	return string(nb), int(v), int(n), st.Size(), nil
+	return Info{Path: f.Name(), Name: name, Version: formatVersion, Records: count, SizeBytes: st.Size()}, nil
 }
 
-// windowRecords sizes the FileSource fallback read window. 1024
-// records is 19KB — comfortably L2-resident while amortizing syscalls.
+// windowRecords sizes the FileSource read window. 1024 records is 19KB
+// — comfortably L2-resident while amortizing syscalls.
 const windowRecords = 1024
 
 // FileSource streams a .pmpt trace file, decoding records lazily on
 // Next instead of materializing the whole trace up front (Read copies
 // a FullScale trace — tens of millions of records — into the heap
-// before the first access is simulated; FileSource starts in O(1)
-// and keeps at most one record decoded).
-//
-// On Linux the record payload is memory-mapped (with
-// MADV_SEQUENTIAL read-ahead advice) and Next is a bounds check plus a
-// 19-byte decode straight from the page cache. Elsewhere — or when the
-// mapping fails — a sliding io.ReaderAt window of windowRecords
-// records provides the same lazy semantics portably.
+// before the first access is simulated; FileSource starts in O(1)).
+// Records are read through a sliding io.ReaderAt window of
+// windowRecords records, so memory use is independent of the trace
+// length.
 type FileSource struct {
 	name  string
-	count int
+	count int // records served before end of trace
 	f     *os.File
 	off   int64 // file offset of the first record
 	pos   int   // next record index
 
-	data  []byte       // mmap'd record payload; nil => windowed mode
-	unmap func() error // releases data
-
-	win      []byte // fallback window, windowRecords*recordSize bytes
+	win      []byte // windowRecords*recordSize bytes
 	winStart int    // record index at win[0]
 	winLen   int    // valid records in win
 }
@@ -139,32 +124,25 @@ func OpenFile(path string) (*FileSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	name, _, count, size, err := readHeader(f)
+	inf, err := readHeader(f)
 	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, err
 	}
-	off, _ := f.Seek(0, io.SeekCurrent)
-	s := &FileSource{name: name, count: count, f: f, off: off}
-	payload := int64(count) * recordSize
-	if data, unmap, ok := mmapFile(f, size); ok && payload > 0 {
-		s.data = data[off : off+payload]
-		s.unmap = unmap
-	} else {
-		s.win = make([]byte, windowRecords*recordSize)
-		s.winLen = 0
-	}
-	return s, nil
+	return &FileSource{
+		name:  inf.Name,
+		count: inf.Records,
+		f:     f,
+		off:   int64(headerSize + len(inf.Name)),
+		win:   make([]byte, windowRecords*recordSize),
+	}, nil
 }
 
 // Name implements Source.
 func (s *FileSource) Name() string { return s.name }
 
-// Len returns the trace's record count.
+// Len returns the number of records the source serves.
 func (s *FileSource) Len() int { return s.count }
-
-// Mapped reports whether records are served from a memory mapping.
-func (s *FileSource) Mapped() bool { return s.data != nil }
 
 // Next implements Source.
 //
@@ -172,11 +150,6 @@ func (s *FileSource) Mapped() bool { return s.data != nil }
 func (s *FileSource) Next() (Record, bool) {
 	if s.pos >= s.count {
 		return Record{}, false
-	}
-	if s.data != nil {
-		r := decodeRecord(s.data[s.pos*recordSize:])
-		s.pos++
-		return r, true
 	}
 	if s.pos < s.winStart || s.pos >= s.winStart+s.winLen {
 		if !s.fillWindow(s.pos) {
@@ -188,13 +161,10 @@ func (s *FileSource) Next() (Record, bool) {
 	return r, true
 }
 
-// fillWindow slides the fallback window to start at record index
-// start. It reports whether any records were read.
+// fillWindow slides the window to start at record index start, which
+// must be below count. It reports whether the records were read.
 func (s *FileSource) fillWindow(start int) bool {
 	n := min(windowRecords, s.count-start)
-	if n <= 0 {
-		return false
-	}
 	want := n * recordSize
 	got, err := s.f.ReadAt(s.win[:want], s.off+int64(start)*recordSize)
 	if got < want && err != nil {
@@ -211,19 +181,5 @@ func (s *FileSource) fillWindow(start int) bool {
 // Reset implements Source.
 func (s *FileSource) Reset() { s.pos = 0 }
 
-// Close releases the mapping (if any) and the file handle.
-func (s *FileSource) Close() error {
-	var err error
-	if s.unmap != nil {
-		err = s.unmap()
-		s.unmap = nil
-		s.data = nil
-	}
-	if s.f != nil {
-		if cerr := s.f.Close(); err == nil {
-			err = cerr
-		}
-		s.f = nil
-	}
-	return err
-}
+// Close closes the file.
+func (s *FileSource) Close() error { return s.f.Close() }

@@ -147,18 +147,18 @@ func Suite() []Spec {
 	return specs
 }
 
-// builtin indexes Suite and ExtraSpecs by name, built on first use.
+// builtin indexes Suite by name, built on first use.
 var builtin = sync.OnceValue(func() map[string]Spec {
 	idx := map[string]Spec{}
-	for _, sp := range append(Suite(), ExtraSpecs()...) {
+	for _, sp := range Suite() {
 		idx[sp.Name] = sp
 	}
 	return idx
 })
 
-// ByName resolves a built-in trace by name: a Suite trace or one of the
-// ExtraSpecs generators. External traces are not built in; they travel
-// as files (Spec.File).
+// ByName resolves a built-in trace by name: one of the 125 Suite
+// traces. External traces are not built in; they travel as files
+// (Spec.File).
 func ByName(name string) (Spec, bool) {
 	sp, ok := builtin()[name]
 	return sp, ok

@@ -151,31 +151,13 @@ func Write(w io.Writer, t *Trace) error {
 	return bw.Flush()
 }
 
-// Read deserializes a trace written by Write.
+// Read deserializes a trace written by Write. It is the reference
+// decoder that FileSource is checked against.
 func Read(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if m != magic {
-		return nil, ErrBadFormat
-	}
-	var hdr [12]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[0:]); v != formatVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, v)
-	}
-	n := binary.LittleEndian.Uint32(hdr[4:])
-	nameLen := binary.LittleEndian.Uint32(hdr[8:])
-	if nameLen > 4096 {
-		return nil, fmt.Errorf("%w: unreasonable name length %d", ErrBadFormat, nameLen)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, fmt.Errorf("trace: reading name: %w", err)
+	name, n, err := parseHeader(br)
+	if err != nil {
+		return nil, err
 	}
 	// Do not trust the header's record count for allocation: a corrupt
 	// file must not force a giant up-front slice. Read bounded chunks
@@ -186,8 +168,8 @@ func Read(r io.Reader) (*Trace, error) {
 	const chunkRecords = 1 << 20
 	var chunks [][]Record
 	var rec [19]byte
-	for read := uint32(0); read < n; {
-		chunk := make([]Record, 0, min(int(n-read), chunkRecords))
+	for read := 0; read < n; {
+		chunk := make([]Record, 0, min(n-read, chunkRecords))
 		for len(chunk) < cap(chunk) {
 			if _, err := io.ReadFull(br, rec[:]); err != nil {
 				return nil, fmt.Errorf("trace: reading record %d: %w", read, err)
@@ -198,11 +180,11 @@ func Read(r io.Reader) (*Trace, error) {
 		chunks = append(chunks, chunk)
 	}
 	if len(chunks) == 1 {
-		return NewTrace(string(name), chunks[0]), nil
+		return NewTrace(name, chunks[0]), nil
 	}
-	recs := make([]Record, 0, int(n))
+	recs := make([]Record, 0, n)
 	for _, c := range chunks {
 		recs = append(recs, c...)
 	}
-	return NewTrace(string(name), recs), nil
+	return NewTrace(name, recs), nil
 }

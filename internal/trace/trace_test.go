@@ -286,7 +286,7 @@ func TestByClass(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	all := append(Suite(), ExtraSpecs()...)
+	all := Suite()
 	for _, want := range all {
 		got, ok := ByName(want.Name)
 		if !ok || got.Name != want.Name || got.Family != want.Family || got.Class != want.Class {

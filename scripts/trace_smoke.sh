@@ -1,15 +1,13 @@
 #!/usr/bin/env bash
-# Trace-file round-trip smoke test for the lazy (mmap/windowed) reader.
+# Trace-file round-trip smoke test for the lazy windowed reader.
 #
 # Generates a trace with pmptrace, then
 #   1. `pmptrace info -verify` streams it through the lazy FileSource
 #      and the buffered Read decoder and compares every record (the
-#      two share no I/O machinery, so agreement certifies both), and
+#      two share only the header parser, so agreement certifies both
+#      record paths), and
 #   2. pmpsim consumes the same file via -file end to end, proving the
 #      simulator's streaming path accepts what the writer produced.
-# On Linux runners leg 1 exercises the mmap path; elsewhere it covers
-# the windowed ReaderAt fallback — the smoke is platform-agnostic by
-# design.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
