@@ -77,6 +77,35 @@ func TestFileSourceRoundTrip(t *testing.T) {
 	drainAndCompare(t, src, ref)
 }
 
+// Window refills must serve the identical stream at every boundary: a
+// Reset taken mid-window slides the window back to the start, and a
+// trace whose length is a whole number of windows ends on a full one.
+func TestFileSourceWindowedFallback(t *testing.T) {
+	path, ref := writeTestTrace(t, "fallback", windowRecords*2+137)
+	src, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	for i := 0; i < windowRecords+5; i++ {
+		if got, ok := src.Next(); !ok || got != ref.Records()[i] {
+			t.Fatalf("record %d: got %+v (ok=%v), want %+v", i, got, ok, ref.Records()[i])
+		}
+	}
+	src.Reset()
+	drainAndCompare(t, src, ref)
+
+	path, ref = writeTestTrace(t, "whole", windowRecords*2)
+	whole, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer whole.Close()
+	drainAndCompare(t, whole, ref)
+	whole.Reset()
+	drainAndCompare(t, whole, ref)
+}
+
 func TestFileSourceEmptyTrace(t *testing.T) {
 	path, _ := writeTestTrace(t, "empty", 0)
 	src, err := OpenFile(path)
