@@ -79,8 +79,11 @@ func newPrefetchBuffer(entries int, region mem.Region) *prefetchBuffer {
 		rankOf:       rankOf,
 		pendingSlots: make([]uint64, (entries+63)/64),
 	}
+	// One backing array; each entry's view is capped at n so no entry
+	// can grow into its neighbour.
+	levels := make([]prefetch.Level, entries*n)
 	for i := range pb.entries {
-		pb.entries[i].levels = make([]prefetch.Level, n)
+		pb.entries[i].levels = levels[i*n : (i+1)*n : (i+1)*n]
 	}
 	return pb
 }

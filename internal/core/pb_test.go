@@ -218,3 +218,41 @@ func TestPBCrossRegionDrainAndRequeue(t *testing.T) {
 		t.Fatalf("cross-region requeue failed: %v", again)
 	}
 }
+
+// TestPBCrossRegionRequeueMisroute pins today's routing of a requeued
+// projected target when the next region is buffered too. Requeue looks
+// up the target's own region first, so region 10's request projected
+// to (11, 2) re-arms region 11's already-issued target at offset 2, and
+// region 10's target is lost. A drain that keeps unadmitted targets
+// pending where they are (ROADMAP item 5) removes the misroute; this
+// test changes with it.
+func TestPBCrossRegionRequeueMisroute(t *testing.T) {
+	region := mem.NewRegion(4096)
+	pb := newPrefetchBuffer(4, region)
+	pb.crossRegion = true
+	projected := region.LineAddr(11, 2)
+
+	// Region 11: trigger 0, target k=2 at offset 2, already drained.
+	pb.Insert(11, 0, levelsWith(64, map[int]prefetch.Level{2: prefetch.LevelL1}))
+	if got := pb.DrainInto(nil, 10); len(got) != 1 || got[0].Addr != projected {
+		t.Fatalf("region 11 drained %v, want offset 2", got)
+	}
+	// Region 10: trigger 60, target k=6 wraps and projects to (11, 2).
+	pb.Insert(10, 60, levelsWith(64, map[int]prefetch.Level{6: prefetch.LevelL2}))
+	if got := pb.DrainInto(nil, 10); len(got) != 1 || got[0].Addr != projected || got[0].Level != prefetch.LevelL2 {
+		t.Fatalf("region 10 drained %v, want the projected L2 target", got)
+	}
+
+	pb.Requeue(11, 2)
+	i10, _ := pb.lookup(10)
+	i11, _ := pb.lookup(11)
+	if p := pb.entries[i10].pendingRank; p != 0 {
+		t.Errorf("region 10 pendingRank = %#x, want 0 (its target is lost)", p)
+	}
+	if p := pb.entries[i11].pendingRank; p != 0x4 {
+		t.Errorf("region 11 pendingRank = %#x, want 0x4 (its issued target re-armed)", p)
+	}
+	if got := pb.DrainInto(nil, 10); len(got) != 1 || got[0].Level != prefetch.LevelL1 {
+		t.Errorf("redrain = %v, want region 11's L1 target", got)
+	}
+}

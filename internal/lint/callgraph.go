@@ -404,9 +404,10 @@ func (p *Program) implementations(iface *types.Interface) []*types.Named {
 // Each loaded package is checked independently, so the "same" named
 // type appears as distinct types.Object trees per package and
 // types.Implements — which compares objects by identity — reports
-// false across packages. The fallback compares method signatures
-// structurally, rendered with full package paths, which is identical
-// exactly when the toolchain would consider the types identical.
+// false across packages. The fallback compares method parameter and
+// result types structurally, rendered with full package paths, which is
+// identical exactly when the toolchain would consider the types
+// identical.
 func implementsCross(named *types.Named, iface *types.Interface) bool {
 	if types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface) {
 		return true
@@ -430,19 +431,28 @@ func implementsCross(named *types.Named, iface *types.Interface) bool {
 // from different universes compare equal iff the types are identical.
 func pathQual(p *types.Package) string { return p.Path() }
 
-// sameSignature compares two methods' signatures structurally,
-// ignoring the receiver.
+// sameSignature compares two methods' parameter and result types,
+// ignoring the receiver and every parameter name: as for the
+// toolchain's method sets, OnFill(line mem.Addr, …), OnFill(mem.Addr, …)
+// and OnFill(_ mem.Addr, …) all have the same type.
 func sameSignature(a, b *types.Func) bool {
-	return types.TypeString(stripRecv(a), pathQual) == types.TypeString(stripRecv(b), pathQual)
+	sa, ok := a.Type().(*types.Signature)
+	sb, okb := b.Type().(*types.Signature)
+	return ok && okb && sa.Variadic() == sb.Variadic() &&
+		sameTypes(sa.Params(), sb.Params()) && sameTypes(sa.Results(), sb.Results())
 }
 
-// stripRecv returns the method's signature with the receiver removed.
-func stripRecv(f *types.Func) types.Type {
-	sig, ok := f.Type().(*types.Signature)
-	if !ok {
-		return f.Type()
+// sameTypes reports whether two tuples hold the same types in order.
+func sameTypes(a, b *types.Tuple) bool {
+	if a.Len() != b.Len() {
+		return false
 	}
-	return types.NewSignatureType(nil, nil, nil, sig.Params(), sig.Results(), sig.Variadic())
+	for i := 0; i < a.Len(); i++ {
+		if types.TypeString(a.At(i).Type(), pathQual) != types.TypeString(b.At(i).Type(), pathQual) {
+			return false
+		}
+	}
+	return true
 }
 
 // edge links caller -> callee, deduplicating repeated resolutions of

@@ -43,6 +43,42 @@ func TestCallGraphEdges(t *testing.T) {
 	assertEdge(t, prog, "(*"+cgPath+".device).method", cgPath+".helper", EdgeStatic)
 }
 
+// TestCallGraphCrossPackageDispatch type-checks a dispatch site and its
+// implementations as separate packages, as the loader does with the
+// simulator and the prefetchers. Implementations whose parameters are
+// unnamed or blank must still receive the dispatch edge; one whose
+// parameter type differs must not.
+func TestCallGraphCrossPackageDispatch(t *testing.T) {
+	exports, err := ExportIndex("../..", "pmp/internal/mem")
+	if err != nil {
+		t.Fatalf("export index: %v", err)
+	}
+	var pkgs []*Package
+	for _, name := range []string{"sink", "fill"} {
+		pkg, err := TypecheckPackage(cgPath+"/"+name, "testdata/callgraph/"+name, []string{name + ".go"}, exports, nil)
+		if err != nil {
+			t.Fatalf("typechecking %s: %v", name, err)
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	prog := NewProgram(pkgs)
+
+	drive := cgPath + "/sink.Drive"
+	for _, impl := range []string{"Unnamed", "Blank"} {
+		callee := "(*" + cgPath + "/fill." + impl + ").OnFill"
+		assertEdge(t, prog, drive, callee, EdgeInterface)
+		if _, _, hot := prog.HotPath(prog.FuncByName(callee)); !hot {
+			t.Errorf("%s should be hot through interface dispatch", callee)
+		}
+	}
+	mistyped := "(*" + cgPath + "/fill.Mistyped).OnFill"
+	for _, e := range prog.FuncByName(drive).Callees {
+		if e.Callee.Key == mistyped {
+			t.Errorf("edge %s -> %s: a method with another parameter type is not an implementation", drive, mistyped)
+		}
+	}
+}
+
 func TestHotPathReachability(t *testing.T) {
 	prog := loadCallgraphFixture(t)
 

@@ -6,7 +6,11 @@
 //
 // Fixture files live under testdata/<analyzer>/ (ignored by the go
 // tool) and may import any package in the module's dependency closure,
-// including pmp/internal/mem and pmp/internal/prefetch.
+// including pmp/internal/mem and pmp/internal/prefetch. Each
+// subdirectory of a fixture holds one more package, type-checked on
+// its own as the loader checks every package of the module, so a
+// fixture can put an interface and its implementations in different
+// type-check universes.
 package linttest
 
 import (
@@ -75,9 +79,9 @@ type want struct {
 	re   *regexp.Regexp
 }
 
-// Run type-checks every .go file in fixtureDir as one package, applies
-// the analyzer, and fails the test on any mismatch between reported
-// diagnostics and want comments.
+// Run type-checks every .go file in fixtureDir as one package (and each
+// subdirectory as another), applies the analyzer, and fails the test on
+// any mismatch between reported diagnostics and want comments.
 func Run(t *testing.T, a *lint.Analyzer, fixtureDir string) {
 	t.Helper()
 	RunAt(t, a, fixtureDir, "pmp/fixture/"+a.Name)
@@ -89,36 +93,18 @@ func Run(t *testing.T, a *lint.Analyzer, fixtureDir string) {
 // internal/sweep).
 func RunAt(t *testing.T, a *lint.Analyzer, fixtureDir, importPath string) {
 	t.Helper()
-	entries, err := os.ReadDir(fixtureDir)
-	if err != nil {
-		t.Fatalf("reading fixtures: %v", err)
+	pkgs := loadFixture(t, fixtureDir, importPath)
+	var wants []want
+	for _, pkg := range pkgs {
+		wants = append(wants, collectWants(t, pkg)...)
 	}
-	var files []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			files = append(files, e.Name())
-		}
-	}
-	if len(files) == 0 {
-		t.Fatalf("no fixture files in %s", fixtureDir)
-	}
-	abs, err := filepath.Abs(fixtureDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := lint.TypecheckPackage(importPath, abs, files, exportIndex(t), nil)
-	if err != nil {
-		t.Fatalf("typechecking fixtures: %v", err)
-	}
-
-	wants := collectWants(t, pkg)
-	diags := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{a})
+	diags := lint.Run(pkgs, []*lint.Analyzer{a})
 
 	matched := make([]bool, len(wants))
 	for _, d := range diags {
 		found := false
 		for i, w := range wants {
-			if !matched[i] && w.file == filepath.Base(d.Pos.Filename) && w.line == d.Pos.Line && w.re.MatchString(d.Message) {
+			if !matched[i] && w.file == d.Pos.Filename && w.line == d.Pos.Line && w.re.MatchString(d.Message) {
 				matched[i] = true
 				found = true
 				break
@@ -133,6 +119,39 @@ func RunAt(t *testing.T, a *lint.Analyzer, fixtureDir, importPath string) {
 			t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.re)
 		}
 	}
+}
+
+// loadFixture type-checks the .go files of dir as the package
+// importPath, then each subdirectory holding .go files as the package
+// importPath/<name>, every one in its own type-check universe.
+func loadFixture(t *testing.T, dir, importPath string) []*lint.Package {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatalf("reading fixtures: %v", err)
+	}
+	var files []string
+	var pkgs []*lint.Package
+	for _, e := range entries {
+		switch {
+		case e.IsDir():
+			pkgs = append(pkgs, loadFixture(t, filepath.Join(dir, e.Name()), importPath+"/"+e.Name())...)
+		case strings.HasSuffix(e.Name(), ".go"):
+			files = append(files, e.Name())
+		}
+	}
+	if len(files) == 0 {
+		t.Fatalf("no fixture files in %s", dir)
+	}
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := lint.TypecheckPackage(importPath, abs, files, exportIndex(t), nil)
+	if err != nil {
+		t.Fatalf("typechecking fixtures: %v", err)
+	}
+	return append([]*lint.Package{pkg}, pkgs...)
 }
 
 // collectWants extracts `// want "regexp"` (or backquoted) comments.
@@ -156,7 +175,7 @@ func collectWants(t *testing.T, pkg *lint.Package) []want {
 					t.Fatalf("bad want regexp %q: %v", pattern, err)
 				}
 				pos := pkg.Fset.Position(c.Pos())
-				wants = append(wants, want{file: filepath.Base(pos.Filename), line: pos.Line, re: re})
+				wants = append(wants, want{file: pos.Filename, line: pos.Line, re: re})
 			}
 		}
 	}

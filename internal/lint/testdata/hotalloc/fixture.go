@@ -5,7 +5,11 @@
 // roots never reach — must stay silent.
 package fixture
 
-import "fmt"
+import (
+	"fmt"
+
+	"pmp/internal/mem"
+)
 
 type dev struct {
 	n     int
@@ -61,6 +65,18 @@ func drive(v issuer, d *dev) {
 	v.issue(4)
 	d.boxes(9)
 }
+
+// Filler's only implementations are in package impl (the impl
+// subdirectory), type-checked on its own like every package of the
+// module, so each side has its own mem.Addr object. They leave their
+// parameters unnamed or blank, as the real prefetchers' OnFill does;
+// the dispatch in fill must reach them all the same.
+type Filler interface {
+	OnFill(line mem.Addr, useful bool)
+}
+
+//pmp:hotpath
+func fill(f Filler) { f.OnFill(0, true) }
 
 // --- exempt shapes: no diagnostics below this line ---
 

@@ -63,6 +63,7 @@ func (v BitVector) Test(o int) bool {
 
 func (v BitVector) check(o int) {
 	if o < 0 || o >= v.n {
+		//pmp:allocok formats only on the out-of-range panic, a programming error
 		panic(fmt.Sprintf("mem: offset %d out of range for %d-bit pattern", o, v.n))
 	}
 }

@@ -213,8 +213,9 @@ func (p *Prefetcher) predict(trig sms.Trigger) {
 		}
 	}
 
-	// Short-event fallback: vote across the set.
-	votes := make([]int, n)
+	// Short-event fallback: vote across the set. A region is at most a
+	// page, so n <= LinesPerPage and the tally fits on the stack.
+	var votes [mem.LinesPerPage]int
 	voters := 0
 	for i := range set {
 		e := &set[i]

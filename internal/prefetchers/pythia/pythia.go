@@ -66,9 +66,11 @@ type eqEntry struct {
 type Prefetcher struct {
 	cfg Config
 	// Two Q-value planes (feature 1: PC+Delta, feature 2: PC+Offset);
-	// the action value is their sum, as in the original QVStore.
-	q1 [][]float64
-	q2 [][]float64
+	// the action value is their sum, as in the original QVStore. Each
+	// plane is flat: state s's value for action a is at
+	// s*len(Actions)+a (see cell).
+	q1 []float64
+	q2 []float64
 
 	lastLine map[uint64]uint64 // page -> last line (for delta feature)
 	eq       []eqEntry
@@ -92,20 +94,15 @@ func New(cfg Config) *Prefetcher {
 	if cfg.StateBits < 4 || cfg.StateBits > 20 {
 		panic("pythia: StateBits must be in [4, 20]")
 	}
-	rows := 1 << cfg.StateBits
-	p := &Prefetcher{
+	cells := len(cfg.Actions) << cfg.StateBits
+	return &Prefetcher{
 		cfg:      cfg,
-		q1:       make([][]float64, rows),
-		q2:       make([][]float64, rows),
+		q1:       make([]float64, cells),
+		q2:       make([]float64, cells),
 		lastLine: make(map[uint64]uint64, 4096),
 		eq:       make([]eqEntry, cfg.EQSize),
 		out:      prefetch.NewOutQueue(8),
 	}
-	for i := 0; i < rows; i++ {
-		p.q1[i] = make([]float64, len(cfg.Actions))
-		p.q2[i] = make([]float64, len(cfg.Actions))
-	}
-	return p
 }
 
 // Name implements prefetch.Prefetcher.
@@ -127,8 +124,13 @@ func (p *Prefetcher) states(a prefetch.Access) (uint32, uint32) {
 	return s1, s2
 }
 
+// cell is the index of state s's value for action in a flat Q plane.
+func (p *Prefetcher) cell(s uint32, action int) int {
+	return int(s)*len(p.cfg.Actions) + action
+}
+
 func (p *Prefetcher) qval(s1, s2 uint32, action int) float64 {
-	return p.q1[s1][action] + p.q2[s2][action]
+	return p.q1[p.cell(s1, action)] + p.q2[p.cell(s2, action)]
 }
 
 func (p *Prefetcher) bestAction(s1, s2 uint32) (int, float64) {
@@ -186,8 +188,8 @@ func (p *Prefetcher) Train(a prefetch.Access) {
 func (p *Prefetcher) update(s1, s2 uint32, action int, target float64) {
 	delta := p.cfg.Alpha * (target - p.qval(s1, s2, action))
 	// Split the update across the two feature planes.
-	p.q1[s1][action] += delta / 2
-	p.q2[s2][action] += delta / 2
+	p.q1[p.cell(s1, action)] += delta / 2
+	p.q2[p.cell(s2, action)] += delta / 2
 }
 
 // IssueInto implements prefetch.Prefetcher.

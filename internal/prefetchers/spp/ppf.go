@@ -32,20 +32,22 @@ func newPerceptron(cfg Config) *perceptron {
 // page⊕offset.
 func (p *perceptron) features(pc uint64, target mem.Addr, delta, depth int, sig uint32, conf float64) [numFeatures]uint32 {
 	bits := mem.CeilLog2(p.cfg.TableSize)
-	h := func(v uint64) uint32 { return uint32(mem.FoldXOR(mem.Mix64(v), bits)) }
 	confBucket := uint64(conf * 16)
 	return [numFeatures]uint32{
-		h(pc),
-		h(pc ^ uint64(depth)<<32),
-		h(pc ^ uint64(uint32(int32(delta)))<<24),
-		h(uint64(target)),
-		h(target.LineID()),
-		h(uint64(target.PageOffset())),
-		h(uint64(sig)),
-		h(confBucket),
-		h(target.PageID() ^ uint64(target.PageOffset())<<40),
+		featureHash(pc, bits),
+		featureHash(pc^uint64(depth)<<32, bits),
+		featureHash(pc^uint64(uint32(int32(delta)))<<24, bits),
+		featureHash(uint64(target), bits),
+		featureHash(target.LineID(), bits),
+		featureHash(uint64(target.PageOffset()), bits),
+		featureHash(uint64(sig), bits),
+		featureHash(confBucket, bits),
+		featureHash(target.PageID()^uint64(target.PageOffset())<<40, bits),
 	}
 }
+
+// featureHash folds one feature value into a bits-wide table index.
+func featureHash(v uint64, bits int) uint32 { return uint32(mem.FoldXOR(mem.Mix64(v), bits)) }
 
 // sum returns the perceptron activation for the feature vector.
 func (p *perceptron) sum(feats [numFeatures]uint32) int {

@@ -128,8 +128,12 @@ func New(cfg Config) *Prefetcher {
 		ppf:     newPerceptron(cfg),
 		records: make([]issueRecord, 256),
 	}
+	// One backing array; each entry's view is capped at DeltasPer so no
+	// entry can grow into its neighbour.
+	n := cfg.DeltasPer
+	deltas := make([]ptDelta, len(p.pt)*n)
 	for i := range p.pt {
-		p.pt[i].deltas = make([]ptDelta, cfg.DeltasPer)
+		p.pt[i].deltas = deltas[i*n : (i+1)*n : (i+1)*n]
 	}
 	return p
 }

@@ -100,6 +100,8 @@ type Framework struct {
 	at    []atEntry
 	stamp uint64
 	// out is reused across Observe calls to avoid per-access allocation.
+	// One access closes at most one pattern (the AT victim in insertAT),
+	// so New reserves room for exactly one.
 	out []Pattern
 }
 
@@ -115,6 +117,7 @@ func New(cfg Config) *Framework {
 		cfg: cfg,
 		ft:  make([]ftEntry, cfg.FTSets*cfg.FTWays),
 		at:  make([]atEntry, cfg.ATSets*cfg.ATWays),
+		out: make([]Pattern, 0, 1),
 	}
 }
 
@@ -212,6 +215,9 @@ func (f *Framework) insertAT(region uint64, pc uint64, trigger int, addr mem.Add
 	}
 	v := &set[victim]
 	if v.valid {
+		if len(f.out) == cap(f.out) {
+			panic("sms: one access closed more than one pattern")
+		}
 		f.out = append(f.out, Pattern{RegionID: v.tag, PC: v.pc, Trigger: v.trigger, TriggerAddr: v.addr, Bits: v.bits})
 	}
 	*v = atEntry{valid: true, tag: region, pc: pc, trigger: trigger, addr: addr, bits: bits, lru: f.stamp}
