@@ -12,6 +12,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pmp/internal/mem"
 )
@@ -20,7 +21,7 @@ import (
 type Config struct {
 	Name    string // display name ("L1D", "L2C", "LLC")
 	Sets    int    // number of sets (power of two)
-	Ways    int    // associativity
+	Ways    int    // associativity, at most 127
 	Latency uint64 // access latency in core cycles
 	MSHRs   int    // miss status holding registers
 	PQSize  int    // prefetch queue entries
@@ -31,8 +32,8 @@ func (c Config) Validate() error {
 	if c.Sets <= 0 || c.Sets&(c.Sets-1) != 0 {
 		return fmt.Errorf("cache %s: sets must be a positive power of two, got %d", c.Name, c.Sets)
 	}
-	if c.Ways <= 0 {
-		return fmt.Errorf("cache %s: ways must be positive, got %d", c.Name, c.Ways)
+	if c.Ways <= 0 || c.Ways > maxWays {
+		return fmt.Errorf("cache %s: ways must be in 1..%d, got %d", c.Name, maxWays, c.Ways)
 	}
 	if c.MSHRs <= 0 {
 		return fmt.Errorf("cache %s: MSHRs must be positive, got %d", c.Name, c.MSHRs)
@@ -45,23 +46,6 @@ func (c Config) Validate() error {
 
 // SizeBytes returns the data capacity of the configuration.
 func (c Config) SizeBytes() int { return c.Sets * c.Ways * mem.LineBytes }
-
-// lineMeta is the per-line state other than the tag. Tags live in
-// their own parallel array (structure-of-arrays): an associative probe
-// then scans Ways*8 contiguous bytes — a single cache line for
-// 8-way sets — instead of striding through interleaved metadata, and
-// the valid bit is folded into the tag as a sentinel so the tag-match
-// loop is one compare per way.
-type lineMeta struct {
-	lru        uint64 // last-touch stamp (LRU replacement)
-	ready      uint64 // cycle the fill completes
-	prefetched bool   // filled by a prefetch
-	used       bool   // demand-touched since fill
-}
-
-// invalidTag marks an empty way. Real tags are line-aligned (low
-// mem.LineShift bits zero), so this value can never collide.
-const invalidTag mem.Addr = 1
 
 // Stats accumulates per-level counters from construction on; the
 // simulator zeroes them with ResetStats at the warm-up boundary.
@@ -150,12 +134,33 @@ type PrefetchEvent struct {
 }
 
 // Cache is one set-associative cache level.
+//
+// Each line occupies one 16-byte way: its line address, with the
+// prefetched and used flags in the address's always-zero low bits, and
+// the cycle its fill completes. Next to the ways, every set keeps a
+// summary of ceil(Ways/8) fingerprint words followed by as many rank
+// words, one byte lane per way, so the summary of a set of up to 32
+// ways fits one host cache line:
+//
+//   - A fingerprint lane holds a 7-bit hash of the way's line with the
+//     top bit set, or 0 when the way is empty. A probe compares the
+//     set's fingerprint words against the wanted byte eight lanes at a
+//     time and compares a line address only where a lane matches.
+//   - A rank lane holds the way's LRU rank: ranks are a permutation of
+//     0..Ways-1 per set, 0 the most recently used. A hit or a fill
+//     moves its way to rank 0 and shifts every rank below the old one
+//     up by one. Only those two events reorder ranks, so among valid
+//     ways the order is last-touch order, and the victim of a full set
+//     is the way of rank Ways-1.
+//
+// Lanes past the last way hold padFP and padRank, which match no
+// fingerprint, no empty way and no rank.
 type Cache struct {
 	cfg     Config
-	tags    []mem.Addr // Sets*Ways, row-major; invalidTag when empty
-	meta    []lineMeta // parallel to tags
+	ways    []way    // Sets*Ways, row-major
+	summary []uint64 // per set: words fingerprint words, then words rank words
+	words   int      // ceil(Ways/8)
 	setMask uint64
-	stamp   uint64
 	stats   Stats
 	mshr    mshrFile // outstanding misses (fixed capacity, see mshr.go)
 
@@ -166,21 +171,65 @@ type Cache struct {
 	PrefetchTrace func(ev PrefetchEvent)
 }
 
+// way is one cache line's state. line is line-aligned, so its low
+// mem.LineShift bits are free for the flags below; the fingerprint
+// lane, not the way, records whether the way is valid.
+type way struct {
+	line  mem.Addr // line address | wayPrefetched | wayUsed
+	ready uint64   // cycle the fill completes
+}
+
+const (
+	wayPrefetched mem.Addr = 1 << iota // filled by a prefetch
+	wayUsed                            // demand-touched since fill
+	wayFlags      = wayPrefetched | wayUsed
+)
+
+// Byte-lane constants for the summary words.
+const (
+	lanes01 = 0x0101010101010101
+	lanes7f = 0x7f7f7f7f7f7f7f7f
+	lanes80 = 0x8080808080808080
+
+	padFP   = 0x01 // fingerprint lane past the last way: never 0, top bit clear
+	padRank = 0x7f // rank lane past the last way: above every rank (Ways <= maxWays)
+)
+
+// maxWays is the associativity limit of 8-bit rank lanes: ranks run to
+// Ways-1 and must stay below padRank.
+const maxWays = padRank
+
 // New constructs a cache; it panics on invalid configuration (a
 // programming error in the caller, not a runtime condition).
 func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	words := (cfg.Ways + 7) / 8
 	c := &Cache{
 		cfg:     cfg,
-		tags:    make([]mem.Addr, cfg.Sets*cfg.Ways),
-		meta:    make([]lineMeta, cfg.Sets*cfg.Ways),
+		ways:    make([]way, cfg.Sets*cfg.Ways),
+		summary: make([]uint64, cfg.Sets*2*words),
+		words:   words,
 		setMask: uint64(cfg.Sets - 1),
 		mshr:    newMSHRFile(cfg.MSHRs),
 	}
-	for i := range c.tags {
-		c.tags[i] = invalidTag
+	// Every set starts empty, its ways ranked in index order; only the
+	// last word of each half has padding lanes.
+	for k := 0; k < words; k++ {
+		var fp, rank uint64
+		for j := 7; j >= 0; j-- {
+			fp, rank = fp<<8, rank<<8
+			if w := k*8 + j; w < cfg.Ways {
+				rank |= uint64(w)
+			} else {
+				fp, rank = fp|padFP, rank|padRank
+			}
+		}
+		for s := 0; s < cfg.Sets; s++ {
+			c.summary[2*s*words+k] = fp
+			c.summary[(2*s+1)*words+k] = rank
+		}
 	}
 	return c
 }
@@ -194,74 +243,147 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats zeroes the counters (end of warm-up).
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// setBase returns the index of the set's first way in the parallel
-// tag/meta arrays.
+// fingerprint hashes a line to its 7-bit fingerprint (the top bits of
+// a Fibonacci hash) with the top bit set, so it never equals an empty
+// lane (0) or padFP.
 //
 //pmp:hotpath
-func (c *Cache) setBase(a mem.Addr) int {
-	return int(a.LineID()&c.setMask) * c.cfg.Ways
+func fingerprint(line mem.Addr) uint64 {
+	return uint64(line)*0x9E3779B97F4A7C15>>57 | 0x80
 }
 
-// findWay returns the array index of the way holding line a (already
-// line-aligned), or -1. One tag compare per way over contiguous tags.
+// zeroLanes returns 0x80 in every byte lane of x that is zero and 0 in
+// every other lane. No lane carries into its neighbour, so the result
+// is exact.
 //
 //pmp:hotpath
-func (c *Cache) findWay(a mem.Addr) int {
-	base := c.setBase(a)
-	for _, t := range c.tags[base : base+c.cfg.Ways] {
-		if t == a {
-			return base
+func zeroLanes(x uint64) uint64 {
+	return ^((x&lanes7f + lanes7f) | x) & lanes80
+}
+
+// lane returns the index of the lowest lane flagged in a zeroLanes mask.
+//
+//pmp:hotpath
+func lane(mask uint64) int { return bits.TrailingZeros64(mask) >> 3 }
+
+// setOf returns the set index of a line-aligned address.
+//
+//pmp:hotpath
+func (c *Cache) setOf(a mem.Addr) int { return int(a.LineID() & c.setMask) }
+
+// find returns the index in c.ways of the way holding line a (already
+// line-aligned) in set, or -1: a byte match of a's fingerprint over the
+// set's fingerprint words, then one address compare per matching lane.
+//
+//pmp:hotpath
+func (c *Cache) find(set int, a mem.Addr) int {
+	want := fingerprint(a) * lanes01
+	fps := c.summary[2*set*c.words:][:c.words]
+	for k, fp := range fps {
+		for m := zeroLanes(fp ^ want); m != 0; m &= m - 1 {
+			i := set*c.cfg.Ways + k*8 + lane(m)
+			if c.ways[i].line&^wayFlags == a {
+				return i
+			}
 		}
-		base++
 	}
 	return -1
+}
+
+// touch makes way w of set the most recently used: every rank below
+// w's rises by one, word by word, and w's becomes 0.
+//
+//pmp:hotpath
+func (c *Cache) touch(set, w int) {
+	ranks := c.summary[(2*set+1)*c.words:][:c.words]
+	shift := uint(w&7) * 8
+	r := ranks[w>>3] >> shift & 0xff
+	// Per lane, 0x7f+r-rank stays in 0..0xfd without borrowing from the
+	// next lane, and has its top bit set exactly when rank < r.
+	bcast := (0x7f + r) * lanes01
+	for k, x := range ranks {
+		ranks[k] = x + (bcast-x)&lanes80>>7
+	}
+	ranks[w>>3] &^= 0xff << shift
+}
+
+// victim returns the way of set that a fill replaces: the lowest empty
+// way, else the least recently used (rank Ways-1).
+//
+//pmp:hotpath
+func (c *Cache) victim(set int) int {
+	sum := c.summary[2*set*c.words:][:2*c.words]
+	for k, fp := range sum[:c.words] {
+		if m := zeroLanes(fp); m != 0 {
+			return k*8 + lane(m)
+		}
+	}
+	oldest := uint64(c.cfg.Ways-1) * lanes01
+	for k, rank := range sum[c.words:] {
+		if m := zeroLanes(rank ^ oldest); m != 0 {
+			return k*8 + lane(m)
+		}
+	}
+	panic("cache: set ranks are not a permutation")
+}
+
+// setFP stores fingerprint fp (0 for empty) in way w's lane of set.
+//
+//pmp:hotpath
+func (c *Cache) setFP(set, w int, fp uint64) {
+	shift := uint(w&7) * 8
+	p := &c.summary[2*set*c.words+w>>3]
+	*p = *p&^(0xff<<shift) | fp<<shift
 }
 
 // Lookup probes for a line at the given cycle.
 //
 // On a hit it returns (true, readyCycle): the cycle at which the data is
 // available (max of now+latency and the line's fill-completion time — a
-// hit under a still-in-flight fill pays the residual). The LRU stamp is
-// updated and, for demand lookups, prefetch-usefulness accounting runs.
+// hit under a still-in-flight fill pays the residual). The line becomes
+// the set's most recently used and, for demand lookups,
+// prefetch-usefulness accounting runs.
 //
 // On a miss it returns (false, 0).
 //
 //pmp:hotpath
 func (c *Cache) Lookup(a mem.Addr, now uint64, demand bool) (bool, uint64) {
 	a = a.Line()
-	c.stamp++
 	if demand {
 		c.stats.DemandAccesses++
 	}
-	if i := c.findWay(a); i >= 0 {
-		l := &c.meta[i]
-		l.lru = c.stamp
-		ready := now + c.cfg.Latency
-		if l.ready > ready {
-			ready = l.ready
-			if demand && l.prefetched && !l.used {
-				c.stats.LatePrefetch++
-			}
-		}
+	set := c.setOf(a)
+	i := c.find(set, a)
+	if i < 0 {
 		if demand {
-			if l.prefetched && !l.used {
-				c.stats.UsefulPrefetch++
-				l.used = true
-				if c.PrefetchTrace != nil {
-					c.PrefetchTrace(PrefetchEvent{
-						Kind: PrefetchUsed, Line: a, Cycle: now,
-						FillCycle: l.ready, Late: l.ready > now+c.cfg.Latency,
-					})
-				}
-			}
-			c.stats.DemandHits++
+			c.stats.DemandMisses++
 		}
-		return true, ready
+		return false, 0
+	}
+	c.touch(set, i-set*c.cfg.Ways)
+	l := &c.ways[i]
+	unused := l.line&wayFlags == wayPrefetched // prefetched, not yet demanded
+	ready := now + c.cfg.Latency
+	if l.ready > ready {
+		ready = l.ready
+		if demand && unused {
+			c.stats.LatePrefetch++
+		}
 	}
 	if demand {
-		c.stats.DemandMisses++
+		if unused {
+			c.stats.UsefulPrefetch++
+			l.line |= wayUsed
+			if c.PrefetchTrace != nil {
+				c.PrefetchTrace(PrefetchEvent{
+					Kind: PrefetchUsed, Line: a, Cycle: now,
+					FillCycle: l.ready, Late: l.ready > now+c.cfg.Latency,
+				})
+			}
+		}
+		c.stats.DemandHits++
 	}
-	return false, 0
+	return true, ready
 }
 
 // Contains reports whether the line is present, without touching LRU or
@@ -269,91 +391,73 @@ func (c *Cache) Lookup(a mem.Addr, now uint64, demand bool) (bool, uint64) {
 //
 //pmp:hotpath
 func (c *Cache) Contains(a mem.Addr) bool {
-	return c.findWay(a.Line()) >= 0
+	a = a.Line()
+	return c.find(c.setOf(a), a) >= 0
 }
 
 // Fill inserts a line completing at readyCycle. prefetched marks
 // prefetch fills for pollution accounting. It returns the eviction the
 // fill caused, if any. Filling a line that is already present only
-// refreshes its ready time (fills can race when a prefetch and a demand
-// miss overlap).
+// lowers its ready time (fills can race when a prefetch and a demand
+// miss overlap); it does not change the line's LRU position.
 //
 //pmp:hotpath
 func (c *Cache) Fill(a mem.Addr, readyCycle uint64, prefetched bool) Eviction {
 	a = a.Line()
-	c.stamp++
 	if prefetched {
 		c.stats.PrefetchFills++
 	}
-	if i := c.findWay(a); i >= 0 {
-		if readyCycle < c.meta[i].ready {
-			c.meta[i].ready = readyCycle
-		}
+	set := c.setOf(a)
+	if i := c.find(set, a); i >= 0 {
+		c.ways[i].ready = min(c.ways[i].ready, readyCycle)
 		return Eviction{}
 	}
-	victim := c.victimIn(c.setBase(a))
+	w := c.victim(set)
+	v := &c.ways[set*c.cfg.Ways+w]
 	ev := Eviction{}
-	v := &c.meta[victim]
-	if vt := c.tags[victim]; vt != invalidTag {
-		ev = Eviction{Kind: EvictClean, Line: vt, Prefetched: v.prefetched, Used: v.used}
-		if v.prefetched && !v.used {
+	if c.summary[2*set*c.words+w>>3]>>(uint(w&7)*8)&0xff != 0 { // nonzero fingerprint: the victim holds a line
+		old := v.line &^ wayFlags
+		ev = Eviction{Kind: EvictClean, Line: old, Prefetched: v.line&wayPrefetched != 0, Used: v.line&wayUsed != 0}
+		if ev.Prefetched && !ev.Used {
 			c.stats.UselessPrefetx++
 			if c.PrefetchTrace != nil {
 				// The displacing fill's completion is the closest clock
 				// this path has to "now".
-				c.PrefetchTrace(PrefetchEvent{Kind: PrefetchDead, Line: vt, Cycle: readyCycle})
+				c.PrefetchTrace(PrefetchEvent{Kind: PrefetchDead, Line: old, Cycle: readyCycle})
 			}
 		}
 	}
-	c.tags[victim] = a
-	*v = lineMeta{lru: c.stamp, ready: readyCycle, prefetched: prefetched}
+	*v = way{line: a, ready: readyCycle}
+	if prefetched {
+		v.line |= wayPrefetched
+	}
+	c.setFP(set, w, fingerprint(a))
+	c.touch(set, w)
 	if prefetched && c.PrefetchTrace != nil {
 		c.PrefetchTrace(PrefetchEvent{Kind: PrefetchFilled, Line: a, Cycle: readyCycle})
 	}
 	return ev
 }
 
-// victimIn selects the replacement victim (as an array index) for the
-// set starting at base: an empty way, else the least recently used.
-//
-//pmp:hotpath
-func (c *Cache) victimIn(base int) int {
-	end := base + c.cfg.Ways
-	for i := base; i < end; i++ {
-		if c.tags[i] == invalidTag {
-			return i
-		}
-	}
-	victim := base
-	oldest := ^uint64(0)
-	for i := base; i < end; i++ {
-		if c.meta[i].lru < oldest {
-			oldest = c.meta[i].lru
-			victim = i
-		}
-	}
-	return victim
-}
-
 // Invalidate removes a line (inclusive-hierarchy back-invalidation). It
 // reports whether the line was present; an untouched prefetched line
-// counts as a useless prefetch.
+// counts as a useless prefetch. The emptied way keeps its rank.
 //
 //pmp:hotpath
 func (c *Cache) Invalidate(a mem.Addr) bool {
 	a = a.Line()
-	i := c.findWay(a)
+	set := c.setOf(a)
+	i := c.find(set, a)
 	if i < 0 {
 		return false
 	}
-	l := &c.meta[i]
-	if l.prefetched && !l.used {
+	if c.ways[i].line&wayFlags == wayPrefetched {
 		c.stats.UselessPrefetx++
 		if c.PrefetchTrace != nil {
 			c.PrefetchTrace(PrefetchEvent{Kind: PrefetchDead, Line: a})
 		}
 	}
-	c.tags[i] = invalidTag
+	c.setFP(set, i-set*c.cfg.Ways, 0)
 	return true
 }
 

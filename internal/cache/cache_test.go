@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -21,6 +22,7 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "b", Sets: 3, Ways: 1, MSHRs: 1},
 		{Name: "c", Sets: 4, Ways: 0, MSHRs: 1},
 		{Name: "d", Sets: 4, Ways: 1, MSHRs: 0},
+		{Name: "e", Sets: 4, Ways: 128, MSHRs: 1},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -387,4 +389,321 @@ func TestPrefetchTraceSilentForDemandFills(t *testing.T) {
 	if len(events) != 0 {
 		t.Errorf("demand-filled line emitted %+v", events)
 	}
+}
+
+// refCache is the cache's previous implementation, kept as the
+// behavioural reference for the compact ways and set summaries: tags
+// and metadata in parallel arrays, an invalid-tag sentinel and a
+// global LRU stamp that every lookup and fill advances. Its MSHRs are
+// mapMSHR, the map-backed reference of mshr_test.go.
+type refCache struct {
+	cfg     Config
+	tags    []mem.Addr // Sets*Ways, row-major; refInvalidTag when empty
+	meta    []refLineMeta
+	setMask uint64
+	stamp   uint64
+	stats   Stats
+	mshr    mapMSHR
+
+	PrefetchTrace func(ev PrefetchEvent)
+}
+
+type refLineMeta struct {
+	lru        uint64 // last-touch stamp
+	ready      uint64 // cycle the fill completes
+	prefetched bool
+	used       bool
+}
+
+// refInvalidTag marks an empty way; real tags are line-aligned.
+const refInvalidTag mem.Addr = 1
+
+func newRefCache(cfg Config) *refCache {
+	c := &refCache{
+		cfg:     cfg,
+		tags:    make([]mem.Addr, cfg.Sets*cfg.Ways),
+		meta:    make([]refLineMeta, cfg.Sets*cfg.Ways),
+		setMask: uint64(cfg.Sets - 1),
+		mshr:    mapMSHR{inflight: map[mem.Addr]uint64{}},
+	}
+	for i := range c.tags {
+		c.tags[i] = refInvalidTag
+	}
+	return c
+}
+
+func (c *refCache) setBase(a mem.Addr) int {
+	return int(a.LineID()&c.setMask) * c.cfg.Ways
+}
+
+func (c *refCache) findWay(a mem.Addr) int {
+	base := c.setBase(a)
+	for i, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == a {
+			return base + i
+		}
+	}
+	return -1
+}
+
+func (c *refCache) Lookup(a mem.Addr, now uint64, demand bool) (bool, uint64) {
+	a = a.Line()
+	c.stamp++
+	if demand {
+		c.stats.DemandAccesses++
+	}
+	if i := c.findWay(a); i >= 0 {
+		l := &c.meta[i]
+		l.lru = c.stamp
+		ready := now + c.cfg.Latency
+		if l.ready > ready {
+			ready = l.ready
+			if demand && l.prefetched && !l.used {
+				c.stats.LatePrefetch++
+			}
+		}
+		if demand {
+			if l.prefetched && !l.used {
+				c.stats.UsefulPrefetch++
+				l.used = true
+				if c.PrefetchTrace != nil {
+					c.PrefetchTrace(PrefetchEvent{
+						Kind: PrefetchUsed, Line: a, Cycle: now,
+						FillCycle: l.ready, Late: l.ready > now+c.cfg.Latency,
+					})
+				}
+			}
+			c.stats.DemandHits++
+		}
+		return true, ready
+	}
+	if demand {
+		c.stats.DemandMisses++
+	}
+	return false, 0
+}
+
+func (c *refCache) Contains(a mem.Addr) bool { return c.findWay(a.Line()) >= 0 }
+
+func (c *refCache) Fill(a mem.Addr, readyCycle uint64, prefetched bool) Eviction {
+	a = a.Line()
+	c.stamp++
+	if prefetched {
+		c.stats.PrefetchFills++
+	}
+	if i := c.findWay(a); i >= 0 {
+		if readyCycle < c.meta[i].ready {
+			c.meta[i].ready = readyCycle
+		}
+		return Eviction{}
+	}
+	victim := c.victimIn(c.setBase(a))
+	ev := Eviction{}
+	v := &c.meta[victim]
+	if vt := c.tags[victim]; vt != refInvalidTag {
+		ev = Eviction{Kind: EvictClean, Line: vt, Prefetched: v.prefetched, Used: v.used}
+		if v.prefetched && !v.used {
+			c.stats.UselessPrefetx++
+			if c.PrefetchTrace != nil {
+				c.PrefetchTrace(PrefetchEvent{Kind: PrefetchDead, Line: vt, Cycle: readyCycle})
+			}
+		}
+	}
+	c.tags[victim] = a
+	*v = refLineMeta{lru: c.stamp, ready: readyCycle, prefetched: prefetched}
+	if prefetched && c.PrefetchTrace != nil {
+		c.PrefetchTrace(PrefetchEvent{Kind: PrefetchFilled, Line: a, Cycle: readyCycle})
+	}
+	return ev
+}
+
+// victimIn returns an empty way of the set starting at base, lowest
+// index first, else the way with the oldest stamp.
+func (c *refCache) victimIn(base int) int {
+	end := base + c.cfg.Ways
+	for i := base; i < end; i++ {
+		if c.tags[i] == refInvalidTag {
+			return i
+		}
+	}
+	victim := base
+	oldest := ^uint64(0)
+	for i := base; i < end; i++ {
+		if c.meta[i].lru < oldest {
+			oldest = c.meta[i].lru
+			victim = i
+		}
+	}
+	return victim
+}
+
+func (c *refCache) Invalidate(a mem.Addr) bool {
+	a = a.Line()
+	i := c.findWay(a)
+	if i < 0 {
+		return false
+	}
+	l := &c.meta[i]
+	if l.prefetched && !l.used {
+		c.stats.UselessPrefetx++
+		if c.PrefetchTrace != nil {
+			c.PrefetchTrace(PrefetchEvent{Kind: PrefetchDead, Line: a})
+		}
+	}
+	c.tags[i] = refInvalidTag
+	return true
+}
+
+func (c *refCache) MSHRBusy(now uint64) int { return c.mshr.prune(now) }
+
+func (c *refCache) InFlight(a mem.Addr, now uint64) (uint64, bool) {
+	return c.mshr.inFlight(a.Line(), now)
+}
+
+func (c *refCache) ReserveMSHR(a mem.Addr, now, done uint64, demand bool) bool {
+	limit := c.cfg.MSHRs
+	if !demand {
+		limit--
+	}
+	return c.mshr.reserve(a.Line(), now, done, limit)
+}
+
+// diffWays are the associativities the differential tests cover: the
+// edge cases of one summary word (1, 2, 8), the paper's L1D, LLC and
+// L2C (12, 16, 8), a set spanning a partial third word (20) and the
+// limit of 8-bit rank lanes (127).
+var diffWays = []int{1, 2, 8, 12, 16, 20, 127}
+
+// Operation kinds of a differential run.
+const (
+	opLookup = iota
+	opFill
+	opContains
+	opInvalidate
+	opInFlight
+	opReserve
+	opBusy
+	numOps
+)
+
+// cacheOp is one operation of a differential run. flag selects a
+// demand Lookup or ReserveMSHR and a prefetch Fill; span is the
+// distance from now to a fill's ready cycle or a reservation's done.
+type cacheOp struct {
+	kind uint8
+	line uint16 // index into the run's line pool
+	dt   uint8  // cycles since the previous operation
+	flag bool
+	span uint16
+}
+
+// diffCacheOps drives the cache and the reference model through ops and
+// fails at the first return value, Stats snapshot or PrefetchTrace
+// event on which they differ. Lines come from a pool of twice the
+// cache's capacity, with a few tag bits above the set index, so sets
+// fill, evict and re-fetch.
+func diffCacheOps(t *testing.T, cfg Config, ops []cacheOp) {
+	t.Helper()
+	got, want := New(cfg), newRefCache(cfg)
+	var gotEv, wantEv []PrefetchEvent
+	got.PrefetchTrace = func(ev PrefetchEvent) { gotEv = append(gotEv, ev) }
+	want.PrefetchTrace = func(ev PrefetchEvent) { wantEv = append(wantEv, ev) }
+	pool := 2*cfg.Sets*cfg.Ways + 3
+	now := uint64(0)
+	for step, op := range ops {
+		now += uint64(op.dt)
+		// Odd byte offsets check that every entry point aligns.
+		a := mem.Addr(int(op.line)%pool)<<mem.LineShift | mem.Addr(op.span%mem.LineBytes)
+		span := uint64(op.span)
+		var g, w any
+		switch op.kind % numOps {
+		case opLookup:
+			gh, gr := got.Lookup(a, now, op.flag)
+			wh, wr := want.Lookup(a, now, op.flag)
+			g, w = [2]any{gh, gr}, [2]any{wh, wr}
+		case opFill:
+			g, w = got.Fill(a, now+span, op.flag), want.Fill(a, now+span, op.flag)
+		case opContains:
+			g, w = got.Contains(a), want.Contains(a)
+		case opInvalidate:
+			g, w = got.Invalidate(a), want.Invalidate(a)
+		case opInFlight:
+			gd, gok := got.InFlight(a, now)
+			wd, wok := want.InFlight(a, now)
+			g, w = [2]any{gd, gok}, [2]any{wd, wok}
+		case opReserve:
+			g, w = got.ReserveMSHR(a, now, now+span, op.flag), want.ReserveMSHR(a, now, now+span, op.flag)
+		case opBusy:
+			g, w = got.MSHRBusy(now), want.MSHRBusy(now)
+		}
+		if g != w {
+			t.Fatalf("%d ways, step %d, op %+v at cycle %d: got %+v, reference %+v", cfg.Ways, step, op, now, g, w)
+		}
+		if got.Stats() != want.stats {
+			t.Fatalf("%d ways, step %d, op %+v: stats %+v, reference %+v", cfg.Ways, step, op, got.Stats(), want.stats)
+		}
+		if len(gotEv) != len(wantEv) {
+			t.Fatalf("%d ways, step %d, op %+v: events %+v, reference %+v", cfg.Ways, step, op, gotEv, wantEv)
+		}
+		for i := range gotEv {
+			if gotEv[i] != wantEv[i] {
+				t.Fatalf("%d ways, step %d, op %+v: event %+v, reference %+v", cfg.Ways, step, op, gotEv[i], wantEv[i])
+			}
+		}
+		gotEv, wantEv = gotEv[:0], wantEv[:0]
+	}
+}
+
+// TestCacheMatchesReference drives the cache and refCache through the
+// same seeded random operation stream at every associativity in
+// diffWays.
+func TestCacheMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, ways := range diffWays {
+		cfg := Config{Name: "D", Sets: 4, Ways: ways, Latency: 5, MSHRs: 8}
+		ops := make([]cacheOp, 40*cfg.Sets*ways+2000)
+		for i := range ops {
+			ops[i] = cacheOp{
+				kind: uint8(rng.Intn(numOps)),
+				line: uint16(rng.Intn(1 << 16)),
+				dt:   uint8(rng.Intn(8)),
+				flag: rng.Intn(2) == 0,
+				span: uint16(rng.Intn(400)),
+			}
+		}
+		diffCacheOps(t, cfg, ops)
+	}
+}
+
+// FuzzCacheOps decodes an operation stream and a geometry from the
+// input and requires the cache to match refCache on every step. The
+// first two bytes pick the associativity from diffWays, the set count
+// and the MSHR count; every following 6 bytes are one cacheOp.
+func FuzzCacheOps(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 0, 0, 0, 0, 0})
+	f.Add([]byte{3, 0x31, 1, 5, 0, 2, 0x41, 9, 0, 0x20, 3, 1, 2, 0x80, 1, 2, 0x81, 3})
+	f.Add([]byte{6, 0x7f, 1, 0xff, 0xff, 0, 1, 0x40, 5, 0x10, 0, 1, 0, 0x82, 7, 4, 0x10, 0x44})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		cfg := Config{
+			Name:    "F",
+			Ways:    diffWays[int(data[0])%len(diffWays)],
+			Sets:    1 << (data[1] >> 4 % 3),
+			Latency: 5,
+			MSHRs:   1 + int(data[1]&15),
+		}
+		var ops []cacheOp
+		for b := data[2:]; len(b) >= 6; b = b[6:] {
+			ops = append(ops, cacheOp{
+				kind: b[0] & 15,
+				line: uint16(b[1]) | uint16(b[2])<<8,
+				dt:   b[3],
+				flag: b[0]&16 != 0,
+				span: uint16(b[4]) | uint16(b[5])<<8,
+			})
+		}
+		diffCacheOps(t, cfg, ops)
+	})
 }

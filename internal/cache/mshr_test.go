@@ -187,3 +187,34 @@ func TestMSHRFileMatchesMap(t *testing.T) {
 		}
 	}
 }
+
+// TestMSHRLaterReservePrunesEarlierBusy pins today's behaviour: a
+// reservation at a later cycle prunes entries that are still busy at
+// an earlier cycle, so probes back at that earlier cycle no longer see
+// their occupancy or their lines in flight. The simulator hits this
+// when a walk reserves at the next level at now+latency: later
+// requests of the same issue pass then see that level as of the later
+// cycle (docs/simulator.md, "Caches").
+func TestMSHRLaterReservePrunesEarlierBusy(t *testing.T) {
+	c := New(Config{Name: "M", Sets: 1, Ways: 1, MSHRs: 4})
+	for _, r := range []struct {
+		line mem.Addr
+		done uint64
+	}{{0x1000, 10}, {0x2000, 10}, {0x3000, 100}} {
+		if !c.ReserveMSHR(r.line, 0, r.done, true) {
+			t.Fatalf("reserve %#x failed", r.line)
+		}
+	}
+	if got := c.MSHRBusy(5); got != 3 {
+		t.Fatalf("busy at 5 = %d, want 3", got)
+	}
+	if !c.ReserveMSHR(0x4000, 12, 200, false) {
+		t.Fatal("reserve at cycle 12 failed")
+	}
+	if got := c.MSHRBusy(5); got != 2 {
+		t.Errorf("busy at 5 after a reserve at 12 = %d, want 2 (the two entries done at 10 are gone)", got)
+	}
+	if _, ok := c.InFlight(0x1000, 5); ok {
+		t.Error("line done at 10 reads in flight at 5 after the prune at 12; the pinned behaviour has changed")
+	}
+}

@@ -69,6 +69,10 @@ func TestRunSpecValidate(t *testing.T) {
 		{"replay unbounded", func(rs *RunSpec) { rs.Replay = true; rs.Config.Measure = 0 }},
 		// Each of these would panic inside the job if it got that far.
 		{"negative L1D PQ size", func(rs *RunSpec) { rs.Config.L1D.PQSize = -1 }},
+		{"128-way level", func(rs *RunSpec) {
+			rs.Config = rs.Config.Resolved()
+			rs.Config.Levels[2].Cache.Sets, rs.Config.Levels[2].Cache.Ways = 256, 128
+		}},
 		{"PMP trigger bits 0", func(rs *RunSpec) { rs.Cores[0].Variant.PMP.TriggerBits = 0 }},
 		{"PMP FT sets 3", func(rs *RunSpec) { rs.Cores[0].Variant.PMP.FTSets = 3 }},
 		{"Design B FT sets 3", func(rs *RunSpec) {

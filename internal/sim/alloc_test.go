@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pmp/internal/bench"
+	"pmp/internal/cache"
 	"pmp/internal/prefetch"
 	"pmp/internal/sim"
 	"pmp/internal/trace"
@@ -41,7 +42,7 @@ func TestEveryPrefetcherSteadyStateAllocs(t *testing.T) {
 		t.Skip("simulates 90k records per prefetcher and trace")
 	}
 	var specs []trace.Spec
-	for _, name := range []string{"spec06.stream-0", "ligra.graph-200"} {
+	for _, name := range []string{"spec06.stream-0", "ligra.graph-200", "parsec.mix-300"} {
 		sp, ok := trace.ByName(name)
 		if !ok {
 			t.Fatalf("no trace %s", name)
@@ -78,5 +79,32 @@ func TestNewPrefetcherAllocs(t *testing.T) {
 		if allocs > maxAllocs {
 			t.Errorf("bench.NewPrefetcher(%q) allocates %.0f objects, want <= %d", name, allocs, maxAllocs)
 		}
+	}
+}
+
+// TestNewMachineAtAllocs pins construction: every cache is a handful of
+// flat arrays, so building a machine costs a fixed number of objects
+// however large its caches are.
+func TestNewMachineAtAllocs(t *testing.T) {
+	nops := func(n int) []prefetch.Prefetcher {
+		pfs := make([]prefetch.Prefetcher, n)
+		for i := range pfs {
+			pfs[i] = prefetch.Nop{}
+		}
+		return pfs
+	}
+	cfg := bench.DefaultScale().Config()
+	one := nops(1)
+	if got := testing.AllocsPerRun(10, func() { sim.NewMachineAt(cfg, one, nil, false) }); got > 39 {
+		t.Errorf("NewMachineAt with one core allocates %.0f objects, want <= 39", got)
+	}
+	cfg4 := cfg
+	cfg4.DRAM.Channels = 2
+	four := nops(4)
+	if got := testing.AllocsPerRun(10, func() { sim.NewMachineAt(cfg4, four, nil, true) }); got > 116 {
+		t.Errorf("NewMachineAt with four cores allocates %.0f objects, want <= 116", got)
+	}
+	if got := testing.AllocsPerRun(10, func() { cache.New(cfg.LLC) }); got > 5 {
+		t.Errorf("cache.New allocates %.0f objects, want <= 5", got)
 	}
 }

@@ -29,10 +29,19 @@ func newBase(name string, seed int64, length int) base {
 
 func (b *base) Name() string { return b.name }
 
+// resetBase rewinds the random stream to the start of b.seed's,
+// re-seeding the existing generator in place after the first call.
 func (b *base) resetBase() {
-	b.rng = rand.New(rand.NewSource(b.seed))
+	if b.rng == nil {
+		b.rng = rand.New(rand.NewSource(b.seed))
+	} else {
+		b.rng.Seed(b.seed)
+	}
 	b.emitted = 0
 }
+
+// setSeed replaces the seed the next Reset starts from.
+func (b *base) setSeed(seed int64) { b.seed = seed }
 
 func (b *base) done() bool { return b.emitted >= b.length }
 
@@ -80,14 +89,15 @@ type Stream struct {
 
 // NewStream constructs a Stream generator.
 func NewStream(name string, seed int64, length int, p StreamParams) *Stream {
-	s := &Stream{base: newBase(name, seed, length), p: p}
+	s := &Stream{
+		base: newBase(name, seed, length), p: p,
+		pcs: make([]uint64, p.Streams), pos: make([]uint64, p.Streams),
+	}
 	s.init()
 	return s
 }
 
 func (s *Stream) init() {
-	s.pcs = make([]uint64, s.p.Streams)
-	s.pos = make([]uint64, s.p.Streams)
 	for i := range s.pcs {
 		s.pcs[i] = 0x400000 + uint64(i)*0x40
 		s.pos[i] = uint64(s.rng.Int63n(int64(s.p.WorkingSet/8))) &^ (elemsPerLine - 1)
@@ -147,16 +157,17 @@ const accessesPerStrideLine = 4
 
 // NewStride constructs a Stride generator.
 func NewStride(name string, seed int64, length int, p StrideParams) *Stride {
-	s := &Stride{base: newBase(name, seed, length), p: p}
+	s := &Stride{
+		base: newBase(name, seed, length), p: p,
+		pos: make([]uint64, p.Walkers), stride: make([]int, p.Walkers),
+		left: make([]int, p.Walkers), sub: make([]int, p.Walkers),
+	}
 	s.init()
 	return s
 }
 
 func (s *Stride) init() {
-	s.pos = make([]uint64, s.p.Walkers)
-	s.stride = make([]int, s.p.Walkers)
-	s.left = make([]int, s.p.Walkers)
-	s.sub = make([]int, s.p.Walkers)
+	clear(s.sub)
 	for i := range s.pos {
 		s.rebase(i)
 	}
@@ -222,14 +233,16 @@ type Backward struct {
 
 // NewBackward constructs a Backward generator.
 func NewBackward(name string, seed int64, length int, p BackwardParams) *Backward {
-	b := &Backward{base: newBase(name, seed, length), p: p}
+	b := &Backward{
+		base: newBase(name, seed, length), p: p,
+		pos: make([]uint64, p.Walkers), sub: make([]int, p.Walkers),
+	}
 	b.init()
 	return b
 }
 
 func (b *Backward) init() {
-	b.pos = make([]uint64, b.p.Walkers)
-	b.sub = make([]int, b.p.Walkers)
+	clear(b.sub)
 	for i := range b.pos {
 		b.rebase(i)
 	}
@@ -466,16 +479,37 @@ func DefaultMixedParams() MixedParams { return MixedParams{PhaseLen: 8192, GapMe
 // sweeps and shared-structure updates.
 type Mixed struct {
 	base
-	p      MixedParams
-	phase  int
-	inner  Source
-	left   int
-	nPhase int
+	p     MixedParams
+	phase int
+	left  int
+	inner phaseSource
+	// kinds holds one generator per phase kind (streaming, strided,
+	// pointer chase); each phase re-seeds one in place.
+	kinds [3]phaseSource
+}
+
+// phaseSource is a generator Mixed can re-seed in place.
+type phaseSource interface {
+	Source
+	setSeed(seed int64)
 }
 
 // NewMixed constructs a Mixed generator.
 func NewMixed(name string, seed int64, length int, p MixedParams) *Mixed {
 	m := &Mixed{base: newBase(name, seed, length), p: p}
+	// The seeds are placeholders: nextPhase re-seeds before any use.
+	m.kinds = [3]phaseSource{
+		NewStream(name, 0, length, StreamParams{
+			Streams: 2, RestartProb: 0.001, WorkingSet: 32 << 20, GapMean: p.GapMean,
+		}),
+		NewStride(name, 0, length, StrideParams{
+			Walkers: 2, Strides: []int{2, 5}, WorkingSet: 32 << 20,
+			GapMean: p.GapMean, PhaseLen: 2048,
+		}),
+		NewPointerChase(name, 0, length, PointerChaseParams{
+			WorkingSet: 32 << 20, HotSet: 2 << 20, HotProb: 0.6, GapMean: p.GapMean,
+		}),
+	}
 	m.nextPhase()
 	return m
 }
@@ -488,22 +522,9 @@ func (m *Mixed) Reset() {
 }
 
 func (m *Mixed) nextPhase() {
-	seed := m.seed*131 + int64(m.phase)
-	switch m.phase % 3 {
-	case 0:
-		m.inner = NewStream(m.name, seed, m.length, StreamParams{
-			Streams: 2, RestartProb: 0.001, WorkingSet: 32 << 20, GapMean: m.p.GapMean,
-		})
-	case 1:
-		m.inner = NewStride(m.name, seed, m.length, StrideParams{
-			Walkers: 2, Strides: []int{2, 5}, WorkingSet: 32 << 20,
-			GapMean: m.p.GapMean, PhaseLen: 2048,
-		})
-	default:
-		m.inner = NewPointerChase(m.name, seed, m.length, PointerChaseParams{
-			WorkingSet: 32 << 20, HotSet: 2 << 20, HotProb: 0.6, GapMean: m.p.GapMean,
-		})
-	}
+	m.inner = m.kinds[m.phase%3]
+	m.inner.setSeed(m.seed*131 + int64(m.phase))
+	m.inner.Reset()
 	m.phase++
 	m.left = m.p.PhaseLen
 }
