@@ -1,18 +1,21 @@
 // Command pmplint runs the repository's custom static-analysis suite
-// (internal/lint) over Go package patterns, enforcing the simulator
-// invariants described in docs/linting.md.
+// (internal/lint) over the whole module, enforcing the simulator
+// invariants described in docs/linting.md. It takes no package
+// patterns: the call graph behind hotalloc and determinism needs every
+// package, so a subset would hide findings and misjudge suppressions.
 //
-// Standalone use:
+// Standalone use, from anywhere inside the module:
 //
-//	go run ./cmd/pmplint ./...
-//	go run ./cmd/pmplint -analyzers magicgeometry,cyclemath ./internal/prefetchers/...
-//	go run ./cmd/pmplint -json ./... > lint.jsonl
+//	go run ./cmd/pmplint
+//	go run ./cmd/pmplint -analyzers magicgeometry,cyclemath
+//	go run ./cmd/pmplint -json > lint.jsonl
 //
 // With -json, each diagnostic is emitted as one JSON object per line
 // ({"analyzer", "file", "line", "col", "message"}), for machine
 // consumption (the CI lint artifact).
 //
-// Exit status is 1 when diagnostics are reported, 0 otherwise.
+// Exit status is 1 when diagnostics are reported, 2 on a usage error,
+// 0 otherwise.
 package main
 
 import (
@@ -32,6 +35,10 @@ func main() {
 		jsonOut      = flag.Bool("json", false, "emit one JSON object per diagnostic on stdout")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintln(os.Stderr, "usage: pmplint [-analyzers a,b] [-json] [-list]; it checks the whole module and takes no packages")
+		os.Exit(2)
+	}
 
 	var names []string
 	if *analyzerList != "" {
@@ -49,7 +56,7 @@ func main() {
 		return
 	}
 
-	pkgs, err := lint.Load(".", flag.Args()...)
+	pkgs, err := lint.Load(".")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pmplint:", err)
 		os.Exit(1)

@@ -2,19 +2,17 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"reflect"
+	"slices"
 	"sort"
 	"strings"
 )
 
 // This file is the cross-package half of the framework: an intra-module
-// call graph over every loaded package plus a per-function fact store,
-// mirroring the golang.org/x/tools/go/analysis Fact shape. Analyzers
-// that need whole-program views (hotalloc's hot-path reachability,
-// determinism's sink propagation) build on it; the original per-package
-// analyzers ignore it entirely.
+// call graph over every loaded package and one breadth-first walk over
+// it, reach. Analyzers that need whole-program views (hotalloc's
+// hot-path reachability, determinism's sink and job-identity closures)
+// build on it; the original per-package analyzers ignore it entirely.
 //
 // Packages are loaded and type-checked independently (each with its own
 // token.FileSet, dependencies coming from export data), so the same
@@ -23,27 +21,6 @@ import (
 // types.Func.FullName string ("(*pmp/internal/cache.Cache).Lookup"),
 // which is identical whether the object came from source or from
 // export data.
-
-// EdgeKind classifies how a call edge was resolved.
-type EdgeKind int
-
-const (
-	// EdgeStatic is a direct call to a package-level function.
-	EdgeStatic EdgeKind = iota
-	// EdgeMethod is a method call on a concrete receiver.
-	EdgeMethod
-	// EdgeInterface is a conservatively expanded interface dispatch:
-	// one edge per in-module method that can satisfy the call.
-	EdgeInterface
-)
-
-// Edge is one resolved call site.
-type Edge struct {
-	Caller *Func
-	Callee *Func
-	Kind   EdgeKind
-	Pos    token.Position // call site (zero for synthesized edges)
-}
 
 // Func is one node of the call graph: a declared function or method.
 // Functions defined outside the loaded packages (standard library,
@@ -58,8 +35,10 @@ type Func struct {
 	// annotation in its doc comment.
 	HotRoot bool
 
-	Callees []*Edge
-	Callers []*Edge
+	// Callees and Callers list each neighbour once, in the order the
+	// call sites first resolved to it.
+	Callees []*Func
+	Callers []*Func
 }
 
 // Name returns a compact human-readable name ("(*Core).step").
@@ -81,47 +60,61 @@ func (f *Func) Name() string {
 	return key
 }
 
-// Fact is a piece of per-function information an analyzer computes and
-// stores on the Program, mirroring golang.org/x/tools/go/analysis.Fact:
-// a pointer-to-struct with an AFact marker method. Facts are keyed by
-// (function, concrete fact type), so independent analyzers never
-// collide.
-type Fact interface{ AFact() }
-
-type factKey struct {
-	fn *Func
-	t  reflect.Type
-}
-
-// Program is the whole-module view: every loaded package, the call
-// graph spanning them, and the fact store. Build one with NewProgram
-// and share it across analyzers via Pass.Prog.
+// Program is the whole-module view: every loaded package and the call
+// graph spanning them. Build one with NewProgram and share it across
+// analyzers via Pass.Prog.
 type Program struct {
 	Pkgs  []*Package
 	funcs map[string]*Func
 
-	facts map[factKey]Fact
-
-	hotOnce   bool
-	hotInfo   map[*Func]hotPath
-	sinkOnce  bool
 	implCache map[*types.Interface][]*types.Named
+
+	// hot and sinks are computed on first use: the functions reachable
+	// from a //pmp:hotpath root (hotalloc), and the functions that
+	// reach a result sink, with the artifact it feeds (determinism).
+	hot   map[*Func]step
+	sinks map[*Func]string
 }
 
-// hotPath records how a function became hot-path reachable.
-type hotPath struct {
-	root *Func // the //pmp:hotpath annotated root
-	via  *Func // immediate caller on the BFS path (nil for the root itself)
+// step records how reach discovered a function.
+type step struct {
+	root *Func // the root the function was reached from
+	via  *Func // the neighbour it was discovered through (nil for a root)
+}
+
+// reach walks the call graph breadth-first from roots — over Callees,
+// or over Callers when backward — and returns every function reached,
+// with the root and neighbour it was first reached through. Roots are
+// taken in the order given and neighbours in first-resolution order,
+// so the recorded paths are deterministic.
+func reach(roots []*Func, backward bool) map[*Func]step {
+	seen := make(map[*Func]step, len(roots))
+	for _, r := range roots {
+		seen[r] = step{root: r}
+	}
+	for queue := slices.Clone(roots); len(queue) > 0; queue = queue[1:] {
+		fn := queue[0]
+		next := fn.Callees
+		if backward {
+			next = fn.Callers
+		}
+		for _, n := range next {
+			if _, ok := seen[n]; !ok {
+				seen[n] = step{root: seen[fn].root, via: fn}
+				queue = append(queue, n)
+			}
+		}
+	}
+	return seen
 }
 
 // NewProgram builds the call graph for the loaded packages. Packages
-// are processed in dependency order (imports before importers) so
-// bottom-up fact computation sees callees first.
+// are put in dependency order (imports before importers), so the graph
+// and every walk over it are the same whatever order pkgs came in.
 func NewProgram(pkgs []*Package) *Program {
 	p := &Program{
 		Pkgs:  topoSort(pkgs),
 		funcs: map[string]*Func{},
-		facts: map[factKey]Fact{},
 	}
 	// Pass 1: declare every source function so call resolution can
 	// attach bodies regardless of package order.
@@ -165,49 +158,6 @@ func (p *Program) Functions() []*Func {
 		out[i] = p.funcs[k]
 	}
 	return out
-}
-
-// ExportFact stores fact for fn, replacing any existing fact of the
-// same concrete type.
-func (p *Program) ExportFact(fn *Func, fact Fact) {
-	p.facts[factKey{fn, reflect.TypeOf(fact)}] = fact
-}
-
-// ImportFact copies fn's fact of ptr's concrete type into ptr and
-// reports whether one was stored. ptr must be a pointer to a struct,
-// as with x/tools facts.
-func (p *Program) ImportFact(fn *Func, ptr Fact) bool {
-	got, ok := p.facts[factKey{fn, reflect.TypeOf(ptr)}]
-	if !ok {
-		return false
-	}
-	reflect.ValueOf(ptr).Elem().Set(reflect.ValueOf(got).Elem())
-	return true
-}
-
-// BottomUp visits every in-module function callees-first (post-order
-// over the call graph, cycles broken at the back edge), the order in
-// which bottom-up fact computation wants to run. Analyzers whose facts
-// must converge across cycles should iterate to a fixed point on top
-// of this ordering.
-func (p *Program) BottomUp(visit func(*Func)) {
-	seen := map[*Func]bool{}
-	var walk func(fn *Func)
-	walk = func(fn *Func) {
-		if seen[fn] {
-			return
-		}
-		seen[fn] = true
-		for _, e := range fn.Callees {
-			walk(e.Callee)
-		}
-		if fn.Decl != nil {
-			visit(fn)
-		}
-	}
-	for _, fn := range p.Functions() {
-		walk(fn)
-	}
 }
 
 // topoSort orders packages dependency-first (a package after every
@@ -295,29 +245,15 @@ func (p *Program) addPackageEdges(pkg *Package) {
 			}
 			caller := p.node(funcKey(obj))
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
+				if call, ok := n.(*ast.CallExpr); ok {
+					for _, callee := range p.resolveCall(pkg, call) {
+						link(caller, callee)
+					}
 				}
-				p.addCallEdges(pkg, caller, call)
 				return true
 			})
 		}
 	}
-}
-
-// addCallEdges resolves one call expression into graph edges.
-func (p *Program) addCallEdges(pkg *Package, caller *Func, call *ast.CallExpr) {
-	pos := pkg.Fset.Position(call.Lparen)
-	for _, rc := range p.resolveCall(pkg, call) {
-		p.edge(caller, rc.fn, rc.kind, pos)
-	}
-}
-
-// resolvedCallee is one possible target of a call expression.
-type resolvedCallee struct {
-	fn   *Func
-	kind EdgeKind
 }
 
 // resolveCall resolves a call expression to its possible callees:
@@ -327,14 +263,14 @@ type resolvedCallee struct {
 // fields or passed as parameters), which are statically unresolvable.
 // Both the graph builder and the determinism analyzer's loop-body scan
 // share this resolution, so the two views can never disagree.
-func (p *Program) resolveCall(pkg *Package, call *ast.CallExpr) []resolvedCallee {
+func (p *Program) resolveCall(pkg *Package, call *ast.CallExpr) []*Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		// Direct call: package-level function from this or a dot-free
 		// import (builtins and type conversions resolve to non-Func
 		// objects and are skipped).
 		if obj, ok := pkg.Info.Uses[fun].(*types.Func); ok {
-			return []resolvedCallee{{p.node(funcKey(obj)), EdgeStatic}}
+			return []*Func{p.node(funcKey(obj))}
 		}
 	case *ast.SelectorExpr:
 		if sel, ok := pkg.Info.Selections[fun]; ok && sel.Kind() == types.MethodVal {
@@ -342,26 +278,23 @@ func (p *Program) resolveCall(pkg *Package, call *ast.CallExpr) []resolvedCallee
 			if !ok {
 				return nil
 			}
-			if types.IsInterface(sel.Recv()) {
-				// Interface dispatch: the interface method itself (so
-				// stdlib sinks like (io.Writer).Write stay visible)
-				// plus one callee per in-module implementation.
-				out := []resolvedCallee{{p.node(funcKey(obj)), EdgeInterface}}
-				if iface, _ := sel.Recv().Underlying().(*types.Interface); iface != nil {
-					for _, impl := range p.implementations(iface) {
-						mo, _, _ := types.LookupFieldOrMethod(impl, true, impl.Obj().Pkg(), obj.Name())
-						if m, ok := mo.(*types.Func); ok {
-							out = append(out, resolvedCallee{p.node(funcKey(m)), EdgeInterface})
-						}
+			out := []*Func{p.node(funcKey(obj))}
+			// Interface dispatch: the interface method itself (so
+			// stdlib sinks like (io.Writer).Write stay visible) plus
+			// one callee per in-module implementation.
+			if iface, _ := sel.Recv().Underlying().(*types.Interface); iface != nil {
+				for _, impl := range p.implementations(iface) {
+					mo, _, _ := types.LookupFieldOrMethod(impl, true, impl.Obj().Pkg(), obj.Name())
+					if m, ok := mo.(*types.Func); ok {
+						out = append(out, p.node(funcKey(m)))
 					}
 				}
-				return out
 			}
-			return []resolvedCallee{{p.node(funcKey(obj)), EdgeMethod}}
+			return out
 		}
 		// Qualified call: pkg.Func (no selection entry).
 		if obj, ok := pkg.Info.Uses[fun.Sel].(*types.Func); ok {
-			return []resolvedCallee{{p.node(funcKey(obj)), EdgeStatic}}
+			return []*Func{p.node(funcKey(obj))}
 		}
 	}
 	return nil
@@ -455,20 +388,16 @@ func sameTypes(a, b *types.Tuple) bool {
 	return true
 }
 
-// edge links caller -> callee, deduplicating repeated resolutions of
-// the same (caller, callee, kind) triple.
-func (p *Program) edge(caller, callee *Func, kind EdgeKind, pos token.Position) {
-	for _, e := range caller.Callees {
-		if e.Callee == callee && e.Kind == kind {
+// link records the call edge caller -> callee once.
+func link(caller, callee *Func) {
+	for _, c := range caller.Callees {
+		if c == callee {
 			return
 		}
 	}
-	e := &Edge{Caller: caller, Callee: callee, Kind: kind, Pos: pos}
-	caller.Callees = append(caller.Callees, e)
-	callee.Callers = append(callee.Callers, e)
+	caller.Callees = append(caller.Callees, callee)
+	callee.Callers = append(callee.Callers, caller)
 }
-
-// --- hot-path reachability (used by hotalloc) ---
 
 // HotPathRoots returns every //pmp:hotpath annotated function, in key
 // order.
@@ -484,29 +413,11 @@ func (p *Program) HotPathRoots() []*Func {
 
 // HotPath reports whether fn is reachable from a //pmp:hotpath root,
 // and if so the root and the immediate caller on the discovery path
-// (via == nil when fn is itself a root). The reachability closure is
-// computed once per Program.
+// (via == nil when fn is itself a root).
 func (p *Program) HotPath(fn *Func) (root, via *Func, hot bool) {
-	if !p.hotOnce {
-		p.hotOnce = true
-		p.hotInfo = map[*Func]hotPath{}
-		queue := p.HotPathRoots()
-		for _, r := range queue {
-			p.hotInfo[r] = hotPath{root: r}
-		}
-		for len(queue) > 0 {
-			fn := queue[0]
-			queue = queue[1:]
-			info := p.hotInfo[fn]
-			for _, e := range fn.Callees {
-				if _, seen := p.hotInfo[e.Callee]; seen {
-					continue
-				}
-				p.hotInfo[e.Callee] = hotPath{root: info.root, via: fn}
-				queue = append(queue, e.Callee)
-			}
-		}
+	if p.hot == nil {
+		p.hot = reach(p.HotPathRoots(), false)
 	}
-	info, ok := p.hotInfo[fn]
-	return info.root, info.via, ok
+	s, ok := p.hot[fn]
+	return s.root, s.via, ok
 }

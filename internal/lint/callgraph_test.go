@@ -13,34 +13,34 @@ func loadCallgraphFixture(t *testing.T) *Program {
 	return NewProgram([]*Package{pkg})
 }
 
-func assertEdge(t *testing.T, prog *Program, caller, callee string, kind EdgeKind) {
+func assertEdge(t *testing.T, prog *Program, caller, callee string) {
 	t.Helper()
 	from := prog.FuncByName(caller)
 	if from == nil {
 		t.Fatalf("no node for %s", caller)
 	}
-	for _, e := range from.Callees {
-		if e.Callee.Key == callee && e.Kind == kind {
+	for _, c := range from.Callees {
+		if c.Key == callee {
 			return
 		}
 	}
-	t.Errorf("no edge %s -> %s of kind %d; have %d callees", caller, callee, kind, len(from.Callees))
-	for _, e := range from.Callees {
-		t.Logf("  callee %s kind %d", e.Callee.Key, e.Kind)
+	t.Errorf("no edge %s -> %s; have %d callees", caller, callee, len(from.Callees))
+	for _, c := range from.Callees {
+		t.Logf("  callee %s", c.Key)
 	}
 }
 
 func TestCallGraphEdges(t *testing.T) {
 	prog := loadCallgraphFixture(t)
 
-	assertEdge(t, prog, cgPath+".caller", cgPath+".helper", EdgeStatic)
-	assertEdge(t, prog, cgPath+".caller", "(*"+cgPath+".device).method", EdgeMethod)
+	assertEdge(t, prog, cgPath+".caller", cgPath+".helper")
+	assertEdge(t, prog, cgPath+".caller", "(*"+cgPath+".device).method")
 	// Interface dispatch: one edge to the interface method itself, one
 	// per implementation.
-	assertEdge(t, prog, cgPath+".caller", "("+cgPath+".actor).act", EdgeInterface)
-	assertEdge(t, prog, cgPath+".caller", "(*"+cgPath+".device).act", EdgeInterface)
+	assertEdge(t, prog, cgPath+".caller", "("+cgPath+".actor).act")
+	assertEdge(t, prog, cgPath+".caller", "(*"+cgPath+".device).act")
 	// Methods resolve transitively too.
-	assertEdge(t, prog, "(*"+cgPath+".device).method", cgPath+".helper", EdgeStatic)
+	assertEdge(t, prog, "(*"+cgPath+".device).method", cgPath+".helper")
 }
 
 // TestCallGraphCrossPackageDispatch type-checks a dispatch site and its
@@ -66,14 +66,14 @@ func TestCallGraphCrossPackageDispatch(t *testing.T) {
 	drive := cgPath + "/sink.Drive"
 	for _, impl := range []string{"Unnamed", "Blank"} {
 		callee := "(*" + cgPath + "/fill." + impl + ").OnFill"
-		assertEdge(t, prog, drive, callee, EdgeInterface)
+		assertEdge(t, prog, drive, callee)
 		if _, _, hot := prog.HotPath(prog.FuncByName(callee)); !hot {
 			t.Errorf("%s should be hot through interface dispatch", callee)
 		}
 	}
 	mistyped := "(*" + cgPath + "/fill.Mistyped).OnFill"
-	for _, e := range prog.FuncByName(drive).Callees {
-		if e.Callee.Key == mistyped {
+	for _, c := range prog.FuncByName(drive).Callees {
+		if c.Key == mistyped {
 			t.Errorf("edge %s -> %s: a method with another parameter type is not an implementation", drive, mistyped)
 		}
 	}
@@ -105,45 +105,34 @@ func TestHotPathReachability(t *testing.T) {
 	}
 }
 
-// pingFact is a test fact for the store round-trip.
-type pingFact struct{ N int }
-
-func (*pingFact) AFact() {}
-
-func TestFactStore(t *testing.T) {
+// TestReach pins both directions of the one graph walk: backward over
+// the callers (how determinism finds what reaches a sink) and forward
+// over the callees, recording the neighbour each function was first
+// reached through (how hotalloc names the path in its diagnostics).
+func TestReach(t *testing.T) {
 	prog := loadCallgraphFixture(t)
-	fn := prog.FuncByName(cgPath + ".helper")
-	if fn == nil {
-		t.Fatal("no node for helper")
-	}
-	var got pingFact
-	if prog.ImportFact(fn, &got) {
-		t.Fatal("ImportFact before ExportFact should report false")
-	}
-	prog.ExportFact(fn, &pingFact{N: 7})
-	if !prog.ImportFact(fn, &got) || got.N != 7 {
-		t.Fatalf("ImportFact = %v, want N=7", got)
-	}
-	// Facts are keyed per function: other nodes stay empty.
-	var other pingFact
-	if prog.ImportFact(prog.FuncByName(cgPath+".orphan"), &other) {
-		t.Fatal("fact leaked to an unrelated function")
-	}
-}
+	helper := prog.FuncByName(cgPath + ".helper")
+	caller := prog.FuncByName(cgPath + ".caller")
+	method := prog.FuncByName("(*" + cgPath + ".device).method")
 
-// TestBottomUpOrder asserts callees are visited before their callers.
-func TestBottomUpOrder(t *testing.T) {
-	prog := loadCallgraphFixture(t)
-	seen := map[string]int{}
-	order := 0
-	prog.BottomUp(func(fn *Func) {
-		seen[fn.Key] = order
-		order++
-	})
-	if seen[cgPath+".helper"] > seen[cgPath+".caller"] {
-		t.Errorf("helper visited at %d, after caller at %d", seen[cgPath+".helper"], seen[cgPath+".caller"])
+	back := reach([]*Func{helper}, true)
+	for _, fn := range []*Func{caller, method} {
+		if s, ok := back[fn]; !ok || s.root != helper {
+			t.Errorf("backward reach from helper: %s = %+v, %v; want reached from helper", fn.Key, s, ok)
+		}
 	}
-	if seen[cgPath+".helper"] > seen["(*"+cgPath+".device).method"] {
-		t.Error("helper should be visited before its caller (*device).method")
+	if _, ok := back[prog.FuncByName("(*"+cgPath+".device).act")]; ok {
+		t.Error("backward reach from helper must not reach a callee of its callers")
+	}
+
+	fwd := reach([]*Func{caller}, false)
+	if s, ok := fwd[helper]; !ok || s.root != caller || s.via != caller {
+		t.Errorf("forward reach from caller: helper = %+v, %v; want root and via caller", s, ok)
+	}
+	if s := fwd[caller]; s.root != caller || s.via != nil {
+		t.Errorf("forward reach from caller: root step = %+v; want root caller, no via", s)
+	}
+	if _, ok := fwd[prog.FuncByName(cgPath+".orphan")]; ok {
+		t.Error("forward reach from caller must not reach orphan")
 	}
 }

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"strings"
 )
 
 // Capacity flags inserts into bounded hardware buffers — MSHR files,
@@ -20,18 +19,22 @@ var Capacity = &Analyzer{
 }
 
 func runCapacity(pass *Pass) {
+	fset := pass.Pkg.Fset
 	for _, f := range pass.Pkg.Files {
 		walkStack(f, func(n ast.Node, stack []ast.Node) bool {
 			as, ok := n.(*ast.AssignStmt)
 			if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
 				return true
 			}
-			container := enqueueTarget(pass.Pkg.Fset, as)
-			if container == nil || !capacityFlavoured(container) {
+			// Bounded hardware buffers are named like one: an identifier
+			// containing mshr/queue/pend/inflight/fifo, or exactly q/pq.
+			container := enqueueTarget(fset, as)
+			if container == nil ||
+				!mentions(container, []string{"mshr", "queue", "pend", "inflight", "fifo"}, "q", "pq") {
 				return true
 			}
-			c := exprString(pass.Pkg.Fset, container)
-			if capacityGuarded(pass.Pkg.Fset, stack, n, c) {
+			c := exprString(fset, container)
+			if dominated(stack, n, capacityCheck(fset, c)) {
 				return true
 			}
 			pass.Reportf(as.Pos(), "insert into bounded structure %s has no dominating capacity check; "+
@@ -62,156 +65,19 @@ func enqueueTarget(fset *token.FileSet, as *ast.AssignStmt) ast.Expr {
 	return as.Lhs[0]
 }
 
-// capacityFlavoured reports whether the container expression names a
-// bounded hardware buffer: an identifier containing mshr/queue/pend/
-// inflight/fifo, or exactly q/pq.
-func capacityFlavoured(e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok || found {
-			return !found
-		}
-		lower := strings.ToLower(id.Name)
-		for _, w := range []string{"mshr", "queue", "pend", "inflight", "fifo"} {
-			if strings.Contains(lower, w) {
-				found = true
-				return false
-			}
-		}
-		if lower == "q" || lower == "pq" {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// capacityGuarded reports whether the insert is dominated by a check
-// that visibly considers the container's occupancy: an enclosing
-// if/for whose init or condition mentions the container (membership
-// merge) or its length, or carries a capacity-worded comparison — or a
-// preceding early-exit if in an enclosing block doing the same.
-func capacityGuarded(fset *token.FileSet, stack []ast.Node, node ast.Node, container string) bool {
-	child := node
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch s := stack[i].(type) {
-		case *ast.IfStmt:
-			if (containsNode(s.Body, child) || containsNode(s.Else, child)) &&
-				(capacityCheck(fset, s.Cond, container) || (s.Init != nil && capacityCheck(fset, s.Init, container))) {
-				return true
-			}
-		case *ast.ForStmt:
-			if s.Cond != nil && containsNode(s.Body, child) && capacityCheck(fset, s.Cond, container) {
-				return true
-			}
-		case *ast.BlockStmt:
-			if precedingEarlyExit(fset, s, child, container) {
-				return true
-			}
-		case *ast.FuncDecl, *ast.FuncLit:
-			return false // do not look past the enclosing function
-		}
-		child = stack[i]
-	}
-	return false
-}
-
-// precedingEarlyExit scans the statements of block before child for an
-// if whose body unconditionally leaves the block (return, branch or
-// panic) and whose init or condition checks the container's occupancy:
-// the classic `if len(q) >= cap { return false }` bail-out shape.
-func precedingEarlyExit(fset *token.FileSet, block *ast.BlockStmt, child ast.Node, container string) bool {
-	for _, st := range block.List {
-		if st.Pos() >= child.Pos() {
-			break
-		}
-		ifs, ok := st.(*ast.IfStmt)
-		if !ok || !terminates(ifs.Body) {
-			continue
-		}
-		if capacityCheck(fset, ifs.Cond, container) || (ifs.Init != nil && capacityCheck(fset, ifs.Init, container)) {
-			return true
-		}
-	}
-	return false
-}
-
-// terminates reports whether the block's last statement unconditionally
-// transfers control out of the surrounding flow.
-func terminates(b *ast.BlockStmt) bool {
-	if len(b.List) == 0 {
-		return false
-	}
-	switch last := b.List[len(b.List)-1].(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		call, ok := last.X.(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		fn, ok := call.Fun.(*ast.Ident)
-		return ok && fn.Name == "panic"
-	}
-	return false
-}
-
-// capacityCheck reports whether the init statement or condition
-// expression visibly considers the container: it mentions the container
-// itself or len(container), or compares something capacity-worded
+// capacityCheck returns a check for dominated that holds when a node
+// visibly considers the container: it mentions the container itself
+// (len(container) included), or compares something capacity-worded
 // (cap/limit/max/size/budget/free/busy/room/full).
-func capacityCheck(fset *token.FileSet, n ast.Node, container string) bool {
-	found := false
-	ast.Inspect(n, func(x ast.Node) bool {
-		if found {
-			return false
-		}
-		switch e := x.(type) {
-		case *ast.CallExpr:
-			if fn, ok := e.Fun.(*ast.Ident); ok && fn.Name == "len" && len(e.Args) == 1 &&
-				exprString(fset, e.Args[0]) == container {
-				found = true
-				return false
+func capacityCheck(fset *token.FileSet, container string) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		return contains(n, func(x ast.Node) bool {
+			if be, ok := x.(*ast.BinaryExpr); ok {
+				return isComparison(be.Op) &&
+					mentions(be, []string{"cap", "limit", "max", "size", "budget", "free", "busy", "room", "full"})
 			}
-		case *ast.BinaryExpr:
-			switch e.Op {
-			case token.LSS, token.GTR, token.LEQ, token.GEQ, token.EQL, token.NEQ:
-				if capacityWorded(e.X) || capacityWorded(e.Y) {
-					found = true
-					return false
-				}
-			}
-		case ast.Expr:
-			if exprString(fset, e) == container {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// capacityWorded reports whether the expression mentions an identifier
-// that names a bound: cap, limit, max, size, budget, free, busy, room
-// or full.
-func capacityWorded(e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok || found {
-			return !found
-		}
-		lower := strings.ToLower(id.Name)
-		for _, w := range []string{"cap", "limit", "max", "size", "budget", "free", "busy", "room", "full"} {
-			if strings.Contains(lower, w) {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
+			e, ok := x.(ast.Expr)
+			return ok && exprString(fset, e) == container
+		})
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // CycleMath flags unsigned cycle/timestamp subtractions that can wrap
@@ -34,12 +33,13 @@ func runCycleMath(pass *Pass) {
 			if pass.Pkg.Info.Types[be.X].Value != nil || pass.Pkg.Info.Types[be.Y].Value != nil {
 				return true
 			}
-			if !timeFlavoured(be.X) && !timeFlavoured(be.Y) {
+			// Only operands named like a cycle count or timestamp.
+			if !mentions(be, []string{"cycle", "tick", "stamp", "deadline"}, "now", "when", "time") {
 				return true
 			}
 			x := exprString(pass.Pkg.Fset, be.X)
 			y := exprString(pass.Pkg.Fset, be.Y)
-			if guardedBy(pass.Pkg.Fset, stack, n, x) || guardedBy(pass.Pkg.Fset, stack, n, y) {
+			if dominated(stack, n, compares(pass.Pkg.Fset, x, y)) {
 				return true
 			}
 			pass.Reportf(be.Pos(), "unsigned cycle subtraction %q may underflow; "+
@@ -47,31 +47,6 @@ func runCycleMath(pass *Pass) {
 			return true
 		})
 	}
-}
-
-// timeFlavoured reports whether the expression mentions an identifier
-// that names a cycle count or timestamp.
-func timeFlavoured(e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok || found {
-			return !found
-		}
-		lower := strings.ToLower(id.Name)
-		for _, w := range []string{"cycle", "tick", "stamp", "deadline"} {
-			if strings.Contains(lower, w) {
-				found = true
-				return false
-			}
-		}
-		if lower == "now" || lower == "when" || lower == "time" {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }
 
 // isUnsigned reports whether t's underlying type is an unsigned integer.

@@ -19,10 +19,9 @@ import (
 // stream/JSONL writes, digest input, CSV/table emit, diagnostic output
 // — is flagged unless the iteration is first made deterministic
 // (collect the keys, sort, range the sorted slice; such loops contain
-// no sink call and naturally pass). Sink reachability is a
-// per-function fact propagated bottom-up over the call graph, so a
-// loop body that calls three helpers deep into another package is
-// still caught.
+// no sink call and naturally pass). Sink reachability comes from one
+// backward walk over the call graph from the sinks, so a loop body
+// that calls three helpers deep into another package is still caught.
 //
 // Rule 2: time.Now/time.Since and math/rand have no place in simulated
 // behavior: they are flagged anywhere in internal/sim and
@@ -63,76 +62,55 @@ var sinkSeeds = map[string]string{
 	"(*pmp/internal/lint.Pass).Reportf":  "diagnostic output",
 }
 
-// sinkReach is the per-function fact: this function's body reaches a
-// result sink. Computed once per Program, bottom-up, iterated to a
-// fixed point so call cycles converge.
-type sinkReach struct {
-	Sink string // description of the sink reached
-	Via  string // display name of the callee it is reached through ("" when seeded)
-}
-
-func (*sinkReach) AFact() {}
-
-// computeSinkFacts seeds and propagates sinkReach facts over the call
-// graph. Seeding has two parts: the external sink keys above, and
-// in-module functions that invoke a sink-named function value ("sink",
-// "emit") — calls through stored closures are invisible to the call
-// graph, and those names are this repository's convention for
-// injectable output (e.g. the lifecycle tracker's event sink).
-func computeSinkFacts(prog *Program) {
-	if prog.sinkOnce {
-		return
+// sinks maps every function whose body reaches a result sink to the
+// artifact the nearest sink feeds (ties go to the sink first in key
+// order). It is one backward walk over the callers, computed once per
+// Program, from the sinks themselves: the seeds above, and in-module
+// functions that invoke a sink-named function value.
+func sinks(prog *Program) map[*Func]string {
+	if prog.sinks != nil {
+		return prog.sinks
 	}
-	prog.sinkOnce = true
+	desc := map[*Func]string{}
+	var roots []*Func
 	for _, fn := range prog.Functions() {
-		if fn.Decl == nil || fn.Decl.Body == nil {
-			continue
+		if d, ok := sinkDesc(prog, fn); ok {
+			desc[fn] = d
+			roots = append(roots, fn)
 		}
-		fn := fn
-		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if len(prog.resolveCall(fn.Pkg, call)) > 0 {
-				return true
-			}
-			if desc, ok := dynamicSinkCall(fn.Pkg, call); ok {
-				prog.ExportFact(fn, &sinkReach{Sink: desc})
-				return false
-			}
-			return true
-		})
 	}
-	for changed := true; changed; {
-		changed = false
-		prog.BottomUp(func(fn *Func) {
-			var have sinkReach
-			if prog.ImportFact(fn, &have) {
-				return
-			}
-			for _, e := range fn.Callees {
-				if desc, ok := reachesSink(prog, e.Callee); ok {
-					prog.ExportFact(fn, &sinkReach{Sink: desc, Via: e.Callee.Name()})
-					changed = true
-					return
-				}
-			}
-		})
+	prog.sinks = map[*Func]string{}
+	for fn, s := range reach(roots, true) {
+		prog.sinks[fn] = desc[s.root]
 	}
+	return prog.sinks
 }
 
-// reachesSink reports whether fn is a direct sink or carries a
-// propagated sinkReach fact, and the artifact description either way.
-func reachesSink(prog *Program, fn *Func) (string, bool) {
+// sinkDesc reports whether fn is itself a sink, naming the artifact it
+// feeds: a seed, or a function whose body calls a sink-named function
+// value ("sink", "emit"). Calls through stored closures are invisible
+// to the call graph, and those names are this repository's convention
+// for injectable output (e.g. the lifecycle tracker's event sink).
+func sinkDesc(prog *Program, fn *Func) (string, bool) {
 	if desc, ok := sinkSeeds[fn.Key]; ok {
 		return desc, true
 	}
-	var f sinkReach
-	if prog.ImportFact(fn, &f) {
-		return f.Sink, true
+	if fn.Decl == nil || fn.Decl.Body == nil {
+		return "", false
 	}
-	return "", false
+	desc := ""
+	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(prog.resolveCall(fn.Pkg, call)) > 0 {
+			return true
+		}
+		d, ok := dynamicSinkCall(fn.Pkg, call)
+		if ok {
+			desc = d
+		}
+		return !ok
+	})
+	return desc, desc != ""
 }
 
 // dynamicSinkCall classifies a statically unresolvable call (through a
@@ -155,7 +133,6 @@ func dynamicSinkCall(pkg *Package, call *ast.CallExpr) (string, bool) {
 }
 
 func runDeterminism(pass *Pass) {
-	computeSinkFacts(pass.Prog)
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			rng, ok := n.(*ast.RangeStmt)
@@ -201,13 +178,13 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
 			}
 			return true
 		}
-		for _, rc := range callees {
-			if desc, ok := reachesSink(prog, rc.fn); ok {
+		for _, fn := range callees {
+			if desc, ok := sinks(prog)[fn]; ok {
 				done = true
 				pass.Reportf(rng.Pos(),
 					"map iteration order over %s reaches the %s through %s; "+
 						"collect the keys, sort, and range the slice",
-					subject, desc, rc.fn.Name())
+					subject, desc, fn.Name())
 				return false
 			}
 		}
@@ -244,37 +221,16 @@ func checkSimClock(pass *Pass) {
 // it transitively calls. A job ID that differs across runs silently
 // defeats resume — every job re-runs.
 func checkIdentityClock(pass *Pass) {
-	prog := pass.Prog
-	roots := identityRoots(prog)
-	if len(roots) == 0 {
-		return
-	}
-	seen := map[*Func]*Func{} // member -> identity root it was reached from
-	queue := roots
-	for _, r := range roots {
-		seen[r] = r
-	}
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		for _, e := range fn.Callees {
-			if _, ok := seen[e.Callee]; ok {
-				continue
-			}
-			seen[e.Callee] = seen[fn]
-			queue = append(queue, e.Callee)
+	closure := reach(identityRoots(pass.Prog), false)
+	members := make([]*Func, 0, len(closure))
+	for fn := range closure {
+		if fn.Pkg == pass.Pkg && fn.Decl != nil && fn.Decl.Body != nil {
+			members = append(members, fn)
 		}
-	}
-	members := make([]*Func, 0, len(seen))
-	for fn := range seen {
-		members = append(members, fn)
 	}
 	sort.Slice(members, func(i, j int) bool { return members[i].Key < members[j].Key })
 	for _, fn := range members {
-		if fn.Pkg != pass.Pkg || fn.Decl == nil || fn.Decl.Body == nil {
-			continue
-		}
-		root := seen[fn]
+		root := closure[fn].root
 		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

@@ -20,14 +20,14 @@ import (
 // by a capacity check), interface boxing of non-pointer-shaped values
 // at call sites, function literals (closure allocation), fmt calls,
 // and string concatenation. Cold branches inside hot functions are
-// exempted line-by-line with "//pmp:allocok <reason>"; the reason is
-// mandatory and unused annotations are themselves reported (see
-// reportUnusedDirectives).
+// exempted line-by-line with "//lint:ignore hotalloc <reason>", like
+// any other finding; the reason is mandatory and unused directives are
+// themselves reported (see reportUnusedDirectives).
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc: "flags allocation-causing constructs (make/new, map literals, growing append, " +
 		"interface boxing, closures, fmt, string concatenation) in functions reachable " +
-		"from //pmp:hotpath roots; suppress cold branches with //pmp:allocok <reason>",
+		"from //pmp:hotpath roots; suppress cold branches with //lint:ignore hotalloc <reason>",
 	Run: runHotAlloc,
 }
 
@@ -67,17 +67,17 @@ func checkHotFunc(pass *Pass, fn *Func, ctx string) {
 		case *ast.CompositeLit:
 			if tv, ok := pkg.Info.Types[x]; ok {
 				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-					reportAlloc(pass, x.Pos(),
+					pass.Reportf(x.Pos(),
 						"map literal allocates on the hot path (%s); hoist it to setup", ctx)
 				}
 			}
 		case *ast.FuncLit:
-			reportAlloc(pass, x.Pos(),
+			pass.Reportf(x.Pos(),
 				"function literal may allocate its closure on the hot path (%s); "+
-					"hoist it to setup or justify with //pmp:allocok", ctx)
+					"hoist it to setup or justify with //lint:ignore hotalloc", ctx)
 		case *ast.BinaryExpr:
 			if x.Op == token.ADD && isStringConcat(pkg, x) {
-				reportAlloc(pass, x.Pos(),
+				pass.Reportf(x.Pos(),
 					"string concatenation allocates on the hot path (%s); "+
 						"precompute the string or switch to integer keys", ctx)
 			}
@@ -94,10 +94,10 @@ func checkHotCall(pass *Pass, call *ast.CallExpr, stack []ast.Node, ctx string) 
 		if b, ok := pkg.Info.Uses[id].(*types.Builtin); ok {
 			switch b.Name() {
 			case "make":
-				reportAlloc(pass, call.Pos(),
+				pass.Reportf(call.Pos(),
 					"make allocates on the hot path (%s); preallocate in setup and reuse", ctx)
 			case "new":
-				reportAlloc(pass, call.Pos(),
+				pass.Reportf(call.Pos(),
 					"new allocates on the hot path (%s); preallocate in setup and reuse", ctx)
 			case "append":
 				checkHotAppend(pass, call, stack, ctx)
@@ -106,7 +106,7 @@ func checkHotCall(pass *Pass, call *ast.CallExpr, stack []ast.Node, ctx string) 
 		}
 	}
 	if callee := calleeObj(pkg, call); callee != nil && callee.Pkg() != nil && callee.Pkg().Path() == "fmt" {
-		reportAlloc(pass, call.Pos(),
+		pass.Reportf(call.Pos(),
 			"fmt.%s formats and boxes its arguments on the hot path (%s); "+
 				"move formatting off the per-access path", callee.Name(), ctx)
 		return // boxing into ...any is implied; don't double-report below
@@ -133,10 +133,10 @@ func checkHotAppend(pass *Pass, call *ast.CallExpr, stack []ast.Node, ctx string
 		return
 	}
 	target := exprString(pkg.Fset, dst)
-	if capacityGuarded(pkg.Fset, stack, call, target) {
+	if dominated(stack, call, capacityCheck(pkg.Fset, target)) {
 		return
 	}
-	reportAlloc(pass, call.Pos(),
+	pass.Reportf(call.Pos(),
 		"append may grow %s on the hot path (%s); reserve capacity in setup and "+
 			"recycle with %s[:0], or guard with a capacity check", target, ctx, target)
 }
@@ -165,28 +165,19 @@ func recycledInFunc(stack []ast.Node, name string) bool {
 			body = f.Body
 		}
 	}
-	if body == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
+	return body != nil && contains(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
-		if !ok || found {
-			return !found
+		if !ok {
+			return false
 		}
 		for i, lhs := range as.Lhs {
 			id, ok := ast.Unparen(lhs).(*ast.Ident)
-			if !ok || id.Name != name || i >= len(as.Rhs) {
-				continue
-			}
-			if isRecycleSlice(as.Rhs[i]) {
-				found = true
-				return false
+			if ok && id.Name == name && i < len(as.Rhs) && isRecycleSlice(as.Rhs[i]) {
+				return true
 			}
 		}
-		return true
+		return false
 	})
-	return found
 }
 
 // checkBoxing flags arguments whose conversion to an interface
@@ -229,7 +220,7 @@ func checkBoxing(pass *Pass, call *ast.CallExpr, ctx string) {
 		if types.IsInterface(at.Type) || pointerShaped(at.Type) {
 			continue
 		}
-		reportAlloc(pass, arg.Pos(),
+		pass.Reportf(arg.Pos(),
 			"passing %s boxes a %s into an interface on the hot path (%s); "+
 				"pass a pointer or use a concrete parameter type",
 			exprString(pkg.Fset, arg), at.Type.String(), ctx)
@@ -274,13 +265,4 @@ func calleeObj(pkg *Package, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// reportAlloc reports a hotalloc finding unless a //pmp:allocok
-// annotation on the same line or the line above covers it.
-func reportAlloc(pass *Pass, pos token.Pos, format string, args ...any) {
-	if pass.Pkg.allocOK(pass.Pkg.Fset.Position(pos)) {
-		return
-	}
-	pass.Reportf(pos, format, args...)
 }

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/printer"
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -19,11 +20,9 @@ func walkStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
 			stack = stack[:len(stack)-1]
 			return true
 		}
-		descend := fn(n, stack)
-		if !descend {
-			// ast.Inspect still calls us with nil for this node's "pop"
-			// only if we return true, so push regardless and descend;
-			// callers that return false genuinely prune the subtree.
+		if !fn(n, stack) {
+			// A pruned node gets no closing nil call from ast.Inspect,
+			// so it is not pushed.
 			return false
 		}
 		stack = append(stack, n)
@@ -38,66 +37,111 @@ func exprString(fset *token.FileSet, e ast.Expr) string {
 	return sb.String()
 }
 
-// guardedBy reports whether some enclosing if/for condition in the
-// stack contains a comparison that mentions the rendered expression
-// target. It is a syntactic dominance approximation: `if a >= b { d :=
-// a - b }` is considered guarded for both "a" and "b". The else branch
-// counts too — the inverse inequality holds there, and either way the
-// author has visibly considered the ordering.
-func guardedBy(fset *token.FileSet, stack []ast.Node, node ast.Node, target string) bool {
+// dominated reports whether node, whose ancestors are stack, sits
+// behind a check the author visibly made: an enclosing if (either
+// branch) whose condition or init statement satisfies check, an
+// enclosing for loop whose condition does, or an earlier if in an
+// enclosing block that does and whose body leaves the block (the
+// `if len(q) >= cap { return false }` bail-out). It is a syntactic
+// approximation of dominance that does not look past the enclosing
+// function.
+func dominated(stack []ast.Node, node ast.Node, check func(ast.Node) bool) bool {
+	checks := func(s *ast.IfStmt) bool {
+		return check(s.Cond) || s.Init != nil && check(s.Init)
+	}
 	child := node
 	for i := len(stack) - 1; i >= 0; i-- {
 		switch s := stack[i].(type) {
 		case *ast.IfStmt:
-			if (containsNode(s.Body, child) || containsNode(s.Else, child)) && condMentions(fset, s.Cond, target) {
+			if (child == s.Body || child == s.Else) && checks(s) {
 				return true
 			}
 		case *ast.ForStmt:
-			if s.Cond != nil && containsNode(s.Body, child) && condMentions(fset, s.Cond, target) {
+			if child == s.Body && s.Cond != nil && check(s.Cond) {
 				return true
 			}
+		case *ast.BlockStmt:
+			for _, st := range s.List {
+				if st == child {
+					break
+				}
+				if ifs, ok := st.(*ast.IfStmt); ok && terminates(ifs.Body) && checks(ifs) {
+					return true
+				}
+			}
 		case *ast.FuncDecl, *ast.FuncLit:
-			return false // do not look past the enclosing function
+			return false
 		}
 		child = stack[i]
 	}
 	return false
 }
 
-// containsNode reports whether outer's subtree contains n (by position;
-// nodes come from one file).
-func containsNode(outer ast.Node, n ast.Node) bool {
-	return outer != nil && n != nil && outer.Pos() <= n.Pos() && n.End() <= outer.End()
+// terminates reports whether the block's last statement unconditionally
+// transfers control out of the surrounding flow.
+func terminates(b *ast.BlockStmt) bool {
+	if len(b.List) == 0 {
+		return false
+	}
+	switch last := b.List[len(b.List)-1].(type) {
+	case *ast.ReturnStmt, *ast.BranchStmt:
+		return true
+	case *ast.ExprStmt:
+		call, ok := last.X.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		fn, ok := call.Fun.(*ast.Ident)
+		return ok && fn.Name == "panic"
+	}
+	return false
 }
 
-// condMentions reports whether the condition contains a comparison
-// operator with the target expression on either side.
-func condMentions(fset *token.FileSet, cond ast.Expr, target string) bool {
+// contains reports whether some node of n's subtree satisfies pred.
+func contains(n ast.Node, pred func(ast.Node) bool) bool {
 	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		be, ok := n.(*ast.BinaryExpr)
-		if !ok || found {
-			return !found
-		}
-		switch be.Op {
-		case token.LSS, token.GTR, token.LEQ, token.GEQ, token.EQL, token.NEQ:
-			if exprString(fset, be.X) == target || exprString(fset, be.Y) == target {
-				found = true
-				return false
-			}
-		}
-		return true
+	ast.Inspect(n, func(x ast.Node) bool {
+		found = found || x != nil && pred(x)
+		return !found
 	})
 	return found
 }
 
-// enclosingFuncName returns the name of the innermost function
-// declaration on the stack ("" when at package scope).
-func enclosingFuncName(stack []ast.Node) string {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if fd, ok := stack[i].(*ast.FuncDecl); ok {
-			return fd.Name.Name
-		}
+// compares returns a check for dominated that holds when a node
+// contains a comparison with one of targets on either side. `if a >= b
+// { d := a - b }` counts as guarded for both "a" and "b"; either way
+// the author has visibly considered the ordering.
+func compares(fset *token.FileSet, targets ...string) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		return contains(n, func(x ast.Node) bool {
+			be, ok := x.(*ast.BinaryExpr)
+			return ok && isComparison(be.Op) &&
+				(slices.Contains(targets, exprString(fset, be.X)) || slices.Contains(targets, exprString(fset, be.Y)))
+		})
 	}
-	return ""
+}
+
+// isComparison reports whether op is an ordering or equality operator.
+func isComparison(op token.Token) bool {
+	switch op {
+	case token.LSS, token.GTR, token.LEQ, token.GEQ, token.EQL, token.NEQ:
+		return true
+	}
+	return false
+}
+
+// mentions reports whether n contains an identifier whose lower-cased
+// name contains one of words or equals one of exact: the vocabulary
+// test the analyzers use to recognize cycle counts, bounded buffers,
+// bounds and addresses by name.
+func mentions(n ast.Node, words []string, exact ...string) bool {
+	return contains(n, func(x ast.Node) bool {
+		id, ok := x.(*ast.Ident)
+		if !ok {
+			return false
+		}
+		lower := strings.ToLower(id.Name)
+		return slices.Contains(exact, lower) ||
+			slices.ContainsFunc(words, func(w string) bool { return strings.Contains(lower, w) })
+	})
 }

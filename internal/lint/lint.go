@@ -6,15 +6,14 @@
 // allocation freedom, and output determinism).
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
-// (Analyzer / Pass / Diagnostic / Fact) but is built only on the
-// standard library so the repository stays dependency-free: packages
-// are loaded with `go list -export` and type-checked with go/types
-// using the toolchain's export data for dependencies (see load.go).
-// On top of the per-package passes, a Program (see callgraph.go) spans
-// every loaded package with an intra-module call graph and a
-// per-function fact store, which the cross-package analyzers
-// (hotalloc, determinism) build on. Analyzers are compiled into
-// cmd/pmplint, which runs over package patterns.
+// (Analyzer / Pass / Diagnostic) but is built only on the standard
+// library so the repository stays dependency-free: packages are loaded
+// with `go list -export` and type-checked with go/types using the
+// toolchain's export data for dependencies (see load.go). On top of
+// the per-package passes, a Program (see callgraph.go) spans every
+// loaded package with an intra-module call graph, which the
+// cross-package analyzers (hotalloc, determinism) walk. Analyzers are
+// compiled into cmd/pmplint, which always checks the whole module.
 //
 // See docs/linting.md for what each analyzer checks and why the
 // invariant matters for the paper's hardware model.
@@ -43,9 +42,9 @@ type Analyzer struct {
 
 // Pass carries one analyzed package to an Analyzer's Run function.
 // Prog is the whole-program view shared by every pass of a Run:
-// cross-package analyzers resolve the call graph and facts through it
-// but must report only diagnostics positioned in Pkg, so the combined
-// output is identical regardless of package order.
+// cross-package analyzers resolve the call graph through it but must
+// report only diagnostics positioned in Pkg, so the combined output is
+// identical regardless of package order.
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
@@ -124,9 +123,7 @@ func ByName(names []string) ([]*Analyzer, error) {
 
 // Run builds the whole-program view for the packages, applies every
 // analyzer, checks suppression hygiene, and returns the combined
-// findings in a deterministic total order. Packages run in dependency
-// order so bottom-up fact computation in one pass is visible to later
-// ones.
+// findings in a deterministic total order.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	prog := NewProgram(pkgs)
 	var diags []Diagnostic
@@ -176,45 +173,31 @@ const UnusedIgnoreName = "unusedignore"
 
 // reportUnusedDirectives flags stale suppression comments: a
 // //lint:ignore directive none of whose named analyzers suppressed
-// anything this run, and a //pmp:allocok annotation no hotalloc
-// finding landed on. A stale directive silently masks the next real
+// anything this run. A stale directive silently masks the next real
 // regression on its line, so it must be deleted (or updated) rather
 // than accumulate.
 //
-// A //lint:ignore directive is only judged when every analyzer it
-// names ran ("all" directives require the full suite), and allocok
-// annotations only when hotalloc ran — a partial -analyzers run can
+// A directive is only judged when every analyzer it names ran ("all"
+// directives require the full suite) — a partial -analyzers run can
 // never prove a directive stale.
 func reportUnusedDirectives(prog *Program, analyzers []*Analyzer, diags *[]Diagnostic) {
 	ran := map[string]bool{}
 	for _, a := range analyzers {
 		ran[a.Name] = true
 	}
-	fullSuite := true
+	full := true
 	for _, a := range Analyzers() {
-		if !ran[a.Name] {
-			fullSuite = false
-			break
-		}
+		full = full && ran[a.Name]
 	}
+	ran["all"] = full
 	for _, pkg := range prog.Pkgs {
 		for _, lines := range pkg.ignores {
 			for _, ln := range lines {
-				if ln.used {
-					continue
-				}
-				judgeable := true
+				judged := !ln.used
 				for _, n := range ln.names {
-					if n == "all" && !fullSuite {
-						judgeable = false
-						break
-					}
-					if n != "all" && !ran[n] {
-						judgeable = false
-						break
-					}
+					judged = judged && ran[n]
 				}
-				if !judgeable {
+				if !judged {
 					continue
 				}
 				*diags = append(*diags, Diagnostic{
@@ -222,21 +205,6 @@ func reportUnusedDirectives(prog *Program, analyzers []*Analyzer, diags *[]Diagn
 					Pos:      ln.pos,
 					Message: fmt.Sprintf("unused //lint:ignore %s directive suppresses nothing; delete it",
 						strings.Join(ln.names, ",")),
-				})
-			}
-		}
-		if !ran[HotAlloc.Name] {
-			continue
-		}
-		for _, lines := range pkg.allocOKs {
-			for _, ln := range lines {
-				if ln.used {
-					continue
-				}
-				*diags = append(*diags, Diagnostic{
-					Analyzer: UnusedIgnoreName,
-					Pos:      ln.pos,
-					Message:  "unused //pmp:allocok annotation: no hot-path allocation lands here; delete it",
 				})
 			}
 		}
@@ -277,57 +245,25 @@ func (p *Package) suppressed(analyzer string, pos token.Position) bool {
 	return false
 }
 
-// allocOK reports whether a hotalloc finding at position is covered by
-// a //pmp:allocok annotation on the same line or the line immediately
-// above it, marking the annotation used.
-func (p *Package) allocOK(pos token.Position) bool {
-	for _, line := range p.allocOKs[pos.Filename] {
-		if line.pos.Line == pos.Line || line.pos.Line == pos.Line-1 {
-			line.used = true
-			return true
-		}
-	}
-	return false
-}
-
-// directiveLine is one suppression comment: a //lint:ignore directive
-// (names set) or a //pmp:allocok annotation.
+// directiveLine is one //lint:ignore directive.
 type directiveLine struct {
 	pos   token.Position
 	names []string
 	used  bool
 }
 
-// collectIgnores indexes every lint:ignore and pmp:allocok directive
-// by file and line.
+// collectIgnores indexes every lint:ignore directive by file and line.
 func (p *Package) collectIgnores() {
 	p.ignores = map[string][]*directiveLine{}
-	p.allocOKs = map[string][]*directiveLine{}
 	for _, f := range p.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				pos := p.Fset.Position(c.Pos())
 				if names, ok := ignoreDirective(c); ok {
+					pos := p.Fset.Position(c.Pos())
 					p.ignores[pos.Filename] = append(p.ignores[pos.Filename],
 						&directiveLine{pos: pos, names: names})
-					continue
-				}
-				if ok := allocOKDirective(c); ok {
-					p.allocOKs[pos.Filename] = append(p.allocOKs[pos.Filename],
-						&directiveLine{pos: pos})
 				}
 			}
 		}
 	}
-}
-
-// allocOKDirective parses a "//pmp:allocok <reason>" annotation. The
-// reason is mandatory, exactly as for lint:ignore: an annotation
-// without one is malformed and suppresses nothing.
-func allocOKDirective(c *ast.Comment) bool {
-	text, found := strings.CutPrefix(c.Text, "//pmp:allocok")
-	if !found {
-		return false
-	}
-	return strings.TrimSpace(text) != ""
 }

@@ -14,7 +14,6 @@
 package linttest
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -38,38 +37,15 @@ var (
 func exportIndex(t *testing.T) map[string]string {
 	t.Helper()
 	indexOnce.Do(func() {
-		root, err := moduleRoot()
-		if err != nil {
-			indexErr = err
-			return
-		}
 		// time and math/rand ride along for the determinism fixtures,
 		// which need to import them even though the repository itself
 		// (deliberately) never pulls in math/rand.
-		index, indexErr = lint.ExportIndex(root, "./...", "time", "math/rand")
+		index, indexErr = lint.ExportIndex(".", "./...", "time", "math/rand")
 	})
 	if indexErr != nil {
 		t.Fatalf("building export index: %v", indexErr)
 	}
 	return index
-}
-
-// moduleRoot walks up from the working directory to the go.mod.
-func moduleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod above %s", dir)
-		}
-		dir = parent
-	}
 }
 
 // want is one expected diagnostic.

@@ -12,6 +12,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 )
 
@@ -24,8 +25,7 @@ type Package struct {
 	Types      *types.Package
 	Info       *types.Info
 
-	ignores  map[string][]*directiveLine
-	allocOKs map[string][]*directiveLine
+	ignores map[string][]*directiveLine
 }
 
 // listedPackage is the subset of `go list -json` output the loader
@@ -42,15 +42,17 @@ type listedPackage struct {
 	Error      *struct{ Err string }
 }
 
-// list runs `go list -e -export -deps -json` for the patterns and
-// returns the decoded packages (dependency closure included).
+// list runs `go list -e -export -deps -json` for the patterns, from
+// the root of the module that contains dir, and returns the decoded
+// packages (dependency closure included).
 func list(dir string, patterns []string) ([]listedPackage, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
+	root, err := moduleRoot(dir)
+	if err != nil {
+		return nil, err
 	}
 	args := append([]string{"list", "-e", "-export", "-deps", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
+	cmd.Dir = root
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
@@ -74,15 +76,36 @@ func list(dir string, patterns []string) ([]listedPackage, error) {
 	return pkgs, nil
 }
 
-// Load lists the given package patterns (from dir, which must be inside
-// the module), builds export data for all dependencies, and parses and
-// type-checks every matched non-test package from source.
+// moduleRoot returns the nearest directory at or above dir that holds
+// a go.mod.
+func moduleRoot(dir string) (string, error) {
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return "", err
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir, nil
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return "", fmt.Errorf("no go.mod above %s", dir)
+		}
+		dir = parent
+	}
+}
+
+// Load parses and type-checks every non-test package of the module
+// that contains dir, from source, importing their dependencies from
+// export data. It always loads the whole module: the call graph needs
+// every package, or a hot root or a sink outside a subset would hide
+// the findings it implies.
 //
 // Loading shells out to the go tool exactly once; dependencies are
 // imported from the toolchain's export data rather than re-type-checked,
 // which keeps a whole-repo lint run well under a second.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	listed, err := list(dir, patterns)
+func Load(dir string) ([]*Package, error) {
+	listed, err := list(dir, []string{"./..."})
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +132,8 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 }
 
 // ExportIndex returns the import-path -> export-data-file map for the
-// patterns' full dependency closure. Test harnesses use it to
+// patterns' full dependency closure, with patterns resolved from the
+// root of the module that contains dir. Test harnesses use it to
 // type-check fixture files against the repository's real packages.
 func ExportIndex(dir string, patterns ...string) (map[string]string, error) {
 	listed, err := list(dir, patterns)

@@ -100,36 +100,27 @@ func literalOperand(x, y ast.Expr) (*ast.BasicLit, ast.Expr) {
 }
 
 // addressFlavoured reports whether the expression plausibly carries an
-// address: its static type is mem.Addr, or it mentions an identifier
-// whose name is address vocabulary (addr, line, page, region, offset,
-// trigger, pc...).
+// address: its static type is mem.Addr, it converts a mem.Addr, or it
+// mentions an identifier whose name is address vocabulary (addr, line,
+// page, region, offset, trigger, pc...).
 func addressFlavoured(pkg *Package, e ast.Expr) bool {
-	if isMemAddr(pkg.Info.Types[e].Type) {
-		return true
-	}
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if conv, ok := n.(*ast.CallExpr); ok && len(conv.Args) == 1 {
-			// Look through conversions like uint64(lineAddr).
-			if isMemAddr(pkg.Info.Types[conv.Args[0]].Type) {
-				found = true
-				return false
+	return isMemAddr(pkg.Info.Types[e].Type) ||
+		mentions(e, []string{"addr", "line", "page", "region", "offset", "trigger"}, "pc", "off") ||
+		contains(e, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.CallExpr:
+				// Look through conversions like uint64(lineAddr).
+				return len(x.Args) == 1 && isMemAddr(pkg.Info.Types[x.Args[0]].Type)
+			case *ast.Ident:
+				// pc32, pcHash: "pc" followed by a digit or an uppercase
+				// word start.
+				if len(x.Name) > 2 && strings.HasPrefix(x.Name, "pc") {
+					c := x.Name[2]
+					return c >= '0' && c <= '9' || c >= 'A' && c <= 'Z'
+				}
 			}
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if addressName(id.Name) {
-			found = true
 			return false
-		}
-		return true
-	})
-	return found
+		})
 }
 
 // isMemAddr reports whether t is the mem.Addr named type.
@@ -140,23 +131,4 @@ func isMemAddr(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Name() == "Addr" && obj.Pkg() != nil && obj.Pkg().Name() == "mem"
-}
-
-// addressName classifies an identifier as address vocabulary.
-func addressName(name string) bool {
-	lower := strings.ToLower(name)
-	for _, w := range []string{"addr", "line", "page", "region", "offset", "trigger"} {
-		if strings.Contains(lower, w) {
-			return true
-		}
-	}
-	if lower == "pc" || lower == "off" {
-		return true
-	}
-	// pc32, pcHash: "pc" followed by a digit or an uppercase word start.
-	if strings.HasPrefix(name, "pc") && len(name) > 2 {
-		c := name[2]
-		return c >= '0' && c <= '9' || c >= 'A' && c <= 'Z'
-	}
-	return false
 }

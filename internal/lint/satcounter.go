@@ -46,7 +46,7 @@ func runSatCounter(pass *Pass) {
 				return true
 			}
 			target := exprString(pass.Pkg.Fset, lhs)
-			if guardedBy(pass.Pkg.Fset, stack, n, target) {
+			if dominated(stack, n, compares(pass.Pkg.Fset, target)) {
 				return true
 			}
 			pass.Reportf(n.Pos(), "unguarded %q on saturating counter %s; "+

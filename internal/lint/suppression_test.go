@@ -26,7 +26,7 @@ func stale() {}
 
 //pmp:hotpath
 func hot(s *q) {
-	//pmp:allocok stale annotation: the append below is capacity-guarded anyway
+	//lint:ignore hotalloc stale: the append below is capacity-guarded anyway
 	if len(s.queue) < s.limit {
 		s.queue = append(s.queue, 1)
 	}
@@ -61,8 +61,8 @@ func TestUnusedDirectiveHygiene(t *testing.T) {
 	if !strings.Contains(diags[0].Message, "//lint:ignore magicgeometry") {
 		t.Errorf("first diagnostic should name the stale ignore, got %q", diags[0].Message)
 	}
-	if !strings.Contains(diags[1].Message, "//pmp:allocok") {
-		t.Errorf("second diagnostic should name the stale allocok, got %q", diags[1].Message)
+	if !strings.Contains(diags[1].Message, "//lint:ignore hotalloc") {
+		t.Errorf("second diagnostic should name the stale hotalloc waiver, got %q", diags[1].Message)
 	}
 	if diags[0].Pos.Line >= diags[1].Pos.Line {
 		t.Errorf("diagnostics not in line order: %d then %d", diags[0].Pos.Line, diags[1].Pos.Line)
@@ -77,8 +77,8 @@ func TestUnusedDirectivePartialRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	diags := Run([]*Package{typecheckHygieneSrc(t)}, partial)
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "//pmp:allocok") {
-		t.Fatalf("partial run should judge only the allocok annotation, got %v", diags)
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "//lint:ignore hotalloc") {
+		t.Fatalf("partial run should judge only the hotalloc waiver, got %v", diags)
 	}
 }
 

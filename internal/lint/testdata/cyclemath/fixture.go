@@ -26,6 +26,15 @@ func latencyGuarded(now uint64, m mshr) uint64 {
 	return 0
 }
 
+// An early exit on the opposite ordering dominates the rest of the
+// function.
+func earlyExitGuarded(now uint64, m mshr) uint64 {
+	if now < m.readyCycle {
+		return 0
+	}
+	return now - m.readyCycle
+}
+
 func elseGuarded(now uint64, m mshr) uint64 {
 	if m.lastStamp > now {
 		return 0

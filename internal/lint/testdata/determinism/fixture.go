@@ -1,7 +1,8 @@
 // Fixtures for the determinism analyzer's map-iteration rule: ranging
 // over a map whose body reaches a result sink — directly, through a
-// helper chain, or through an injected sink-named function value — is
-// flagged; collect-then-sort and pure accumulation stay silent.
+// helper chain, through a call cycle, or through an injected sink-named
+// function value — is flagged; collect-then-sort and pure accumulation
+// stay silent.
 package fixture
 
 import (
@@ -15,7 +16,8 @@ func emitAll(m map[string]int) {
 	}
 }
 
-// The sink is two helper hops away: the fact store propagates it up.
+// The sink is two helper hops away: the backward walk from the sinks
+// over the callers reaches the loop's callee all the same.
 func viaHelpers(m map[string]int) {
 	for k := range m { // want "map iteration order over m reaches the fmt output"
 		record(k)
@@ -26,6 +28,25 @@ func record(k string) { log(k) }
 
 func log(k string) { fmt.Println(k) }
 
+// The sink is reached only through a call cycle: the loop calls pong,
+// pong calls ping, and only ping calls the sink.
+func rally(m map[string]int) {
+	for k := range m { // want "map iteration order over m reaches the fmt output through determinism.pong"
+		pong(k, 3)
+	}
+}
+
+func ping(k string, n int) {
+	fmt.Print(k)
+	pong(k, n)
+}
+
+func pong(k string, n int) {
+	if n > 0 {
+		ping(k, n-1)
+	}
+}
+
 // An injected sink-named function value counts even though the call
 // graph cannot resolve it.
 type tracker struct{ sink func(string) }
@@ -33,6 +54,16 @@ type tracker struct{ sink func(string) }
 func (t *tracker) flush(m map[string]bool) {
 	for k := range m { // want "map iteration order over m reaches injected t.sink sink"
 		t.sink(k)
+	}
+}
+
+// A function that invokes an injected sink is itself a sink for the
+// walk back to its callers.
+func (t *tracker) note(k string) { t.sink(k) }
+
+func (t *tracker) flushVia(m map[string]bool) {
+	for k := range m { // want `reaches the injected t.sink sink through \(determinism.tracker\).note`
+		t.note(k)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Fixtures for the hotalloc analyzer: functions reachable from a
 // //pmp:hotpath root must not contain allocation-causing constructs
-// unless the line carries a //pmp:allocok justification. Exempt shapes
+// unless the line carries a //lint:ignore hotalloc waiver. Exempt shapes
 // — buffer recycling via x[:0], capacity-guarded appends, and code the
 // roots never reach — must stay silent.
 package fixture
@@ -99,10 +99,10 @@ func (d *dev) guarded(x uint64) {
 	}
 }
 
-// justified carries an allocok annotation for a cold branch.
+// justified waives a cold branch with a reason.
 func (d *dev) justified(x uint64) {
 	if d.n == 0 {
-		//pmp:allocok one-time lazy init on the first access only
+		//lint:ignore hotalloc one-time lazy init on the first access only
 		d.buf = make([]uint64, 0, 64)
 	}
 	_ = x

@@ -39,6 +39,14 @@ func (e *entry) decGuarded() {
 	}
 }
 
+// An early exit at the ceiling dominates the rest of the method.
+func (e *entry) incEarlyExit(max uint8) {
+	if e.satHits >= max {
+		return
+	}
+	e.satHits++
+}
+
 func (e *entry) helperOK() {
 	e.conf = mem.SatInc(e.conf, 3)
 	e.satHits = mem.SatDec(e.satHits, 0)

@@ -70,7 +70,7 @@ func (c *Checker) Name() string {
 		c.report("contract: Name() returned an empty string")
 	}
 	if c.seenName && name != c.name {
-		//pmp:allocok contract-violation report: formats only when the wrapped prefetcher is broken
+		//lint:ignore hotalloc contract-violation report: formats only when the wrapped prefetcher is broken
 		c.report("contract: Name() unstable: %q then %q", c.name, name)
 	}
 	c.name, c.seenName = name, true
@@ -90,27 +90,27 @@ func (c *Checker) IssueInto(dst []prefetch.Request, max int) []prefetch.Request 
 	base := len(dst)
 	out := c.inner.IssueInto(dst, max)
 	if len(out) < base {
-		//pmp:allocok contract-violation report: formats only when the wrapped prefetcher is broken
+		//lint:ignore hotalloc contract-violation report: formats only when the wrapped prefetcher is broken
 		c.report("contract: IssueInto shrank dst from %d to %d entries", base, len(out))
 		return out
 	}
 	reqs := out[base:]
 	if max <= 0 && len(reqs) > 0 {
-		//pmp:allocok contract-violation report: formats only when the wrapped prefetcher is broken
+		//lint:ignore hotalloc contract-violation report: formats only when the wrapped prefetcher is broken
 		c.report("contract: IssueInto(dst, %d) appended %d requests, want none for max <= 0", max, len(reqs))
 	} else if len(reqs) > max {
-		//pmp:allocok contract-violation report: formats only when the wrapped prefetcher is broken
+		//lint:ignore hotalloc contract-violation report: formats only when the wrapped prefetcher is broken
 		c.report("contract: IssueInto(dst, %d) appended %d requests (over budget)", max, len(reqs))
 	}
 	for i, r := range reqs {
 		if r.Addr.Line() != r.Addr {
-			//pmp:allocok contract-violation report: formats only when the wrapped prefetcher is broken
+			//lint:ignore hotalloc contract-violation report: formats only when the wrapped prefetcher is broken
 			c.report("contract: IssueInto request %d target %#x is not line-aligned", i, uint64(r.Addr))
 		}
 		switch r.Level {
 		case prefetch.LevelL1, prefetch.LevelL2, prefetch.LevelLLC:
 		default:
-			//pmp:allocok contract-violation report: formats only when the wrapped prefetcher is broken
+			//lint:ignore hotalloc contract-violation report: formats only when the wrapped prefetcher is broken
 			c.report("contract: IssueInto request %d has invalid level %d (must be L1/L2/LLC)", i, r.Level)
 		}
 	}
@@ -150,7 +150,7 @@ type requeueChecker struct {
 // request before handing it back.
 func (c *requeueChecker) Requeue(r prefetch.Request) {
 	if r.Addr.Line() != r.Addr {
-		//pmp:allocok contract-violation report: formats only when the wrapped prefetcher is broken
+		//lint:ignore hotalloc contract-violation report: formats only when the wrapped prefetcher is broken
 		c.report("contract: Requeue target %#x is not line-aligned", uint64(r.Addr))
 	}
 	c.rq.Requeue(r)

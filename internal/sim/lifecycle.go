@@ -213,7 +213,7 @@ func newLifecycleTracker(sink func(LifecycleEvent)) *lifecycleTracker {
 func (t *lifecycleTracker) agg(src string) *lifecycleAgg {
 	a := t.bySource[src]
 	if a == nil {
-		//pmp:allocok lazy once-per-prefetcher aggregate; the tracker is nil on the benchmarked path
+		//lint:ignore hotalloc lazy once-per-prefetcher aggregate; the tracker is nil on the benchmarked path
 		a = &lifecycleAgg{regions: map[mem.Addr]*LifecycleStats{}}
 		t.bySource[src] = a
 	}

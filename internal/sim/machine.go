@@ -438,7 +438,7 @@ func (c *Core) step(r trace.Record) {
 	if r.Gap > 0 {
 		c.cpu.DispatchNonLoads(int(r.Gap))
 	}
-	//pmp:allocok closure does not escape DispatchLoad and stays on the stack; BenchmarkSystemStep pins 0 allocs/access
+	//lint:ignore hotalloc closure does not escape DispatchLoad and stays on the stack; BenchmarkSystemStep pins 0 allocs/access
 	c.cpu.DispatchLoad(func(issue uint64) uint64 {
 		chain := mem.HashPC(r.PC, 6)
 		switch r.Dep {
@@ -620,7 +620,7 @@ func (p *pqTracker) free(now uint64) bool {
 // add records one in-flight prefetch. Gated by free(), so the append
 // never outgrows the capacity newPQTracker reserved.
 func (p *pqTracker) add(done uint64) {
-	//pmp:allocok bounded by preallocated capacity; add is only reached after free() reports len < cap
+	//lint:ignore hotalloc bounded by preallocated capacity; add is only reached after free() reports len < cap
 	p.done = append(p.done, done)
 	p.minDone = min(p.minDone, done)
 }
