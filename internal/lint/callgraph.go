@@ -41,7 +41,9 @@ type Func struct {
 	Callers []*Func
 }
 
-// Name returns a compact human-readable name ("(*Core).step").
+// Name returns a compact human-readable name: the key with its package
+// path cut to the package name, keeping a pointer receiver's star, so
+// "(*pmp/internal/sim.Core).step" reads "(*sim.Core).step".
 func (f *Func) Name() string {
 	key := f.Key
 	// Strip package paths from the receiver and name for display.
@@ -51,10 +53,14 @@ func (f *Func) Name() string {
 	if open := strings.Index(key, "("); open >= 0 {
 		if close := strings.Index(key, ")"); close > open {
 			recv := key[open+1 : close]
+			star := ""
+			if strings.HasPrefix(recv, "*") {
+				star, recv = "*", recv[1:]
+			}
 			if i := strings.LastIndex(recv, "/"); i >= 0 {
 				recv = recv[i+1:]
 			}
-			return "(" + recv + ")" + key[close+1:]
+			return "(" + star + recv + ")" + key[close+1:]
 		}
 	}
 	return key

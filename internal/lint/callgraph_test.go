@@ -43,6 +43,37 @@ func TestCallGraphEdges(t *testing.T) {
 	assertEdge(t, prog, "(*"+cgPath+".device).method", cgPath+".helper")
 }
 
+// TestFuncName pins the display names diagnostics use: package paths
+// cut to the package name, and a pointer receiver's star kept, so a
+// pointer method and a value method read differently.
+func TestFuncName(t *testing.T) {
+	prog := loadCallgraphFixture(t)
+	for key, want := range map[string]string{
+		"(*" + cgPath + ".device).method": "(*callgraph.device).method",
+		"(" + cgPath + ".device).size":    "(callgraph.device).size",
+		cgPath + ".helper":                "callgraph.helper",
+	} {
+		fn := prog.FuncByName(key)
+		if fn == nil {
+			t.Errorf("no node for %s", key)
+			continue
+		}
+		if got := fn.Name(); got != want {
+			t.Errorf("Name of %s = %q, want %q", key, got, want)
+		}
+	}
+	for key, want := range map[string]string{
+		"(*pmp/internal/sim.Core).step":   "(*sim.Core).step",
+		"(*encoding/json.Encoder).Encode": "(*json.Encoder).Encode",
+		"(io.Writer).Write":               "(io.Writer).Write",
+		"fmt.Println":                     "fmt.Println",
+	} {
+		if got := (&Func{Key: key}).Name(); got != want {
+			t.Errorf("Name of %s = %q, want %q", key, got, want)
+		}
+	}
+}
+
 // TestCallGraphCrossPackageDispatch type-checks a dispatch site and its
 // implementations as separate packages, as the loader does with the
 // simulator and the prefetchers. Implementations whose parameters are

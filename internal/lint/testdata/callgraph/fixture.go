@@ -10,6 +10,9 @@ type device struct{ n int }
 
 func (d *device) method() { helper() }
 
+// size has a value receiver.
+func (d device) size() int { return d.n }
+
 type actor interface{ act() }
 
 func (d *device) act() { d.n++ }

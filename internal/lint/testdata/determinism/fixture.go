@@ -62,7 +62,7 @@ func (t *tracker) flush(m map[string]bool) {
 func (t *tracker) note(k string) { t.sink(k) }
 
 func (t *tracker) flushVia(m map[string]bool) {
-	for k := range m { // want `reaches the injected t.sink sink through \(determinism.tracker\).note`
+	for k := range m { // want `reaches the injected t.sink sink through \(\*determinism.tracker\).note`
 		t.note(k)
 	}
 }

@@ -16,6 +16,19 @@ const recordSize = 19
 // version (4), record count (4), name length (4).
 const headerSize = 16
 
+// maxNameBytes is the longest trace name the readers accept.
+const maxNameBytes = 4096
+
+// encodeRecord encodes r into b (len >= recordSize): the inverse of
+// decodeRecord.
+func encodeRecord(b []byte, r Record) {
+	_ = b[recordSize-1]
+	binary.LittleEndian.PutUint64(b[0:], r.PC)
+	binary.LittleEndian.PutUint64(b[8:], uint64(r.Addr))
+	binary.LittleEndian.PutUint16(b[16:], r.Gap)
+	b[18] = byte(r.Dep)
+}
+
 // decodeRecord decodes one fixed-width record from b (len >=
 // recordSize).
 //
@@ -43,7 +56,7 @@ func parseHeader(r io.Reader) (name string, count int, err error) {
 		return "", 0, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, v)
 	}
 	nameLen := binary.LittleEndian.Uint32(hdr[12:])
-	if nameLen > 4096 {
+	if nameLen > maxNameBytes {
 		return "", 0, fmt.Errorf("%w: unreasonable name length %d", ErrBadFormat, nameLen)
 	}
 	nb := make([]byte, nameLen)

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -111,6 +113,65 @@ func FuzzReadManifest(f *testing.F) {
 			}
 			if e.Path == "" || e.Family == "" || e.Class == "" {
 				t.Fatalf("entry %d: path %q, family %q, class %q", i, e.Path, e.Family, e.Class)
+			}
+		}
+	})
+}
+
+// FuzzRNG runs the rng and math/rand side by side on one seed and an
+// op stream, and checks every draw. Each op byte picks a draw; bounds
+// and new seeds come from the bytes that follow it.
+func FuzzRNG(f *testing.F) {
+	f.Add(int64(0), []byte{0, 1, 2, 3, 0xff, 0xff, 0xff, 0x7f, 6, 200, 5, 1, 2, 3, 4, 5, 6, 7, 8, 0})
+	f.Add(int64(-1), []byte{4, 1, 0, 0, 0, 0, 0, 0, 0x40, 3, 3, 0, 0, 0, 6, 255, 6, 255, 2})
+	f.Add(int64(1<<31-1), []byte{6, 80, 5, 0, 0, 0, 0, 0, 0, 0, 0, 3, 1, 0, 0, 0x40})
+
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		r, ref := newRNG(seed), rand.New(rand.NewSource(seed))
+		// take returns the next n bytes of ops, zero-padded.
+		take := func(n int) []byte {
+			var b [8]byte
+			k := copy(b[:n], ops)
+			ops = ops[k:]
+			return b[:]
+		}
+		for step := 0; len(ops) > 0; step++ {
+			op := ops[0] % 7
+			ops = ops[1:]
+			switch op {
+			case 0:
+				if got, want := r.Int63(), ref.Int63(); got != want {
+					t.Fatalf("op %d: Int63 %d, math/rand %d", step, got, want)
+				}
+			case 1:
+				if got, want := r.Int31(), ref.Int31(); got != want {
+					t.Fatalf("op %d: Int31 %d, math/rand %d", step, got, want)
+				}
+			case 2:
+				if got, want := r.Float64(), ref.Float64(); got != want {
+					t.Fatalf("op %d: Float64 %v, math/rand %v", step, got, want)
+				}
+			case 3:
+				n := max(int(binary.LittleEndian.Uint32(take(4))&(1<<31-1)), 1)
+				if got, want := r.intn(newBound(n)), ref.Intn(n); got != want {
+					t.Fatalf("op %d: intn(%d) %d, math/rand %d", step, n, got, want)
+				}
+			case 4:
+				n := max(int64(binary.LittleEndian.Uint64(take(8))&(1<<63-1)), 1)
+				if got, want := r.Int63n(n), ref.Int63n(n); got != want {
+					t.Fatalf("op %d: Int63n(%d) %d, math/rand %d", step, n, got, want)
+				}
+			case 5:
+				s := int64(binary.LittleEndian.Uint64(take(8)))
+				r.Seed(s)
+				ref.Seed(s)
+			case 6:
+				// Skip ahead, so short inputs still cross block refills.
+				for range 4 * int(take(1)[0]) {
+					if got, want := r.Int63(), ref.Int63(); got != want {
+						t.Fatalf("op %d: skipped Int63 %d, math/rand %d", step, got, want)
+					}
+				}
 			}
 		}
 	})

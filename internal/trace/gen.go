@@ -2,7 +2,6 @@ package trace
 
 import (
 	"math"
-	"math/rand"
 
 	"pmp/internal/mem"
 )
@@ -11,32 +10,30 @@ import (
 // params) always yields the same record stream, so experiments are
 // reproducible without storing multi-gigabyte trace files. Each
 // generator mimics the pattern structure of one workload family the
-// paper evaluates (see DESIGN.md §1).
+// paper evaluates (see DESIGN.md §1). Each draws from an rng, which
+// reproduces the value stream of math/rand seeded alike (rng.go), so a
+// trace is defined by its seed's math/rand stream.
 
 type base struct {
 	name    string
 	seed    int64
 	length  int
-	rng     *rand.Rand
+	gapN    bound // Intn(2*GapMean+1)
 	emitted int
+	rng     rng
 }
 
-func newBase(name string, seed int64, length int) base {
-	b := base{name: name, seed: seed, length: length}
+func newBase(name string, seed int64, length, gapMean int) base {
+	b := base{name: name, seed: seed, length: length, gapN: newBound(2*gapMean + 1)}
 	b.resetBase()
 	return b
 }
 
 func (b *base) Name() string { return b.name }
 
-// resetBase rewinds the random stream to the start of b.seed's,
-// re-seeding the existing generator in place after the first call.
+// resetBase rewinds the random stream to the start of b.seed's.
 func (b *base) resetBase() {
-	if b.rng == nil {
-		b.rng = rand.New(rand.NewSource(b.seed))
-	} else {
-		b.rng.Seed(b.seed)
-	}
+	b.rng.Seed(b.seed)
 	b.emitted = 0
 }
 
@@ -45,15 +42,14 @@ func (b *base) setSeed(seed int64) { b.seed = seed }
 
 func (b *base) done() bool { return b.emitted >= b.length }
 
-func (b *base) gap(mean int) uint16 {
-	// Geometric-ish gap around the mean keeps instruction mix plausible.
-	g := b.rng.Intn(2*mean + 1)
-	return uint16(g)
-}
+// gap draws a non-load gap uniform in [0, 2*GapMean], which keeps the
+// instruction mix plausible.
+func (b *base) gap() uint16 { return uint16(b.rng.intn(b.gapN)) }
 
-// line returns the byte address of lineID with a random intra-line offset.
+// line returns the byte address of lineID with a random intra-line
+// offset: Intn(8), which masks.
 func (b *base) line(lineID uint64) mem.Addr {
-	return mem.Addr(lineID*mem.LineBytes + uint64(b.rng.Intn(8))*8)
+	return mem.Addr(lineID*mem.LineBytes + uint64(b.rng.Int31()&7)*8)
 }
 
 // elem returns the byte address of the idx-th 8-byte element.
@@ -82,15 +78,16 @@ func DefaultStreamParams() StreamParams {
 // starts, and the intra-line reuse real streaming code exhibits.
 type Stream struct {
 	base
-	p   StreamParams
-	pcs []uint64
-	pos []uint64 // element index per stream
+	p        StreamParams
+	streamsN bound
+	pcs      []uint64
+	pos      []uint64 // element index per stream
 }
 
 // NewStream constructs a Stream generator.
 func NewStream(name string, seed int64, length int, p StreamParams) *Stream {
 	s := &Stream{
-		base: newBase(name, seed, length), p: p,
+		base: newBase(name, seed, length, p.GapMean), p: p, streamsN: newBound(p.Streams),
 		pcs: make([]uint64, p.Streams), pos: make([]uint64, p.Streams),
 	}
 	s.init()
@@ -113,11 +110,11 @@ func (s *Stream) Next() (Record, bool) {
 		return Record{}, false
 	}
 	s.emitted++
-	i := s.rng.Intn(s.p.Streams)
+	i := s.rng.intn(s.streamsN)
 	if s.rng.Float64() < s.p.RestartProb {
 		s.pos[i] = uint64(s.rng.Int63n(int64(s.p.WorkingSet/8))) &^ (elemsPerLine - 1)
 	}
-	r := Record{PC: s.pcs[i], Addr: elem(s.pos[i]), Gap: s.gap(s.p.GapMean)}
+	r := Record{PC: s.pcs[i], Addr: elem(s.pos[i]), Gap: s.gap()}
 	s.pos[i]++
 	return r, true
 }
@@ -144,11 +141,13 @@ func DefaultStrideParams() StrideParams {
 // struct), giving realistic intra-line reuse.
 type Stride struct {
 	base
-	p      StrideParams
-	pos    []uint64
-	stride []int
-	left   []int
-	sub    []int
+	p        StrideParams
+	walkersN bound
+	stridesN bound
+	pos      []uint64
+	stride   []int
+	left     []int
+	sub      []int
 }
 
 // accessesPerStrideLine is the number of consecutive reads per strided
@@ -158,7 +157,8 @@ const accessesPerStrideLine = 4
 // NewStride constructs a Stride generator.
 func NewStride(name string, seed int64, length int, p StrideParams) *Stride {
 	s := &Stride{
-		base: newBase(name, seed, length), p: p,
+		base: newBase(name, seed, length, p.GapMean), p: p,
+		walkersN: newBound(p.Walkers), stridesN: newBound(len(p.Strides)),
 		pos: make([]uint64, p.Walkers), stride: make([]int, p.Walkers),
 		left: make([]int, p.Walkers), sub: make([]int, p.Walkers),
 	}
@@ -175,7 +175,7 @@ func (s *Stride) init() {
 
 func (s *Stride) rebase(i int) {
 	s.pos[i] = uint64(s.rng.Int63n(int64(s.p.WorkingSet / mem.LineBytes)))
-	s.stride[i] = s.p.Strides[s.rng.Intn(len(s.p.Strides))]
+	s.stride[i] = s.p.Strides[s.rng.intn(s.stridesN)]
 	s.left[i] = s.p.PhaseLen
 }
 
@@ -188,13 +188,13 @@ func (s *Stride) Next() (Record, bool) {
 		return Record{}, false
 	}
 	s.emitted++
-	i := s.rng.Intn(s.p.Walkers)
+	i := s.rng.intn(s.walkersN)
 	if s.left[i] <= 0 {
 		s.rebase(i)
 	}
 	s.left[i]--
 	pc := 0x500000 + uint64(i)*0x40 + uint64(s.stride[i])*4
-	r := Record{PC: pc, Addr: s.line(s.pos[i]), Gap: s.gap(s.p.GapMean)}
+	r := Record{PC: pc, Addr: s.line(s.pos[i]), Gap: s.gap()}
 	s.sub[i]++
 	if s.sub[i] >= accessesPerStrideLine {
 		s.sub[i] = 0
@@ -225,16 +225,17 @@ func DefaultBackwardParams() BackwardParams {
 // dotted slash" of small forward offsets around the current position.
 type Backward struct {
 	base
-	p     BackwardParams
-	pos   []uint64 // current line of each backward walker
-	sub   []int    // intra-line accesses left for the current line
-	local uint64   // current line of the local-window population
+	p        BackwardParams
+	walkersN bound
+	pos      []uint64 // current line of each backward walker
+	sub      []int    // intra-line accesses left for the current line
+	local    uint64   // current line of the local-window population
 }
 
 // NewBackward constructs a Backward generator.
 func NewBackward(name string, seed int64, length int, p BackwardParams) *Backward {
 	b := &Backward{
-		base: newBase(name, seed, length), p: p,
+		base: newBase(name, seed, length, p.GapMean), p: p, walkersN: newBound(p.Walkers),
 		pos: make([]uint64, p.Walkers), sub: make([]int, p.Walkers),
 	}
 	b.init()
@@ -268,18 +269,18 @@ func (b *Backward) Next() (Record, bool) {
 	b.emitted++
 	if b.rng.Float64() < b.p.LocalProb {
 		// Local forward window around a slowly advancing pointer.
-		delta := uint64(b.rng.Intn(4))
-		r := Record{PC: 0x600000, Addr: b.line(b.local + delta), Gap: b.gap(b.p.GapMean)}
+		delta := uint64(b.rng.Int31() & 3) // Intn(4)
+		r := Record{PC: 0x600000, Addr: b.line(b.local + delta), Gap: b.gap()}
 		if b.rng.Float64() < 0.3 {
 			b.local++
 		}
 		return r, true
 	}
-	i := b.rng.Intn(b.p.Walkers)
+	i := b.rng.intn(b.walkersN)
 	pc := 0x601000 + uint64(i)*0x40 // the two pred-chasing loops
 	// Walking ->pred pointers: each node address comes from the
 	// previous load.
-	r := Record{PC: pc, Addr: b.line(b.pos[i]), Gap: b.gap(b.p.GapMean), Dep: DepChain}
+	r := Record{PC: pc, Addr: b.line(b.pos[i]), Gap: b.gap(), Dep: DepChain}
 	b.sub[i]++
 	if b.sub[i] < 2 { // two node fields per line
 		return r, true
@@ -336,7 +337,7 @@ type Graph struct {
 
 // NewGraph constructs a Graph generator.
 func NewGraph(name string, seed int64, length int, p GraphParams) *Graph {
-	g := &Graph{base: newBase(name, seed, length), p: p}
+	g := &Graph{base: newBase(name, seed, length, p.GapMean), p: p}
 	g.init()
 	return g
 }
@@ -382,13 +383,18 @@ func (g *Graph) Next() (Record, bool) {
 			// frequency proportional to their degree, so the power-law
 			// head dominates: hot vertices concentrate into a small,
 			// cacheable prefix of the property array.
+			// x2*x2 is math.Pow(x, 4) exactly for every x Float64
+			// returns (0 or at least 2^-63): Pow squares the Frexp
+			// mantissa twice and then rescales by a power of two.
 			lines := float64(g.p.RankBytes / mem.LineBytes)
-			l := uint64(lines * math.Pow(g.rng.Float64(), 4))
+			x := g.rng.Float64()
+			x2 := x * x
+			l := uint64(lines * (x2 * x2))
 			// rank[edge[i]]: the address depends on the edge load.
-			return Record{PC: 0x700000, Addr: g.line(l), Gap: g.gap(g.p.GapMean), Dep: DepPrev}, true
+			return Record{PC: 0x700000, Addr: g.line(l), Gap: g.gap(), Dep: DepPrev}, true
 		}
 		// Push-style property sweep: sequential elements.
-		r := Record{PC: 0x700080, Addr: elem(g.rankSeq), Gap: g.gap(g.p.GapMean)}
+		r := Record{PC: 0x700080, Addr: elem(g.rankSeq), Gap: g.gap()}
 		g.rankSeq++
 		if g.rankSeq >= g.p.RankBytes/8 {
 			g.rankSeq = 0
@@ -398,7 +404,7 @@ func (g *Graph) Next() (Record, bool) {
 	if g.burstLen <= 0 {
 		g.newBurst()
 	}
-	r := Record{PC: 0x700040, Addr: g.line(g.burstPos), Gap: g.gap(g.p.GapMean)}
+	r := Record{PC: 0x700040, Addr: g.line(g.burstPos), Gap: g.gap()}
 	g.burstSub++
 	if g.burstSub >= elemsPerLine { // 8-byte edge IDs: 8 reads per line
 		g.burstSub = 0
@@ -441,7 +447,7 @@ type PointerChase struct {
 
 // NewPointerChase constructs a PointerChase generator.
 func NewPointerChase(name string, seed int64, length int, p PointerChaseParams) *PointerChase {
-	return &PointerChase{base: newBase(name, seed, length), p: p}
+	return &PointerChase{base: newBase(name, seed, length, p.GapMean), p: p}
 }
 
 // Reset implements Source.
@@ -460,7 +466,7 @@ func (pc *PointerChase) Next() (Record, bool) {
 		basePC = 0x800040
 	}
 	l := uint64(pc.rng.Int63n(int64(set / mem.LineBytes)))
-	return Record{PC: basePC, Addr: pc.line(l), Gap: pc.gap(pc.p.GapMean), Dep: DepChain}, true
+	return Record{PC: basePC, Addr: pc.line(l), Gap: pc.gap(), Dep: DepChain}, true
 }
 
 // --- Mixed: PARSEC-like phase alternation ---
@@ -496,7 +502,7 @@ type phaseSource interface {
 
 // NewMixed constructs a Mixed generator.
 func NewMixed(name string, seed int64, length int, p MixedParams) *Mixed {
-	m := &Mixed{base: newBase(name, seed, length), p: p}
+	m := &Mixed{base: newBase(name, seed, length, p.GapMean), p: p}
 	// The seeds are placeholders: nextPhase re-seeds before any use.
 	m.kinds = [3]phaseSource{
 		NewStream(name, 0, length, StreamParams{

@@ -2,6 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"pmp/internal/mem"
@@ -58,6 +64,51 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	for i, r := range back.Records() {
 		if r != recs[i] {
 			t.Errorf("record %d = %+v, want %+v", i, r, recs[i])
+		}
+	}
+}
+
+// TestWriteRefusesWhatReadersReject checks Write's limits: a name of
+// maxNameBytes round-trips through Write, Read, OpenFile and Stat; a
+// longer one, or a record count beyond 32 bits, is refused with
+// ErrBadFormat before any byte is written.
+func TestWriteRefusesWhatReadersReject(t *testing.T) {
+	recs := []Record{{PC: 1, Addr: 64, Gap: 2}}
+	long := strings.Repeat("n", maxNameBytes)
+	var buf bytes.Buffer
+	if err := Write(&buf, NewTrace(long, recs)); err != nil {
+		t.Fatalf("Write with a %d-byte name: %v", len(long), err)
+	}
+	path := filepath.Join(t.TempDir(), "long.pmpt")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Read(&buf)
+	if err != nil || back.Name() != long || back.Len() != 1 || back.Records()[0] != recs[0] {
+		t.Fatalf("Read of a %d-byte name: %v", len(long), err)
+	}
+	if inf, err := Stat(path); err != nil || inf.Name != long {
+		t.Fatalf("Stat of a %d-byte name: %v", len(long), err)
+	}
+	src, err := OpenFile(path)
+	if err != nil {
+		t.Fatalf("OpenFile of a %d-byte name: %v", len(long), err)
+	}
+	drainAndCompare(t, src, back)
+	src.Close()
+
+	buf.Reset()
+	err = Write(&buf, NewTrace(long+"n", recs))
+	if !errors.Is(err, ErrBadFormat) || buf.Len() != 0 {
+		t.Errorf("Write with a %d-byte name: error %v, %d bytes written", len(long)+1, err, buf.Len())
+	}
+
+	if err := checkWritable("t", math.MaxUint32); err != nil {
+		t.Errorf("checkWritable at 2^32-1 records: %v", err)
+	}
+	if n := uint64(math.MaxUint32) + 1; uint64(int(n)) == n {
+		if err := checkWritable("t", int(n)); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("checkWritable at 2^32 records: %v", err)
 		}
 	}
 }
@@ -300,6 +351,42 @@ func TestByName(t *testing.T) {
 	for _, name := range []string{"", "no-such-trace", "ext-a"} {
 		if _, ok := ByName(name); ok {
 			t.Errorf("ByName(%q) resolved", name)
+		}
+	}
+}
+
+// BenchmarkGenerators times one record per iteration from one suite
+// trace of each archetype.
+func BenchmarkGenerators(b *testing.B) {
+	for _, name := range []string{
+		"spec06.stream-0", "spec06.stride-1", "spec06.mcf-2",
+		"spec06.chase-3", "ligra.graph-200", "spec17.mix-103",
+	} {
+		sp, ok := ByName(name)
+		if !ok {
+			b.Fatalf("no trace %s", name)
+		}
+		b.Run(name, func(b *testing.B) {
+			src := sp.New(1 << 20)
+			b.ResetTimer()
+			for range b.N {
+				if _, ok := src.Next(); !ok {
+					src.Reset()
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkWrite times Write per record on a 100,000-record trace.
+func BenchmarkWrite(b *testing.B) {
+	sp, _ := ByName("spec06.mcf-2")
+	tr := Collect(sp.New(100000), 0)
+	b.SetBytes(int64(tr.Len() * recordSize))
+	b.ResetTimer()
+	for range b.N {
+		if err := Write(io.Discard, tr); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
