@@ -30,13 +30,8 @@ func main() {
 	traceName := flag.String("trace", "spec06.stream-0", "suite trace name (see -list-traces)")
 	file := flag.String("file", "", "trace file path (overrides -trace)")
 	records := flag.Int("records", 500_000, "records to generate for suite traces")
-	warmup := flag.Uint64("warmup", 200_000, "warm-up instructions")
-	measure := flag.Uint64("measure", 0, "measured instructions (0 = rest of trace)")
-	mtps := flag.Int("bandwidth", 3200, "DRAM transfer rate in MT/s")
-	llcMB := flag.Int("llc", 2, "LLC size in MB")
+	machineConfig := machineFlags(flag.CommandLine)
 	llcpf := flag.String("llcpf", "", "additionally attach a prefetcher at the LLC (trains on LLC accesses, fills LLC)")
-	nonInclusive := flag.Bool("noninclusive", false, "make the LLC non-inclusive (no back-invalidation), as in ChampSim's default")
-	noL2 := flag.Bool("no-l2", false, "run a 2-level hierarchy (private L1D directly over the LLC)")
 	baseline := flag.Bool("baseline", false, "also run the non-prefetching baseline and report NIPC")
 	traceLifecycle := flag.Bool("trace-lifecycle", false, "track every prefetch from issue to resolution and report timely/late/useless/redundant counts with fill-to-use slack")
 	lifecycleJSONL := flag.String("lifecycle-jsonl", "", "write one JSON object per resolved prefetch lifecycle to this file (implies -trace-lifecycle)")
@@ -60,21 +55,15 @@ func main() {
 		return
 	}
 
+	cfg, err := machineConfig()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pmpsim:", err)
+		os.Exit(2)
+	}
 	src, err := openSource(*file, *traceName, *records)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-
-	cfg := sim.DefaultConfig().WithBandwidth(*mtps).WithLLCMB(*llcMB)
-	cfg.Warmup = *warmup
-	cfg.Measure = *measure
-	cfg.NonInclusiveLLC = *nonInclusive
-	if *noL2 {
-		cfg.Levels = []sim.LevelSpec{
-			{Cache: cfg.L1D},
-			{Cache: cfg.LLC, Shared: true, Inclusive: !*nonInclusive},
-		}
 	}
 
 	pf, err := buildVariant(*pfName)
@@ -114,6 +103,33 @@ func main() {
 		fmt.Printf("\nbaseline IPC %.4f -> NIPC %.4f, NMT %.1f%%\n",
 			base.IPC(), res.IPC()/base.IPC(),
 			100*float64(res.DRAM.Requests)/float64(base.DRAM.Requests))
+	}
+}
+
+// machineFlags registers the flags that shape the simulated machine on
+// fs. The function it returns builds the configuration they describe
+// and validates it, so a bad value (an LLC size that is not a power of
+// two, a zero bandwidth) is an error rather than a panic in
+// sim.NewMachineAt.
+func machineFlags(fs *flag.FlagSet) func() (sim.Config, error) {
+	warmup := fs.Uint64("warmup", 200_000, "warm-up instructions")
+	measure := fs.Uint64("measure", 0, "measured instructions (0 = rest of trace)")
+	mtps := fs.Int("bandwidth", 3200, "DRAM transfer rate in MT/s")
+	llcMB := fs.Int("llc", 2, "LLC size in MB")
+	nonInclusive := fs.Bool("noninclusive", false, "make the LLC non-inclusive (no back-invalidation), as in ChampSim's default")
+	noL2 := fs.Bool("no-l2", false, "run a 2-level hierarchy (private L1D directly over the LLC)")
+	return func() (sim.Config, error) {
+		cfg := sim.DefaultConfig().WithBandwidth(*mtps).WithLLCMB(*llcMB)
+		cfg.Warmup = *warmup
+		cfg.Measure = *measure
+		cfg.NonInclusiveLLC = *nonInclusive
+		if *noL2 {
+			cfg.Levels = []sim.LevelSpec{
+				{Cache: cfg.L1D},
+				{Cache: cfg.LLC, Shared: true, Inclusive: !*nonInclusive},
+			}
+		}
+		return cfg, cfg.Validate()
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -19,16 +20,12 @@ import (
 	"pmp/internal/prefetchers/bingo"
 	"pmp/internal/prefetchers/bop"
 	"pmp/internal/prefetchers/dspatch"
-	"pmp/internal/prefetchers/ghb"
-	"pmp/internal/prefetchers/isb"
-	"pmp/internal/prefetchers/misb"
 	"pmp/internal/prefetchers/nextline"
 	"pmp/internal/prefetchers/pythia"
 	"pmp/internal/prefetchers/sandbox"
 	"pmp/internal/prefetchers/smsref"
 	"pmp/internal/prefetchers/spp"
 	"pmp/internal/prefetchers/stride"
-	"pmp/internal/prefetchers/triage"
 	"pmp/internal/prefetchers/vldp"
 	"pmp/internal/runspec"
 	"pmp/internal/sim"
@@ -89,10 +86,6 @@ const (
 	NameSandbox  = "sandbox"
 	NameVLDP     = "vldp"
 	NameSMS      = "sms"
-	NameGHB      = "ghb"
-	NameISB      = "isb"
-	NameMISB     = "misb"
-	NameTriage   = "triage"
 )
 
 // EvalNames returns the paper's five evaluated prefetchers in
@@ -104,19 +97,22 @@ func EvalNames() []string {
 // RelatedNames returns the additional prefetchers from the paper's
 // related-work section implemented in this repository.
 func RelatedNames() []string {
-	return []string{
-		NameNextline, NameStride, NameBOP, NameSandbox, NameVLDP,
-		NameSMS, NameGHB, NameISB, NameMISB, NameTriage,
-	}
+	return []string{NameNextline, NameStride, NameBOP, NameSandbox, NameVLDP, NameSMS}
 }
 
-// Names lists every registered prefetcher name.
+// Names lists every registered prefetcher name: the baseline, the
+// related-work designs, the evaluated designs and PMP-Limit.
 func Names() []string {
-	return []string{
-		NameNone, NameNextline, NameStride, NameBOP, NameSandbox, NameVLDP,
-		NameSMS, NameGHB, NameISB, NameMISB, NameTriage, NameDSPatch,
-		NameBingo, NameSPPPPF, NamePythia, NamePMP, NamePMPLimit,
-	}
+	names := append([]string{NameNone}, RelatedNames()...)
+	names = append(names, EvalNames()...)
+	return append(names, NamePMPLimit)
+}
+
+// registered reports whether name is in Names without building the
+// list, which would cost allocations on every job.
+func registered(name string) bool {
+	return name == NameNone || name == NamePMPLimit ||
+		slices.Contains(RelatedNames(), name) || slices.Contains(EvalNames(), name)
 }
 
 // NewPrefetcher constructs a fresh prefetcher by name; it panics on an
@@ -138,14 +134,6 @@ func NewPrefetcher(name string) prefetch.Prefetcher {
 		return vldp.New(vldp.DefaultConfig())
 	case NameSMS:
 		return smsref.New(smsref.DefaultConfig())
-	case NameGHB:
-		return ghb.New(ghb.DefaultConfig())
-	case NameISB:
-		return isb.New(isb.DefaultConfig())
-	case NameMISB:
-		return misb.New(misb.DefaultConfig())
-	case NameTriage:
-		return triage.New(triage.DefaultConfig())
 	case NameDSPatch:
 		return dspatch.New(dspatch.DefaultConfig())
 	case NameBingo:

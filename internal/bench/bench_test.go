@@ -281,7 +281,7 @@ func TestSweepRunnersProduceRows(t *testing.T) {
 		{"TableIX", TableIX(r), 3},
 		{"TableXI", TableXI(r), 4},
 		{"Thresholds", Thresholds(r), 6},
-		{"Related", Related(r), 11},
+		{"Related", Related(r), 7},
 		{"Placement", Placement(r), 2},
 	}
 	for _, c := range cases {

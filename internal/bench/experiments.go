@@ -640,7 +640,7 @@ func Related(r *Runner) *Table {
 	t.Notes = append(t.Notes,
 		"constant-stride designs (nextline/stride/BOP/Sandbox) are cheap but miss complex patterns (§VI-A);",
 		"VLDP shares delta history; SMS replays stored per-event patterns (PMP's starting point);",
-		"temporal designs (GHB/ISB) need recurring miss sequences and sit idle on streaming subsets (§VI-C)")
+		"temporal designs (GHB/ISB/MISB/Triage, §VI-C) are retired: they need recurring miss sequences, which no suite trace has (docs/prefetchers.md)")
 	return t
 }
 

@@ -24,14 +24,7 @@ func variantMaker(v VariantSpec) (func() prefetch.Prefetcher, error) {
 	}
 	switch {
 	case v.Registry != "":
-		known := false
-		for _, n := range Names() {
-			if v.Registry == n {
-				known = true
-				break
-			}
-		}
-		if !known {
+		if !registered(v.Registry) {
 			return nil, fmt.Errorf("bench: variant %q: unknown registry prefetcher %q", v.Name, v.Registry)
 		}
 		name := v.Registry

@@ -118,10 +118,8 @@ func regionVariant(regionBytes int) VariantSpec {
 // Unknown names are an error, so a stale caller fails loudly instead
 // of silently describing the wrong design.
 func ParseVariant(name string) (VariantSpec, error) {
-	for _, known := range Names() {
-		if name == known {
-			return RegistryVariant(name), nil
-		}
+	if registered(name) {
+		return RegistryVariant(name), nil
 	}
 	for _, ab := range pmpAblations {
 		if name == ab.Name {
