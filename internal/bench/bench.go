@@ -39,18 +39,20 @@ import (
 // so the full harness completes in minutes, preserving relative
 // behaviour.
 type Scale struct {
-	Traces  int    // suite traces used (Representative subset)
+	Traces  int    // n of the trace.Representative(n) subset, which may hold fewer traces
 	Records int    // trace records generated per trace
 	Warmup  uint64 // warm-up instructions
 	Measure uint64 // measured instructions (0 = rest of trace)
 }
 
-// QuickScale is sized for unit tests and smoke benchmarks.
+// QuickScale is sized for unit tests and smoke benchmarks. It runs 5
+// traces.
 func QuickScale() Scale {
 	return Scale{Traces: 6, Records: 60_000, Warmup: 40_000, Measure: 150_000}
 }
 
-// DefaultScale is the standard reduced evaluation.
+// DefaultScale is the standard reduced evaluation. It runs 14 traces:
+// 4 SPEC06, 4 SPEC17, 5 Ligra and 1 PARSEC.
 func DefaultScale() Scale {
 	return Scale{Traces: 16, Records: 250_000, Warmup: 150_000, Measure: 800_000}
 }
@@ -125,23 +127,23 @@ func NewPrefetcher(name string) prefetch.Prefetcher {
 	case NameNextline:
 		return nextline.New(1)
 	case NameStride:
-		return stride.New(stride.DefaultConfig())
+		return stride.New()
 	case NameBOP:
-		return bop.New(bop.DefaultConfig())
+		return bop.New()
 	case NameSandbox:
-		return sandbox.New(sandbox.DefaultConfig())
+		return sandbox.New()
 	case NameVLDP:
-		return vldp.New(vldp.DefaultConfig())
+		return vldp.New()
 	case NameSMS:
-		return smsref.New(smsref.DefaultConfig())
+		return smsref.New()
 	case NameDSPatch:
-		return dspatch.New(dspatch.DefaultConfig())
+		return dspatch.New()
 	case NameBingo:
 		return bingo.New(bingo.DefaultConfig())
 	case NameSPPPPF:
-		return spp.New(spp.DefaultConfig())
+		return spp.New()
 	case NamePythia:
-		return pythia.New(pythia.DefaultConfig())
+		return pythia.New()
 	case NamePMP:
 		return core.New(core.DefaultConfig())
 	case NamePMPLimit:

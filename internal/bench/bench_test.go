@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
@@ -30,6 +31,27 @@ func TestScalesAreOrdered(t *testing.T) {
 	}
 	if err := q.Config().Validate(); err != nil {
 		t.Errorf("quick config invalid: %v", err)
+	}
+}
+
+// TestScaleSubsetSizes pins how many traces each scale runs:
+// trace.Representative floors every family's quota, so a scale runs
+// fewer traces than its Traces field asks for.
+func TestScaleSubsetSizes(t *testing.T) {
+	fams := map[trace.Family]int{}
+	for _, sp := range DefaultScale().Specs() {
+		fams[sp.Family]++
+	}
+	want := map[trace.Family]int{trace.SPEC06: 4, trace.SPEC17: 4, trace.Ligra: 5, trace.PARSEC: 1}
+	if !maps.Equal(fams, want) {
+		t.Errorf("DefaultScale families = %v, want %v (14 traces)", fams, want)
+	}
+	if n := len(QuickScale().Specs()); n != 5 {
+		t.Errorf("QuickScale runs %d traces, want 5", n)
+	}
+	sub := (&Runner{Scale: DefaultScale()}).subRunner()
+	if n := len(sub.Specs()); n != 7 {
+		t.Errorf("DefaultScale sweep subset runs %d traces, want 7", n)
 	}
 }
 
@@ -118,6 +140,41 @@ func TestStorageExperiment(t *testing.T) {
 	}
 	if r := pythia / pmp; r < 4 || r > 9 {
 		t.Errorf("Pythia/PMP storage ratio = %.1f, want ~6", r)
+	}
+}
+
+// TestRegistryStorageBits pins every registered design's storage
+// model. StorageBits enters no simulated result, so the golden digests
+// cannot see a mistyped table size; only T3's and REL's storage columns
+// would move.
+func TestRegistryStorageBits(t *testing.T) {
+	want := map[string]int{
+		NameNone:     0,
+		NameNextline: 256,
+		NameStride:   3_968,
+		NameBOP:      3_324,
+		NameSandbox:  2_212,
+		NameVLDP:     9_216,
+		NameSMS:      140_800,
+		NameDSPatch:  15_360,
+		NameBingo:    1_086_976,
+		NameSPPPPF:   303_616,
+		NamePythia:   189_696,
+		NamePMP:      34_912,
+		NamePMPLimit: 34_912,
+	}
+	for _, name := range Names() {
+		w, ok := want[name]
+		if !ok {
+			t.Errorf("%s: no pinned storage", name)
+			continue
+		}
+		if got := NewPrefetcher(name).StorageBits(); got != w {
+			t.Errorf("%s: StorageBits = %d, want %d", name, got, w)
+		}
+	}
+	if len(want) != len(Names()) {
+		t.Errorf("pinned %d names, registry has %d", len(want), len(Names()))
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 
 // subRunner returns a runner over a reduced trace subset for
 // parameter sweeps (the paper also evaluates ablations on the same
-// suite; we trim for wall-clock). It submits to the parent's
+// suite; we trim for wall-clock): Representative(8), 7 traces at
+// DefaultScale. It submits to the parent's
 // scheduler, so sweep-subset jobs interleave with — and deduplicate
 // against — every other experiment's jobs.
 func (r *Runner) subRunner() *Runner {

@@ -8,7 +8,7 @@
 // recently completed; during a learning round each candidate offset d
 // scores a point when the current access X hits X-d in the RR table
 // (meaning a prefetch at offset d would have been timely). When a
-// candidate reaches ScoreMax, or the round ends, the best offset is
+// candidate reaches scoreMax, or the round ends, the best offset is
 // adopted for the next round.
 package bop
 
@@ -17,34 +17,25 @@ import (
 	"pmp/internal/prefetch"
 )
 
-// Config tunes BOP.
-type Config struct {
-	Offsets  []int // candidate offsets (classic list has ±1..8, 10, 12...)
-	RRSize   int   // recent-requests table entries (power of two)
-	ScoreMax int   // early-exit score
-	RoundMax int   // accesses per learning round
-	BadScore int   // below this, prefetching pauses for the round
-}
+// BOP's parameters, close to the original's.
+const (
+	rrBits   = 8 // log2 of the recent-requests table's entries
+	rrSize   = 1 << rrBits
+	scoreMax = 31  // early-exit score
+	roundMax = 100 // learning-round length, in tests per candidate
+	badScore = 1   // at or below this, prefetching pauses for the round
+)
 
-// DefaultConfig returns a configuration close to the original.
-func DefaultConfig() Config {
-	return Config{
-		Offsets: []int{
-			1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16,
-			-1, -2, -3, -4, -6, -8,
-		},
-		RRSize:   256,
-		ScoreMax: 31,
-		RoundMax: 100,
-		BadScore: 1,
-	}
+// offsets are the candidate offsets, tested round-robin.
+var offsets = [...]int{
+	1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16,
+	-1, -2, -3, -4, -6, -8,
 }
 
 // Prefetcher is BOP. Construct with New.
 type Prefetcher struct {
-	cfg    Config
-	rr     []uint64 // hashed line tags
-	scores []int
+	rr     [rrSize]uint64 // hashed line tags
+	scores [len(offsets)]int
 	cursor int // round-robin test cursor (one candidate per access)
 	round  int
 	best   int  // current best offset
@@ -52,22 +43,10 @@ type Prefetcher struct {
 	q      *prefetch.OutQueue
 }
 
-// New constructs BOP; it panics on an empty offset list.
-func New(cfg Config) *Prefetcher {
-	if len(cfg.Offsets) == 0 {
-		panic("bop: need candidate offsets")
-	}
-	if cfg.RRSize < 16 {
-		cfg.RRSize = 16
-	}
-	for cfg.RRSize&(cfg.RRSize-1) != 0 {
-		cfg.RRSize++
-	}
+// New constructs BOP.
+func New() *Prefetcher {
 	return &Prefetcher{
-		cfg:    cfg,
-		rr:     make([]uint64, cfg.RRSize),
-		scores: make([]int, len(cfg.Offsets)),
-		best:   cfg.Offsets[0],
+		best:   offsets[0],
 		active: true,
 		q:      prefetch.NewOutQueue(16),
 	}
@@ -77,7 +56,7 @@ func New(cfg Config) *Prefetcher {
 func (p *Prefetcher) Name() string { return "bop" }
 
 func (p *Prefetcher) rrIndex(line uint64) int {
-	return int(mem.FoldXOR(mem.Mix64(line), mem.CeilLog2(p.cfg.RRSize)))
+	return int(mem.FoldXOR(mem.Mix64(line), rrBits))
 }
 
 // insertRR records a completed line fetch.
@@ -98,17 +77,17 @@ func (p *Prefetcher) Train(a prefetch.Access) {
 	// scores toward whichever candidate is examined right after a
 	// reset).
 	i := p.cursor
-	p.cursor = (p.cursor + 1) % len(p.cfg.Offsets)
-	if base := int64(line) - int64(p.cfg.Offsets[i]); base >= 0 && p.inRR(uint64(base)) {
+	p.cursor = (p.cursor + 1) % len(offsets)
+	if base := int64(line) - int64(offsets[i]); base >= 0 && p.inRR(uint64(base)) {
 		p.scores[i]++
 	}
 	adopted := false
-	if p.scores[i] >= p.cfg.ScoreMax {
+	if p.scores[i] >= scoreMax {
 		p.adopt(i)
 		adopted = true
 	}
 	p.round++
-	if !adopted && p.round >= p.cfg.RoundMax*len(p.cfg.Offsets) {
+	if !adopted && p.round >= roundMax*len(offsets) {
 		best := 0
 		for j := range p.scores {
 			if p.scores[j] > p.scores[best] {
@@ -139,8 +118,8 @@ func (p *Prefetcher) Train(a prefetch.Access) {
 
 // adopt ends the round, selecting candidate i.
 func (p *Prefetcher) adopt(i int) {
-	p.best = p.cfg.Offsets[i]
-	p.active = p.scores[i] > p.cfg.BadScore
+	p.best = offsets[i]
+	p.active = p.scores[i] > badScore
 	for j := range p.scores {
 		p.scores[j] = 0
 	}
@@ -163,5 +142,5 @@ func (p *Prefetcher) OnFill(mem.Addr, prefetch.Level, bool) {}
 // StorageBits implements prefetch.Prefetcher: the RR table tags plus
 // per-candidate scores (the original reports well under 1KB).
 func (p *Prefetcher) StorageBits() int {
-	return p.cfg.RRSize*12 + len(p.cfg.Offsets)*(8+6)
+	return rrSize*12 + len(offsets)*(8+6)
 }

@@ -12,21 +12,14 @@ func access(p *Prefetcher, line uint64) []prefetch.Request {
 	return p.IssueInto(nil, 16)
 }
 
-// testConfig trims the candidate list so learning rounds finish fast
-// (one candidate is tested per access, round-robin).
-func testConfig() Config {
-	cfg := DefaultConfig()
-	cfg.Offsets = []int{1, 3, -2}
-	cfg.ScoreMax = 15
-	cfg.RoundMax = 40
-	return cfg
-}
-
 func TestBOPAdoptsDominantOffset(t *testing.T) {
-	p := New(testConfig())
-	// Stride-3 stream long enough for offset 3 to win a learning round.
+	p := New()
+	// On a stride-3 stream every multiple of 3 scores, and 3 is the
+	// first of them in each round-robin cycle through the candidates,
+	// so it reaches scoreMax first: scoreMax cycles end the first round
+	// on it.
 	line := uint64(64)
-	for i := 0; i < 400; i++ {
+	for i := 0; i < scoreMax*len(offsets); i++ {
 		access(p, line)
 		line += 3
 	}
@@ -38,15 +31,17 @@ func TestBOPAdoptsDominantOffset(t *testing.T) {
 	if len(got) == 0 {
 		t.Fatal("adopted offset should prefetch")
 	}
-	if got[0].Addr.LineID() != line+3-3 && got[0].Addr.LineID() != line {
+	if got[0].Addr.LineID() != line {
 		t.Errorf("target line %d, want current+3", got[0].Addr.LineID())
 	}
 }
 
 func TestBOPNegativeOffset(t *testing.T) {
-	p := New(testConfig())
+	p := New()
+	// On a stride -2 stream every negative even offset scores, and -2
+	// is the first of them in the candidate list.
 	line := uint64(1 << 20)
-	for i := 0; i < 400; i++ {
+	for i := 0; i < scoreMax*len(offsets); i++ {
 		access(p, line)
 		line -= 2
 	}
@@ -56,11 +51,11 @@ func TestBOPNegativeOffset(t *testing.T) {
 }
 
 func TestBOPPausesOnRandom(t *testing.T) {
-	p := New(testConfig())
+	p := New()
 	// Pseudo-random lines spread far apart: no candidate scores, so the
 	// end-of-round adoption disables prefetching.
 	line := uint64(12345)
-	for i := 0; i < 400; i++ {
+	for i := 0; i < roundMax*len(offsets); i++ {
 		access(p, line)
 		line = line*6364136223846793005 + 1442695040888963407
 		line %= 1 << 30
@@ -71,7 +66,7 @@ func TestBOPPausesOnRandom(t *testing.T) {
 }
 
 func TestBOPStaysInPage(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	for i := 0; i < 400; i++ {
 		access(p, uint64(i))
 	}
@@ -86,17 +81,8 @@ func TestBOPStaysInPage(t *testing.T) {
 }
 
 func TestBOPStorageTiny(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	if kb := float64(p.StorageBits()) / 8 / 1024; kb > 1 {
 		t.Errorf("BOP storage = %.2f KB, should be well under 1KB", kb)
 	}
-}
-
-func TestBOPPanicsWithoutOffsets(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("empty offset list accepted")
-		}
-	}()
-	New(Config{})
 }

@@ -21,28 +21,18 @@ import (
 	"pmp/internal/sms"
 )
 
-// Config sizes DSPatch.
-type Config struct {
-	RegionBytes int
-	SPTEntries  int // signature prediction table entries (power of two)
-	// UselessHigh is the recent-useless fraction above which DSPatch
+// DSPatch's geometry, after the paper's ~3.6KB budget: 64 SPT
+// entries of dual 64-bit vectors over 4KB regions, behind the shared
+// capture framework's filter and accumulation tables.
+const (
+	regionBytes = mem.DefaultRegion
+	sptEntries  = 64 // signature prediction table entries (power of two)
+	// uselessHigh is the recent-useless fraction above which DSPatch
 	// switches from CovP to AccP.
-	UselessHigh    float64
-	FTSets, FTWays int
-	ATSets, ATWays int
-}
-
-// DefaultConfig matches the paper's ~3.6KB budget: 64 SPT entries of
-// dual 64-bit vectors over 4KB regions.
-func DefaultConfig() Config {
-	return Config{
-		RegionBytes: mem.DefaultRegion,
-		SPTEntries:  64,
-		UselessHigh: 0.5,
-		FTSets:      8, FTWays: 8,
-		ATSets: 2, ATWays: 16,
-	}
-}
+	uselessHigh    = 0.5
+	ftSets, ftWays = 8, 8
+	atSets, atWays = 2, 16
+)
 
 type sptEntry struct {
 	valid   bool
@@ -53,10 +43,9 @@ type sptEntry struct {
 
 // Prefetcher is DSPatch. Construct with New.
 type Prefetcher struct {
-	cfg    Config
 	region mem.Region
 	fw     *sms.Framework
-	spt    []sptEntry
+	spt    [sptEntries]sptEntry
 	q      *prefetch.OutQueue
 
 	// bandwidth-pressure proxy: sliding outcome window
@@ -65,22 +54,17 @@ type Prefetcher struct {
 	outcomeN   int
 }
 
-// New constructs DSPatch; it panics on an invalid configuration.
-func New(cfg Config) *Prefetcher {
-	if cfg.SPTEntries < 1 || cfg.SPTEntries&(cfg.SPTEntries-1) != 0 {
-		panic("dspatch: SPT entries must be a positive power of two")
-	}
-	region := mem.NewRegion(cfg.RegionBytes)
+// New constructs DSPatch.
+func New() *Prefetcher {
+	region := mem.NewRegion(regionBytes)
 	return &Prefetcher{
-		cfg:    cfg,
 		region: region,
 		fw: sms.New(sms.Config{
 			Region: region,
-			FTSets: cfg.FTSets, FTWays: cfg.FTWays,
-			ATSets: cfg.ATSets, ATWays: cfg.ATWays,
+			FTSets: ftSets, FTWays: ftWays,
+			ATSets: atSets, ATWays: atWays,
 		}),
-		spt: make([]sptEntry, cfg.SPTEntries),
-		q:   prefetch.NewOutQueue(2 * region.Lines()),
+		q: prefetch.NewOutQueue(2 * region.Lines()),
 	}
 }
 
@@ -88,7 +72,7 @@ func New(cfg Config) *Prefetcher {
 func (p *Prefetcher) Name() string { return "dspatch" }
 
 func (p *Prefetcher) sigIndex(pc uint64) int {
-	return int(mem.Mix64(pc) & uint64(p.cfg.SPTEntries-1))
+	return int(mem.Mix64(pc) & (sptEntries - 1))
 }
 
 // Train implements prefetch.Prefetcher.
@@ -154,7 +138,7 @@ func (p *Prefetcher) predict(trig sms.Trigger) {
 		return
 	}
 	pattern := e.covP
-	if p.uselessRatio() >= p.cfg.UselessHigh {
+	if p.uselessRatio() >= uselessHigh {
 		pattern = e.accP
 	}
 	n := p.region.Lines()
@@ -181,5 +165,5 @@ func (p *Prefetcher) IssueInto(dst []prefetch.Request, max int) []prefetch.Reque
 // training counter per SPT entry, plus the capture framework.
 func (p *Prefetcher) StorageBits() int {
 	entry := 2*p.region.Lines() + 8
-	return p.cfg.SPTEntries*entry + p.fw.StorageBits()
+	return sptEntries*entry + p.fw.StorageBits()
 }

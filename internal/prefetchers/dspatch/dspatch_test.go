@@ -24,7 +24,7 @@ func teach(p *Prefetcher, pc uint64, start uint64, rounds int, offsets []int) {
 }
 
 func TestDSPatchLearnsAndReplays(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	teach(p, 0x400, 0, 5, []int{0, 1, 2})
 	p.Train(prefetch.Access{PC: 0x400, Addr: addr(1000, 0)})
 	got := p.IssueInto(nil, 64)
@@ -45,7 +45,7 @@ func TestDSPatchLearnsAndReplays(t *testing.T) {
 // CovP is the union: alternating patterns replay the OR when bandwidth
 // is plentiful.
 func TestDSPatchCovPIsUnion(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	teach(p, 0x400, 0, 3, []int{0, 1})
 	teach(p, 0x400, 100, 3, []int{0, 2})
 	p.Train(prefetch.Access{PC: 0x400, Addr: addr(1000, 0)})
@@ -58,7 +58,7 @@ func TestDSPatchCovPIsUnion(t *testing.T) {
 // Under high useless pressure DSPatch switches to AccP: the AND of the
 // alternating patterns is just the trigger, so nothing is prefetched.
 func TestDSPatchSwitchesToAccPUnderPressure(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	teach(p, 0x400, 0, 3, []int{0, 1})
 	teach(p, 0x400, 100, 3, []int{0, 2})
 	for i := 0; i < 64; i++ {
@@ -71,7 +71,7 @@ func TestDSPatchSwitchesToAccPUnderPressure(t *testing.T) {
 }
 
 func TestDSPatchAnchorsOnTrigger(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	// Pattern learned at trigger 10: +1, +2.
 	teach(p, 0x400, 0, 5, []int{10, 11, 12})
 	// Replay at trigger 20: targets shift with the trigger.
@@ -89,7 +89,7 @@ func TestDSPatchAnchorsOnTrigger(t *testing.T) {
 }
 
 func TestDSPatchNeedsTraining(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	teach(p, 0x400, 0, 1, []int{0, 1}) // single observation
 	p.Train(prefetch.Access{PC: 0x400, Addr: addr(1000, 0)})
 	if got := p.IssueInto(nil, 64); len(got) != 0 {
@@ -98,21 +98,10 @@ func TestDSPatchNeedsTraining(t *testing.T) {
 }
 
 func TestDSPatchStorageBudget(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	kb := float64(p.StorageBits()) / 8 / 1024
 	// Paper Table V: 3.6KB. Allow modeling slack.
 	if kb < 1 || kb > 5 {
 		t.Errorf("storage = %.2f KB, want near 3.6", kb)
 	}
-}
-
-func TestDSPatchBadConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("non-power-of-two SPT accepted")
-		}
-	}()
-	cfg := DefaultConfig()
-	cfg.SPTEntries = 7
-	New(cfg)
 }

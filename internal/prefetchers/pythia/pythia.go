@@ -18,41 +18,23 @@ import (
 	"pmp/internal/prefetch"
 )
 
-// Config sizes and tunes Pythia.
-type Config struct {
-	StateBits int // log2 of Q-table rows per feature plane
-	// Actions is the candidate offset-delta list; index 0 must be the
-	// no-prefetch action (delta 0).
-	Actions []int
+// Pythia's parameters, near the original's scale (~25.5KB in the
+// paper's Table V).
+const (
+	stateBits  = 10          // log2 of Q-table rows per feature plane
+	alpha      = 0.0065 * 16 // learning rate, scaled for tabular convergence at trace lengths
+	gamma      = 0.55        // discount for the SARSA bootstrap
+	epsilonInv = 100         // explore every epsilonInv-th decision
+	eqSize     = 256         // evaluation queue: in-flight actions awaiting outcomes
 
-	Alpha      float64 // learning rate
-	Gamma      float64 // discount for the SARSA bootstrap
-	EpsilonInv int     // explore every EpsilonInv-th decision
+	rewardAccurate   float64 = 20
+	rewardInaccurate float64 = -8
+	rewardNoPrefetch float64 = -2
+)
 
-	RewardAccurate   float64
-	RewardInaccurate float64
-	RewardNoPrefetch float64
-
-	EQSize int // evaluation queue: in-flight actions awaiting outcomes
-}
-
-// DefaultConfig returns a configuration near the original's scale
-// (~25.5KB in the paper's Table V).
-func DefaultConfig() Config {
-	return Config{
-		StateBits:  10,
-		Actions:    []int{0, 1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 24, 32, -1, -2, -3, -6},
-		Alpha:      0.0065 * 16, // scaled for tabular convergence at trace lengths
-		Gamma:      0.55,
-		EpsilonInv: 100,
-
-		RewardAccurate:   20,
-		RewardInaccurate: -8,
-		RewardNoPrefetch: -2,
-
-		EQSize: 256,
-	}
-}
+// actions are the candidate offset deltas; index 0 is the no-prefetch
+// action (delta 0).
+var actions = [...]int{0, 1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 24, 32, -1, -2, -3, -6}
 
 type eqEntry struct {
 	valid  bool
@@ -64,16 +46,15 @@ type eqEntry struct {
 
 // Prefetcher is Pythia. Construct with New.
 type Prefetcher struct {
-	cfg Config
 	// Two Q-value planes (feature 1: PC+Delta, feature 2: PC+Offset);
 	// the action value is their sum, as in the original QVStore. Each
 	// plane is flat: state s's value for action a is at
-	// s*len(Actions)+a (see cell).
-	q1 []float64
-	q2 []float64
+	// s*len(actions)+a (see cell).
+	q1 [len(actions) << stateBits]float64
+	q2 [len(actions) << stateBits]float64
 
 	lastLine map[uint64]uint64 // page -> last line (for delta feature)
-	eq       []eqEntry
+	eq       [eqSize]eqEntry
 	eqIdx    int
 	decision uint64
 	out      *prefetch.OutQueue
@@ -85,22 +66,10 @@ type Prefetcher struct {
 	prevAction int
 }
 
-// New constructs Pythia; it panics on a config without a no-prefetch
-// action.
-func New(cfg Config) *Prefetcher {
-	if len(cfg.Actions) == 0 || cfg.Actions[0] != 0 {
-		panic("pythia: Actions[0] must be the no-prefetch action (0)")
-	}
-	if cfg.StateBits < 4 || cfg.StateBits > 20 {
-		panic("pythia: StateBits must be in [4, 20]")
-	}
-	cells := len(cfg.Actions) << cfg.StateBits
+// New constructs Pythia.
+func New() *Prefetcher {
 	return &Prefetcher{
-		cfg:      cfg,
-		q1:       make([]float64, cells),
-		q2:       make([]float64, cells),
 		lastLine: make(map[uint64]uint64, 4096),
-		eq:       make([]eqEntry, cfg.EQSize),
 		out:      prefetch.NewOutQueue(8),
 	}
 }
@@ -119,14 +88,14 @@ func (p *Prefetcher) states(a prefetch.Access) (uint32, uint32) {
 	if len(p.lastLine) > 8192 {
 		clear(p.lastLine) // bounded state, as hardware would have
 	}
-	s1 := uint32(mem.FoldXOR(mem.Mix64(a.PC^uint64(delta)<<40), p.cfg.StateBits))
-	s2 := uint32(mem.FoldXOR(mem.Mix64(a.PC^uint64(a.Addr.PageOffset())<<48), p.cfg.StateBits))
+	s1 := uint32(mem.FoldXOR(mem.Mix64(a.PC^uint64(delta)<<40), stateBits))
+	s2 := uint32(mem.FoldXOR(mem.Mix64(a.PC^uint64(a.Addr.PageOffset())<<48), stateBits))
 	return s1, s2
 }
 
 // cell is the index of state s's value for action in a flat Q plane.
 func (p *Prefetcher) cell(s uint32, action int) int {
-	return int(s)*len(p.cfg.Actions) + action
+	return int(s)*len(actions) + action
 }
 
 func (p *Prefetcher) qval(s1, s2 uint32, action int) float64 {
@@ -135,7 +104,7 @@ func (p *Prefetcher) qval(s1, s2 uint32, action int) float64 {
 
 func (p *Prefetcher) bestAction(s1, s2 uint32) (int, float64) {
 	best, bestQ := 0, p.qval(s1, s2, 0)
-	for a := 1; a < len(p.cfg.Actions); a++ {
+	for a := 1; a < len(actions); a++ {
 		if q := p.qval(s1, s2, a); q > bestQ {
 			best, bestQ = a, q
 		}
@@ -151,29 +120,29 @@ func (p *Prefetcher) Train(a prefetch.Access) {
 	p.decision++
 
 	action, bestQ := p.bestAction(s1, s2)
-	if p.cfg.EpsilonInv > 0 && p.decision%uint64(p.cfg.EpsilonInv) == 0 {
+	if p.decision%epsilonInv == 0 {
 		// Deterministic exploration: rotate through actions.
-		action = int(p.decision/uint64(p.cfg.EpsilonInv)) % len(p.cfg.Actions)
+		action = int(p.decision/epsilonInv) % len(actions)
 		bestQ = p.qval(s1, s2, action)
 	}
 
 	// SARSA bootstrap for the previous decision: move its value a step
 	// toward the discounted value of the state that followed.
 	if p.hasPrev {
-		p.update(p.prevS1, p.prevS2, p.prevAction, p.cfg.Gamma*bestQ)
+		p.update(p.prevS1, p.prevS2, p.prevAction, gamma*bestQ)
 	}
 	p.hasPrev, p.prevS1, p.prevS2, p.prevAction = true, s1, s2, action
 
-	delta := p.cfg.Actions[action]
+	delta := actions[action]
 	if delta == 0 {
 		// No-prefetch: mild negative reward keeps the agent exploring
 		// prefetch actions on prefetchable streams.
-		p.update(s1, s2, action, p.cfg.RewardNoPrefetch)
+		p.update(s1, s2, action, rewardNoPrefetch)
 		return
 	}
 	target := int64(a.Addr.LineID()) + int64(delta)
 	if target < 0 || mem.Addr(target*mem.LineBytes).PageID() != a.Addr.PageID() {
-		p.update(s1, s2, action, p.cfg.RewardInaccurate)
+		p.update(s1, s2, action, rewardInaccurate)
 		return
 	}
 	line := mem.Addr(target * mem.LineBytes)
@@ -186,7 +155,7 @@ func (p *Prefetcher) Train(a prefetch.Access) {
 // update applies one temporal-difference step moving the action's
 // value toward target.
 func (p *Prefetcher) update(s1, s2 uint32, action int, target float64) {
-	delta := p.cfg.Alpha * (target - p.qval(s1, s2, action))
+	delta := alpha * (target - p.qval(s1, s2, action))
 	// Split the update across the two feature planes.
 	p.q1[p.cell(s1, action)] += delta / 2
 	p.q2[p.cell(s2, action)] += delta / 2
@@ -208,9 +177,9 @@ func (p *Prefetcher) OnFill(line mem.Addr, _ prefetch.Level, useful bool) {
 	for i := range p.eq {
 		e := &p.eq[i]
 		if e.valid && e.line == line {
-			r := p.cfg.RewardInaccurate
+			r := rewardInaccurate
 			if useful {
-				r = p.cfg.RewardAccurate
+				r = rewardAccurate
 			}
 			p.update(e.state1, e.state2, e.action, r)
 			e.valid = false
@@ -223,8 +192,8 @@ func (p *Prefetcher) OnFill(line mem.Addr, _ prefetch.Level, useful bool) {
 // fixed-point action values plus the evaluation queue, near the
 // original's 25.5KB.
 func (p *Prefetcher) StorageBits() int {
-	rows := 1 << p.cfg.StateBits
-	qBits := 2 * rows * len(p.cfg.Actions) * 5 // 5b quantized Q values
-	eq := p.cfg.EQSize * (36 + 2*p.cfg.StateBits + 5)
+	rows := 1 << stateBits
+	qBits := 2 * rows * len(actions) * 5 // 5b quantized Q values
+	eq := eqSize * (36 + 2*stateBits + 5)
 	return qBits + eq
 }

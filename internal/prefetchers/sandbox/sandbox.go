@@ -11,70 +11,42 @@ import (
 	"pmp/internal/prefetch"
 )
 
-// Config tunes the sandbox prefetcher.
-type Config struct {
-	Offsets    []int // candidate offsets evaluated round-robin
-	FilterBits int   // bloom filter size in bits (power of two)
-	RoundLen   int   // accesses each candidate is sandboxed for
-	Threshold  int   // score needed to prefetch with a candidate
-	Degree     int   // prefetch degree once a candidate qualifies
-	// MaxQualified caps how many qualified offsets issue per access
+// The sandbox prefetcher's parameters, close to the original's.
+const (
+	filterBits = 2048         // bloom filter size in bits (power of two)
+	roundLen   = 256          // accesses each candidate is sandboxed for
+	threshold  = roundLen / 8 // score needed to prefetch with a candidate
+	degree     = 2            // prefetch degree once a candidate qualifies
+	// maxQualified caps how many qualified offsets issue per access
 	// (the original bounds aggregate prefetch aggressiveness).
-	MaxQualified int
-}
+	maxQualified = 2
+)
 
-// DefaultConfig returns a configuration close to the original.
-func DefaultConfig() Config {
-	return Config{
-		Offsets:      []int{1, 2, 3, 4, -1, -2, 6, 8},
-		FilterBits:   2048,
-		RoundLen:     256,
-		Threshold:    calcThreshold(256),
-		Degree:       2,
-		MaxQualified: 2,
-	}
-}
-
-func calcThreshold(roundLen int) int { return roundLen / 8 }
+// offsets are the candidate offsets, evaluated round-robin.
+var offsets = [...]int{1, 2, 3, 4, -1, -2, 6, 8}
 
 // Prefetcher is the sandbox prefetcher. Construct with New.
 type Prefetcher struct {
-	cfg    Config
-	filter []uint64 // bloom filter bitmap
-	cand   int      // candidate currently in the sandbox
+	filter [filterBits / 64]uint64 // bloom filter bitmap
+	cand   int                     // candidate currently in the sandbox
 	score  int
 	count  int
-	// qualified offsets and their degree-scaled scores from the last
-	// full cycle through the candidates
-	qualified map[int]bool
+	// qualified marks the candidates that qualified in their last
+	// sandbox round.
+	qualified [len(offsets)]bool
 	q         *prefetch.OutQueue
 }
 
-// New constructs a sandbox prefetcher; it panics on an empty offset
-// list.
-func New(cfg Config) *Prefetcher {
-	if len(cfg.Offsets) == 0 {
-		panic("sandbox: need candidate offsets")
-	}
-	if cfg.FilterBits < 64 {
-		cfg.FilterBits = 64
-	}
-	for cfg.FilterBits&(cfg.FilterBits-1) != 0 {
-		cfg.FilterBits++
-	}
-	return &Prefetcher{
-		cfg:       cfg,
-		filter:    make([]uint64, cfg.FilterBits/64),
-		qualified: map[int]bool{},
-		q:         prefetch.NewOutQueue(4 * cfg.Degree),
-	}
+// New constructs a sandbox prefetcher.
+func New() *Prefetcher {
+	return &Prefetcher{q: prefetch.NewOutQueue(4 * degree)}
 }
 
 // Name implements prefetch.Prefetcher.
 func (p *Prefetcher) Name() string { return "sandbox" }
 
 func (p *Prefetcher) bitFor(line uint64) (int, uint64) {
-	h := mem.Mix64(line) & uint64(p.cfg.FilterBits-1)
+	h := mem.Mix64(line) & (filterBits - 1)
 	return int(h / 64), 1 << (h % 64)
 }
 
@@ -98,30 +70,29 @@ func (p *Prefetcher) Train(a prefetch.Access) {
 		p.score++
 	}
 	// Issue the candidate's fake prefetch for this access.
-	d := p.cfg.Offsets[p.cand]
-	if t := int64(line) + int64(d); t >= 0 {
+	if t := int64(line) + int64(offsets[p.cand]); t >= 0 {
 		p.addFake(uint64(t))
 	}
 
 	p.count++
-	if p.count >= p.cfg.RoundLen {
-		p.qualified[d] = p.score >= p.cfg.Threshold
+	if p.count >= roundLen {
+		p.qualified[p.cand] = p.score >= threshold
 		p.score, p.count = 0, 0
-		p.cand = (p.cand + 1) % len(p.cfg.Offsets)
-		clear(p.filter)
+		p.cand = (p.cand + 1) % len(offsets)
+		clear(p.filter[:])
 	}
 
 	// Real prefetching with the leading qualified offsets.
 	used := 0
-	for _, off := range p.cfg.Offsets {
-		if !p.qualified[off] {
+	for i, off := range offsets {
+		if !p.qualified[i] {
 			continue
 		}
-		if p.cfg.MaxQualified > 0 && used >= p.cfg.MaxQualified {
+		if used >= maxQualified {
 			break
 		}
 		used++
-		for deg := 1; deg <= p.cfg.Degree; deg++ {
+		for deg := 1; deg <= degree; deg++ {
 			t := int64(line) + int64(off*deg)
 			if t < 0 {
 				break
@@ -155,5 +126,5 @@ func (p *Prefetcher) OnFill(mem.Addr, prefetch.Level, bool) {}
 // StorageBits implements prefetch.Prefetcher: the bloom filter plus
 // per-offset state.
 func (p *Prefetcher) StorageBits() int {
-	return p.cfg.FilterBits + len(p.cfg.Offsets)*(8+10) + 20
+	return filterBits + len(offsets)*(8+10) + 20
 }

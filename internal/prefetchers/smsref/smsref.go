@@ -13,26 +13,16 @@ import (
 	"pmp/internal/sms"
 )
 
-// Config sizes the SMS prefetcher.
-type Config struct {
-	RegionBytes    int
-	PHTSets        int
-	PHTWays        int
-	FTSets, FTWays int
-	ATSets, ATWays int
-}
-
-// DefaultConfig returns a 2K-entry PHT over 2KB regions (the original
-// evaluates several sizes; this one is mid-range).
-func DefaultConfig() Config {
-	return Config{
-		RegionBytes: 2048,
-		PHTSets:     128,
-		PHTWays:     16,
-		FTSets:      8, FTWays: 8,
-		ATSets: 2, ATWays: 16,
-	}
-}
+// A 2K-entry PHT over 2KB regions (the original evaluates several
+// sizes; this one is mid-range), behind the shared capture framework's
+// filter and accumulation tables.
+const (
+	regionBytes    = 2048
+	phtSets        = 128 // power of two: the event hash masks the set index
+	phtWays        = 16
+	ftSets, ftWays = 8, 8
+	atSets, atWays = 2, 16
+)
 
 type phtEntry struct {
 	valid bool
@@ -43,30 +33,24 @@ type phtEntry struct {
 
 // Prefetcher is the SMS prefetcher. Construct with New.
 type Prefetcher struct {
-	cfg    Config
 	region mem.Region
 	fw     *sms.Framework
-	pht    []phtEntry
+	pht    [phtSets * phtWays]phtEntry
 	stamp  uint64
 	q      *prefetch.OutQueue
 }
 
-// New constructs an SMS prefetcher; it panics on invalid geometry.
-func New(cfg Config) *Prefetcher {
-	if cfg.PHTSets <= 0 || cfg.PHTSets&(cfg.PHTSets-1) != 0 || cfg.PHTWays <= 0 {
-		panic("smsref: PHT sets must be a positive power of two and ways positive")
-	}
-	region := mem.NewRegion(cfg.RegionBytes)
+// New constructs an SMS prefetcher.
+func New() *Prefetcher {
+	region := mem.NewRegion(regionBytes)
 	return &Prefetcher{
-		cfg:    cfg,
 		region: region,
 		fw: sms.New(sms.Config{
 			Region: region,
-			FTSets: cfg.FTSets, FTWays: cfg.FTWays,
-			ATSets: cfg.ATSets, ATWays: cfg.ATWays,
+			FTSets: ftSets, FTWays: ftWays,
+			ATSets: atSets, ATWays: atWays,
 		}),
-		pht: make([]phtEntry, cfg.PHTSets*cfg.PHTWays),
-		q:   prefetch.NewOutQueue(2 * region.Lines()),
+		q: prefetch.NewOutQueue(2 * region.Lines()),
 	}
 }
 
@@ -76,12 +60,12 @@ func (p *Prefetcher) Name() string { return "sms" }
 // event is the original's PC⊕offset trigger event.
 func (p *Prefetcher) event(pc uint64, offset int) (int, uint32) {
 	h := mem.Mix64(pc<<mem.PageOffsetBits ^ uint64(offset))
-	return int(h & uint64(p.cfg.PHTSets-1)), uint32(h >> 34)
+	return int(h & (phtSets - 1)), uint32(h >> 34)
 }
 
 func (p *Prefetcher) set(idx int) []phtEntry {
-	i := idx * p.cfg.PHTWays
-	return p.pht[i : i+p.cfg.PHTWays]
+	i := idx * phtWays
+	return p.pht[i : i+phtWays]
 }
 
 // Train implements prefetch.Prefetcher.
@@ -159,6 +143,6 @@ func (p *Prefetcher) IssueInto(dst []prefetch.Request, max int) []prefetch.Reque
 
 // StorageBits implements prefetch.Prefetcher.
 func (p *Prefetcher) StorageBits() int {
-	entry := 30 + p.region.Lines() + mem.CeilLog2(p.cfg.PHTWays)
-	return p.cfg.PHTSets*p.cfg.PHTWays*entry + p.fw.StorageBits()
+	entry := 30 + p.region.Lines() + mem.CeilLog2(phtWays)
+	return phtSets*phtWays*entry + p.fw.StorageBits()
 }

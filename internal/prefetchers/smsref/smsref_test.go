@@ -23,7 +23,7 @@ func teach(p *Prefetcher, pc uint64, start uint64, rounds int, offs []int) {
 }
 
 func TestSMSReplaysPattern(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	teach(p, 0x400, 0, 3, []int{3, 4, 5})
 	p.Train(prefetch.Access{PC: 0x400, Addr: addr2k(1000, 3)})
 	got := p.IssueInto(nil, 64)
@@ -42,7 +42,7 @@ func TestSMSReplaysPattern(t *testing.T) {
 }
 
 func TestSMSEventNeedsSamePCAndOffset(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	teach(p, 0x400, 0, 3, []int{3, 4})
 	// Different trigger offset: different event, no replay.
 	p.Train(prefetch.Access{PC: 0x400, Addr: addr2k(1000, 7)})
@@ -57,7 +57,7 @@ func TestSMSEventNeedsSamePCAndOffset(t *testing.T) {
 }
 
 func TestSMSLatestPatternWins(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	teach(p, 0x400, 0, 2, []int{3, 4})
 	teach(p, 0x400, 100, 2, []int{3, 9}) // same event, new pattern
 	p.Train(prefetch.Access{PC: 0x400, Addr: addr2k(1000, 3)})
@@ -68,20 +68,9 @@ func TestSMSLatestPatternWins(t *testing.T) {
 }
 
 func TestSMSStorage(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	kb := float64(p.StorageBits()) / 8 / 1024
 	if kb < 10 || kb > 30 {
 		t.Errorf("storage = %.1f KB, expected mid-range PHT", kb)
 	}
-}
-
-func TestSMSBadConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("bad geometry accepted")
-		}
-	}()
-	cfg := DefaultConfig()
-	cfg.PHTSets = 3
-	New(cfg)
 }

@@ -17,49 +17,27 @@ import (
 	"pmp/internal/prefetch"
 )
 
-// Config sizes SPP+PPF.
-type Config struct {
-	STEntries  int     // signature table entries (pages tracked)
-	PTEntries  int     // pattern table entries (signatures)
-	DeltasPer  int     // delta slots per pattern table entry
-	MaxDepth   int     // lookahead depth bound
-	FillThresh float64 // path confidence for L1D fills
-	PFThresh   float64 // path confidence to keep prefetching (L2C fills)
-	// PPF parameters.
-	WeightBits  int // perceptron weight width
-	TableSize   int // weights per feature table (power of two)
-	TrainThresh int // |sum| below which training continues
-	Tau         int // activation threshold
-
-	// Decay is the per-step global confidence attenuation of the
+// SPP+PPF's parameters, at the DPC-3 scale (~48.4KB in the paper's
+// Table V).
+const (
+	stBits    = 8 // log2 of the signature table's entries (pages tracked)
+	stEntries = 1 << stBits
+	ptBits    = 9 // log2 of the pattern table's entries (signatures)
+	ptEntries = 1 << ptBits
+	deltasPer = 4 // delta slots per pattern table entry
+	maxDepth  = 8 // lookahead depth bound
+	// With the per-step decay, the first two lookahead hops of a fully
+	// confident path clear fillThresh and fill L1D (the original fills
+	// its own level aggressively — paper Fig 10 shows SPP+PPF among the
+	// heaviest useless-L1D producers); the next two fill L2C, and the
+	// fifth falls below pfThresh, so no walk reaches maxDepth.
+	fillThresh = 0.50 // path confidence for L1D fills
+	pfThresh   = 0.25 // path confidence to keep prefetching (L2C fills)
+	// decay is the per-step global confidence attenuation of the
 	// lookahead walk (the original's quantized path-confidence product
 	// shrinks every hop even for perfectly repeating deltas).
-	Decay float64
-}
-
-// DefaultConfig returns a configuration matching the DPC-3 scale
-// (~48.4KB in the paper's Table V).
-func DefaultConfig() Config {
-	return Config{
-		STEntries: 256,
-		PTEntries: 512,
-		DeltasPer: 4,
-		MaxDepth:  8,
-		// With the per-step decay, the first ~3 lookahead hops of a
-		// confident path clear FillThresh and fill L1D (the original
-		// fills its own level aggressively — paper Fig 10 shows SPP+PPF
-		// among the heaviest useless-L1D producers); deeper hops fill
-		// L2C until the path confidence crosses PFThresh.
-		FillThresh: 0.50,
-		PFThresh:   0.25,
-
-		WeightBits:  6,
-		TableSize:   4096,
-		TrainThresh: 64,
-		Tau:         0,
-		Decay:       0.75,
-	}
-}
+	decay = 0.75
+)
 
 type stEntry struct {
 	valid      bool
@@ -83,7 +61,7 @@ type ptDelta struct {
 
 type ptEntry struct {
 	sigCount uint8
-	deltas   []ptDelta
+	deltas   [deltasPer]ptDelta
 }
 
 // issueRecord remembers the PPF features of an in-flight prefetch so
@@ -96,46 +74,18 @@ type issueRecord struct {
 
 // Prefetcher is SPP+PPF. Construct with New.
 type Prefetcher struct {
-	cfg Config
-	st  []stEntry
-	pt  []ptEntry
-	q   *prefetch.OutQueue
+	st [stEntries]stEntry
+	pt [ptEntries]ptEntry
+	q  *prefetch.OutQueue
 
-	ppf     *perceptron
-	records []issueRecord
+	ppf     perceptron
+	records [256]issueRecord
 	recIdx  int
 }
 
-// New constructs SPP+PPF; table sizes are clamped to powers of two.
-func New(cfg Config) *Prefetcher {
-	cfg.STEntries = mem.CeilPow2(cfg.STEntries, 16)
-	cfg.PTEntries = mem.CeilPow2(cfg.PTEntries, 16)
-	cfg.TableSize = mem.CeilPow2(cfg.TableSize, 64)
-	if cfg.DeltasPer < 1 {
-		cfg.DeltasPer = 4
-	}
-	if cfg.MaxDepth < 1 {
-		cfg.MaxDepth = 1
-	}
-	if cfg.Decay <= 0 || cfg.Decay > 1 {
-		cfg.Decay = 0.8
-	}
-	p := &Prefetcher{
-		cfg:     cfg,
-		st:      make([]stEntry, cfg.STEntries),
-		pt:      make([]ptEntry, cfg.PTEntries),
-		q:       prefetch.NewOutQueue(64),
-		ppf:     newPerceptron(cfg),
-		records: make([]issueRecord, 256),
-	}
-	// One backing array; each entry's view is capped at DeltasPer so no
-	// entry can grow into its neighbour.
-	n := cfg.DeltasPer
-	deltas := make([]ptDelta, len(p.pt)*n)
-	for i := range p.pt {
-		p.pt[i].deltas = deltas[i*n : (i+1)*n : (i+1)*n]
-	}
-	return p
+// New constructs SPP+PPF.
+func New() *Prefetcher {
+	return &Prefetcher{q: prefetch.NewOutQueue(64)}
 }
 
 // Name implements prefetch.Prefetcher.
@@ -150,7 +100,7 @@ func updateSig(sig uint32, delta int) uint32 {
 func (p *Prefetcher) Train(a prefetch.Access) {
 	page := a.Addr.PageID()
 	offset := a.Addr.PageOffset()
-	idx := mem.FoldXOR(mem.Mix64(page), mem.CeilLog2(p.cfg.STEntries))
+	idx := mem.FoldXOR(mem.Mix64(page), stBits)
 	e := &p.st[idx]
 
 	if !e.valid || e.tag != page {
@@ -179,7 +129,7 @@ func (p *Prefetcher) Train(a prefetch.Access) {
 }
 
 func (p *Prefetcher) ptIndex(sig uint32) int {
-	return int(mem.FoldXOR(mem.Mix64(uint64(sig)), mem.CeilLog2(p.cfg.PTEntries)))
+	return int(mem.FoldXOR(mem.Mix64(uint64(sig)), ptBits))
 }
 
 func (p *Prefetcher) learn(sig uint32, delta int) {
@@ -209,9 +159,9 @@ func (p *Prefetcher) learn(sig uint32, delta int) {
 
 // lookahead advances the page's cursor along the signature path,
 // proposing each line once, until the path confidence drops below
-// PFThresh, the depth bound is hit, or the page ends.
+// pfThresh, the depth bound is hit, or the page ends.
 func (p *Prefetcher) lookahead(a prefetch.Access, page uint64, st *stEntry) {
-	for st.laDepth < p.cfg.MaxDepth {
+	for st.laDepth < maxDepth {
 		e := &p.pt[p.ptIndex(st.laSig)]
 		if e.sigCount == 0 {
 			return
@@ -227,8 +177,8 @@ func (p *Prefetcher) lookahead(a prefetch.Access, page uint64, st *stEntry) {
 			return
 		}
 		delta := int(e.deltas[best].delta)
-		conf := st.laConf * p.cfg.Decay * float64(bestCount) / float64(e.sigCount)
-		if conf < p.cfg.PFThresh {
+		conf := st.laConf * decay * float64(bestCount) / float64(e.sigCount)
+		if conf < pfThresh {
 			return
 		}
 		next := st.laOffset + delta
@@ -242,11 +192,11 @@ func (p *Prefetcher) lookahead(a prefetch.Access, page uint64, st *stEntry) {
 
 		target := mem.Addr(page*mem.PageBytes + uint64(next)*mem.LineBytes)
 		level := prefetch.LevelL2
-		if conf >= p.cfg.FillThresh {
+		if conf >= fillThresh {
 			level = prefetch.LevelL1
 		}
 		feats := p.ppf.features(a.PC, target, delta, st.laDepth, st.laSig, conf)
-		if p.ppf.sum(feats) < p.cfg.Tau {
+		if p.ppf.sum(feats) < tau {
 			// Perceptron veto: the proposal is dropped (no outcome, so
 			// no training either).
 			continue
@@ -289,9 +239,9 @@ func (p *Prefetcher) OnFill(line mem.Addr, _ prefetch.Level, useful bool) {
 // tables + the outcome records. The PPF's nine 4K-entry weight tables
 // dominate, as in the original (paper Table V: 48.4KB total).
 func (p *Prefetcher) StorageBits() int {
-	st := p.cfg.STEntries * (16 + 6 + 12) // tag + last offset + signature
-	pt := p.cfg.PTEntries * (8 + p.cfg.DeltasPer*(7+8))
-	ppf := numFeatures * p.cfg.TableSize * p.cfg.WeightBits
+	st := stEntries * (16 + 6 + 12) // tag + last offset + signature
+	pt := ptEntries * (8 + deltasPer*(7+8))
+	ppf := numFeatures * tableSize * weightBits
 	rec := len(p.records) * (36 + numFeatures*12 + 8)
 	return st + pt + ppf + rec
 }

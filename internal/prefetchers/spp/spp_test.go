@@ -21,7 +21,7 @@ func drive(p *Prefetcher, pc uint64, page uint64, offsets []int) []prefetch.Requ
 }
 
 func TestSPPLearnsDeltaPath(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	// Train delta +2 across several pages so signature transitions are
 	// confident.
 	for page := uint64(0); page < 6; page++ {
@@ -43,22 +43,20 @@ func TestSPPLearnsDeltaPath(t *testing.T) {
 }
 
 func TestSPPLookaheadDepth(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxDepth = 4
-	p := New(cfg)
+	p := New()
 	for page := uint64(0); page < 8; page++ {
 		drive(p, 0x400, page, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	}
 	p.Train(prefetch.Access{PC: 0x400, Addr: pageAddr(50, 0)})
 	p.Train(prefetch.Access{PC: 0x400, Addr: pageAddr(50, 1)})
 	got := p.IssueInto(nil, 64)
-	if len(got) > cfg.MaxDepth {
-		t.Errorf("issued %d targets, lookahead bound is %d", len(got), cfg.MaxDepth)
+	if len(got) > maxDepth {
+		t.Errorf("issued %d targets, lookahead bound is %d", len(got), maxDepth)
 	}
 }
 
 func TestSPPStaysInPage(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	for page := uint64(0); page < 6; page++ {
 		drive(p, 0x400, page, []int{56, 58, 60, 62})
 	}
@@ -71,15 +69,14 @@ func TestSPPStaysInPage(t *testing.T) {
 }
 
 func TestSPPUntrainedSilent(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	if got := drive(p, 0x400, 0, []int{0}); len(got) != 0 {
 		t.Errorf("first access issued %v", got)
 	}
 }
 
 func TestPPFVetoesAfterUselessFeedback(t *testing.T) {
-	cfg := DefaultConfig()
-	p := New(cfg)
+	p := New()
 	train := func() int {
 		n := 0
 		for page := uint64(0); page < 4; page++ {
@@ -108,8 +105,7 @@ func TestPPFVetoesAfterUselessFeedback(t *testing.T) {
 }
 
 func TestPerceptronTrainSaturates(t *testing.T) {
-	cfg := DefaultConfig()
-	pp := newPerceptron(cfg)
+	pp := &perceptron{}
 	feats := pp.features(0x400, 0x1000, 2, 0, 0x12, 0.5)
 	for i := 0; i < 1000; i++ {
 		pp.train(feats, true)
@@ -118,7 +114,7 @@ func TestPerceptronTrainSaturates(t *testing.T) {
 	if s <= 0 {
 		t.Errorf("sum after useful training = %d, want positive", s)
 	}
-	maxSum := numFeatures * int(pp.wMax)
+	maxSum := numFeatures * wMax
 	if s > maxSum {
 		t.Errorf("sum %d exceeds saturation bound %d", s, maxSum)
 	}
@@ -131,21 +127,19 @@ func TestPerceptronTrainSaturates(t *testing.T) {
 }
 
 func TestPerceptronThresholdStopsTraining(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TrainThresh = 5
-	pp := newPerceptron(cfg)
+	pp := &perceptron{}
 	feats := pp.features(0x400, 0x1000, 2, 0, 0x12, 0.5)
 	for i := 0; i < 100; i++ {
 		pp.train(feats, true)
 	}
 	// Training halts once the sum clears the threshold (plus one step).
-	if s := pp.sum(feats); s > cfg.TrainThresh+numFeatures {
-		t.Errorf("sum = %d, training should stop near the threshold %d", s, cfg.TrainThresh)
+	if s := pp.sum(feats); s > trainThresh+numFeatures {
+		t.Errorf("sum = %d, training should stop near the threshold %d", s, trainThresh)
 	}
 }
 
 func TestSPPStorageBudget(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	kb := float64(p.StorageBits()) / 8 / 1024
 	// Paper Table V: 48.4KB.
 	if kb < 33 || kb > 60 {
@@ -153,19 +147,8 @@ func TestSPPStorageBudget(t *testing.T) {
 	}
 }
 
-func TestSPPConfigClamps(t *testing.T) {
-	p := New(Config{STEntries: 1, PTEntries: 1, TableSize: 1, DeltasPer: 0, MaxDepth: 0,
-		FillThresh: 0.9, PFThresh: 0.25, WeightBits: 6, TrainThresh: 64})
-	if p.cfg.STEntries < 16 || p.cfg.PTEntries < 16 || p.cfg.TableSize < 64 {
-		t.Errorf("clamps failed: %+v", p.cfg)
-	}
-	if p.cfg.DeltasPer < 1 || p.cfg.MaxDepth < 1 {
-		t.Errorf("clamps failed: %+v", p.cfg)
-	}
-}
-
 func TestSPPInterface(t *testing.T) {
-	var p prefetch.Prefetcher = New(DefaultConfig())
+	var p prefetch.Prefetcher = New()
 	if p.Name() != "spp-ppf" {
 		t.Error("wrong name")
 	}

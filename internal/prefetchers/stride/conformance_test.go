@@ -11,5 +11,5 @@ import (
 // TestConformance registers this prefetcher with the shared runtime
 // contract harness (see internal/prefetch/check/conformance).
 func TestConformance(t *testing.T) {
-	conformance.Run(t, func() prefetch.Prefetcher { return stride.New(stride.DefaultConfig()) })
+	conformance.Run(t, func() prefetch.Prefetcher { return stride.New() })
 }

@@ -9,18 +9,14 @@ import (
 	"pmp/internal/prefetch"
 )
 
-// Config sizes the prefetcher.
-type Config struct {
-	Entries    int // reference prediction table entries (power of two)
-	Degree     int // prefetches issued ahead once confident
-	ConfMax    int // confidence saturation
-	ConfThresh int // confidence needed to prefetch
-}
-
-// DefaultConfig returns a 64-entry, degree-4 configuration.
-func DefaultConfig() Config {
-	return Config{Entries: 64, Degree: 4, ConfMax: 3, ConfThresh: 2}
-}
+// The reference prediction table: 64 entries, degree 4.
+const (
+	rptBits    = 6 // log2 of the table's entries
+	rptEntries = 1 << rptBits
+	degree     = 4 // prefetches issued ahead once confident
+	confMax    = 3 // confidence saturation
+	confThresh = 2 // confidence needed to prefetch
+)
 
 type entry struct {
 	valid    bool
@@ -32,28 +28,13 @@ type entry struct {
 
 // Prefetcher is the PC-stride prefetcher. Construct with New.
 type Prefetcher struct {
-	cfg Config
-	rpt []entry
+	rpt [rptEntries]entry
 	q   *prefetch.OutQueue
 }
 
-// New constructs a stride prefetcher; entries are clamped to a power of
-// two of at least 16.
-func New(cfg Config) *Prefetcher {
-	if cfg.Entries < 16 {
-		cfg.Entries = 16
-	}
-	for cfg.Entries&(cfg.Entries-1) != 0 {
-		cfg.Entries++
-	}
-	if cfg.Degree < 1 {
-		cfg.Degree = 1
-	}
-	return &Prefetcher{
-		cfg: cfg,
-		rpt: make([]entry, cfg.Entries),
-		q:   prefetch.NewOutQueue(4 * cfg.Degree),
-	}
+// New constructs a stride prefetcher.
+func New() *Prefetcher {
+	return &Prefetcher{q: prefetch.NewOutQueue(4 * degree)}
 }
 
 // Name implements prefetch.Prefetcher.
@@ -62,7 +43,7 @@ func (p *Prefetcher) Name() string { return "stride" }
 // Train implements prefetch.Prefetcher.
 func (p *Prefetcher) Train(a prefetch.Access) {
 	line := a.Addr.LineID()
-	idx := mem.HashPC(a.PC, mem.CeilLog2(p.cfg.Entries))
+	idx := mem.HashPC(a.PC, rptBits)
 	e := &p.rpt[idx]
 	if !e.valid || e.tag != a.PC {
 		*e = entry{valid: true, tag: a.PC, lastLine: line}
@@ -74,7 +55,7 @@ func (p *Prefetcher) Train(a prefetch.Access) {
 		return // same line: field accesses, no stride information
 	}
 	if stride == e.stride {
-		if e.conf < p.cfg.ConfMax {
+		if e.conf < confMax {
 			e.conf++
 		}
 	} else {
@@ -82,16 +63,16 @@ func (p *Prefetcher) Train(a prefetch.Access) {
 		e.conf = 0
 		return
 	}
-	if e.conf < p.cfg.ConfThresh {
+	if e.conf < confThresh {
 		return
 	}
-	for i := 1; i <= p.cfg.Degree; i++ {
+	for i := 1; i <= degree; i++ {
 		target := int64(line) + stride*int64(i)
 		if target < 0 {
 			break
 		}
 		level := prefetch.LevelL1
-		if i > p.cfg.Degree/2 {
+		if i > degree/2 {
 			level = prefetch.LevelL2 // far targets go lower to limit pollution
 		}
 		p.q.Push(prefetch.Request{
@@ -117,5 +98,5 @@ func (p *Prefetcher) OnFill(mem.Addr, prefetch.Level, bool) {}
 // StorageBits implements prefetch.Prefetcher: each RPT entry holds a
 // PC tag (16b folded), last line (36b), stride (8b) and confidence (2b).
 func (p *Prefetcher) StorageBits() int {
-	return p.cfg.Entries * (16 + 36 + 8 + 2)
+	return rptEntries * (16 + 36 + 8 + 2)
 }

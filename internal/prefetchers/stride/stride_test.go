@@ -13,7 +13,7 @@ func access(p *Prefetcher, pc uint64, line uint64) []prefetch.Request {
 }
 
 func TestStrideDetectsConstantStride(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	var got []prefetch.Request
 	for i := uint64(0); i < 6; i++ {
 		got = access(p, 0x400, 100+3*i)
@@ -34,7 +34,7 @@ func TestStrideDetectsConstantStride(t *testing.T) {
 }
 
 func TestStrideNeedsConfidence(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	if got := access(p, 0x400, 100); len(got) != 0 {
 		t.Error("first access should not prefetch")
 	}
@@ -44,7 +44,7 @@ func TestStrideNeedsConfidence(t *testing.T) {
 }
 
 func TestStrideResetsOnChange(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	for i := uint64(0); i < 5; i++ {
 		access(p, 0x400, 100+3*i)
 	}
@@ -58,7 +58,7 @@ func TestStrideResetsOnChange(t *testing.T) {
 }
 
 func TestStrideZeroStrideIgnored(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	for i := 0; i < 10; i++ {
 		if got := access(p, 0x400, 100); len(got) != 0 {
 			t.Fatal("same-line accesses must not prefetch")
@@ -67,7 +67,7 @@ func TestStrideZeroStrideIgnored(t *testing.T) {
 }
 
 func TestStrideNegative(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	var got []prefetch.Request
 	for i := int64(0); i < 6; i++ {
 		got = access(p, 0x400, uint64(1000-2*i))
@@ -81,7 +81,7 @@ func TestStrideNegative(t *testing.T) {
 }
 
 func TestStridePerPCIsolation(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	// Interleave two PCs with different strides; both should lock on.
 	var gotA, gotB []prefetch.Request
 	for i := uint64(0); i < 6; i++ {
@@ -96,15 +96,5 @@ func TestStridePerPCIsolation(t *testing.T) {
 	}
 	if gotB[0].Addr.LineID() != 5042 { // 5035 + 7
 		t.Errorf("PC B first target = %d, want 5042", gotB[0].Addr.LineID())
-	}
-}
-
-func TestStrideClampsConfig(t *testing.T) {
-	p := New(Config{Entries: 3, Degree: 0, ConfMax: 3, ConfThresh: 2})
-	if p.cfg.Entries != 16 || p.cfg.Degree != 1 {
-		t.Errorf("clamping failed: %+v", p.cfg)
-	}
-	if p.StorageBits() <= 0 {
-		t.Error("storage should be positive")
 	}
 }

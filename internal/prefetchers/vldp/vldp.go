@@ -10,18 +10,14 @@ import (
 	"pmp/internal/prefetch"
 )
 
-// Config tunes VLDP.
-type Config struct {
-	DHBEntries int // delta history buffer entries (pages tracked)
-	DPTEntries int // entries per delta prediction table (power of two)
-	Tables     int // DPT count = max history length (original: 3)
-	Degree     int // prefetches per prediction
-}
-
-// DefaultConfig returns a configuration near the original's scale.
-func DefaultConfig() Config {
-	return Config{DHBEntries: 64, DPTEntries: 64, Tables: 3, Degree: 4}
-}
+// VLDP's tables, near the original's scale.
+const (
+	dhbBits    = 6 // log2 of the delta history buffer's entries (pages tracked)
+	dhbEntries = 1 << dhbBits
+	dptEntries = 64 // entries per delta prediction table (power of two)
+	tables     = 3  // DPT count = max history length, as in the original
+	degree     = 4  // prefetches per prediction
+)
 
 type dhbEntry struct {
 	valid   bool
@@ -40,35 +36,14 @@ type dptEntry struct {
 
 // Prefetcher is VLDP. Construct with New.
 type Prefetcher struct {
-	cfg Config
-	dhb []dhbEntry
-	dpt [][]dptEntry // dpt[k]: match on history length k+1
+	dhb [dhbEntries]dhbEntry
+	dpt [tables][dptEntries]dptEntry // dpt[k]: match on history length k+1
 	q   *prefetch.OutQueue
 }
 
-// New constructs VLDP; table sizes are clamped to powers of two.
-func New(cfg Config) *Prefetcher {
-	if cfg.Tables < 1 {
-		cfg.Tables = 1
-	}
-	if cfg.Tables > 3 {
-		cfg.Tables = 3
-	}
-	cfg.DHBEntries = mem.CeilPow2(cfg.DHBEntries, 16)
-	cfg.DPTEntries = mem.CeilPow2(cfg.DPTEntries, 16)
-	if cfg.Degree < 1 {
-		cfg.Degree = 1
-	}
-	p := &Prefetcher{
-		cfg: cfg,
-		dhb: make([]dhbEntry, cfg.DHBEntries),
-		dpt: make([][]dptEntry, cfg.Tables),
-		q:   prefetch.NewOutQueue(4 * cfg.Degree),
-	}
-	for k := range p.dpt {
-		p.dpt[k] = make([]dptEntry, cfg.DPTEntries)
-	}
-	return p
+// New constructs VLDP.
+func New() *Prefetcher {
+	return &Prefetcher{q: prefetch.NewOutQueue(4 * degree)}
 }
 
 // Name implements prefetch.Prefetcher.
@@ -81,14 +56,14 @@ func (p *Prefetcher) key(deltas []int8) (int, uint32) {
 		h = h<<7 ^ uint64(uint8(d))
 	}
 	h = mem.Mix64(h)
-	return int(h & uint64(p.cfg.DPTEntries-1)), uint32(h >> 40)
+	return int(h & (dptEntries - 1)), uint32(h >> 40)
 }
 
 // Train implements prefetch.Prefetcher.
 func (p *Prefetcher) Train(a prefetch.Access) {
 	page := a.Addr.PageID()
 	off := a.Addr.PageOffset()
-	idx := mem.FoldXOR(mem.Mix64(page), mem.CeilLog2(p.cfg.DHBEntries))
+	idx := mem.FoldXOR(mem.Mix64(page), dhbBits)
 	e := &p.dhb[idx]
 
 	if !e.valid || e.tag != page {
@@ -103,7 +78,7 @@ func (p *Prefetcher) Train(a prefetch.Access) {
 	d8 := int8(clamp(delta))
 
 	// Learn: each history length predicts this delta.
-	for k := 0; k < p.cfg.Tables && k < e.n; k++ {
+	for k := 0; k < tables && k < e.n; k++ {
 		p.learn(e.deltas[:k+1], d8)
 	}
 	// Shift history (most recent first).
@@ -145,10 +120,10 @@ func (p *Prefetcher) predict(addr mem.Addr, e *dhbEntry) {
 	cur := addr.PageOffset()
 	hist := e.deltas
 	n := e.n
-	for step := 0; step < p.cfg.Degree; step++ {
+	for step := 0; step < degree; step++ {
 		var best *dptEntry
 		// Longest-match-first lookup.
-		for k := min(p.cfg.Tables, n); k >= 1; k-- {
+		for k := min(tables, n); k >= 1; k-- {
 			slot, tag := p.key(hist[:k])
 			t := &p.dpt[k-1][slot]
 			if t.valid && t.tag == tag && t.conf >= 2 {
@@ -196,8 +171,8 @@ func (p *Prefetcher) OnFill(mem.Addr, prefetch.Level, bool) {}
 
 // StorageBits implements prefetch.Prefetcher.
 func (p *Prefetcher) StorageBits() int {
-	dhb := p.cfg.DHBEntries * (16 + 6 + 3*7 + 2)
-	dpt := p.cfg.Tables * p.cfg.DPTEntries * (24 + 7 + 2)
+	dhb := dhbEntries * (16 + 6 + 3*7 + 2)
+	dpt := tables * dptEntries * (24 + 7 + 2)
 	return dhb + dpt
 }
 

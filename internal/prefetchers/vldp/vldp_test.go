@@ -21,7 +21,7 @@ func drive(p *Prefetcher, page uint64, offs []int) []prefetch.Request {
 }
 
 func TestVLDPLearnsConstantDelta(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	for page := uint64(0); page < 8; page++ {
 		drive(p, page, []int{0, 2, 4, 6, 8, 10})
 	}
@@ -43,7 +43,7 @@ func TestVLDPLearnsConstantDelta(t *testing.T) {
 // on two deltas of history ((+1,+3) -> +1, (+3,+1) -> +3) is learnable
 // by the length-2 table, not the length-1 table.
 func TestVLDPUsesLongerHistory(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	seq := []int{0, 1, 4, 5, 8, 9, 12, 13, 16, 17, 20, 21, 24}
 	for page := uint64(0); page < 12; page++ {
 		drive(p, page, seq)
@@ -63,39 +63,27 @@ func TestVLDPUsesLongerHistory(t *testing.T) {
 }
 
 func TestVLDPDegreeBounded(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Degree = 2
-	p := New(cfg)
+	p := New()
 	for page := uint64(0); page < 8; page++ {
 		drive(p, page, []int{0, 1, 2, 3, 4, 5})
 	}
 	p.IssueInto(nil, 64)
 	p.Train(prefetch.Access{PC: 0x400, Addr: pageAddr(50, 0)})
 	p.Train(prefetch.Access{PC: 0x400, Addr: pageAddr(50, 1)})
-	if got := p.IssueInto(nil, 64); len(got) > cfg.Degree {
-		t.Errorf("issued %d, degree bound is %d", len(got), cfg.Degree)
+	if got := p.IssueInto(nil, 64); len(got) > degree {
+		t.Errorf("issued %d, degree bound is %d", len(got), degree)
 	}
 }
 
 func TestVLDPColdSilent(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	if got := drive(p, 0, []int{0, 1}); len(got) != 0 {
 		t.Errorf("cold VLDP issued %v", got)
 	}
 }
 
-func TestVLDPClampsConfig(t *testing.T) {
-	p := New(Config{DHBEntries: 1, DPTEntries: 1, Tables: 9, Degree: 0})
-	if p.cfg.Tables != 3 || p.cfg.Degree != 1 || p.cfg.DHBEntries < 16 {
-		t.Errorf("clamping failed: %+v", p.cfg)
-	}
-	if p.StorageBits() <= 0 {
-		t.Error("storage should be positive")
-	}
-}
-
 func TestVLDPInterface(t *testing.T) {
-	var p prefetch.Prefetcher = New(DefaultConfig())
+	var p prefetch.Prefetcher = New()
 	if p.Name() != "vldp" {
 		t.Error("wrong name")
 	}

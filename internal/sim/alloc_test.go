@@ -66,9 +66,9 @@ func TestEveryPrefetcherSteadyStateAllocs(t *testing.T) {
 
 // TestNewPrefetcherAllocs bounds construction: a design's tables are a
 // handful of flat arrays, not one object per row. The largest today is
-// Pythia's, at 26 allocations.
+// PMP's, at 24 allocations.
 func TestNewPrefetcherAllocs(t *testing.T) {
-	const maxAllocs = 32
+	const maxAllocs = 24
 	for _, name := range bench.Names() {
 		allocs := testing.AllocsPerRun(1, func() { bench.NewPrefetcher(name) })
 		t.Logf("%s: %.0f allocations", name, allocs)

@@ -165,7 +165,9 @@ func ByName(name string) (Spec, bool) {
 }
 
 // Representative returns a reduced, family-balanced subset of the suite
-// for quick experiments: n specs (n >= 4), at least one per family.
+// for quick experiments: at most n specs (n >= 4). Each family's quota
+// is its share of n, floored, and at least one, so Representative(16)
+// returns 14 specs.
 func Representative(n int) []Spec {
 	all := Suite()
 	if n >= len(all) {
