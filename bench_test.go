@@ -1,20 +1,20 @@
-// Benchmarks regenerating the paper's tables and figures (see
-// DESIGN.md §5 for the experiment index). Each benchmark runs its
-// experiment at a reduced scale and reports the headline numbers as
-// custom metrics, printing the full table with -v via b.Log.
+// Benchmarks regenerating the paper's tables and figures:
+// BenchmarkExperiments runs every entry of the experiment index
+// (bench.Experiments, DESIGN.md §5) as a sub-benchmark named by its
+// ID, and logs the rendered table (-v prints it).
 //
 // Run one artifact:
 //
-//	go test -bench=BenchmarkFig8 -benchtime=1x -v
+//	go test -bench=BenchmarkExperiments/F8 -benchtime=1x -v
 //
-// Scale up via PMP_SCALE=default or PMP_SCALE=full (hours).
+// The scale is quick unless PMP_SCALE names another (default, or full
+// for hours).
 //
 // Micro-benchmarks of the core data structures follow at the bottom.
 package pmp_test
 
 import (
 	"os"
-	"strconv"
 	"testing"
 
 	"pmp/internal/bench"
@@ -25,158 +25,27 @@ import (
 	"pmp/internal/trace"
 )
 
-// benchScale selects the experiment scale (PMP_SCALE=quick|default|full).
-func benchScale() bench.Scale {
-	switch os.Getenv("PMP_SCALE") {
-	case "default":
-		return bench.DefaultScale()
-	case "full":
-		return bench.FullScale()
-	default:
-		return bench.QuickScale()
+// BenchmarkExperiments regenerates each artifact of the experiment
+// index once per iteration.
+func BenchmarkExperiments(b *testing.B) {
+	name := os.Getenv("PMP_SCALE")
+	if name == "" {
+		name = "quick"
 	}
-}
-
-// runTable executes an experiment once per benchmark iteration and
-// logs the rendered table.
-func runTable(b *testing.B, f func() *bench.Table) *bench.Table {
-	b.Helper()
-	var t *bench.Table
-	for i := 0; i < b.N; i++ {
-		t = f()
+	scale, err := bench.ParseScale(name)
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.Log("\n" + t.String())
-	return t
-}
-
-// reportRowMetric extracts a float cell from a table row by row label
-// and reports it as a benchmark metric.
-func reportRowMetric(b *testing.B, t *bench.Table, rowPrefix string, col int, metric string) {
-	for _, row := range t.Rows {
-		if row[0] == rowPrefix && col < len(row) {
-			if v, err := strconv.ParseFloat(row[col], 64); err == nil {
-				b.ReportMetric(v, metric)
+	r := bench.NewRunner(scale)
+	for _, e := range bench.Experiments(nil) {
+		b.Run(e.ID, func(b *testing.B) {
+			var t *bench.Table
+			for i := 0; i < b.N; i++ {
+				t = e.Run(r)
 			}
-			return
-		}
+			b.Log("\n" + t.String())
+		})
 	}
-}
-
-// --- One benchmark per paper artifact ---
-
-// BenchmarkTableI regenerates Table I (PCR/PDR per feature).
-func BenchmarkTableI(b *testing.B) {
-	scale := benchScale()
-	runTable(b, func() *bench.Table { return bench.TableI(scale) })
-}
-
-// BenchmarkFig2 regenerates Fig 2 (pattern frequency concentration).
-func BenchmarkFig2(b *testing.B) {
-	scale := benchScale()
-	runTable(b, func() *bench.Table { return bench.Fig2(scale) })
-}
-
-// BenchmarkFig4 regenerates Fig 4 (ICDD per clustering feature).
-func BenchmarkFig4(b *testing.B) {
-	scale := benchScale()
-	runTable(b, func() *bench.Table { return bench.Fig4(scale) })
-}
-
-// BenchmarkFig5 regenerates Fig 5 (pattern heat maps).
-func BenchmarkFig5(b *testing.B) {
-	scale := benchScale()
-	runTable(b, func() *bench.Table { return bench.Fig5(scale) })
-}
-
-// BenchmarkStorage regenerates Tables II/III/V (storage overhead).
-func BenchmarkStorage(b *testing.B) {
-	runTable(b, bench.Storage)
-}
-
-// BenchmarkFig8 regenerates Fig 8 (single-core NIPC of five prefetchers).
-func BenchmarkFig8(b *testing.B) {
-	scale := benchScale()
-	t := runTable(b, func() *bench.Table { return bench.Fig8(bench.NewRunner(scale)) })
-	reportRowMetric(b, t, "pmp", 5, "pmp-NIPC")
-	reportRowMetric(b, t, "bingo", 5, "bingo-NIPC")
-}
-
-// BenchmarkFig9 regenerates Fig 9 (coverage and accuracy per level).
-func BenchmarkFig9(b *testing.B) {
-	scale := benchScale()
-	runTable(b, func() *bench.Table { return bench.Fig9(bench.NewRunner(scale)) })
-}
-
-// BenchmarkFig10 regenerates Fig 10 (useful/useless prefetch volumes).
-func BenchmarkFig10(b *testing.B) {
-	scale := benchScale()
-	runTable(b, func() *bench.Table { return bench.Fig10(bench.NewRunner(scale)) })
-}
-
-// BenchmarkNMT regenerates the §V-D normalized memory traffic numbers.
-func BenchmarkNMT(b *testing.B) {
-	scale := benchScale()
-	runTable(b, func() *bench.Table { return bench.NMT(bench.NewRunner(scale)) })
-}
-
-// BenchmarkTableVIII regenerates Table VIII (Design B ways sweep).
-func BenchmarkTableVIII(b *testing.B) {
-	scale := benchScale()
-	runTable(b, func() *bench.Table { return bench.TableVIII(bench.NewRunner(scale)) })
-}
-
-// BenchmarkExtraction regenerates the §V-E2 AFE/ANE/ARE comparison.
-func BenchmarkExtraction(b *testing.B) {
-	scale := benchScale()
-	runTable(b, func() *bench.Table { return bench.Extraction(bench.NewRunner(scale)) })
-}
-
-// BenchmarkMultiFeature regenerates the §V-E3 structure comparison.
-func BenchmarkMultiFeature(b *testing.B) {
-	scale := benchScale()
-	runTable(b, func() *bench.Table { return bench.MultiFeature(bench.NewRunner(scale)) })
-}
-
-// BenchmarkTableIX regenerates Table IX (pattern length sweep).
-func BenchmarkTableIX(b *testing.B) {
-	scale := benchScale()
-	runTable(b, func() *bench.Table { return bench.TableIX(bench.NewRunner(scale)) })
-}
-
-// BenchmarkTableXOffsetWidth regenerates Table X left (trigger width).
-func BenchmarkTableXOffsetWidth(b *testing.B) {
-	scale := benchScale()
-	runTable(b, func() *bench.Table { return bench.TableXOffsetWidth(bench.NewRunner(scale)) })
-}
-
-// BenchmarkTableXCounterSize regenerates Table X right (counter width).
-func BenchmarkTableXCounterSize(b *testing.B) {
-	scale := benchScale()
-	runTable(b, func() *bench.Table { return bench.TableXCounterSize(bench.NewRunner(scale)) })
-}
-
-// BenchmarkTableXI regenerates Table XI (monitoring range sweep).
-func BenchmarkTableXI(b *testing.B) {
-	scale := benchScale()
-	runTable(b, func() *bench.Table { return bench.TableXI(bench.NewRunner(scale)) })
-}
-
-// BenchmarkFig12Bandwidth regenerates Fig 12a (bandwidth sensitivity).
-func BenchmarkFig12Bandwidth(b *testing.B) {
-	scale := benchScale()
-	runTable(b, func() *bench.Table { return bench.Fig12Bandwidth(bench.NewRunner(scale)) })
-}
-
-// BenchmarkFig12LLC regenerates Fig 12b (LLC size sensitivity).
-func BenchmarkFig12LLC(b *testing.B) {
-	scale := benchScale()
-	runTable(b, func() *bench.Table { return bench.Fig12LLC(bench.NewRunner(scale)) })
-}
-
-// BenchmarkFig13 regenerates Fig 13 (4-core mixes).
-func BenchmarkFig13(b *testing.B) {
-	scale := benchScale()
-	runTable(b, func() *bench.Table { return bench.Fig13(bench.NewRunner(scale)) })
 }
 
 // --- Micro-benchmarks of the core machinery ---
@@ -225,29 +94,4 @@ func BenchmarkSimulator(b *testing.B) {
 		res := m.Run([]trace.Source{recs})
 		b.ReportMetric(float64(res[0].Instructions), "instructions/op")
 	}
-}
-
-// BenchmarkAblations runs the extension ablations (halving, PB resume).
-func BenchmarkAblations(b *testing.B) {
-	scale := benchScale()
-	runTable(b, func() *bench.Table { return bench.Ablations(bench.NewRunner(scale)) })
-}
-
-// BenchmarkRelated runs the related-work prefetcher comparison (§VI).
-func BenchmarkRelated(b *testing.B) {
-	scale := benchScale()
-	runTable(b, func() *bench.Table { return bench.Related(bench.NewRunner(scale)) })
-}
-
-// BenchmarkPlacement runs the §V-B placement comparison (PMP@L1 vs
-// original Bingo@LLC).
-func BenchmarkPlacement(b *testing.B) {
-	scale := benchScale()
-	runTable(b, func() *bench.Table { return bench.Placement(bench.NewRunner(scale)) })
-}
-
-// BenchmarkThresholds runs the AFE threshold sweep extension.
-func BenchmarkThresholds(b *testing.B) {
-	scale := benchScale()
-	runTable(b, func() *bench.Table { return bench.Thresholds(bench.NewRunner(scale)) })
 }

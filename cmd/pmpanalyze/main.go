@@ -1,7 +1,8 @@
 // Command pmpanalyze reproduces the paper's Section III pattern
-// analysis on one trace or the suite: pattern collision/duplicate rates
-// (Table I), frequency concentration (Fig 2), ICDD per feature (Fig 4)
-// and offset heat maps (Fig 5).
+// analysis on one trace or the suite: it prints the experiment index's
+// Table I (pattern collision/duplicate rates), Fig 2 (frequency
+// concentration) and Fig 4 (ICDD per feature, the mean over traces)
+// tables, or one offset heat map (Fig 5).
 //
 // Usage:
 //
@@ -15,6 +16,7 @@ import (
 	"os"
 
 	"pmp/internal/analysis"
+	"pmp/internal/bench"
 	"pmp/internal/trace"
 )
 
@@ -25,21 +27,17 @@ func main() {
 	heatmap := flag.String("heatmap", "", "render a heat map: trigger, pc, pcaddr, addr, pctrigger")
 	flag.Parse()
 
-	var corpus *analysis.Corpus
+	var specs []trace.Spec
 	switch {
 	case *traceName != "":
-		src, err := findTrace(*traceName, *records)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+		sp, ok := trace.ByName(*traceName)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "pmpanalyze: unknown trace %q\n", *traceName)
 			os.Exit(1)
 		}
-		corpus = analysis.Capture(src, 0)
+		specs = []trace.Spec{sp}
 	case *suite > 0:
-		var srcs []trace.Source
-		for _, sp := range trace.Representative(*suite) {
-			srcs = append(srcs, sp.New(*records))
-		}
-		corpus = analysis.CaptureAll(srcs, 0)
+		specs = trace.Representative(*suite)
 	default:
 		fmt.Fprintln(os.Stderr, "pmpanalyze: need -trace or -suite")
 		os.Exit(2)
@@ -51,38 +49,19 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
+		srcs := make([]trace.Source, len(specs))
+		for i, sp := range specs {
+			srcs[i] = sp.New(*records)
+		}
 		fmt.Printf("heat map (%s), rows = feature index, cols = offset:\n", f)
-		fmt.Print(analysis.RenderHeatMap(analysis.HeatMap(corpus, f)))
+		fmt.Print(analysis.RenderHeatMap(analysis.HeatMap(analysis.CaptureAll(srcs, 0), f)))
 		return
 	}
 
-	fmt.Printf("patterns captured: %d\n\n", len(corpus.Patterns))
-
-	fmt.Println("Table I — collision and duplicate rates:")
-	fmt.Printf("%-26s %10s %10s\n", "feature", "PCR", "PDR")
-	for _, f := range analysis.Features() {
-		pcr, pdr := analysis.PCRPDR(corpus, f)
-		fmt.Printf("%-26s %10.1f %10.1f\n", f, pcr, pdr)
-	}
-
-	st := analysis.Frequencies(corpus, []int{10, 100, 1000})
-	fmt.Printf("\nFig 2 — frequency concentration:\n")
-	fmt.Printf("distinct %d of %d occurrences; %.1f%% seen once\n",
-		st.Distinct, st.Occurrences, 100*st.OnceFrac)
-	fmt.Printf("top-10 %.1f%%, top-100 %.1f%%, top-1000 %.1f%%\n",
-		100*st.TopShare[0], 100*st.TopShare[1], 100*st.TopShare[2])
-
-	fmt.Printf("\nFig 4 — average ICDD by clustering feature (lower = more similar):\n")
-	for _, f := range analysis.Features() {
-		fmt.Printf("%-26s %8.3f\n", f, analysis.ICDD(corpus, f))
-	}
-}
-
-func findTrace(name string, records int) (trace.Source, error) {
-	if sp, ok := trace.ByName(name); ok {
-		return sp.New(records), nil
-	}
-	return nil, fmt.Errorf("pmpanalyze: unknown trace %q", name)
+	r := bench.NewRunner(bench.Scale{Records: *records}).WithSpecs(specs)
+	fmt.Println(bench.TableI(r))
+	fmt.Println(bench.Fig2(r))
+	fmt.Print(bench.Fig4(r))
 }
 
 func featureByName(name string) (analysis.Feature, error) {

@@ -1,5 +1,6 @@
 // Command pmpexperiments runs the paper-reproduction experiment
-// harness and prints each table/figure in DESIGN.md's experiment index.
+// harness and prints each table/figure in the experiment index,
+// bench.Experiments (DESIGN.md §5).
 //
 // All requested experiments are submitted to a shared sweep scheduler
 // up front (see docs/sweep.md): their per-trace simulations execute on
@@ -53,61 +54,6 @@ import (
 	"pmp/internal/trace"
 )
 
-// experiment is one registry entry: an experiment ID, its description
-// for -list, and the table builder (bound to a runner/scale in main).
-type experiment struct {
-	id   string
-	desc string
-	run  func() *bench.Table
-}
-
-// registry returns the experiment index in DESIGN.md order. ext is
-// the external trace set loaded from -manifest; when non-empty it
-// appends the EXTW experiment over those traces.
-func registry(r *bench.Runner, scale bench.Scale, ext []trace.Spec) []experiment {
-	index := experiments(r, scale)
-	if len(ext) > 0 {
-		index = append(index, experiment{
-			"EXTW", "extension: external workloads from -manifest",
-			func() *bench.Table { return bench.External(r.WithSpecs(ext)) },
-		})
-	}
-	return index
-}
-
-func experiments(r *bench.Runner, scale bench.Scale) []experiment {
-	return []experiment{
-		{"T1", "Table I: pattern collision/duplicate rates", func() *bench.Table { return bench.TableI(scale) }},
-		{"F2", "Fig 2: pattern frequency concentration", func() *bench.Table { return bench.Fig2(scale) }},
-		{"F4", "Fig 4: ICDD per clustering feature", func() *bench.Table { return bench.Fig4(scale) }},
-		{"F5", "Fig 5: pattern heat maps", func() *bench.Table { return bench.Fig5(scale) }},
-		{"T3", "Tables II/III/V: storage overhead", bench.Storage},
-		{"F8", "Fig 8: single-core NIPC", func() *bench.Table { return bench.Fig8(r) }},
-		{"F9", "Fig 9: coverage and accuracy", func() *bench.Table { return bench.Fig9(r) }},
-		{"F10", "Fig 10: useful/useless prefetches", func() *bench.Table { return bench.Fig10(r) }},
-		{"NMT", "§V-D: normalized memory traffic", func() *bench.Table { return bench.NMT(r) }},
-		{"T8", "Table VIII: Design B ways sweep", func() *bench.Table { return bench.TableVIII(r) }},
-		{"EXT", "§V-E2: extraction schemes", func() *bench.Table { return bench.Extraction(r) }},
-		{"MF", "§V-E3: multi-feature structures", func() *bench.Table { return bench.MultiFeature(r) }},
-		{"T9", "Table IX: pattern length sweep", func() *bench.Table { return bench.TableIX(r) }},
-		{"T10a", "Table X: trigger offset width sweep", func() *bench.Table { return bench.TableXOffsetWidth(r) }},
-		{"T10b", "Table X: counter size sweep", func() *bench.Table { return bench.TableXCounterSize(r) }},
-		{"T11", "Table XI: monitoring range sweep", func() *bench.Table { return bench.TableXI(r) }},
-		{"F12a", "Fig 12a: bandwidth sensitivity", func() *bench.Table { return bench.Fig12Bandwidth(r) }},
-		{"F12b", "Fig 12b: LLC size sensitivity", func() *bench.Table { return bench.Fig12LLC(r) }},
-		{"F13", "Fig 13: 4-core performance", func() *bench.Table { return bench.Fig13(r) }},
-		{"ABL", "extension: PMP mechanism ablations", func() *bench.Table { return bench.Ablations(r) }},
-		{"REL", "extension: related-work prefetchers (§VI)", func() *bench.Table { return bench.Related(r) }},
-		{"PLC", "§V-B: PMP@L1 vs original Bingo@LLC placement", func() *bench.Table { return bench.Placement(r) }},
-		{"INC", "extension: inclusion policy and hierarchy depth", func() *bench.Table { return bench.Inclusion(r) }},
-		{"THR", "extension: AFE threshold sweep", func() *bench.Table { return bench.Thresholds(r) }},
-		{"HETS", "extension: heterogeneous stacking (PMP@L1D + Bingo deeper)", func() *bench.Table { return bench.HETS(r) }},
-		{"HETM", "extension: 8-core heterogeneous trace mixes", func() *bench.Table { return bench.HETM(r) }},
-		{"HETH", "extension: 2-/3-/4-level hierarchy depth", func() *bench.Table { return bench.HETH(r) }},
-		{"HETB", "extension: stacked prefetchers vs DRAM bandwidth", func() *bench.Table { return bench.HETB(r) }},
-	}
-}
-
 // expResult carries one finished experiment back to the printer.
 type expResult struct {
 	tbl *bench.Table // nil when the sweep was interrupted
@@ -139,16 +85,9 @@ func main() {
 	}
 	defer stopProf()
 
-	var scale bench.Scale
-	switch *scaleFlag {
-	case "quick":
-		scale = bench.QuickScale()
-	case "default":
-		scale = bench.DefaultScale()
-	case "full":
-		scale = bench.FullScale()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scaleFlag)
+	scale, err := bench.ParseScale(*scaleFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pmpexperiments:", err)
 		os.Exit(2)
 	}
 
@@ -161,20 +100,17 @@ func main() {
 		}
 	}
 
-	// The registry is built twice: once against a throwaway runner for
-	// -list and -exp validation (nothing simulates until a builder
-	// runs), and again below bound to the sweep-backed runner.
-	index := registry(bench.NewRunner(scale), scale, extSpecs)
+	index := bench.Experiments(extSpecs)
 	if *listFlag {
 		for _, e := range index {
-			fmt.Printf("%-5s %s\n", e.id, e.desc)
+			fmt.Printf("%-5s %s\n", e.ID, e.Desc)
 		}
 		return
 	}
 
 	known := map[string]bool{}
 	for _, e := range index {
-		known[e.id] = true
+		known[e.ID] = true
 	}
 	want := map[string]bool{}
 	if *expFlag != "" {
@@ -186,8 +122,10 @@ func main() {
 			}
 			// "HET" selects the whole heterogeneous-hierarchy family.
 			if id == "HET" {
-				for _, h := range []string{"HETS", "HETM", "HETH", "HETB"} {
-					want[h] = true
+				for _, e := range index {
+					if strings.HasPrefix(e.ID, "HET") {
+						want[e.ID] = true
+					}
 				}
 				continue
 			}
@@ -268,11 +206,10 @@ func main() {
 		sw = sweep.New(ctx, opts)
 		r = bench.NewRunnerWith(scale, sw)
 	}
-	index = registry(r, scale, extSpecs)
 
-	var selected []experiment
+	var selected []bench.Experiment
 	for _, e := range index {
-		if len(want) > 0 && !want[e.id] {
+		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
 		selected = append(selected, e)
@@ -296,7 +233,7 @@ func main() {
 					panic(p)
 				}
 			}()
-			ch <- expResult{e.run(), time.Since(t0)}
+			ch <- expResult{e.Run(r), time.Since(t0)}
 		}()
 	}
 
@@ -312,13 +249,13 @@ func main() {
 			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 				fmt.Fprintf(os.Stderr, "csv: %v\n", err)
 			} else {
-				path := filepath.Join(*csvDir, e.id+".csv")
+				path := filepath.Join(*csvDir, e.ID+".csv")
 				if err := os.WriteFile(path, []byte(res.tbl.CSV()), 0o644); err != nil {
 					fmt.Fprintf(os.Stderr, "csv: %v\n", err)
 				}
 			}
 		}
-		fmt.Printf("-- %s completed in %v --\n\n", e.id, res.dur.Round(time.Millisecond))
+		fmt.Printf("-- %s completed in %v --\n\n", e.ID, res.dur.Round(time.Millisecond))
 	}
 
 	storeErrs := 0

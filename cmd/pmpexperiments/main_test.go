@@ -17,10 +17,9 @@ func TestReferenceOutputCoversIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := "\n" + string(data)
-	scale := bench.DefaultScale()
-	for _, e := range experiments(bench.NewRunner(scale), scale) {
-		if !strings.Contains(out, "\n== "+e.id+": ") {
-			t.Errorf("docs/results-default.txt has no %q table; regenerate it with pmpexperiments -scale default", e.id)
+	for _, e := range bench.Experiments(nil) {
+		if !strings.Contains(out, "\n== "+e.ID+": ") {
+			t.Errorf("docs/results-default.txt has no %q table; regenerate it with pmpexperiments -scale default", e.ID)
 		}
 	}
 }

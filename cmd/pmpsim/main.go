@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"pmp/internal/analysis"
@@ -26,7 +27,7 @@ import (
 )
 
 func main() {
-	pfName := flag.String("pf", "pmp", "prefetcher: a registry name (none, bingo, pmp, ...) or a variant grammar name (pmp-tw8, designb-32w, pmp-0.5-0.15, ...)")
+	pfName := flag.String("pf", "pmp", "prefetcher: a registry name (none, bingo, pmp, ...) or an experiment variant (pmp-tw8, designb-32w, pmp-0.5-0.15, ...)")
 	traceName := flag.String("trace", "spec06.stream-0", "suite trace name (see -list-traces)")
 	file := flag.String("file", "", "trace file path (overrides -trace)")
 	records := flag.Int("records", 500_000, "records to generate for suite traces")
@@ -122,24 +123,25 @@ func machineFlags(fs *flag.FlagSet) func() (sim.Config, error) {
 		cfg := sim.DefaultConfig().WithBandwidth(*mtps).WithLLCMB(*llcMB)
 		cfg.Warmup = *warmup
 		cfg.Measure = *measure
-		cfg.NonInclusiveLLC = *nonInclusive
+		cfg.Levels = []sim.LevelSpec{
+			{Cache: cfg.L1D},
+			{Cache: cfg.L2C},
+			{Cache: cfg.LLC, Shared: true, Inclusive: !*nonInclusive},
+		}
 		if *noL2 {
-			cfg.Levels = []sim.LevelSpec{
-				{Cache: cfg.L1D},
-				{Cache: cfg.LLC, Shared: true, Inclusive: !*nonInclusive},
-			}
+			cfg.Levels = slices.Delete(cfg.Levels, 1, 2)
 		}
 		return cfg, cfg.Validate()
 	}
 }
 
-// buildVariant resolves a -pf/-llcpf value through the full variant
-// grammar — registry names plus parameterized experiment variants like
-// "pmp-tw8" or "designb-32w" — and constructs the prefetcher.
+// buildVariant looks a -pf/-llcpf value up among the registry names
+// and the variants experiments submit (bench.ExperimentVariants, such
+// as "pmp-tw8" or "designb-32w") and constructs the prefetcher.
 func buildVariant(name string) (prefetch.Prefetcher, error) {
 	v, err := bench.ParseVariant(name)
 	if err != nil {
-		return nil, fmt.Errorf("%w (known names: %s; plus variants like pmp-tw8, designb-32w, pmp-0.5-0.15)",
+		return nil, fmt.Errorf("%w (known names: %s; plus experiment variants like pmp-tw8, designb-32w, pmp-0.5-0.15)",
 			err, strings.Join(bench.Names(), ", "))
 	}
 	return bench.BuildVariant(v)

@@ -8,10 +8,11 @@
 // figure of the evaluation.
 //
 // Start with the README for a tour; DESIGN.md maps every subsystem and
-// experiment; EXPERIMENTS.md records paper-vs-measured numbers. The
-// benchmarks in bench_test.go regenerate the paper's artifacts:
+// experiment; EXPERIMENTS.md records paper-vs-measured numbers.
+// BenchmarkExperiments in bench_test.go regenerates each artifact of
+// the experiment index as a sub-benchmark named by its ID:
 //
-//	go test -bench=BenchmarkFig8 -benchtime=1x
+//	go test -bench=BenchmarkExperiments/F8 -benchtime=1x
 //
 // The public surface for embedding lives under internal/ by design —
 // this repository is a research artifact; the runnable surface is the

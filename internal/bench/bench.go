@@ -1,8 +1,9 @@
-// Package bench is the experiment harness: one runner per table and
-// figure of the paper's evaluation (see DESIGN.md §5 for the full
-// index). Each runner executes the required simulations and returns a
-// Table whose rows mirror what the paper reports, so the repository's
-// benchmarks and the pmpexperiments command regenerate every artifact.
+// Package bench is the experiment harness: one builder per table and
+// figure of the paper's evaluation, listed by Experiments (the index
+// that DESIGN.md §5 describes). Each builder executes the required
+// simulations on a Runner and returns a Table whose rows mirror what
+// the paper reports, so the repository's benchmarks, pmpexperiments
+// and pmpanalyze regenerate every artifact from the same code.
 package bench
 
 import (
@@ -60,6 +61,39 @@ func DefaultScale() Scale {
 // FullScale runs the complete 125-trace suite (hours, not minutes).
 func FullScale() Scale {
 	return Scale{Traces: 125, Records: 2_000_000, Warmup: 2_000_000, Measure: 8_000_000}
+}
+
+// scales is the one table of scale names: pmpexperiments -scale,
+// PMP_SCALE, TestPerf's -perf-scale and PerfReport.Scale all read it.
+var scales = []struct {
+	name  string
+	scale func() Scale
+}{
+	{"quick", QuickScale},
+	{"default", DefaultScale},
+	{"full", FullScale},
+}
+
+// ParseScale returns the scale of the given name.
+func ParseScale(name string) (Scale, error) {
+	names := make([]string, len(scales))
+	for i, s := range scales {
+		if s.name == name {
+			return s.scale(), nil
+		}
+		names[i] = s.name
+	}
+	return Scale{}, fmt.Errorf("bench: unknown scale %q (want %s)", name, strings.Join(names, ", "))
+}
+
+// Name returns the scale's name, or "custom" for an unnamed scale.
+func (s Scale) Name() string {
+	for _, n := range scales {
+		if n.scale() == s {
+			return n.name
+		}
+	}
+	return "custom"
 }
 
 // Specs returns the trace subset for the scale.

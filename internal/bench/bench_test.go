@@ -34,6 +34,23 @@ func TestScalesAreOrdered(t *testing.T) {
 	}
 }
 
+// Each named scale parses back from its name; an unnamed one is
+// "custom", and an unknown name is an error.
+func TestParseScaleNames(t *testing.T) {
+	for _, s := range []Scale{QuickScale(), DefaultScale(), FullScale()} {
+		got, err := ParseScale(s.Name())
+		if err != nil || got != s {
+			t.Errorf("ParseScale(%q) = %+v, %v; want %+v", s.Name(), got, err, s)
+		}
+	}
+	if n := tinyScale().Name(); n != "custom" {
+		t.Errorf("unnamed scale is called %q, want custom", n)
+	}
+	if _, err := ParseScale("huge"); err == nil {
+		t.Error("ParseScale accepted an unknown name")
+	}
+}
+
 // TestScaleSubsetSizes pins how many traces each scale runs:
 // trace.Representative floors every family's quota, so a scale runs
 // fewer traces than its Traces field asks for.
@@ -179,14 +196,14 @@ func TestRegistryStorageBits(t *testing.T) {
 }
 
 func TestTableIExperiment(t *testing.T) {
-	tb := TableI(tinyScale())
+	tb := TableI(NewRunner(tinyScale()))
 	if len(tb.Rows) != 5 {
 		t.Fatalf("Table I has %d rows, want 5 features", len(tb.Rows))
 	}
 }
 
 func TestFig2Experiment(t *testing.T) {
-	tb := Fig2(tinyScale())
+	tb := Fig2(NewRunner(tinyScale()))
 	if len(tb.Rows) != 6 {
 		t.Fatalf("Fig 2 has %d rows", len(tb.Rows))
 	}
@@ -320,35 +337,39 @@ func TestSuiteMPKIClasses(t *testing.T) {
 	}
 }
 
-// The sweep runners must produce complete tables at tiny scale; one
-// compact test covers their row shape.
+// Every experiment in the index must produce a complete table at tiny
+// scale: a unique ID that the table carries, and rows as wide as the
+// header. The sweeps' row counts are pinned too.
 func TestSweepRunnersProduceRows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multiple simulations")
 	}
-	r := NewRunner(tinyScale())
-	cases := []struct {
-		name string
-		tb   *Table
-		rows int
-	}{
-		{"TableVIII", TableVIII(r), 5},
-		{"Extraction", Extraction(r), 3},
-		{"MultiFeature", MultiFeature(r), 4},
-		{"TableIX", TableIX(r), 3},
-		{"TableXI", TableXI(r), 4},
-		{"Thresholds", Thresholds(r), 6},
-		{"Related", Related(r), 7},
-		{"Placement", Placement(r), 2},
+	rows := map[string]int{
+		"T8": 5, "EXT": 3, "MF": 4, "T9": 3, "T11": 4, "THR": 6, "REL": 7, "PLC": 2,
 	}
-	for _, c := range cases {
-		if len(c.tb.Rows) != c.rows {
-			t.Errorf("%s rows = %d, want %d", c.name, len(c.tb.Rows), c.rows)
+	r := NewRunner(tinyScale())
+	seen := map[string]bool{}
+	for _, e := range Experiments(nil) {
+		if seen[e.ID] {
+			t.Errorf("experiment ID %s appears twice in the index", e.ID)
 		}
-		for _, row := range c.tb.Rows {
-			if len(row) != len(c.tb.Header) {
-				t.Errorf("%s row %v does not match header %v", c.name, row, c.tb.Header)
+		seen[e.ID] = true
+		tb := e.Run(r)
+		if tb.ID != e.ID {
+			t.Errorf("index entry %s renders a table with ID %s", e.ID, tb.ID)
+		}
+		if n, ok := rows[e.ID]; ok && len(tb.Rows) != n {
+			t.Errorf("%s rows = %d, want %d", e.ID, len(tb.Rows), n)
+		}
+		for _, row := range tb.Rows {
+			if len(row) != len(tb.Header) {
+				t.Errorf("%s row %v does not match header %v", e.ID, row, tb.Header)
 			}
+		}
+	}
+	for id := range rows {
+		if !seen[id] {
+			t.Errorf("pinned experiment %s is not in the index", id)
 		}
 	}
 }

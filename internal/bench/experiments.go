@@ -25,19 +25,19 @@ func (r *Runner) subRunner() *Runner {
 	return &Runner{Scale: s, specs: s.Specs(), runJobs: r.runJobs}
 }
 
-// corpus captures the Section III pattern corpus over the scale's
+// corpus captures the Section III pattern corpus over the runner's
 // traces.
-func corpus(scale Scale) *analysis.Corpus {
-	srcs := make([]trace.Source, 0, len(scale.Specs()))
-	for _, sp := range scale.Specs() {
-		srcs = append(srcs, sp.New(scale.Records))
+func (r *Runner) corpus() *analysis.Corpus {
+	srcs := make([]trace.Source, len(r.specs))
+	for i, sp := range r.specs {
+		srcs[i] = sp.New(r.Scale.Records)
 	}
 	return analysis.CaptureAll(srcs, 0)
 }
 
 // TableI reproduces Table I: average PCR and PDR per indexing feature.
-func TableI(scale Scale) *Table {
-	c := corpus(scale)
+func TableI(r *Runner) *Table {
+	c := r.corpus()
 	t := &Table{
 		ID:     "T1",
 		Title:  "Average Pattern Collision/Duplicate Rates (paper Table I)",
@@ -54,8 +54,8 @@ func TableI(scale Scale) *Table {
 }
 
 // Fig2 reproduces Fig 2 / Observation 1: pattern frequency concentration.
-func Fig2(scale Scale) *Table {
-	c := corpus(scale)
+func Fig2(r *Runner) *Table {
+	c := r.corpus()
 	st := analysis.Frequencies(c, []int{10, 100, 1000})
 	t := &Table{
 		ID:     "F2",
@@ -75,7 +75,7 @@ func Fig2(scale Scale) *Table {
 
 // Fig4 reproduces Fig 4 / Observation 3: average ICDD per 6-bit
 // clustering feature (lower = more similar patterns per cluster).
-func Fig4(scale Scale) *Table {
+func Fig4(r *Runner) *Table {
 	t := &Table{
 		ID:     "F4",
 		Title:  "Average ICDD by clustering feature (paper Fig 4)",
@@ -89,8 +89,8 @@ func Fig4(scale Scale) *Table {
 	for _, f := range analysis.Features() {
 		accs[f] = &acc{minV: math.Inf(1), maxV: math.Inf(-1)}
 	}
-	for _, sp := range scale.Specs() {
-		c := analysis.Capture(sp.New(scale.Records), 0)
+	for _, sp := range r.specs {
+		c := analysis.Capture(sp.New(r.Scale.Records), 0)
 		for _, f := range analysis.Features() {
 			v := analysis.ICDD(c, f)
 			a := accs[f]
@@ -114,9 +114,9 @@ func Fig4(scale Scale) *Table {
 
 // Fig5 reproduces Fig 5: offset heat maps for an MCF-like and a
 // stride (Astar-like) trace under different features.
-func Fig5(scale Scale) *Table {
-	mcf := trace.NewBackward("mcf-like", 11, scale.Records, trace.DefaultBackwardParams())
-	astar := trace.NewStride("astar-like", 12, scale.Records, trace.DefaultStrideParams())
+func Fig5(r *Runner) *Table {
+	mcf := trace.NewBackward("mcf-like", 11, r.Scale.Records, trace.DefaultBackwardParams())
+	astar := trace.NewStride("astar-like", 12, r.Scale.Records, trace.DefaultStrideParams())
 	cm := analysis.Capture(mcf, 0)
 	ca := analysis.Capture(astar, 0)
 
@@ -717,7 +717,13 @@ func Inclusion(r *Runner) *Table {
 		mut  func(*sim.Config)
 	}{
 		{"3-level, inclusive LLC (default)", func(*sim.Config) {}},
-		{"3-level, non-inclusive LLC", func(c *sim.Config) { c.NonInclusiveLLC = true }},
+		{"3-level, non-inclusive LLC", func(c *sim.Config) {
+			c.Levels = []sim.LevelSpec{
+				{Cache: c.L1D},
+				{Cache: c.L2C},
+				{Cache: c.LLC, Shared: true},
+			}
+		}},
 		{"2-level (no L2C), inclusive LLC", func(c *sim.Config) {
 			c.Levels = []sim.LevelSpec{
 				{Cache: c.L1D},

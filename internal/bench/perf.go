@@ -33,24 +33,10 @@ type PerfResult struct {
 // baseline committed as BENCH_default.json and the artifact the CI
 // benchmark job regenerates for comparison.
 type PerfReport struct {
-	Scale   string       `json:"scale"`   // "quick", "default" or "full"
+	Scale   string       `json:"scale"`   // Scale.Name(): "quick", "default", "full" or "custom"
 	Records int          `json:"records"` // trace records generated per trace
 	Notes   []string     `json:"notes,omitempty"`
 	Results []PerfResult `json:"results"`
-}
-
-// scaleName maps a Scale back to its registry name for the report.
-func scaleName(s Scale) string {
-	switch s {
-	case QuickScale():
-		return "quick"
-	case DefaultScale():
-		return "default"
-	case FullScale():
-		return "full"
-	default:
-		return "custom"
-	}
 }
 
 // RunPerf measures simulator throughput for each named prefetcher over
@@ -71,7 +57,7 @@ func RunPerf(scale Scale, names []string) PerfReport {
 	for i, spec := range specs {
 		traces[i] = trace.Collect(spec.New(scale.Records), 0)
 	}
-	report := PerfReport{Scale: scaleName(scale), Records: scale.Records,
+	report := PerfReport{Scale: scale.Name(), Records: scale.Records,
 		Notes: []string{"traces pre-materialized; timed region is the simulator only"}}
 	for _, name := range names {
 		var m0, m1 runtime.MemStats

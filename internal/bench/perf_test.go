@@ -24,16 +24,9 @@ func TestPerf(t *testing.T) {
 	if *perfOut == "" && *perfCompare == "" {
 		t.Skip("perf suite runs only with -perf-out or -perf-compare")
 	}
-	var scale Scale
-	switch *perfScale {
-	case "quick":
-		scale = QuickScale()
-	case "default":
-		scale = DefaultScale()
-	case "full":
-		scale = FullScale()
-	default:
-		t.Fatalf("unknown -perf-scale %q", *perfScale)
+	scale, err := ParseScale(*perfScale)
+	if err != nil {
+		t.Fatal(err)
 	}
 	names := strings.Split(*perfPF, ",")
 	for i := range names {

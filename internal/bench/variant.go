@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"pmp/internal/core"
 	"pmp/internal/mem"
@@ -13,10 +11,9 @@ import (
 // VariantSpec is the declarative prefetcher-construction spec
 // (re-exported from internal/runspec, the wire vocabulary): a registry
 // name or a typed configuration for one of the parameterized families,
-// under the grammar name that labels it in tables and store records.
+// under the name that labels it in tables and store records.
 // Experiments build specs with the constructors below; ParseVariant
-// maps a grammar name back to the identical spec for the pmpsim -pf
-// flag.
+// looks a name up among them for the pmpsim -pf flag.
 type VariantSpec = runspec.VariantSpec
 
 // RegistryVariant names a stock design from the fixed registry.
@@ -25,7 +22,7 @@ func RegistryVariant(name string) VariantSpec {
 }
 
 // PMPVariant derives a PMP variant: the default configuration with mut
-// applied, under the given grammar name.
+// applied, under the given name.
 func PMPVariant(name string, mut func(*core.Config)) VariantSpec {
 	c := core.DefaultConfig()
 	if mut != nil {
@@ -50,9 +47,8 @@ func BingoLLCVariant() VariantSpec {
 }
 
 // The experiment parameter spaces. The sweep tables in experiments.go
-// and ExperimentVariants below iterate the same slices, so the grammar
-// round-trip property test covers exactly the variants experiments
-// submit.
+// and ExperimentVariants below iterate the same slices, so ParseVariant
+// knows exactly the variants experiments submit.
 var (
 	designBWays      = []int{8, 32, 128, 512}
 	pmpRegionBytes   = []int{4096, 2048, 1024}
@@ -68,8 +64,7 @@ var (
 )
 
 // pmpAblations is the ordered ablation lineup. The names label the
-// ABL rows and their store records, and ParseVariant accepts them as
-// variant grammar.
+// ABL rows and their store records, and ParseVariant accepts them.
 var pmpAblations = []struct {
 	Name string
 	Mut  func(*core.Config)
@@ -110,82 +105,25 @@ func regionVariant(regionBytes int) VariantSpec {
 		func(c *core.Config) { c.RegionBytes = regionBytes })
 }
 
-// ParseVariant maps a legacy grammar name — a registry name or an
-// experiment variant such as "designb-32w", "pmp-tw8" or
-// "pmp-0.5-0.15" — to the typed spec the same-named constructor above
-// builds. It is CLI sugar (pmpsim -pf) and off the run path: the
-// runner takes registry names or typed specs.
+// ParseVariant returns the variant of the given name: a registry
+// design, or one of ExperimentVariants (for example "designb-32w",
+// "pmp-tw8" or "pmp-0.5-0.15"). It is CLI sugar (pmpsim -pf) and off
+// the run path: the runner takes registry names or typed specs.
 // Unknown names are an error, so a stale caller fails loudly instead
 // of silently describing the wrong design.
 func ParseVariant(name string) (VariantSpec, error) {
-	if registered(name) {
-		return RegistryVariant(name), nil
-	}
-	for _, ab := range pmpAblations {
-		if name == ab.Name {
-			return PMPVariant(ab.Name, ab.Mut), nil
+	for _, v := range ExperimentVariants() {
+		if v.Name == name {
+			return v, nil
 		}
 	}
-	if name == "bingo@llc" {
-		return BingoLLCVariant(), nil
-	}
-	if rest, ok := strings.CutPrefix(name, "designb-"); ok {
-		ws, ok := strings.CutSuffix(rest, "w")
-		ways, err := strconv.Atoi(ws)
-		if !ok || err != nil {
-			return VariantSpec{}, fmt.Errorf("bench: bad designb variant %q", name)
-		}
-		return DesignBVariant(ways), nil
-	}
-	rest, ok := strings.CutPrefix(name, "pmp-")
-	if !ok {
-		return VariantSpec{}, fmt.Errorf("bench: unknown prefetcher variant %q", name)
-	}
-	for _, sc := range pmpSchemes {
-		if rest == sc.String() {
-			return schemeVariant(sc), nil
-		}
-	}
-	for _, fm := range pmpFeatureModes {
-		if rest == fm.String() {
-			return featureVariant(fm), nil
-		}
-	}
-	for _, p := range []struct {
-		prefix string
-		mk     func(int) VariantSpec
-	}{
-		{"tw", twVariant},
-		{"cs", csVariant},
-		{"mr", mrVariant},
-	} {
-		if ns, ok := strings.CutPrefix(rest, p.prefix); ok {
-			if v, err := strconv.Atoi(ns); err == nil {
-				return p.mk(v), nil
-			}
-		}
-	}
-	// "pmp-<l1>-<l2>": the Thresholds sweep ("%g" formatted floats).
-	if l1s, l2s, ok := strings.Cut(rest, "-"); ok {
-		l1, err1 := strconv.ParseFloat(l1s, 64)
-		l2, err2 := strconv.ParseFloat(l2s, 64)
-		if err1 == nil && err2 == nil {
-			return thresholdVariant(l1, l2), nil
-		}
-		return VariantSpec{}, fmt.Errorf("bench: unknown pmp variant %q", name)
-	}
-	// "pmp-<N>": the Table IX pattern-length sweep (region = N lines).
-	if lines, err := strconv.Atoi(rest); err == nil {
-		return regionVariant(lines * mem.LineBytes), nil
-	}
-	return VariantSpec{}, fmt.Errorf("bench: unknown pmp variant %q", name)
+	return VariantSpec{}, fmt.Errorf("bench: unknown prefetcher variant %q", name)
 }
 
 // ExperimentVariants returns every variant spec any registered
 // experiment submits, under its wire name: the registry lineup, the
 // ablation literals, the original LLC Bingo, and the full parameter
-// sweeps. The grammar round-trip property test pins that each of these
-// survives spec → name → ParseVariant unchanged.
+// sweeps. Names are unique, so ParseVariant can look them up.
 func ExperimentVariants() []VariantSpec {
 	var out []VariantSpec
 	for _, name := range Names() {

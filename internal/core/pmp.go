@@ -91,9 +91,6 @@ func New(cfg Config) *PMP {
 // Name implements prefetch.Prefetcher.
 func (p *PMP) Name() string { return "pmp" }
 
-// Config returns the active configuration.
-func (p *PMP) Config() Config { return p.cfg }
-
 // Stats returns internal activity counters.
 func (p *PMP) Stats() Stats { return p.stats }
 

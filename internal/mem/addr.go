@@ -108,9 +108,3 @@ func CeilLog2(n int) int {
 	}
 	return bits.Len(uint(n - 1))
 }
-
-// CeilPow2 returns the smallest power of two that is at least both n
-// and floor.
-func CeilPow2(n, floor int) int {
-	return 1 << CeilLog2(max(n, floor))
-}

@@ -84,27 +84,13 @@ func TestRegionRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCeilLog2AndPow2(t *testing.T) {
-	for _, tc := range []struct{ n, floor, log2, pow2 int }{
-		{-3, 0, 0, 1},
-		{0, 0, 0, 1},
-		{1, 0, 0, 1},
-		{2, 0, 1, 2},
-		{3, 0, 2, 4},
-		{4, 0, 2, 4},
-		{5, 0, 3, 8},
-		{64, 0, 6, 64},
-		{65, 0, 7, 128},
-		{1000, 16, 10, 1024},
-		{4096, 64, 12, 4096},
-		{10, 64, 4, 64},
-		{100, 64, 7, 128},
+func TestCeilLog2(t *testing.T) {
+	for _, tc := range []struct{ n, log2 int }{
+		{-3, 0}, {0, 0}, {1, 0}, {2, 1}, {3, 2}, {4, 2}, {5, 3},
+		{10, 4}, {64, 6}, {65, 7}, {100, 7}, {1000, 10}, {4096, 12},
 	} {
 		if got := CeilLog2(tc.n); got != tc.log2 {
 			t.Errorf("CeilLog2(%d) = %d, want %d", tc.n, got, tc.log2)
-		}
-		if got := CeilPow2(tc.n, tc.floor); got != tc.pow2 {
-			t.Errorf("CeilPow2(%d, %d) = %d, want %d", tc.n, tc.floor, got, tc.pow2)
 		}
 	}
 }

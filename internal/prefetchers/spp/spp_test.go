@@ -1,6 +1,7 @@
 package spp
 
 import (
+	"slices"
 	"testing"
 
 	"pmp/internal/mem"
@@ -42,6 +43,9 @@ func TestSPPLearnsDeltaPath(t *testing.T) {
 	}
 }
 
+// A fully confident +1 path decays by 0.75 a hop: two hops clear
+// fillThresh and fill the L1D, the next two clear only pfThresh and
+// fill the L2C, and the fifth stops the walk.
 func TestSPPLookaheadDepth(t *testing.T) {
 	p := New()
 	for page := uint64(0); page < 8; page++ {
@@ -50,8 +54,14 @@ func TestSPPLookaheadDepth(t *testing.T) {
 	p.Train(prefetch.Access{PC: 0x400, Addr: pageAddr(50, 0)})
 	p.Train(prefetch.Access{PC: 0x400, Addr: pageAddr(50, 1)})
 	got := p.IssueInto(nil, 64)
-	if len(got) > maxDepth {
-		t.Errorf("issued %d targets, lookahead bound is %d", len(got), maxDepth)
+	want := []prefetch.Request{
+		{Addr: pageAddr(50, 2), Level: prefetch.LevelL1},
+		{Addr: pageAddr(50, 3), Level: prefetch.LevelL1},
+		{Addr: pageAddr(50, 4), Level: prefetch.LevelL2},
+		{Addr: pageAddr(50, 5), Level: prefetch.LevelL2},
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("lookahead issued %v, want %v", got, want)
 	}
 }
 

@@ -82,7 +82,7 @@ func bump(t *testing.T, l leaf) {
 // classicUnderLevels reports whether path is a classic hierarchy field,
 // which the simulator ignores once Config.Levels is set.
 func classicUnderLevels(path string) bool {
-	for _, f := range []string{"L1D", "L2C", "LLC", "NonInclusiveLLC"} {
+	for _, f := range []string{"L1D", "L2C", "LLC"} {
 		p := ".Config." + f
 		if path == p || strings.HasPrefix(path, p+".") {
 			return true
@@ -146,10 +146,6 @@ func TestIDResolvesClassicHierarchy(t *testing.T) {
 	explicit.Config.Levels[2].Inclusive = false
 	if explicit.ID() == rs.ID() {
 		t.Error("a non-inclusive LLC kept the inclusive machine's ID")
-	}
-	rs.Config.NonInclusiveLLC = true
-	if explicit.ID() != rs.ID() {
-		t.Error("explicit non-inclusive Levels differ from NonInclusiveLLC")
 	}
 }
 

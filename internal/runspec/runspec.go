@@ -29,11 +29,11 @@ import (
 // parameterized families (PMP, Design B, Bingo). Exactly one of the
 // four fields besides Name must be set.
 //
-// Name labels the variant in tables, job labels and store records,
-// using the grammar of bench.ParseVariant (`pmp-tw8`, `designb-32w`,
-// `bingo@llc`, ablation literals, …). It is hashed into RunSpec.ID with
-// the rest of the spec, but the typed fields carry the construction
-// itself; nothing parses Name at run time.
+// Name labels the variant in tables, job labels and store records
+// (`pmp-tw8`, `designb-32w`, `bingo@llc`, ablation literals, …);
+// bench.ParseVariant looks a name up among the variants experiments
+// submit. It is hashed into RunSpec.ID with the rest of the spec, but
+// the typed fields carry the construction itself; nothing parses Name.
 type VariantSpec struct {
 	Name     string              `json:"name"`
 	Registry string              `json:"registry,omitempty"`

@@ -45,11 +45,6 @@ type Config struct {
 	// when the hierarchy has three or more levels.
 	Levels []LevelSpec
 
-	// NonInclusiveLLC disables LLC back-invalidation in the classic
-	// 3-level hierarchy, matching ChampSim's default non-inclusive
-	// LLC. Ignored when Levels is set — use LevelSpec.Inclusive there.
-	NonInclusiveLLC bool
-
 	// Warmup is the number of instructions simulated before statistics
 	// are reset (the paper uses 50M; scaled runs use less).
 	Warmup uint64
@@ -79,7 +74,8 @@ func DefaultConfig() Config {
 
 // Resolved returns the configuration with its hierarchy in Levels
 // form, innermost first: with no explicit Levels, the classic private
-// L1D/L2C over a shared LLC (inclusive unless NonInclusiveLLC is set).
+// L1D/L2C over a shared inclusive LLC. A non-inclusive LLC (ChampSim's
+// default) is an explicit Levels list with LevelSpec.Inclusive unset.
 // The classic fields are cleared, so two descriptions of one machine
 // resolve equal; the simulator builds from this form and job identity
 // (runspec.RunSpec.ID) hashes it.
@@ -88,11 +84,10 @@ func (c Config) Resolved() Config {
 		c.Levels = []LevelSpec{
 			{Cache: c.L1D},
 			{Cache: c.L2C},
-			{Cache: c.LLC, Shared: true, Inclusive: !c.NonInclusiveLLC},
+			{Cache: c.LLC, Shared: true, Inclusive: true},
 		}
 	}
 	c.L1D, c.L2C, c.LLC = cache.Config{}, cache.Config{}, cache.Config{}
-	c.NonInclusiveLLC = false
 	return c
 }
 

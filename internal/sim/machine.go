@@ -227,9 +227,6 @@ func (m *Machine) Core(i int) *Core { return m.cores[i] }
 // Levels returns the number of cache levels in the hierarchy.
 func (m *Machine) Levels() int { return len(m.specs) }
 
-// Prefetcher returns the core's trained (innermost-level) prefetcher.
-func (c *Core) Prefetcher() prefetch.Prefetcher { return c.pf }
-
 // CacheAt returns the cache at hierarchy level idx (0 = innermost).
 // Shared levels return the machine-wide instance.
 func (c *Core) CacheAt(idx int) *cache.Cache { return c.levels[idx].cache }

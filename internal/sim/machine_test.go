@@ -72,15 +72,17 @@ func TestInclusionPolicyKnob(t *testing.T) {
 	// One-set caches so every line contends: line A stays hot in the
 	// L1D while nine other lines stream through, overflowing the 8-way
 	// LLC. L1 hits never refresh the LLC, so A's LLC copy goes stale
-	// and is evicted. The inclusive (default) LLC back-invalidates A
-	// out of the L1; NonInclusiveLLC leaves the L1 copy resident while
-	// the LLC copy is gone.
+	// and is evicted. The inclusive LLC back-invalidates A out of the
+	// L1; a non-inclusive one leaves the L1 copy resident while the LLC
+	// copy is gone.
 	build := func(nonInclusive bool) *Machine {
 		cfg := quickConfig()
-		cfg.NonInclusiveLLC = nonInclusive
-		cfg.L1D = cache.Config{Name: "L1D", Sets: 1, Ways: 2, Latency: 1, MSHRs: 8, PQSize: 2}
-		cfg.L2C = cache.Config{Name: "L2C", Sets: 1, Ways: 4, Latency: 2, MSHRs: 8, PQSize: 2}
-		cfg.LLC = cache.Config{Name: "LLC", Sets: 1, Ways: 8, Latency: 4, MSHRs: 8, PQSize: 2}
+		cfg.Levels = []LevelSpec{
+			{Cache: cache.Config{Name: "L1D", Sets: 1, Ways: 2, Latency: 1, MSHRs: 8, PQSize: 2}},
+			{Cache: cache.Config{Name: "L2C", Sets: 1, Ways: 4, Latency: 2, MSHRs: 8, PQSize: 2}},
+			{Cache: cache.Config{Name: "LLC", Sets: 1, Ways: 8, Latency: 4, MSHRs: 8, PQSize: 2},
+				Shared: true, Inclusive: !nonInclusive},
+		}
 		return newSingle(cfg, prefetch.Nop{})
 	}
 	run := func(m *Machine) (l1Has, llcHas bool) {

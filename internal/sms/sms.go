@@ -121,9 +121,6 @@ func New(cfg Config) *Framework {
 	}
 }
 
-// Config returns the framework configuration.
-func (f *Framework) Config() Config { return f.cfg }
-
 // Region returns the tracked region geometry.
 func (f *Framework) Region() mem.Region { return f.cfg.Region }
 

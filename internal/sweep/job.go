@@ -84,9 +84,6 @@ func (t *Ticket) Wait() (Record, error) {
 	return t.rec, t.err
 }
 
-// Done returns a channel closed when the job resolves.
-func (t *Ticket) Done() <-chan struct{} { return t.done }
-
 // Cached reports whether the result was served from the results store
 // (resume) rather than executed by this run.
 func (t *Ticket) Cached() bool {

@@ -66,14 +66,13 @@ func (r Record) Runs() []sim.Result {
 // so a crash can at worst truncate the final line (which Open
 // tolerates). The in-memory index keeps the last record per ID.
 type Store struct {
-	mu       sync.Mutex
-	path     string
-	f        *os.File
-	w        *bufio.Writer
-	byID     map[string]Record
-	loaded   int // valid records read at Open (resume)
-	appended int // records appended by this process
-	skipped  int // malformed lines ignored at Open
+	mu      sync.Mutex
+	path    string
+	f       *os.File
+	w       *bufio.Writer
+	byID    map[string]Record
+	loaded  int // valid records read at Open (resume)
+	skipped int // malformed lines ignored at Open
 }
 
 // OpenStore opens (creating directories as needed) the JSONL store at
@@ -171,7 +170,6 @@ func (st *Store) Append(rec Record) error {
 		return fmt.Errorf("sweep: flush store: %w", err)
 	}
 	st.byID[rec.ID] = rec
-	st.appended++
 	return nil
 }
 
@@ -187,13 +185,6 @@ func (st *Store) Len() int {
 
 // Loaded returns the number of valid records read at Open.
 func (st *Store) Loaded() int { return st.loaded }
-
-// Appended returns the number of records appended by this process.
-func (st *Store) Appended() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.appended
-}
 
 // Skipped returns the number of malformed lines ignored at Open.
 func (st *Store) Skipped() int { return st.skipped }
