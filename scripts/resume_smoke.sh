@@ -9,18 +9,27 @@
 #   a. the reference store's canonical dump (pmpsweepd -canon) hashes
 #      to the committed scripts/quick_canon.sha256, pinning every job
 #      ID, label, variant, placement and stored result;
-#   b. no job completed before the interrupt is re-recorded by the
+#   b. the reference run's rendered tables (timing lines stripped) are
+#      byte-identical to the committed docs/results-quick.txt, pinning
+#      row labels, row order, notes and number formatting;
+#   c. no job completed before the interrupt is re-recorded by the
 #      resume (its store record count is unchanged), and
-#   c. the resumed run's rendered tables are byte-identical to the
+#   d. the resumed run's rendered tables are byte-identical to the
 #      uninterrupted reference (timing lines stripped).
 #
 # A change that alters QuickScale results or job identity on purpose
-# regenerates the digest (docs/sweep.md, "Canonical store digest").
+# regenerates the digest, and one that alters a rendered table
+# regenerates docs/results-quick.txt (docs/sweep.md, "Canonical store
+# digest").
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+
+# strip drops the timing lines, the only part of pmpexperiments'
+# stdout that varies from run to run.
+strip() { grep -v -E '^-- .* completed in |^total elapsed: ' "$1"; }
 
 echo "== build =="
 go build -o "$tmp/pmpexperiments" ./cmd/pmpexperiments
@@ -39,6 +48,14 @@ if [ "$got" != "$want" ]; then
   exit 1
 fi
 echo "PASS: canonical store sha256 $got"
+
+echo "== assert: rendered tables match docs/results-quick.txt =="
+if ! diff docs/results-quick.txt <(strip "$tmp/ref.out"); then
+  echo "FAIL: QuickScale tables differ from docs/results-quick.txt"
+  echo "      (see docs/sweep.md to regenerate)"
+  exit 1
+fi
+echo "PASS: rendered tables match docs/results-quick.txt"
 
 echo "== interrupted run =="
 # The interrupt must land while the sweep is still running, or the
@@ -92,7 +109,6 @@ echo "PASS: $(wc -l <"$tmp/pre_ids.txt") completed jobs skipped," \
   "$(wc -l <"$tmp/appended_ids.txt") remaining jobs executed by the resume"
 
 echo "== assert: resumed tables match the uninterrupted reference =="
-strip() { grep -v -E '^-- .* completed in |^total elapsed: ' "$1"; }
 if ! diff <(strip "$tmp/ref.out") <(strip "$tmp/res.out"); then
   echo "FAIL: resumed run's tables differ from the uninterrupted reference"
   exit 1
