@@ -1,9 +1,11 @@
 // Package bench is the experiment harness: one builder per table and
 // figure of the paper's evaluation, listed by Experiments (the index
-// that DESIGN.md §5 describes). Each builder executes the required
-// simulations on a Runner and returns a Table whose rows mirror what
-// the paper reports, so the repository's benchmarks, pmpexperiments
-// and pmpanalyze regenerate every artifact from the same code.
+// that DESIGN.md §5 describes). The sweep tables share one builder,
+// the grid, and each declares only its rows, columns and notes. Each
+// builder executes the required simulations on a Runner and returns a
+// Table whose rows mirror what the paper reports, so the repository's
+// benchmarks, pmpexperiments and pmpanalyze regenerate every artifact
+// from the same code.
 package bench
 
 import (
@@ -12,7 +14,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -301,7 +302,11 @@ func defaultSweep() *sweep.Sweep {
 // results are byte-identical by the sweep's determinism invariant.
 type Runner struct {
 	Scale Scale
-	specs []trace.Spec
+	// The trace lists experiments draw from: the suite most tables run
+	// (specs), the sweep subset of the parameter sweeps, Fig 13's
+	// homogeneous traces, and the pool that Fig 13's and HETM's
+	// heterogeneous mixes draw from by MPKI class.
+	specs, sweep, homo, pool []trace.Spec
 	// runJobs resolves a batch of run specs on the runner's scheduler
 	// and returns each run's per-core results, in order. A canceled
 	// sweep unwinds via a sweep.Interrupted panic, recovered at the
@@ -320,7 +325,7 @@ func NewRunner(scale Scale) *Runner {
 // Each job is built through BuildRun; an unbuildable one is an
 // experiment's programming error, not a job failure, so it panics.
 func NewRunnerWith(scale Scale, sw *sweep.Sweep) *Runner {
-	return &Runner{Scale: scale, specs: scale.Specs(), runJobs: func(jobs []runspec.RunSpec) [][]sim.Result {
+	return newRunner(scale, func(jobs []runspec.RunSpec) [][]sim.Result {
 		tickets := make([]*sweep.Ticket, len(jobs))
 		for i, rs := range jobs {
 			run, err := BuildRun(rs)
@@ -338,7 +343,7 @@ func NewRunnerWith(scale Scale, sw *sweep.Sweep) *Runner {
 			out[i] = rec.Runs()
 		}
 		return out
-	}}
+	})
 }
 
 // NewRunnerRemote builds a Runner that submits its jobs to a running
@@ -348,7 +353,7 @@ func NewRunnerWith(scale Scale, sw *sweep.Sweep) *Runner {
 // polling; canceling it, or a submission or polling failure, unwinds
 // experiments through the usual sweep.Interrupted path.
 func NewRunnerRemote(ctx context.Context, scale Scale, rc *remote.Client) *Runner {
-	return &Runner{Scale: scale, specs: scale.Specs(), runJobs: func(jobs []runspec.RunSpec) [][]sim.Result {
+	return newRunner(scale, func(jobs []runspec.RunSpec) [][]sim.Result {
 		if err := rc.Submit(ctx, jobs); err != nil {
 			panic(sweep.Interrupted{Err: err})
 		}
@@ -361,11 +366,40 @@ func NewRunnerRemote(ctx context.Context, scale Scale, rc *remote.Client) *Runne
 			out[i] = recs[rs.ID()].Runs()
 		}
 		return out
-	}}
+	})
+}
+
+// newRunner builds a Runner over the scale's trace lists: its
+// Representative subset, the sweep subset (Representative(8), 7 traces
+// at DefaultScale), Representative(4) for Fig 13's homogeneous mixes,
+// and the whole suite as the mix pool.
+func newRunner(scale Scale, runJobs func([]runspec.RunSpec) [][]sim.Result) *Runner {
+	return &Runner{
+		Scale:   scale,
+		specs:   scale.Specs(),
+		sweep:   trace.Representative(min(scale.Traces, 8)),
+		homo:    trace.Representative(min(scale.Traces, 4)),
+		pool:    trace.Suite(),
+		runJobs: runJobs,
+	}
 }
 
 // Specs returns the runner's trace subset.
 func (r *Runner) Specs() []trace.Spec { return r.specs }
+
+// mixPicker draws heterogeneous mix members from the runner's pool by
+// MPKI class: pick(class, i) is the class's i-th pool trace, cycling.
+// A class with no trace in the pool draws from the whole pool.
+func (r *Runner) mixPicker() func(class trace.MPKIClass, i int) trace.Spec {
+	byClass := trace.ByClass(r.pool)
+	return func(class trace.MPKIClass, i int) trace.Spec {
+		specs := byClass[class]
+		if len(specs) == 0 {
+			specs = r.pool
+		}
+		return specs[i%len(specs)]
+	}
+}
 
 // traceRef renders a trace spec as its wire reference.
 func traceRef(sp trace.Spec) runspec.TraceRef {
@@ -403,14 +437,9 @@ func (r *Runner) Baseline(cfg sim.Config) []sim.Result {
 
 // Run simulates every suite trace with fresh instances of the named
 // registry design; experiments with typed configurations in hand use
-// RunVariant instead.
+// RunPlaced instead.
 func (r *Runner) Run(name string, cfg sim.Config) SuiteResult {
-	return r.RunVariant(RegistryVariant(name), cfg)
-}
-
-// RunVariant simulates every suite trace with the variant spec.
-func (r *Runner) RunVariant(v VariantSpec, cfg sim.Config) SuiteResult {
-	return r.RunPlaced(v, nil, cfg)
+	return r.RunPlaced(RegistryVariant(name), nil, cfg)
 }
 
 // RunPlaced simulates every suite trace with the core variant plus
@@ -505,11 +534,4 @@ func f3(v float64) string  { return fmt.Sprintf("%.3f", v) }
 func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
 
-func sortedFamilies(m map[trace.Family]float64) []trace.Family {
-	fams := make([]trace.Family, 0, len(m))
-	for f := range m {
-		fams = append(fams, f)
-	}
-	sort.Slice(fams, func(i, j int) bool { return fams[i] < fams[j] })
-	return fams
-}
+func kbytes(bytes float64) string { return fmt.Sprintf("%.1f KB", bytes/1024) }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pmp/internal/prefetch"
+	"pmp/internal/runspec"
 	"pmp/internal/sim"
 	"pmp/internal/trace"
 )
@@ -66,7 +67,7 @@ func TestScaleSubsetSizes(t *testing.T) {
 	if n := len(QuickScale().Specs()); n != 5 {
 		t.Errorf("QuickScale runs %d traces, want 5", n)
 	}
-	sub := (&Runner{Scale: DefaultScale()}).subRunner()
+	sub := NewRunner(DefaultScale()).subRunner()
 	if n := len(sub.Specs()); n != 7 {
 		t.Errorf("DefaultScale sweep subset runs %d traces, want 7", n)
 	}
@@ -297,7 +298,7 @@ func TestAblationsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	tb := Ablations(NewRunner(tinyScale()))
+	tb := ablations.run(NewRunner(tinyScale()))
 	if len(tb.Rows) != 5 {
 		t.Fatalf("ablations rows = %d", len(tb.Rows))
 	}
@@ -371,6 +372,44 @@ func TestSweepRunnersProduceRows(t *testing.T) {
 		if !seen[id] {
 			t.Errorf("pinned experiment %s is not in the index", id)
 		}
+	}
+}
+
+// A WithSpecs runner scopes every experiment in the index: each core of
+// every job it submits runs one of the given traces. Both traces are
+// low-MPKI, so the mixes' medium and high members draw from the whole
+// pool.
+func TestWithSpecsScopesEveryExperiment(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multiple simulations")
+	}
+	in := map[string]bool{}
+	var specs []trace.Spec
+	for _, name := range []string{"spec06.stream-0", "spec17.stream-112"} {
+		sp, ok := trace.ByName(name)
+		if !ok || sp.Class != trace.LowMPKI {
+			t.Fatalf("%s: want a low-MPKI suite trace, got %+v (found %v)", name, sp, ok)
+		}
+		in[name] = true
+		specs = append(specs, sp)
+	}
+	r := NewRunner(tinyScale()).WithSpecs(specs)
+	runJobs, outside := r.runJobs, 0
+	r.runJobs = func(jobs []runspec.RunSpec) [][]sim.Result {
+		for _, j := range jobs {
+			for _, c := range j.Cores {
+				if !in[c.Trace.Name] {
+					outside++
+				}
+			}
+		}
+		return runJobs(jobs)
+	}
+	for _, e := range Experiments(nil) {
+		e.Run(r)
+	}
+	if outside > 0 {
+		t.Errorf("%d job cores ran a trace outside the runner's specs", outside)
 	}
 }
 

@@ -6,23 +6,21 @@ import (
 
 	"pmp/internal/analysis"
 	"pmp/internal/core"
+	"pmp/internal/mem"
 	"pmp/internal/runspec"
 	"pmp/internal/sim"
 	"pmp/internal/trace"
 )
 
-// subRunner returns a runner over a reduced trace subset for
-// parameter sweeps (the paper also evaluates ablations on the same
-// suite; we trim for wall-clock): Representative(8), 7 traces at
-// DefaultScale. It submits to the parent's
-// scheduler, so sweep-subset jobs interleave with — and deduplicate
-// against — every other experiment's jobs.
+// subRunner returns a runner over the sweep subset, the traces the
+// parameter sweeps run (the paper also evaluates ablations on the same
+// suite; we trim for wall-clock). It submits to the parent's scheduler,
+// so sweep-subset jobs interleave with — and deduplicate against —
+// every other experiment's jobs.
 func (r *Runner) subRunner() *Runner {
-	s := r.Scale
-	if s.Traces > 8 {
-		s.Traces = 8
-	}
-	return &Runner{Scale: s, specs: s.Specs(), runJobs: r.runJobs}
+	sub := *r
+	sub.specs = r.sweep
+	return &sub
 }
 
 // corpus captures the Section III pattern corpus over the runner's
@@ -324,184 +322,126 @@ func NMT(r *Runner) *Table {
 	return t
 }
 
-// TableVIII reproduces Table VIII: Design B NIPC vs associativity, with
+// tableVIII reproduces Table VIII: Design B NIPC vs associativity, with
 // PMP for reference.
-func TableVIII(r *Runner) *Table {
-	sw := r.subRunner()
-	cfg := sw.Scale.Config()
-	t := &Table{
-		ID:     "T8",
-		Title:  "Design B performance vs ways (paper Table VIII)",
-		Header: []string{"Design", "NIPC"},
-	}
-	for _, ways := range designBWays {
-		v := DesignBVariant(ways)
-		t.AddRow(v.Name, f3(sw.RunVariant(v, cfg).NIPC()))
-	}
-	pmp := sw.Run(NamePMP, cfg)
-	t.AddRow("pmp (merging)", f3(pmp.NIPC()))
-	t.Notes = append(t.Notes,
-		"paper: Design B 1.176/1.188/1.215/1.224 for 8/32/128/512 ways; PMP outperforms 512-way by 34.9%")
-	return t
+var tableVIII = &grid{
+	id:     "T8",
+	title:  "Design B performance vs ways (paper Table VIII)",
+	header: []string{"Design", "NIPC"},
+	rows: append(sweepRows([]int{8, 32, 128, 512}, func(ways int) gridRow {
+		c := core.DefaultDesignBConfig()
+		c.Ways = ways
+		v := VariantSpec{Name: fmt.Sprintf("designb-%dw", ways), DesignB: &c}
+		return gridRow{lead: []string{v.Name}, core: v}
+	}), gridRow{lead: []string{"pmp (merging)"}, core: RegistryVariant(NamePMP)}),
+	cell: nipcCell,
+	notes: []string{
+		"paper: Design B 1.176/1.188/1.215/1.224 for 8/32/128/512 ways; PMP outperforms 512-way by 34.9%"},
 }
 
-// Extraction reproduces §V-E2: AFE vs ANE vs ARE.
-func Extraction(r *Runner) *Table {
-	sw := r.subRunner()
-	cfg := sw.Scale.Config()
-	t := &Table{
-		ID:     "EXT",
-		Title:  "Prefetch pattern extraction schemes (paper §V-E2)",
-		Header: []string{"Scheme", "NIPC"},
-	}
-	for _, sc := range pmpSchemes {
-		res := sw.RunVariant(schemeVariant(sc), cfg)
-		t.AddRow(sc.String(), f3(res.NIPC()))
-	}
-	t.Notes = append(t.Notes,
-		"paper: AFE +65.2% over baseline; ANE 2.9% below AFE; ARE far below (+5.0% only, stream patterns lost)")
-	return t
+// extraction reproduces §V-E2: AFE vs ANE vs ARE.
+var extraction = &grid{
+	id:     "EXT",
+	title:  "Prefetch pattern extraction schemes (paper §V-E2)",
+	header: []string{"Scheme", "NIPC"},
+	rows: sweepRows([]core.Scheme{core.AFE, core.ANE, core.ARE}, func(sc core.Scheme) gridRow {
+		return gridRow{lead: []string{sc.String()},
+			core: PMPVariant("pmp-"+sc.String(), func(c *core.Config) { c.Scheme = sc })}
+	}),
+	cell: nipcCell,
+	notes: []string{
+		"paper: AFE +65.2% over baseline; ANE 2.9% below AFE; ARE far below (+5.0% only, stream patterns lost)"},
 }
 
-// MultiFeature reproduces §V-E3: dual tables vs combined feature vs
+// multiFeature reproduces §V-E3: dual tables vs combined feature vs
 // single-table variants.
-func MultiFeature(r *Runner) *Table {
-	sw := r.subRunner()
-	cfg := sw.Scale.Config()
-	t := &Table{
-		ID:     "MF",
-		Title:  "Multi-feature prediction structures (paper §V-E3)",
-		Header: []string{"Structure", "NIPC", "storage"},
-	}
-	for _, mode := range pmpFeatureModes {
-		v := featureVariant(mode)
-		res := sw.RunVariant(v, cfg)
-		t.AddRow(mode.String(), f3(res.NIPC()),
-			fmt.Sprintf("%.1f KB", v.PMP.Storage().TotalBytes()/1024))
-	}
-	t.Notes = append(t.Notes,
-		"paper: combined -3.1%, single OPT -2.4%, single PPT -3.5% vs the dual structure")
-	return t
+var multiFeature = &grid{
+	id:     "MF",
+	title:  "Multi-feature prediction structures (paper §V-E3)",
+	header: []string{"Structure", "NIPC", "storage"},
+	rows: sweepRows([]core.FeatureMode{core.DualTables, core.Combined, core.OPTOnly, core.PPTOnly}, func(fm core.FeatureMode) gridRow {
+		v := PMPVariant("pmp-"+fm.String(), func(c *core.Config) { c.Feature = fm })
+		return gridRow{lead: []string{fm.String()}, core: v, tail: []string{kbytes(v.PMP.Storage().TotalBytes())}}
+	}),
+	cell:  nipcCell,
+	notes: []string{"paper: combined -3.1%, single OPT -2.4%, single PPT -3.5% vs the dual structure"},
 }
 
-// TableIX reproduces Table IX: pattern length (region size) sweep.
-func TableIX(r *Runner) *Table {
-	sw := r.subRunner()
-	cfg := sw.Scale.Config()
-	t := &Table{
-		ID:     "T9",
-		Title:  "Pattern length sweep (paper Table IX)",
-		Header: []string{"Length", "Region", "Overhead", "NIPC"},
-	}
-	for _, reg := range pmpRegionBytes {
-		v := regionVariant(reg)
-		res := sw.RunVariant(v, cfg)
-		t.AddRow(fmt.Sprint(reg/64), fmt.Sprintf("%dKB", reg/1024),
-			fmt.Sprintf("%.1f KB", v.PMP.Storage().TotalBytes()/1024), f3(res.NIPC()))
-	}
-	t.Notes = append(t.Notes, "paper: 1.652 / 1.626 / 1.572 for lengths 64/32/16 at 4.3/2.5/1.6 KB")
-	return t
+// tableIX reproduces Table IX: pattern length (region size) sweep.
+var tableIX = &grid{
+	id:     "T9",
+	title:  "Pattern length sweep (paper Table IX)",
+	header: []string{"Length", "Region", "Overhead", "NIPC"},
+	rows: sweepRows([]int{4096, 2048, 1024}, func(reg int) gridRow {
+		n := reg / mem.LineBytes
+		v := PMPVariant(fmt.Sprintf("pmp-%d", n), func(c *core.Config) { c.RegionBytes = reg })
+		return gridRow{lead: []string{fmt.Sprint(n), fmt.Sprintf("%dKB", reg/1024), kbytes(v.PMP.Storage().TotalBytes())}, core: v}
+	}),
+	cell:  nipcCell,
+	notes: []string{"paper: 1.652 / 1.626 / 1.572 for lengths 64/32/16 at 4.3/2.5/1.6 KB"},
 }
 
-// TableXOffsetWidth reproduces Table X (left): trigger offset width.
-func TableXOffsetWidth(r *Runner) *Table {
-	sw := r.subRunner()
-	cfg := sw.Scale.Config()
-	t := &Table{
-		ID:     "T10a",
-		Title:  "Trigger offset width sweep (paper Table X left)",
-		Header: []string{"Width (b)", "NIPC", "OPT size"},
-	}
-	for _, b := range pmpTriggerBits {
-		v := twVariant(b)
-		res := sw.RunVariant(v, cfg)
-		t.AddRow(fmt.Sprint(b), f3(res.NIPC()),
-			fmt.Sprintf("%.1f KB", float64(v.PMP.Storage().OPTBits)/8/1024))
-	}
-	t.Notes = append(t.Notes,
-		"paper: 1.652 -> 1.658 from 6b to 12b while the OPT grows 64x; gain is negligible")
-	return t
+// tableXOffsetWidth reproduces Table X (left): trigger offset width.
+var tableXOffsetWidth = &grid{
+	id:     "T10a",
+	title:  "Trigger offset width sweep (paper Table X left)",
+	header: []string{"Width (b)", "NIPC", "OPT size"},
+	rows: sweepRows([]int{6, 7, 8, 9, 10, 11, 12}, func(b int) gridRow {
+		v := PMPVariant(fmt.Sprintf("pmp-tw%d", b), func(c *core.Config) { c.TriggerBits = b })
+		return gridRow{lead: []string{fmt.Sprint(b)}, core: v, tail: []string{kbytes(float64(v.PMP.Storage().OPTBits) / 8)}}
+	}),
+	cell:  nipcCell,
+	notes: []string{"paper: 1.652 -> 1.658 from 6b to 12b while the OPT grows 64x; gain is negligible"},
 }
 
-// TableXCounterSize reproduces Table X (right): OPT counter width.
-func TableXCounterSize(r *Runner) *Table {
-	sw := r.subRunner()
-	cfg := sw.Scale.Config()
-	t := &Table{
-		ID:     "T10b",
-		Title:  "OPT counter size sweep (paper Table X right)",
-		Header: []string{"Counter (b)", "NIPC"},
-	}
-	for _, b := range pmpCounterBits {
-		res := sw.RunVariant(csVariant(b), cfg)
-		t.AddRow(fmt.Sprint(b), f3(res.NIPC()))
-	}
-	t.Notes = append(t.Notes, "paper: monotone 1.624 -> 1.655 from 2b to 8b (longer history helps)")
-	return t
+// tableXCounterSize reproduces Table X (right): OPT counter width.
+var tableXCounterSize = &grid{
+	id:     "T10b",
+	title:  "OPT counter size sweep (paper Table X right)",
+	header: []string{"Counter (b)", "NIPC"},
+	rows: sweepRows([]int{2, 3, 4, 5, 6, 7, 8}, func(b int) gridRow {
+		return gridRow{lead: []string{fmt.Sprint(b)},
+			core: PMPVariant(fmt.Sprintf("pmp-cs%d", b), func(c *core.Config) { c.OPTCounterBits = b })}
+	}),
+	cell:  nipcCell,
+	notes: []string{"paper: monotone 1.624 -> 1.655 from 2b to 8b (longer history helps)"},
 }
 
-// TableXI reproduces Table XI: PPT monitoring range.
-func TableXI(r *Runner) *Table {
-	sw := r.subRunner()
-	cfg := sw.Scale.Config()
-	t := &Table{
-		ID:     "T11",
-		Title:  "Monitoring range sweep (paper Table XI)",
-		Header: []string{"Range", "NIPC", "PPT size"},
-	}
-	for _, mr := range pmpMonitorRanges {
-		v := mrVariant(mr)
-		res := sw.RunVariant(v, cfg)
-		t.AddRow(fmt.Sprint(mr), f3(res.NIPC()),
-			fmt.Sprintf("%d B", v.PMP.Storage().PPTBits/8))
-	}
-	t.Notes = append(t.Notes, "paper: 1.650 / 1.652 / 1.630 / 1.615 for ranges 1/2/4/8")
-	return t
+// tableXI reproduces Table XI: PPT monitoring range.
+var tableXI = &grid{
+	id:     "T11",
+	title:  "Monitoring range sweep (paper Table XI)",
+	header: []string{"Range", "NIPC", "PPT size"},
+	rows: sweepRows([]int{1, 2, 4, 8}, func(mr int) gridRow {
+		v := PMPVariant(fmt.Sprintf("pmp-mr%d", mr), func(c *core.Config) { c.MonitoringRange = mr })
+		return gridRow{lead: []string{fmt.Sprint(mr)}, core: v, tail: []string{fmt.Sprintf("%d B", v.PMP.Storage().PPTBits/8)}}
+	}),
+	cell:  nipcCell,
+	notes: []string{"paper: 1.650 / 1.652 / 1.630 / 1.615 for ranges 1/2/4/8"},
 }
 
-// Fig12Bandwidth reproduces Fig 12a: NIPC vs DRAM transfer rate.
-func Fig12Bandwidth(r *Runner) *Table {
-	sw := r.subRunner()
-	t := &Table{
-		ID:     "F12a",
-		Title:  "Performance vs memory bandwidth (paper Fig 12a)",
-		Header: []string{"Prefetcher", "800", "1600", "3200", "6400"},
-	}
-	rates := []int{800, 1600, 3200, 6400}
-	for _, name := range EvalNames() {
-		row := []string{name}
-		for _, mtps := range rates {
-			cfg := sw.Scale.Config().WithBandwidth(mtps)
-			res := sw.Run(name, cfg)
-			row = append(row, f3(res.NIPC()))
-		}
-		t.AddRow(row...)
-	}
-	t.Notes = append(t.Notes,
-		"paper: PMP leads at >= 1600 MT/s, slightly trails Bingo/SPP+PPF/Pythia at 800 MT/s (bandwidth hunger)")
-	return t
+// fig12Bandwidth reproduces Fig 12a: NIPC vs DRAM transfer rate.
+var fig12Bandwidth = &grid{
+	id:     "F12a",
+	title:  "Performance vs memory bandwidth (paper Fig 12a)",
+	header: []string{"Prefetcher", "800", "1600", "3200", "6400"},
+	rows:   sweepRows(EvalNames(), registryRow),
+	cols:   axis(sim.Config.WithBandwidth, 800, 1600, 3200, 6400),
+	cell:   nipcCell,
+	notes: []string{
+		"paper: PMP leads at >= 1600 MT/s, slightly trails Bingo/SPP+PPF/Pythia at 800 MT/s (bandwidth hunger)"},
 }
 
-// Fig12LLC reproduces Fig 12b: NIPC vs LLC capacity.
-func Fig12LLC(r *Runner) *Table {
-	sw := r.subRunner()
-	t := &Table{
-		ID:     "F12b",
-		Title:  "Performance vs LLC size (paper Fig 12b)",
-		Header: []string{"Prefetcher", "2MB", "4MB", "8MB"},
-	}
-	for _, name := range EvalNames() {
-		row := []string{name}
-		for _, mb := range []int{2, 4, 8} {
-			cfg := sw.Scale.Config().WithLLCMB(mb)
-			res := sw.Run(name, cfg)
-			row = append(row, f3(res.NIPC()))
-		}
-		t.AddRow(row...)
-	}
-	t.Notes = append(t.Notes,
-		"paper: PMP leads at every size; the PMP-Bingo gap widens with LLC size (pollution tolerance)")
-	return t
+// fig12LLC reproduces Fig 12b: NIPC vs LLC capacity.
+var fig12LLC = &grid{
+	id:     "F12b",
+	title:  "Performance vs LLC size (paper Fig 12b)",
+	header: []string{"Prefetcher", "2MB", "4MB", "8MB"},
+	rows:   sweepRows(EvalNames(), registryRow),
+	cols:   axis(sim.Config.WithLLCMB, 2, 4, 8),
+	cell:   nipcCell,
+	notes: []string{
+		"paper: PMP leads at every size; the PMP-Bingo gap widens with LLC size (pollution tolerance)"},
 }
 
 // mixJob builds one multicore run spec: the traces cycled across n
@@ -556,14 +496,10 @@ func Fig13(r *Runner) *Table {
 		Header: []string{"Prefetcher", "homogeneous", "heterogeneous", "ALL"},
 	}
 
-	// Homogeneous: each selected trace on all four cores.
-	homoSpecs := trace.Representative(min(4, scale.Traces))
-	// Heterogeneous: Table VII-style mixes drawn from the MPKI classes.
-	byClass := trace.ByClass(trace.Suite())
-	pick := func(class trace.MPKIClass, i int) trace.Spec {
-		specs := byClass[class]
-		return specs[i%len(specs)]
-	}
+	// Homogeneous: each of the runner's homogeneous traces on all four
+	// cores. Heterogeneous: Table VII-style mixes drawn from the MPKI
+	// classes of its mix pool.
+	pick := r.mixPicker()
 	// Table VII's six mix types; nMix instances each (the paper uses 10
 	// per type — used at full scale, 1 otherwise).
 	nMix := 1
@@ -589,8 +525,8 @@ func Fig13(r *Runner) *Table {
 	// heterogeneous ones, so res[i] aligns with base[i].
 	jobsFor := func(name string) []runspec.RunSpec {
 		v := RegistryVariant(name)
-		jobs := make([]runspec.RunSpec, 0, len(homoSpecs)+len(mixes))
-		for _, sp := range homoSpecs {
+		jobs := make([]runspec.RunSpec, 0, len(r.homo)+len(mixes))
+		for _, sp := range r.homo {
 			jobs = append(jobs, mixJob(v, []trace.Spec{sp}, 4, scale.Records, cfg))
 		}
 		for _, mix := range mixes {
@@ -604,16 +540,16 @@ func Fig13(r *Runner) *Table {
 	for _, name := range names {
 		res := r.runJobs(jobsFor(name))
 		var hoSum, heSum float64
-		for i := range homoSpecs {
+		for i := range r.homo {
 			hoSum += math.Log(coreNIPC(res[i], base[i]))
 		}
-		ho := math.Exp(hoSum / float64(len(homoSpecs)))
+		ho := math.Exp(hoSum / float64(len(r.homo)))
 		for i := range mixes {
-			j := len(homoSpecs) + i
+			j := len(r.homo) + i
 			heSum += math.Log(coreNIPC(res[j], base[j]))
 		}
 		he := math.Exp(heSum / float64(len(mixes)))
-		all := math.Exp((hoSum + heSum) / float64(len(homoSpecs)+len(mixes)))
+		all := math.Exp((hoSum + heSum) / float64(len(r.homo)+len(mixes)))
 		t.AddRow(name, f3(ho), f3(he), f3(all))
 	}
 	t.Notes = append(t.Notes,
@@ -645,26 +581,25 @@ func Related(r *Runner) *Table {
 	return t
 }
 
-// Ablations quantifies the simulator- and design-level mechanisms that
+// ablations quantifies the simulator- and design-level mechanisms that
 // DESIGN.md calls out, beyond the paper's own sweeps: counter-vector
 // halving (aging) and the prefetch buffer's continue-on-reaccess
 // behaviour.
-func Ablations(r *Runner) *Table {
-	sw := r.subRunner()
-	cfg := sw.Scale.Config()
-	t := &Table{
-		ID:     "ABL",
-		Title:  "PMP mechanism ablations (extension; not a paper artifact)",
-		Header: []string{"Variant", "NIPC", "NMT"},
-	}
-	for _, ab := range pmpAblations {
-		res := sw.RunVariant(PMPVariant(ab.Name, ab.Mut), cfg)
-		t.AddRow(ab.Name, f3(res.NIPC()), pct(res.NMT()))
-	}
-	t.Notes = append(t.Notes,
+var ablations = &grid{
+	id:     "ABL",
+	title:  "PMP mechanism ablations (extension; not a paper artifact)",
+	header: []string{"Variant", "NIPC", "NMT"},
+	rows: []gridRow{
+		pmpRow("pmp (default)", nil),
+		pmpRow("no halving (frozen counters)", func(c *core.Config) { c.NoHalving = true }),
+		pmpRow("no PB resume", func(c *core.Config) { c.NoResume = true }),
+		pmpRow("no halving + no resume", func(c *core.Config) { c.NoHalving = true; c.NoResume = true }),
+		pmpRow("cross-region projection", func(c *core.Config) { c.CrossRegion = true }),
+	},
+	cell: nipcNMTCell,
+	notes: []string{
 		"halving keeps frequencies adaptive across phases; PB resume recovers prefetches suspended on full queues;",
-		"cross-region projection issues wrapping targets into the next region (the paper's unsupported cross-page case)")
-	return t
+		"cross-region projection issues wrapping targets into the next region (the paper's unsupported cross-page case)"},
 }
 
 // Placement reproduces the paper's §V-B placement claim: "PMP (at L1)
@@ -743,23 +678,21 @@ func Inclusion(r *Runner) *Table {
 	return t
 }
 
-// Thresholds is an extension sweep over PMP's AFE thresholds, which
+// thresholds is an extension sweep over PMP's AFE thresholds, which
 // the paper fixes at T_l1d=50% / T_l2c=15% without a sweep: it shows
 // where those defaults sit in the design space.
-func Thresholds(r *Runner) *Table {
-	sw := r.subRunner()
-	cfg := sw.Scale.Config()
-	t := &Table{
-		ID:     "THR",
-		Title:  "AFE threshold sweep (extension; paper fixes 50%/15%)",
-		Header: []string{"T_l1d", "T_l2c", "NIPC", "NMT"},
-	}
-	for _, pair := range pmpThresholds {
-		l1, l2 := pair[0], pair[1]
-		res := sw.RunVariant(thresholdVariant(l1, l2), cfg)
-		t.AddRow(pct(l1), pct(l2), f3(res.NIPC()), pct(res.NMT()))
-	}
-	t.Notes = append(t.Notes,
-		"lower T_l1d trades L1D pollution for coverage; higher T_l2c trims the low-level spray")
-	return t
+var thresholds = &grid{
+	id:     "THR",
+	title:  "AFE threshold sweep (extension; paper fixes 50%/15%)",
+	header: []string{"T_l1d", "T_l2c", "NIPC", "NMT"},
+	rows: sweepRows([][2]float64{
+		{0.25, 0.15}, {0.50, 0.15}, {0.75, 0.15},
+		{0.50, 0.05}, {0.50, 0.30}, {0.75, 0.50},
+	}, func(p [2]float64) gridRow {
+		return gridRow{lead: []string{pct(p[0]), pct(p[1])},
+			core: PMPVariant(fmt.Sprintf("pmp-%g-%g", p[0], p[1]), func(c *core.Config) { c.TL1D, c.TL2C = p[0], p[1] })}
+	}),
+	cell: nipcNMTCell,
+	notes: []string{
+		"lower T_l1d trades L1D pollution for coverage; higher T_l2c trims the low-level spray"},
 }

@@ -14,10 +14,14 @@ import (
 
 // WithSpecs returns a Runner over the given trace specs instead of the
 // scale's synthetic subset, sharing this runner's scheduler (local pool
-// or remote coordinator) and scale. This is how an external manifest
-// rides the experiment harness: bench.External(r.WithSpecs(specs)).
+// or remote coordinator) and scale. The specs are every list its
+// experiments draw from: the suite, the sweep subset and the mix pool,
+// and their first four are Fig 13's homogeneous traces. This is how an
+// external manifest rides the experiment harness:
+// bench.External(r.WithSpecs(specs)).
 func (r *Runner) WithSpecs(specs []trace.Spec) *Runner {
-	return &Runner{Scale: r.Scale, specs: specs, runJobs: r.runJobs}
+	return &Runner{Scale: r.Scale, specs: specs, sweep: specs, homo: specs[:min(len(specs), 4)],
+		pool: specs, runJobs: r.runJobs}
 }
 
 // External is the EXTW experiment: the full prefetcher registry (the

@@ -18,44 +18,29 @@ import (
 // artifact; all four run through the same runner — and therefore
 // locally, store-backed, or distributed — like every other experiment.
 
-// hetStacks is the stacked-configuration lineup shared by HETS and
-// HETB: PMP and Bingo alone, then PMP at L1D with the original
-// (non-doubled) Bingo placed deeper. The labels are table rows only;
-// the placements travel in the run spec, which is the job's identity.
-var hetStacks = []struct {
-	label string
-	core  VariantSpec
-	place []runspec.Placement
-}{
-	{"pmp @ L1D", RegistryVariant(NamePMP), nil},
-	{"bingo @ L1D", RegistryVariant(NameBingo), nil},
-	{"pmp @ L1D + bingo @ L2C",
-		RegistryVariant(NamePMP), []runspec.Placement{{Level: 1, Variant: BingoLLCVariant()}}},
-	{"pmp @ L1D + bingo @ LLC",
-		RegistryVariant(NamePMP), []runspec.Placement{{Level: 2, Variant: BingoLLCVariant()}}},
-}
-
-// HETS evaluates prefetcher stacking: PMP trained at the L1D with the
-// original Bingo simultaneously placed at the L2C or the LLC, against
-// each design alone. It probes whether a second, coarser-grained
-// prefetcher below PMP recovers any of the coverage the §V-B placement
-// experiment attributes to the LLC vantage point.
-func HETS(r *Runner) *Table {
-	sw := r.subRunner()
-	cfg := sw.Scale.Config()
-	t := &Table{
-		ID:     "HETS",
-		Title:  "Heterogeneous stacking: PMP@L1D with Bingo placed deeper (extension)",
-		Header: []string{"Configuration", "NIPC", "NMT"},
-	}
-	for _, s := range hetStacks {
-		res := sw.RunPlaced(s.core, s.place, cfg)
-		t.AddRow(s.label, f3(res.NIPC()), pct(res.NMT()))
-	}
-	t.Notes = append(t.Notes,
+// hetStacking (HETS) evaluates prefetcher stacking: PMP trained at the
+// L1D with the original (non-doubled) Bingo simultaneously placed at
+// the L2C or the LLC, against each design alone. It probes whether a
+// second, coarser-grained prefetcher below PMP recovers any of the
+// coverage the §V-B placement experiment attributes to the LLC vantage
+// point. The labels are table rows only; the placements travel in the
+// run spec, which is the job's identity.
+var hetStacking = &grid{
+	id:     "HETS",
+	title:  "Heterogeneous stacking: PMP@L1D with Bingo placed deeper (extension)",
+	header: []string{"Configuration", "NIPC", "NMT"},
+	rows: []gridRow{
+		{lead: []string{"pmp @ L1D"}, core: RegistryVariant(NamePMP)},
+		{lead: []string{"bingo @ L1D"}, core: RegistryVariant(NameBingo)},
+		{lead: []string{"pmp @ L1D + bingo @ L2C"}, core: RegistryVariant(NamePMP),
+			place: []runspec.Placement{{Level: 1, Variant: BingoLLCVariant()}}},
+		{lead: []string{"pmp @ L1D + bingo @ LLC"}, core: RegistryVariant(NamePMP),
+			place: []runspec.Placement{{Level: 2, Variant: BingoLLCVariant()}}},
+	},
+	cell: nipcNMTCell,
+	notes: []string{
 		"stacked rows place the original (non-doubled) Bingo at the deeper level of every core;",
-		"both prefetchers issue into the same hierarchy, so wins must outweigh the added traffic")
-	return t
+		"both prefetchers issue into the same hierarchy, so wins must outweigh the added traffic"},
 }
 
 // HETM evaluates 8-core heterogeneous trace mixes: per-MPKI-class
@@ -73,11 +58,7 @@ func HETM(r *Runner) *Table {
 		Header: []string{"Prefetcher", "low", "medium", "high", "mixed", "ALL"},
 	}
 
-	byClass := trace.ByClass(trace.Suite())
-	pick := func(class trace.MPKIClass, i int) trace.Spec {
-		specs := byClass[class]
-		return specs[i%len(specs)]
-	}
+	pick := r.mixPicker()
 	L, M, H := trace.LowMPKI, trace.MediumMPKI, trace.HighMPKI
 	mixTypes := []struct {
 		label string
@@ -182,27 +163,17 @@ func HETH(r *Runner) *Table {
 	return t
 }
 
-// HETB sweeps the stacked configurations across DRAM transfer rates,
-// looking for the crossover where stacking's extra traffic stops
-// paying: Fig 12a's bandwidth axis applied to the HETS lineup.
-func HETB(r *Runner) *Table {
-	sw := r.subRunner()
-	rates := []int{800, 1600, 3200, 6400}
-	t := &Table{
-		ID:     "HETB",
-		Title:  "Stacked prefetchers vs memory bandwidth (extension; cf. paper Fig 12a)",
-		Header: []string{"Configuration", "800", "1600", "3200", "6400"},
-	}
-	for _, s := range hetStacks {
-		row := []string{s.label}
-		for _, mtps := range rates {
-			cfg := sw.Scale.Config().WithBandwidth(mtps)
-			res := sw.RunPlaced(s.core, s.place, cfg)
-			row = append(row, f3(res.NIPC()))
-		}
-		t.AddRow(row...)
-	}
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("%d configurations x %d rates; stacking helps most where bandwidth is plentiful", len(hetStacks), len(rates)))
-	return t
+// hetBandwidth (HETB) sweeps the stacked configurations across DRAM
+// transfer rates, looking for the crossover where stacking's extra
+// traffic stops paying: Fig 12a's bandwidth axis applied to the HETS
+// lineup.
+var hetBandwidth = &grid{
+	id:     "HETB",
+	title:  "Stacked prefetchers vs memory bandwidth (extension; cf. paper Fig 12a)",
+	header: []string{"Configuration", "800", "1600", "3200", "6400"},
+	rows:   hetStacking.rows,
+	cols:   fig12Bandwidth.cols,
+	cell:   nipcCell,
+	notes: []string{fmt.Sprintf("%d configurations x %d rates; stacking helps most where bandwidth is plentiful",
+		len(hetStacking.rows), len(fig12Bandwidth.cols))},
 }

@@ -19,9 +19,9 @@ var hetScale = Scale{Traces: 1, Records: 12_000, Warmup: 3_000, Measure: 30_000}
 func TestHETTableShapes(t *testing.T) {
 	r := NewRunner(hetScale)
 
-	hets := HETS(r)
-	if len(hets.Rows) != len(hetStacks) || len(hets.Header) != 3 {
-		t.Errorf("HETS: %dx%d, want %dx3", len(hets.Rows), len(hets.Header), len(hetStacks))
+	hets := hetStacking.run(r)
+	if len(hets.Rows) != len(hetStacking.rows) || len(hets.Header) != 3 {
+		t.Errorf("HETS: %dx%d, want %dx3", len(hets.Rows), len(hets.Header), len(hetStacking.rows))
 	}
 
 	heth := HETH(r)
@@ -29,9 +29,9 @@ func TestHETTableShapes(t *testing.T) {
 		t.Errorf("HETH: %dx%d, want %dx3", len(heth.Rows), len(heth.Header), len(hetHierarchies()))
 	}
 
-	hetb := HETB(r)
-	if len(hetb.Rows) != len(hetStacks) || len(hetb.Header) != 5 {
-		t.Errorf("HETB: %dx%d, want %dx5", len(hetb.Rows), len(hetb.Header), len(hetStacks))
+	hetb := hetBandwidth.run(r)
+	if len(hetb.Rows) != len(hetStacking.rows) || len(hetb.Header) != 5 {
+		t.Errorf("HETB: %dx%d, want %dx5", len(hetb.Rows), len(hetb.Header), len(hetStacking.rows))
 	}
 
 	// Every NIPC cell must parse and be positive: a zero or NaN means a

@@ -1,8 +1,12 @@
 package bench
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"pmp/internal/core"
@@ -170,5 +174,61 @@ func TestVariantIDSurvivesJSON(t *testing.T) {
 			t.Errorf("%q and %q share ID %s", v.Name, prev, id)
 		}
 		seen[id] = v.Name
+	}
+}
+
+// The names pmpsim -pf accepts are ExperimentVariants' wire names. They
+// derive from the grid tables' rows, so an edited row would silently
+// change them: this pins the sorted names and a digest of the sorted
+// JSON specs behind them.
+func TestExperimentVariantsNamespace(t *testing.T) {
+	var names, specs []string
+	for _, v := range ExperimentVariants() {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, v.Name)
+		specs = append(specs, string(b))
+	}
+	slices.Sort(names)
+	slices.Sort(specs)
+	want := []string{
+		"bingo", "bingo@llc", "bop", "cross-region projection",
+		"designb-128w", "designb-32w", "designb-512w", "designb-8w",
+		"dspatch", "nextline", "no PB resume", "no halving (frozen counters)",
+		"no halving + no resume", "none", "pmp", "pmp (default)",
+		"pmp-0.25-0.15", "pmp-0.5-0.05", "pmp-0.5-0.15", "pmp-0.5-0.3",
+		"pmp-0.75-0.15", "pmp-0.75-0.5", "pmp-16", "pmp-32", "pmp-64",
+		"pmp-AFE", "pmp-ANE", "pmp-ARE", "pmp-combined",
+		"pmp-cs2", "pmp-cs3", "pmp-cs4", "pmp-cs5", "pmp-cs6", "pmp-cs7", "pmp-cs8",
+		"pmp-dual", "pmp-limit", "pmp-mr1", "pmp-mr2", "pmp-mr4", "pmp-mr8",
+		"pmp-opt-only", "pmp-ppt-only",
+		"pmp-tw10", "pmp-tw11", "pmp-tw12", "pmp-tw6", "pmp-tw7", "pmp-tw8", "pmp-tw9",
+		"pythia", "sandbox", "sms", "spp-ppf", "stride", "vldp",
+	}
+	if !slices.Equal(names, want) {
+		t.Errorf("variant names (%d):\n%q\nwant (%d):\n%q", len(names), names, len(want), want)
+	}
+	sum := sha256.Sum256([]byte(strings.Join(specs, "\n")))
+	if got, want := hex.EncodeToString(sum[:]), "dc12d79e3910b661fa934a8d71404b1a213ee076b3054b0f06ab27cd05aade5d"; got != want {
+		t.Errorf("sorted JSON specs hash to %s, want %s", got, want)
+	}
+}
+
+// A grid row's variant is the spec its name looks up: a row that
+// reused another spec's name would run a design pmpsim -pf cannot
+// build.
+func TestGridRowsParseBack(t *testing.T) {
+	for _, e := range Experiments(nil) {
+		if e.grid == nil {
+			continue
+		}
+		for _, row := range e.grid.rows {
+			v, err := ParseVariant(row.core.Name)
+			if err != nil || !reflect.DeepEqual(v, row.core) {
+				t.Errorf("%s row %q: ParseVariant = %+v, %v; want %+v", e.ID, row.lead, v, err, row.core)
+			}
+		}
 	}
 }
