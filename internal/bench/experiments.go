@@ -23,8 +23,8 @@ func (r *Runner) subRunner() *Runner {
 	return &sub
 }
 
-// corpus captures the Section III pattern corpus over the runner's
-// traces.
+// corpus captures the Section III pattern corpus pooled over the
+// runner's traces.
 func (r *Runner) corpus() *analysis.Corpus {
 	srcs := make([]trace.Source, len(r.specs))
 	for i, sp := range r.specs {
@@ -33,17 +33,28 @@ func (r *Runner) corpus() *analysis.Corpus {
 	return analysis.CaptureAll(srcs, 0)
 }
 
-// TableI reproduces Table I: average PCR and PDR per indexing feature.
+// TableI reproduces Table I: PCR and PDR per indexing feature, each
+// the mean over the runner's traces of that trace's own rate (as Fig 4
+// averages ICDD per trace).
 func TableI(r *Runner) *Table {
-	c := r.corpus()
 	t := &Table{
 		ID:     "T1",
 		Title:  "Average Pattern Collision/Duplicate Rates (paper Table I)",
 		Header: []string{"Feature", "PCR", "PDR"},
 	}
-	for _, f := range analysis.Features() {
-		pcr, pdr := analysis.PCRPDR(c, f)
-		t.AddRow(f.String(), f1(pcr), f1(pdr))
+	feats := analysis.Features()
+	pcr, pdr := make([]float64, len(feats)), make([]float64, len(feats))
+	for _, sp := range r.specs {
+		c := analysis.Capture(sp.New(r.Scale.Records), 0)
+		for i, f := range feats {
+			a, b := analysis.PCRPDR(c, f)
+			pcr[i] += a
+			pdr[i] += b
+		}
+	}
+	n := float64(len(r.specs))
+	for i, f := range feats {
+		t.AddRow(f.String(), f1(pcr[i]/n), f1(pdr[i]/n))
 	}
 	t.Notes = append(t.Notes,
 		"paper: PC 3823.6/2.2, TriggerOffset 2094.2/2.6, PC+TO 269.0/6.3, Address 1.8/556.3, PC+Address 1.7/608.7",
