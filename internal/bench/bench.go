@@ -302,11 +302,15 @@ func defaultSweep() *sweep.Sweep {
 // results are byte-identical by the sweep's determinism invariant.
 type Runner struct {
 	Scale Scale
-	// The trace lists experiments draw from: the suite most tables run
-	// (specs), the sweep subset of the parameter sweeps, Fig 13's
+	specs []trace.Spec
+	// sweep, homo and pool return the other trace lists experiments
+	// draw from: the sweep subset of the parameter sweeps, Fig 13's
 	// homogeneous traces, and the pool that Fig 13's and HETM's
-	// heterogeneous mixes draw from by MPKI class.
-	specs, sweep, homo, pool []trace.Spec
+	// heterogeneous mixes draw from by MPKI class. They are built on
+	// use: each of a scale's lists rebuilds the 125-trace suite, which a
+	// runner that never runs those tables, such as one WithSpecs
+	// replaces, would pay for nothing.
+	sweep, homo, pool func() []trace.Spec
 	// runJobs resolves a batch of run specs on the runner's scheduler
 	// and returns each run's per-core results, in order. A canceled
 	// sweep unwinds via a sweep.Interrupted panic, recovered at the
@@ -377,9 +381,9 @@ func newRunner(scale Scale, runJobs func([]runspec.RunSpec) [][]sim.Result) *Run
 	return &Runner{
 		Scale:   scale,
 		specs:   scale.Specs(),
-		sweep:   trace.Representative(min(scale.Traces, 8)),
-		homo:    trace.Representative(min(scale.Traces, 4)),
-		pool:    trace.Suite(),
+		sweep:   func() []trace.Spec { return trace.Representative(min(scale.Traces, 8)) },
+		homo:    func() []trace.Spec { return trace.Representative(min(scale.Traces, 4)) },
+		pool:    trace.Suite,
 		runJobs: runJobs,
 	}
 }
@@ -391,11 +395,12 @@ func (r *Runner) Specs() []trace.Spec { return r.specs }
 // MPKI class: pick(class, i) is the class's i-th pool trace, cycling.
 // A class with no trace in the pool draws from the whole pool.
 func (r *Runner) mixPicker() func(class trace.MPKIClass, i int) trace.Spec {
-	byClass := trace.ByClass(r.pool)
+	pool := r.pool()
+	byClass := trace.ByClass(pool)
 	return func(class trace.MPKIClass, i int) trace.Spec {
 		specs := byClass[class]
 		if len(specs) == 0 {
-			specs = r.pool
+			specs = pool
 		}
 		return specs[i%len(specs)]
 	}
