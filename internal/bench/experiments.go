@@ -19,7 +19,7 @@ import (
 // every other experiment's jobs.
 func (r *Runner) subRunner() *Runner {
 	sub := *r
-	sub.specs = r.sweep()
+	sub.specs = r.sweep
 	return &sub
 }
 
@@ -510,7 +510,6 @@ func Fig13(r *Runner) *Table {
 	// Homogeneous: each of the runner's homogeneous traces on all four
 	// cores. Heterogeneous: Table VII-style mixes drawn from the MPKI
 	// classes of its mix pool.
-	homoSpecs := r.homo()
 	pick := r.mixPicker()
 	// Table VII's six mix types; nMix instances each (the paper uses 10
 	// per type — used at full scale, 1 otherwise).
@@ -537,8 +536,8 @@ func Fig13(r *Runner) *Table {
 	// heterogeneous ones, so res[i] aligns with base[i].
 	jobsFor := func(name string) []runspec.RunSpec {
 		v := RegistryVariant(name)
-		jobs := make([]runspec.RunSpec, 0, len(homoSpecs)+len(mixes))
-		for _, sp := range homoSpecs {
+		jobs := make([]runspec.RunSpec, 0, len(r.homo)+len(mixes))
+		for _, sp := range r.homo {
 			jobs = append(jobs, mixJob(v, []trace.Spec{sp}, 4, scale.Records, cfg))
 		}
 		for _, mix := range mixes {
@@ -552,16 +551,16 @@ func Fig13(r *Runner) *Table {
 	for _, name := range names {
 		res := r.runJobs(jobsFor(name))
 		var hoSum, heSum float64
-		for i := range homoSpecs {
+		for i := range r.homo {
 			hoSum += math.Log(coreNIPC(res[i], base[i]))
 		}
-		ho := math.Exp(hoSum / float64(len(homoSpecs)))
+		ho := math.Exp(hoSum / float64(len(r.homo)))
 		for i := range mixes {
-			j := len(homoSpecs) + i
+			j := len(r.homo) + i
 			heSum += math.Log(coreNIPC(res[j], base[j]))
 		}
 		he := math.Exp(heSum / float64(len(mixes)))
-		all := math.Exp((hoSum + heSum) / float64(len(homoSpecs)+len(mixes)))
+		all := math.Exp((hoSum + heSum) / float64(len(r.homo)+len(mixes)))
 		t.AddRow(name, f3(ho), f3(he), f3(all))
 	}
 	t.Notes = append(t.Notes,

@@ -20,9 +20,8 @@ import (
 // external manifest rides the experiment harness:
 // bench.External(r.WithSpecs(specs)).
 func (r *Runner) WithSpecs(specs []trace.Spec) *Runner {
-	all := func() []trace.Spec { return specs }
-	return &Runner{Scale: r.Scale, specs: specs, sweep: all, pool: all,
-		homo: func() []trace.Spec { return specs[:min(len(specs), 4)] }, runJobs: r.runJobs}
+	return &Runner{Scale: r.Scale, specs: specs, sweep: specs, pool: specs,
+		homo: specs[:min(len(specs), 4)], runJobs: r.runJobs}
 }
 
 // External is the EXTW experiment: the full prefetcher registry (the

@@ -23,6 +23,7 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "c", Sets: 4, Ways: 0, MSHRs: 1},
 		{Name: "d", Sets: 4, Ways: 1, MSHRs: 0},
 		{Name: "e", Sets: 4, Ways: 128, MSHRs: 1},
+		{Name: "f", Sets: 4, Ways: 1, MSHRs: 1, PQSize: -1},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

@@ -93,7 +93,8 @@ type Config struct {
 	Feature         FeatureMode
 	PBEntries       int // prefetch buffer entries (16)
 	// LowLevelDegree caps L2C/LLC prefetches per prediction; 0 means
-	// unlimited (default). 1 is the paper's PMP-Limit.
+	// unlimited (default), as does any value of 63 or more, since a
+	// region has at most 63 targets. 1 is the paper's PMP-Limit.
 	LowLevelDegree int
 
 	// Ablation switches (not part of the paper's design; used by the
@@ -213,12 +214,8 @@ func (s StorageBreakdown) TotalBytes() float64 { return float64(s.TotalBits) / 8
 
 // Storage computes the Table III accounting for the configuration.
 func (c Config) Storage() StorageBreakdown {
-	region := mem.NewRegion(c.RegionBytes)
-	regionBits := 48 - region.Shift()
-	offBits := mem.CeilLog2(c.PatternLen())
-
-	ftEntry := (regionBits - mem.CeilLog2(c.FTSets)) + 5 + offBits + mem.CeilLog2(c.FTWays)
-	atEntry := (regionBits - mem.CeilLog2(c.ATSets)) + 5 + c.PatternLen() + offBits + mem.CeilLog2(c.ATWays)
+	capture := c.smsConfig()
+	ftBits, atBits := capture.TableBits()
 
 	var optBits, pptBits int
 	switch c.Feature {
@@ -235,17 +232,12 @@ func (c Config) Storage() StorageBreakdown {
 		optBits = (1 << (c.TriggerBits + c.PCBits)) * c.PatternLen() * c.OPTCounterBits
 	}
 
-	// PB entry: full region tag + 2 bits per prefetchable offset
-	// (PatternLen-1 targets; the trigger itself is never prefetched) +
-	// LRU.
-	pbEntry := regionBits + 2*(c.PatternLen()-1) + mem.CeilLog2(c.PBEntries)
-
 	s := StorageBreakdown{
-		FilterTableBits: c.FTSets * c.FTWays * ftEntry,
-		AccumTableBits:  c.ATSets * c.ATWays * atEntry,
+		FilterTableBits: ftBits,
+		AccumTableBits:  atBits,
 		OPTBits:         optBits,
 		PPTBits:         pptBits,
-		PrefetchBufBits: c.PBEntries * pbEntry,
+		PrefetchBufBits: pbStorageBits(c.PBEntries, capture.Region),
 	}
 	s.TotalBits = s.FilterTableBits + s.AccumTableBits + s.OPTBits + s.PPTBits + s.PrefetchBufBits
 	return s

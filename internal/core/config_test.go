@@ -17,10 +17,18 @@ func TestConfigValidateRejects(t *testing.T) {
 		func(c *Config) { c.RegionBytes = 100 },
 		func(c *Config) { c.RegionBytes = 64 },
 		func(c *Config) { c.RegionBytes = 8192 },
+		func(c *Config) { c.RegionBytes = 3072 },
+		// Only the region bounds reject these: at the default monitoring
+		// range and trigger width, 64 and 8192 fail later checks too.
+		func(c *Config) { c.RegionBytes = 64; c.MonitoringRange = 1 },
+		func(c *Config) { c.RegionBytes = 8192; c.TriggerBits = 7 },
 		func(c *Config) { c.TriggerBits = 5 }, // below log2(64)
 		func(c *Config) { c.TriggerBits = 13 },
 		func(c *Config) { c.PCBits = 0 },
+		func(c *Config) { c.PCBits = 17 },
 		func(c *Config) { c.OPTCounterBits = 0 },
+		func(c *Config) { c.OPTCounterBits = 17 },
+		func(c *Config) { c.PPTCounterBits = 0 },
 		func(c *Config) { c.PPTCounterBits = 17 },
 		func(c *Config) { c.MonitoringRange = 3 },
 		func(c *Config) { c.MonitoringRange = 0 },

@@ -61,6 +61,12 @@ func (c DesignBConfig) Validate() error {
 	if c.RegionBytes < 2*mem.LineBytes || c.RegionBytes > mem.PageBytes || c.RegionBytes&(c.RegionBytes-1) != 0 {
 		return fmt.Errorf("designb: bad region size %d", c.RegionBytes)
 	}
+	if c.CounterBits < 1 || c.CounterBits > 16 {
+		return fmt.Errorf("designb: counter bits must be in [1, 16], got %d", c.CounterBits)
+	}
+	if c.PBEntries < 1 {
+		return fmt.Errorf("designb: prefetch buffer needs at least one entry, got %d", c.PBEntries)
+	}
 	if c.L2Threshold > c.L1Threshold {
 		return fmt.Errorf("designb: L2 threshold above L1 threshold")
 	}
@@ -212,6 +218,5 @@ func (d *DesignB) Requeue(r prefetch.Request) {
 func (d *DesignB) StorageBits() int {
 	n := d.region.Lines()
 	entry := n + d.cfg.CounterBits + mem.CeilLog2(d.cfg.Ways)
-	pb := d.cfg.PBEntries * ((48 - d.region.Shift()) + 2*(n-1) + mem.CeilLog2(d.cfg.PBEntries))
-	return n*d.cfg.Ways*entry + d.fw.StorageBits() + pb
+	return n*d.cfg.Ways*entry + d.fw.StorageBits() + pbStorageBits(d.cfg.PBEntries, d.region)
 }

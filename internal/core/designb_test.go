@@ -10,30 +10,27 @@ func TestDesignBConfigValidate(t *testing.T) {
 	if err := DefaultDesignBConfig().Validate(); err != nil {
 		t.Fatalf("default invalid: %v", err)
 	}
-	c := DefaultDesignBConfig()
-	c.Ways = 0
-	if err := c.Validate(); err == nil {
-		t.Error("zero ways should be invalid")
-	}
-	c = DefaultDesignBConfig()
-	c.L2Threshold = 99
-	if err := c.Validate(); err == nil {
-		t.Error("inverted thresholds should be invalid")
-	}
-	c = DefaultDesignBConfig()
-	c.RegionBytes = 100
-	if err := c.Validate(); err == nil {
-		t.Error("bad region should be invalid")
-	}
-	c = DefaultDesignBConfig()
-	c.RegionBytes = 8192
-	if err := c.Validate(); err == nil {
-		t.Error("region larger than a page should be invalid")
-	}
-	c = DefaultDesignBConfig()
-	c.FTWays = 0
-	if err := c.Validate(); err == nil {
-		t.Error("zero FT ways should be invalid")
+	for _, tc := range []struct {
+		label string
+		mut   func(*DesignBConfig)
+	}{
+		{"zero ways", func(c *DesignBConfig) { c.Ways = 0 }},
+		{"inverted thresholds", func(c *DesignBConfig) { c.L2Threshold = 99 }},
+		{"region of one line", func(c *DesignBConfig) { c.RegionBytes = 64 }},
+		{"region of 100 bytes", func(c *DesignBConfig) { c.RegionBytes = 100 }},
+		{"region not a power of two", func(c *DesignBConfig) { c.RegionBytes = 3072 }},
+		{"region larger than a page", func(c *DesignBConfig) { c.RegionBytes = 8192 }},
+		{"zero counter bits", func(c *DesignBConfig) { c.CounterBits = 0 }},
+		{"17 counter bits", func(c *DesignBConfig) { c.CounterBits = 17 }},
+		{"zero PB entries", func(c *DesignBConfig) { c.PBEntries = 0 }},
+		{"negative PB entries", func(c *DesignBConfig) { c.PBEntries = -1 }},
+		{"zero FT ways", func(c *DesignBConfig) { c.FTWays = 0 }},
+	} {
+		c := DefaultDesignBConfig()
+		tc.mut(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s should be invalid: %+v", tc.label, c)
+		}
 	}
 }
 
@@ -122,14 +119,23 @@ func TestDesignBNameAllocFree(t *testing.T) {
 	}
 }
 
+// No registry test or golden digest sees Design B's budget, so it is
+// pinned here: the pattern cache grows with ways, and the prefetch
+// buffer and capture tables with the region and buffer sizes.
 func TestDesignBStorageGrowsWithWays(t *testing.T) {
-	small := DefaultDesignBConfig()
-	big := DefaultDesignBConfig()
-	big.Ways = 512
-	sb := NewDesignB(small).StorageBits()
-	bb := NewDesignB(big).StorageBits()
-	if bb <= sb {
-		t.Errorf("512-way (%d bits) should dwarf 8-way (%d bits)", bb, sb)
+	for _, tc := range []struct {
+		ways, region, pb, want int
+	}{
+		{8, 4096, 16, 46_176},
+		{512, 4096, 16, 2_565_216},
+		{8, 1024, 4, 8_472},
+	} {
+		c := DefaultDesignBConfig()
+		c.Ways, c.RegionBytes, c.PBEntries = tc.ways, tc.region, tc.pb
+		if got := NewDesignB(c).StorageBits(); got != tc.want {
+			t.Errorf("%d ways, %d-byte regions, %d PB entries: StorageBits = %d, want %d",
+				tc.ways, tc.region, tc.pb, got, tc.want)
+		}
 	}
 }
 

@@ -59,6 +59,14 @@ type prefetchBuffer struct {
 	crossRegion bool
 }
 
+// pbStorageBits is the budget of an entries-deep prefetch buffer over
+// the region: per entry, the full region tag, 2 bits per prefetchable
+// offset (every line but the trigger, which is never prefetched) and
+// LRU state.
+func pbStorageBits(entries int, region mem.Region) int {
+	return entries * ((48 - region.Shift()) + 2*(region.Lines()-1) + mem.CeilLog2(entries))
+}
+
 func newPrefetchBuffer(entries int, region mem.Region) *prefetchBuffer {
 	n := region.Lines()
 	order := make([]int, 0, n-1)

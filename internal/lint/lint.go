@@ -1,9 +1,9 @@
 // Package lint is a self-contained static-analysis framework plus the
 // pmplint analyzer suite that enforces this repository's simulator
 // invariants (line-aligned geometry arithmetic, saturating-counter
-// discipline, cycle-math underflow safety, configuration-literal
-// bounds, the prefetch.Prefetcher implementation contract, hot-path
-// allocation freedom, and output determinism).
+// discipline, cycle-math underflow safety, the prefetch.Prefetcher
+// implementation contract, hot-path allocation freedom, and output
+// determinism).
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer / Pass / Diagnostic) but is built only on the standard
@@ -87,7 +87,6 @@ func Analyzers() []*Analyzer {
 		SatCounter,
 		Capacity,
 		PrefetcherImpl,
-		ConfigBounds,
 		HotAlloc,
 		Determinism,
 	}

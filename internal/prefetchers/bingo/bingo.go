@@ -49,7 +49,7 @@ func DefaultConfig() Config {
 
 // Validate reports a descriptive error for malformed configurations.
 func (c Config) Validate() error {
-	if c.RegionBytes < mem.LineBytes || c.RegionBytes > mem.PageBytes || c.RegionBytes&(c.RegionBytes-1) != 0 {
+	if c.RegionBytes < 2*mem.LineBytes || c.RegionBytes > mem.PageBytes || c.RegionBytes&(c.RegionBytes-1) != 0 {
 		return errBadRegion
 	}
 	if c.PHTSets <= 0 || c.PHTSets&(c.PHTSets-1) != 0 {
@@ -72,7 +72,7 @@ func (c Config) smsConfig() sms.Config {
 }
 
 var (
-	errBadRegion = configError("bingo: region bytes must be a power of two in [64, 4096]")
+	errBadRegion = configError("bingo: region bytes must be a power of two in [128, 4096]")
 	errBadSets   = configError("bingo: PHT sets must be a positive power of two")
 	errBadWays   = configError("bingo: PHT ways must be positive")
 )

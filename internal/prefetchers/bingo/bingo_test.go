@@ -103,25 +103,23 @@ func TestBingoStorageBudget(t *testing.T) {
 }
 
 func TestBingoConfigValidate(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.PHTSets = 3
-	if err := cfg.Validate(); err == nil {
-		t.Error("non-power-of-two sets accepted")
-	}
-	cfg = DefaultConfig()
-	cfg.PHTWays = 0
-	if err := cfg.Validate(); err == nil {
-		t.Error("zero ways accepted")
-	}
-	cfg = DefaultConfig()
-	cfg.RegionBytes = 8192
-	if err := cfg.Validate(); err == nil {
-		t.Error("region larger than a page accepted")
-	}
-	cfg = DefaultConfig()
-	cfg.ATSets = 3
-	if err := cfg.Validate(); err == nil {
-		t.Error("non-power-of-two AT sets accepted")
+	for _, tc := range []struct {
+		label string
+		mut   func(*Config)
+	}{
+		{"non-power-of-two sets", func(c *Config) { c.PHTSets = 3 }},
+		{"zero sets", func(c *Config) { c.PHTSets = 0 }},
+		{"zero ways", func(c *Config) { c.PHTWays = 0 }},
+		{"region of one line", func(c *Config) { c.RegionBytes = 64 }},
+		{"region not a power of two", func(c *Config) { c.RegionBytes = 3072 }},
+		{"region larger than a page", func(c *Config) { c.RegionBytes = 8192 }},
+		{"non-power-of-two AT sets", func(c *Config) { c.ATSets = 3 }},
+	} {
+		cfg := DefaultConfig()
+		tc.mut(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s accepted", tc.label)
+		}
 	}
 }
 

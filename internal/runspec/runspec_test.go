@@ -80,6 +80,11 @@ func TestRunSpecValidate(t *testing.T) {
 			c.FTSets = 3
 			rs.Cores[0].Variant = VariantSpec{Name: "designb-8w", DesignB: &c}
 		}},
+		{"Design B PB entries 0", func(rs *RunSpec) {
+			c := core.DefaultDesignBConfig()
+			c.PBEntries = 0
+			rs.Cores[0].Variant = VariantSpec{Name: "designb-8w", DesignB: &c}
+		}},
 		{"Bingo FT sets 3", func(rs *RunSpec) {
 			c := bingo.DefaultConfig()
 			c.FTSets = 3

@@ -270,17 +270,24 @@ func (f *Framework) Flush() []Pattern {
 	return out
 }
 
-// StorageBits returns the hardware budget of the framework following
-// the paper's Table III accounting: with 48-bit addresses and 4KB
-// regions, FT entries hold a region tag (36b minus set-index bits =
-// 33b), a hashed PC (5b), the trigger offset and LRU state; AT entries
-// add the bit vector.
+// TableBits returns the hardware budget of the filter and accumulation
+// tables following the paper's Table III accounting: with 48-bit
+// addresses and 4KB regions, FT entries hold a region tag (36b minus
+// set-index bits = 33b), a hashed PC (5b), the trigger offset and LRU
+// state; AT entries add the bit vector.
+func (c Config) TableBits() (ft, at int) {
+	regionBits := 48 - c.Region.Shift()
+	offBits := mem.CeilLog2(c.Region.Lines())
+	ftTag := regionBits - mem.CeilLog2(c.FTSets)
+	atTag := regionBits - mem.CeilLog2(c.ATSets)
+	ftEntryBits := ftTag + 5 + offBits + mem.CeilLog2(c.FTWays)
+	atEntryBits := atTag + 5 + c.Region.Lines() + offBits + mem.CeilLog2(c.ATWays)
+	return c.FTSets * c.FTWays * ftEntryBits, c.ATSets * c.ATWays * atEntryBits
+}
+
+// StorageBits returns the framework's hardware budget: the bits of both
+// its tables (Config.TableBits).
 func (f *Framework) StorageBits() int {
-	regionBits := 48 - f.cfg.Region.Shift()
-	offBits := mem.CeilLog2(f.cfg.Region.Lines())
-	ftTag := regionBits - mem.CeilLog2(f.cfg.FTSets)
-	atTag := regionBits - mem.CeilLog2(f.cfg.ATSets)
-	ftEntryBits := ftTag + 5 + offBits + mem.CeilLog2(f.cfg.FTWays)
-	atEntryBits := atTag + 5 + f.cfg.Region.Lines() + offBits + mem.CeilLog2(f.cfg.ATWays)
-	return f.cfg.FTSets*f.cfg.FTWays*ftEntryBits + f.cfg.ATSets*f.cfg.ATWays*atEntryBits
+	ft, at := f.cfg.TableBits()
+	return ft + at
 }

@@ -26,7 +26,9 @@ func TestConfigValidate(t *testing.T) {
 		{FTSets: 0, FTWays: 1, ATSets: 1, ATWays: 1},
 		{FTSets: 3, FTWays: 1, ATSets: 1, ATWays: 1},
 		{FTSets: 1, FTWays: 0, ATSets: 1, ATWays: 1},
+		{FTSets: 1, FTWays: 1, ATSets: 0, ATWays: 1},
 		{FTSets: 1, FTWays: 1, ATSets: 5, ATWays: 1},
+		{FTSets: 1, FTWays: 1, ATSets: 1, ATWays: 0},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -128,7 +129,11 @@ func makeSpec(fam Family, k kind, variant int) Spec {
 // SPEC families the archetypes rotate among streaming, strided, MCF-like
 // backward and pointer-chase workloads; Ligra traces are graph
 // traversals; PARSEC traces are phase mixes.
-func Suite() []Spec {
+func Suite() []Spec { return slices.Clone(suite()) }
+
+// suite builds the suite once; Suite hands out copies of it, and
+// Representative and ByName only read it.
+var suite = sync.OnceValue(func() []Spec {
 	var specs []Spec
 	spec06Kinds := []kind{kStream, kStride, kBackward, kChase}
 	for i := 0; i < 38; i++ {
@@ -145,12 +150,12 @@ func Suite() []Spec {
 		specs = append(specs, makeSpec(PARSEC, kMixed, 300+i))
 	}
 	return specs
-}
+})
 
-// builtin indexes Suite by name, built on first use.
+// builtin indexes the suite by name, built on first use.
 var builtin = sync.OnceValue(func() map[string]Spec {
 	idx := map[string]Spec{}
-	for _, sp := range Suite() {
+	for _, sp := range suite() {
 		idx[sp.Name] = sp
 	}
 	return idx
@@ -169,9 +174,9 @@ func ByName(name string) (Spec, bool) {
 // is its share of n, floored, and at least one, so Representative(16)
 // returns 14 specs.
 func Representative(n int) []Spec {
-	all := Suite()
+	all := suite()
 	if n >= len(all) {
-		return all
+		return Suite()
 	}
 	if n < 4 {
 		n = 4
