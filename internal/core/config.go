@@ -173,6 +173,9 @@ func (c Config) Validate() error {
 	if !(c.TL2C > 0 && c.TL2C <= c.TL1D && c.TL1D <= 1) {
 		return fmt.Errorf("pmp: thresholds must satisfy 0 < TL2C <= TL1D <= 1 (%v, %v)", c.TL1D, c.TL2C)
 	}
+	if c.ANEL2 > c.ANEL1 {
+		return fmt.Errorf("pmp: ANE thresholds must satisfy ANEL2 <= ANEL1 (%d, %d)", c.ANEL1, c.ANEL2)
+	}
 	if c.PBEntries < 1 {
 		return fmt.Errorf("pmp: prefetch buffer needs at least one entry, got %d", c.PBEntries)
 	}

@@ -12,6 +12,63 @@ func TestDefaultConfigValid(t *testing.T) {
 	}
 }
 
+// TestDefaultConfigIsTableII pins the paper's preset parameters (Table
+// II), the ANE thresholds of §V-E2 and the capture geometry of Table
+// III.
+func TestDefaultConfigIsTableII(t *testing.T) {
+	want := Config{
+		RegionBytes: 4096, OPTCounterBits: 5, PPTCounterBits: 5,
+		TriggerBits: 6, PCBits: 5, MonitoringRange: 2,
+		TL1D: 0.50, TL2C: 0.15, ANEL1: 16, ANEL2: 5,
+		Scheme: AFE, Feature: DualTables, PBEntries: 16,
+		FTSets: 8, FTWays: 8, ATSets: 2, ATWays: 16,
+	}
+	if got := DefaultConfig(); got != want {
+		t.Errorf("DefaultConfig() = %+v, want %+v", got, want)
+	}
+}
+
+func TestConstructorsPanicOnInvalidConfig(t *testing.T) {
+	for name, build := range map[string]func(){
+		"New":        func() { c := DefaultConfig(); c.PBEntries = 0; New(c) },
+		"NewDesignB": func() { c := DefaultDesignBConfig(); c.PBEntries = 0; NewDesignB(c) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted zero prefetch buffer entries", name)
+				}
+			}()
+			build()
+		}()
+	}
+}
+
+// TestConfigValidateAccepts pins the inclusive end of each bound that
+// TestConfigValidateRejects probes from outside.
+func TestConfigValidateAccepts(t *testing.T) {
+	for i, m := range []func(*Config){
+		func(c *Config) { c.RegionBytes = 128; c.TriggerBits = 1 },
+		func(c *Config) { c.TriggerBits = 12 },
+		func(c *Config) { c.PCBits = 1 },
+		func(c *Config) { c.PCBits = 16 },
+		func(c *Config) { c.OPTCounterBits, c.PPTCounterBits = 1, 1 },
+		func(c *Config) { c.MonitoringRange = 1 },
+		func(c *Config) { c.MonitoringRange = 64 },
+		func(c *Config) { c.TL1D, c.TL2C = 1, 1 },
+		func(c *Config) { c.ANEL2 = c.ANEL1 },
+		func(c *Config) { c.PBEntries = 1 },
+		func(c *Config) { c.Scheme = ARE },
+		func(c *Config) { c.Feature = Combined },
+	} {
+		c := DefaultConfig()
+		m(&c)
+		if err := c.Validate(); err != nil {
+			t.Errorf("case %d rejected: %v", i, err)
+		}
+	}
+}
+
 func TestConfigValidateRejects(t *testing.T) {
 	mutate := []func(*Config){
 		func(c *Config) { c.RegionBytes = 100 },
@@ -35,6 +92,7 @@ func TestConfigValidateRejects(t *testing.T) {
 		func(c *Config) { c.TL1D = 0.1; c.TL2C = 0.5 },
 		func(c *Config) { c.TL2C = 0 },
 		func(c *Config) { c.TL1D = 1.5 },
+		func(c *Config) { c.ANEL1 = 5; c.ANEL2 = 16 },
 		func(c *Config) { c.PBEntries = 0 },
 		func(c *Config) { c.Scheme = Scheme(9) },
 		func(c *Config) { c.Feature = FeatureMode(9) },
@@ -165,6 +223,21 @@ func TestStorageCombinedFeature(t *testing.T) {
 	wantEntries := 2048
 	if got := s.OPTBits / (64 * 5); got != wantEntries {
 		t.Errorf("combined table entries = %d, want %d", got, wantEntries)
+	}
+}
+
+// Paper §V-E3's single-table ablations: OPT-only drops the PPT, and
+// PPT-only is a PC-indexed table sized like the OPT.
+func TestStorageSingleTableFeatures(t *testing.T) {
+	dual := DefaultConfig().Storage()
+	c := DefaultConfig()
+	c.Feature = OPTOnly
+	if s := c.Storage(); s.OPTBits != dual.OPTBits || s.PPTBits != 0 {
+		t.Errorf("OPT-only: OPT %d, PPT %d bits; want %d, 0", s.OPTBits, s.PPTBits, dual.OPTBits)
+	}
+	c.Feature = PPTOnly
+	if s := c.Storage(); s.OPTBits != 0 || s.PPTBits != dual.OPTBits {
+		t.Errorf("PPT-only: OPT %d, PPT %d bits; want 0, %d", s.OPTBits, s.PPTBits, dual.OPTBits)
 	}
 }
 

@@ -159,7 +159,6 @@ func (d *DesignB) insert(pat sms.Pattern) {
 		if !e.valid {
 			victim = i
 			oldest = 0
-			continue
 		}
 		if e.lru < oldest {
 			oldest, victim = e.lru, i
@@ -193,7 +192,7 @@ func (d *DesignB) predict(trig sms.Trigger) {
 	best.lru = d.stamp
 	for k := range d.final {
 		d.final[k] = prefetch.LevelNone
-		if k > 0 && best.pattern.Test(k) {
+		if best.pattern.Test(k) {
 			d.final[k] = level
 		}
 	}

@@ -183,3 +183,15 @@ func TestAFESurvivesHalving(t *testing.T) {
 		t.Errorf("offset 2 changed across halving: %v -> %v", before2, got[2])
 	}
 }
+
+// TestMinCountForUnreachableThreshold pins the pre-scaled threshold
+// when even a saturated counter falls short: it is one past the counter
+// maximum, so no lane compares at or above it.
+func TestMinCountForUnreachableThreshold(t *testing.T) {
+	if got := minCountFor(100, 0.5, 31); got != 32 {
+		t.Errorf("minCountFor(100, 0.5, 31) = %d, want 32", got)
+	}
+	if got := minCountFor(40, 0.5, 31); got != 20 {
+		t.Errorf("minCountFor(40, 0.5, 31) = %d, want 20", got)
+	}
+}

@@ -97,7 +97,8 @@ func newPrefetchBuffer(entries int, region mem.Region) *prefetchBuffer {
 }
 
 // Insert stores a freshly arbitrated pattern for the region, replacing
-// an existing entry for the same region or the LRU victim.
+// an existing entry for the same region or the LRU victim (an unused
+// slot's lru is 0, so free slots go first).
 func (pb *prefetchBuffer) Insert(region uint64, trigger int, levels []prefetch.Level) {
 	pb.stamp++
 	victim := 0
@@ -107,13 +108,6 @@ func (pb *prefetchBuffer) Insert(region uint64, trigger int, levels []prefetch.L
 		if e.valid && e.region == region {
 			victim = i
 			break
-		}
-		if !e.valid {
-			if oldest != 0 {
-				victim = i
-				oldest = 0
-			}
-			continue
 		}
 		if e.lru < oldest {
 			oldest, victim = e.lru, i
@@ -167,10 +161,8 @@ func (pb *prefetchBuffer) Touch(region uint64) bool {
 //
 //pmp:hotpath
 func (pb *prefetchBuffer) lookup(region uint64) (int, bool) {
-	if h := pb.hint; h < len(pb.entries) {
-		if e := &pb.entries[h]; e.valid && e.region == region {
-			return h, true
-		}
+	if e := &pb.entries[pb.hint]; e.valid && e.region == region {
+		return pb.hint, true
 	}
 	for i := range pb.entries {
 		e := &pb.entries[i]
@@ -190,9 +182,6 @@ func (pb *prefetchBuffer) lookup(region uint64) (int, bool) {
 //
 //pmp:hotpath
 func (pb *prefetchBuffer) DrainInto(dst []prefetch.Request, max int) []prefetch.Request {
-	if max <= 0 {
-		return dst
-	}
 	n := pb.region.Lines()
 	emitted := 0
 	for emitted < max {
@@ -236,7 +225,8 @@ func (pb *prefetchBuffer) Requeue(region uint64, offset int) {
 	if pb.requeueIn(region, region, offset) {
 		return
 	}
-	if pb.crossRegion && region > 0 {
+	// At region 0, region-1 wraps to an ID that no entry holds.
+	if pb.crossRegion {
 		pb.requeueIn(region-1, region, offset)
 	}
 }

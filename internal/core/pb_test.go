@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"pmp/internal/mem"
@@ -103,6 +104,21 @@ func TestPBTouchResumesRegion(t *testing.T) {
 	}
 }
 
+// TestPBLatestTouchDrainsFirst pins that every Touch takes a fresh
+// stamp: of two regions touched in turn, the later one resumes first.
+func TestPBLatestTouchDrainsFirst(t *testing.T) {
+	region := mem.NewRegion(4096)
+	pb := newPrefetchBuffer(4, region)
+	l := levelsWith(64, map[int]prefetch.Level{1: prefetch.LevelL1})
+	pb.Insert(1, 0, l)
+	pb.Insert(2, 0, l)
+	pb.Touch(1)
+	pb.Touch(2)
+	if r := pb.DrainInto(nil, 1); len(r) != 1 || region.ID(r[0].Addr) != 2 {
+		t.Errorf("drained %v first, want region 2", r)
+	}
+}
+
 func TestPBReplacesLRU(t *testing.T) {
 	pb := newPrefetchBuffer(2, mem.NewRegion(4096))
 	l := levelsWith(64, map[int]prefetch.Level{1: prefetch.LevelL1})
@@ -128,6 +144,47 @@ func TestPBReinsertResetsIssued(t *testing.T) {
 	pb.Insert(1, 0, l)
 	if got := pb.DrainInto(nil, 10); len(got) != 1 {
 		t.Error("re-inserted pattern should issue again")
+	}
+}
+
+// TestPBReinsertReplacesPattern pins that a region holds one entry: a
+// new prediction for a buffered region replaces its pattern in place,
+// pending targets included, even when another slot is the LRU victim.
+func TestPBReinsertReplacesPattern(t *testing.T) {
+	region := mem.NewRegion(4096)
+	pb := newPrefetchBuffer(3, region)
+	other := levelsWith(64, map[int]prefetch.Level{5: prefetch.LevelL1})
+	pb.Insert(7, 0, other)
+	pb.Insert(1, 0, levelsWith(64, map[int]prefetch.Level{1: prefetch.LevelL1, 2: prefetch.LevelL1}))
+	pb.Insert(8, 0, other)
+	pb.Touch(7)
+	pb.Touch(1) // region 8 is the LRU entry
+	pb.Insert(1, 0, levelsWith(64, map[int]prefetch.Level{3: prefetch.LevelL2}))
+	got := pb.DrainInto(nil, 10)
+	want := []prefetch.Request{
+		{Addr: region.LineAddr(1, 3), Level: prefetch.LevelL2},
+		{Addr: region.LineAddr(7, 5), Level: prefetch.LevelL1},
+		{Addr: region.LineAddr(8, 5), Level: prefetch.LevelL1},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("drained %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("request %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestPBHoldsManyEntries runs a buffer wider than one pendingSlots word.
+func TestPBHoldsManyEntries(t *testing.T) {
+	const entries = 130
+	pb := newPrefetchBuffer(entries, mem.NewRegion(4096))
+	for r := uint64(0); r < entries; r++ {
+		pb.Insert(r, 0, levelsWith(64, map[int]prefetch.Level{1: prefetch.LevelL1}))
+	}
+	if got := pb.DrainInto(nil, 2*entries); len(got) != entries {
+		t.Errorf("drained %d requests, want one per entry (%d)", len(got), entries)
 	}
 }
 
@@ -187,6 +244,28 @@ func TestPBRequeueUnknownRegionDropped(t *testing.T) {
 	}
 }
 
+// TestPBRequeueMapsOffsetsToTargets pins how Requeue finds the target
+// a request came from: an offset behind the trigger wraps to the far
+// end of the anchored pattern, and the trigger line itself or a region
+// the buffer does not hold re-arms nothing.
+func TestPBRequeueMapsOffsetsToTargets(t *testing.T) {
+	region := mem.NewRegion(4096)
+	pb := newPrefetchBuffer(2, region)
+	pb.Insert(7, 10, levelsWith(64, map[int]prefetch.Level{1: prefetch.LevelL1, 63: prefetch.LevelL2}))
+	if got := pb.DrainInto(nil, 10); len(got) != 2 {
+		t.Fatalf("drained %v, want offsets 11 and 9", got)
+	}
+	pb.Requeue(7, 10)  // the trigger line
+	pb.Requeue(99, 11) // an unknown region
+	if got := pb.DrainInto(nil, 10); len(got) != 0 {
+		t.Errorf("re-armed %v", got)
+	}
+	pb.Requeue(7, 9) // anchored k = 63
+	if got := pb.DrainInto(nil, 10); len(got) != 1 || got[0].Addr != region.LineAddr(7, 9) || got[0].Level != prefetch.LevelL2 {
+		t.Errorf("after requeueing offset 9 drained %v, want it at L2C", got)
+	}
+}
+
 func TestPBRequeueNeverIssuedIsNoop(t *testing.T) {
 	pb := newPrefetchBuffer(2, mem.NewRegion(4096))
 	pb.Insert(7, 0, levelsWith(64, map[int]prefetch.Level{1: prefetch.LevelL1}))
@@ -216,6 +295,11 @@ func TestPBCrossRegionDrainAndRequeue(t *testing.T) {
 	again := pb.DrainInto(nil, 10)
 	if len(again) != 1 || again[0].Addr != want {
 		t.Fatalf("cross-region requeue failed: %v", again)
+	}
+	// One region on, the trigger's own offset is no target.
+	pb.Requeue(6, 63)
+	if got := pb.DrainInto(nil, 10); len(got) != 0 {
+		t.Errorf("requeue of (6, 63) re-armed %v", got)
 	}
 }
 
@@ -254,5 +338,63 @@ func TestPBCrossRegionRequeueMisroute(t *testing.T) {
 	}
 	if got := pb.DrainInto(nil, 10); len(got) != 1 || got[0].Level != prefetch.LevelL1 {
 		t.Errorf("redrain = %v, want region 11's L1 target", got)
+	}
+}
+
+// TestPBPendingSlotsInvariant drives random Insert, DrainInto, Requeue
+// and Touch sequences through a small buffer, with and without
+// cross-region projection. After every step a slot's pendingSlots bit
+// must be set exactly when the slot is valid with a pending target, and
+// only real targets may be pending. The first half is what makes PB
+// resume terminate: DrainInto visits flagged slots until max requests
+// are out, so a flagged slot with nothing pending would spin it forever.
+func TestPBPendingSlotsInvariant(t *testing.T) {
+	region := mem.NewRegion(1024) // 16 lines
+	n := region.Lines()
+	rng := rand.New(rand.NewSource(1))
+	for _, cross := range []bool{false, true} {
+		pb := newPrefetchBuffer(3, region)
+		pb.crossRegion = cross
+		var issued []prefetch.Request
+		for step := 0; step < 5000; step++ {
+			switch rng.Intn(4) {
+			case 0:
+				levels := make([]prefetch.Level, n)
+				for k := 1; k < n; k++ {
+					if rng.Intn(3) == 0 {
+						levels[k] = prefetch.Level(1 + rng.Intn(3))
+					}
+				}
+				pb.Insert(uint64(rng.Intn(5)), rng.Intn(n), levels)
+			case 1:
+				max := rng.Intn(5)
+				got := pb.DrainInto(nil, max)
+				if len(got) > max {
+					t.Fatalf("DrainInto(nil, %d) returned %d requests", max, len(got))
+				}
+				issued = append(issued, got...)
+			case 2:
+				id, off := uint64(rng.Intn(6)), rng.Intn(n)
+				if len(issued) > 0 && rng.Intn(2) == 0 {
+					r := issued[rng.Intn(len(issued))]
+					id, off = region.ID(r.Addr), region.Offset(r.Addr)
+				}
+				pb.Requeue(id, off)
+			case 3:
+				pb.Touch(uint64(rng.Intn(6)))
+			}
+			for i := range pb.entries {
+				e := &pb.entries[i]
+				flagged := pb.pendingSlots[i>>6]>>uint(i&63)&1 == 1
+				if flagged != (e.valid && e.pendingRank != 0) {
+					t.Fatalf("cross=%v step %d: slot %d flagged=%v, valid=%v pendingRank=%#x",
+						cross, step, i, flagged, e.valid, e.pendingRank)
+				}
+				if e.pendingRank&^e.targetRank != 0 {
+					t.Fatalf("cross=%v step %d: slot %d pends non-targets %#x",
+						cross, step, i, e.pendingRank&^e.targetRank)
+				}
+			}
+		}
 	}
 }

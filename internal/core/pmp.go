@@ -190,8 +190,8 @@ func (p *PMP) predict(trig sms.Trigger) {
 	}
 	p.capLowLevel()
 	queued := 0
-	for k := 1; k < len(p.final); k++ {
-		if p.final[k] != prefetch.LevelNone {
+	for _, l := range p.final {
+		if l != prefetch.LevelNone {
 			queued++
 		}
 	}
@@ -208,12 +208,13 @@ func (p *PMP) predict(trig sms.Trigger) {
 //  1. L1D only when both tables predict L1D;
 //  2. if both predict but either says L2C, prefetch to L2C;
 //  3. if the PPT is silent, downgrade the OPT's level;
-//  4. if the OPT is silent, do not prefetch.
+//  4. if the OPT is silent (always so at the trigger offset), do not
+//     prefetch.
 func (p *PMP) arbitrate() {
 	m := p.cfg.MonitoringRange
 	for k := range p.final {
 		o := p.optLevels[k]
-		if k == 0 || o == prefetch.LevelNone {
+		if o == prefetch.LevelNone {
 			p.final[k] = prefetch.LevelNone // rule 4
 			continue
 		}

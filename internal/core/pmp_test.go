@@ -160,6 +160,66 @@ func TestPMPArbitrationRule2(t *testing.T) {
 	}
 }
 
+// TestPMPArbitrationRules pins Fig 6e's four rules offset by offset. A
+// first arbitration fills every offset, so the second shows that each
+// level comes from the current candidates alone.
+func TestPMPArbitrationRules(t *testing.T) {
+	const none, l1, l2, llc = prefetch.LevelNone, prefetch.LevelL1, prefetch.LevelL2, prefetch.LevelLLC
+	cases := []struct{ opt, ppt, want prefetch.Level }{
+		{none, l1, none}, // rule 4
+		{none, none, none},
+		{l1, l1, l1}, // rule 1
+		{l1, l2, l2}, // rule 2
+		{l2, l1, l2},
+		{l2, l2, l2},
+		{l1, none, l2}, // rule 3
+		{l2, none, llc},
+	}
+	p := New(DefaultConfig()) // monitoring range 2: offset k reads PPT counter k/2
+	for k := range p.optLevels {
+		p.optLevels[k], p.pptLevels[k/2] = l1, l1
+	}
+	p.arbitrate()
+	for k := range p.optLevels {
+		p.optLevels[k], p.pptLevels[k/2] = none, none
+	}
+	for i, c := range cases {
+		k := 2 * (i + 1)
+		p.optLevels[k], p.pptLevels[k/2] = c.opt, c.ppt
+	}
+	p.arbitrate()
+	for k, got := range p.final {
+		want := none
+		if i := k/2 - 1; k%2 == 0 && i >= 0 && i < len(cases) {
+			want = cases[i].want
+		}
+		if got != want {
+			t.Errorf("offset %d: final level %v, want %v", k, got, want)
+		}
+	}
+}
+
+// TestPMPLimitKeepsNearestLowLevelTargets pins PMP-Limit's cap: the
+// LowLevelDegree nearest targets below L1D survive, nearest-first in the
+// buffer's order (1, 63, 2, 62, ...), and L1D targets are not counted.
+func TestPMPLimitKeepsNearestLowLevelTargets(t *testing.T) {
+	const l1, l2, llc = prefetch.LevelL1, prefetch.LevelL2, prefetch.LevelLLC
+	cfg := DefaultConfig()
+	cfg.LowLevelDegree = 2
+	p := New(cfg)
+	set := map[int]prefetch.Level{1: l1, 63: l2, 2: llc, 62: l1, 3: l2, 61: llc}
+	for k, l := range set {
+		p.final[k] = l
+	}
+	p.capLowLevel()
+	want := map[int]prefetch.Level{1: l1, 63: l2, 2: llc, 62: l1}
+	for k, got := range p.final {
+		if got != want[k] {
+			t.Errorf("offset %d: level %v, want %v", k, got, want[k])
+		}
+	}
+}
+
 func TestPMPOPTOnlySkipsArbitration(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Feature = OPTOnly
@@ -274,6 +334,21 @@ func TestPMPResumeOnRegionReaccess(t *testing.T) {
 	}
 }
 
+// TestPMPTriggerIsNoReaccess pins the other side of §IV-B's resume: a
+// trigger access starts a new prediction and does not resume the
+// region's earlier buffer entry, even when it predicts nothing.
+func TestPMPTriggerIsNoReaccess(t *testing.T) {
+	p := New(DefaultConfig())
+	teach(p, 0x400, 0, 20, []int{0, 1, 2, 3})
+	train(p, 0x400, regionAddr(1000, 0))
+	train(p, 0x400, regionAddr(2000, 0))
+	p.OnEvict(regionAddr(1000, 0))        // drops 1000's filter entry
+	train(p, 0x400, regionAddr(1000, 40)) // so this triggers, predicting nothing
+	if reqs := p.IssueInto(nil, 1); len(reqs) != 1 || reqs[0].Addr != regionAddr(2000, 1) {
+		t.Errorf("first request = %v, want region 2000 offset 1", reqs)
+	}
+}
+
 func TestPMPUntrainedIsSilent(t *testing.T) {
 	p := New(DefaultConfig())
 	train(p, 0x400, regionAddr(1, 0))
@@ -292,6 +367,27 @@ func TestPMPStatsProgress(t *testing.T) {
 	if s.Predictions != 10 {
 		t.Errorf("predictions = %d, want 10", s.Predictions)
 	}
+	// TargetsQueued counts exactly the targets the buffer then issues.
+	train(p, 0x400, regionAddr(1000, 0))
+	reqs := p.IssueInto(nil, 64)
+	if got := p.Stats().TargetsQueued - s.TargetsQueued; len(reqs) == 0 || got != uint64(len(reqs)) {
+		t.Errorf("targets queued = %d for %d issued requests", got, len(reqs))
+	}
+}
+
+// TestPMPEmptyPredictionKeepsBuffer pins §IV-B's use of the prefetch
+// buffer: a trigger whose prediction is empty stores nothing, so it
+// cannot displace a buffered region whose targets are still pending.
+func TestPMPEmptyPredictionKeepsBuffer(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PBEntries = 1
+	p := New(cfg)
+	teach(p, 0x400, 0, 20, []int{0, 1, 2, 3})
+	train(p, 0x400, regionAddr(1000, 0))  // buffered, not yet drained
+	train(p, 0x400, regionAddr(2000, 40)) // untrained trigger offset
+	if reqs := p.IssueInto(nil, 64); len(reqs) != 3 {
+		t.Errorf("issued %d requests, want region 1000's 3: %v", len(reqs), reqs)
+	}
 }
 
 func TestPMPHalvingOccurs(t *testing.T) {
@@ -299,8 +395,28 @@ func TestPMPHalvingOccurs(t *testing.T) {
 	cfg.OPTCounterBits = 2 // time counter saturates at 3
 	p := New(cfg)
 	teach(p, 0x400, 0, 12, []int{0, 1})
-	if p.Stats().Halvings == 0 {
-		t.Error("2-bit counters should have halved during 12 merges")
+	// The OPT row's time counter halves from 3 to 1 at merges 3, 5, 7,
+	// 9 and 11; the 5-bit PPT never saturates.
+	if got := p.Stats().Halvings; got != 5 {
+		t.Errorf("halvings = %d during 12 merges, want 5", got)
+	}
+}
+
+// TestPMPOPTIndexedByTriggerOffset pins §IV's anchoring feature: the
+// OPT row is chosen by the trigger offset, so a pattern learned at one
+// trigger offset predicts nothing at another.
+func TestPMPOPTIndexedByTriggerOffset(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Feature = OPTOnly
+	p := New(cfg)
+	teach(p, 0x400, 0, 20, []int{0, 1, 2})
+	train(p, 0x400, regionAddr(1000, 5))
+	if reqs := p.IssueInto(nil, 64); len(reqs) != 0 {
+		t.Errorf("trigger offset 5 used offset 0's row: %v", reqs)
+	}
+	train(p, 0x400, regionAddr(1001, 0))
+	if reqs := p.IssueInto(nil, 64); len(reqs) != 2 {
+		t.Errorf("trigger offset 0 issued %v, want its 2 targets", reqs)
 	}
 }
 

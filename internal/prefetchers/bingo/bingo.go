@@ -58,6 +58,9 @@ func (c Config) Validate() error {
 	if c.PHTWays <= 0 {
 		return errBadWays
 	}
+	if !(c.L1DVoteFrac >= 0 && c.L1DVoteFrac <= 1) {
+		return errBadVote
+	}
 	return c.smsConfig().Validate()
 }
 
@@ -75,6 +78,7 @@ var (
 	errBadRegion = configError("bingo: region bytes must be a power of two in [128, 4096]")
 	errBadSets   = configError("bingo: PHT sets must be a positive power of two")
 	errBadWays   = configError("bingo: PHT ways must be positive")
+	errBadVote   = configError("bingo: L1D vote fraction must be in [0, 1]")
 )
 
 type configError string

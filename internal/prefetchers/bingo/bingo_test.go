@@ -1,6 +1,7 @@
 package bingo
 
 import (
+	"math"
 	"testing"
 
 	"pmp/internal/mem"
@@ -114,6 +115,9 @@ func TestBingoConfigValidate(t *testing.T) {
 		{"region not a power of two", func(c *Config) { c.RegionBytes = 3072 }},
 		{"region larger than a page", func(c *Config) { c.RegionBytes = 8192 }},
 		{"non-power-of-two AT sets", func(c *Config) { c.ATSets = 3 }},
+		{"vote fraction above one", func(c *Config) { c.L1DVoteFrac = 2 }},
+		{"negative vote fraction", func(c *Config) { c.L1DVoteFrac = -0.5 }},
+		{"NaN vote fraction", func(c *Config) { c.L1DVoteFrac = math.NaN() }},
 	} {
 		cfg := DefaultConfig()
 		tc.mut(&cfg)

@@ -85,6 +85,15 @@ func TestRunSpecValidate(t *testing.T) {
 			c.PBEntries = 0
 			rs.Cores[0].Variant = VariantSpec{Name: "designb-8w", DesignB: &c}
 		}},
+		{"PMP ANE thresholds 5/16", func(rs *RunSpec) {
+			rs.Cores[0].Variant.PMP.Scheme = core.ANE
+			rs.Cores[0].Variant.PMP.ANEL1, rs.Cores[0].Variant.PMP.ANEL2 = 5, 16
+		}},
+		{"Bingo vote fraction 2", func(rs *RunSpec) {
+			c := bingo.DefaultConfig()
+			c.L1DVoteFrac = 2
+			rs.Placements = []Placement{{Level: 2, Variant: VariantSpec{Name: "bingo@llc", Bingo: &c}}}
+		}},
 		{"Bingo FT sets 3", func(rs *RunSpec) {
 			c := bingo.DefaultConfig()
 			c.FTSets = 3

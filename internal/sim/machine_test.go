@@ -199,9 +199,13 @@ func TestLaggardCoreStepsNext(t *testing.T) {
 	if counts[0] == 0 || counts[1] == 0 {
 		t.Fatalf("both cores must step: %v", counts)
 	}
-	// Ties go to the lower-indexed core until its cycle advances past
+	// Ties go to the lower-indexed core: both start at cycle 0, so core
+	// 0 steps first. It keeps stepping until its cycle advances past
 	// the other's, so short same-core bursts are expected — long ones
 	// mean the laggard rule is broken.
+	if log[0] != 0 {
+		t.Errorf("core %d stepped first; at equal cycles core 0 must", log[0])
+	}
 	if maxRun > 50 {
 		t.Errorf("one core ran %d consecutive steps; laggard scheduling should interleave", maxRun)
 	}

@@ -110,9 +110,6 @@ func New(cfg Config) *Framework {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	if cfg.Region.Lines() == 0 {
-		cfg.Region = mem.NewRegion(mem.DefaultRegion)
-	}
 	return &Framework{
 		cfg: cfg,
 		ft:  make([]ftEntry, cfg.FTSets*cfg.FTWays),
@@ -203,7 +200,6 @@ func (f *Framework) insertAT(region uint64, pc uint64, trigger int, addr mem.Add
 		e := &set[i]
 		if !e.valid {
 			victim = i
-			oldest = 0
 			break
 		}
 		if e.lru < oldest {

@@ -35,6 +35,21 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("config %+v should be invalid", c)
 		}
 	}
+	// The smallest legal geometry: one set of one way in each table.
+	if err := (Config{FTSets: 1, FTWays: 1, ATSets: 1, ATWays: 1}).Validate(); err != nil {
+		t.Errorf("one-way single-set config rejected: %v", err)
+	}
+}
+
+func TestNewPanicsOnInvalidConfig(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("New accepted zero FT sets")
+		}
+	}()
+	cfg := smallConfig()
+	cfg.FTSets = 0
+	New(cfg)
 }
 
 func TestFirstAccessIsTrigger(t *testing.T) {
@@ -49,6 +64,10 @@ func TestFirstAccessIsTrigger(t *testing.T) {
 	// Second access to the same line: still filtering, not a trigger.
 	if _, isTrig, _ := f.Observe(0x404, addrOf(5, 7)); isTrig {
 		t.Error("repeat access to trigger line should not re-trigger")
+	}
+	// A second distinct offset promotes the region; no trigger either.
+	if _, isTrig, _ := f.Observe(0x408, addrOf(5, 8)); isTrig {
+		t.Error("promoting access should not trigger")
 	}
 }
 
@@ -112,6 +131,70 @@ func TestATDisplacementClosesPattern(t *testing.T) {
 	if closed[0].RegionID != 1 {
 		t.Errorf("closed region %d, want 1 (LRU)", closed[0].RegionID)
 	}
+	// The next access closes nothing, so it reports nothing.
+	if _, _, closed := f.Observe(0x410, addrOf(4, 0)); len(closed) != 0 {
+		t.Errorf("a fresh trigger reported %d closed patterns", len(closed))
+	}
+}
+
+// TestATHitRefreshesLRU pins the accumulation table's replacement: an
+// access to an accumulating region makes it most recently used, so the
+// next promotion displaces the other region.
+func TestATHitRefreshesLRU(t *testing.T) {
+	f := New(smallConfig()) // AT: 1 set x 2 ways
+	for r := uint64(1); r <= 2; r++ {
+		f.Observe(0x400, addrOf(r, 0))
+		f.Observe(0x404, addrOf(r, 1))
+	}
+	f.Observe(0x400, addrOf(1, 2)) // region 1 is MRU
+	f.Observe(0x408, addrOf(3, 0))
+	_, _, closed := f.Observe(0x40c, addrOf(3, 2))
+	if len(closed) != 1 || closed[0].RegionID != 2 {
+		t.Errorf("promotion closed %+v, want region 2 (LRU)", closed)
+	}
+}
+
+// TestFreedWaysRefillFirst pins both tables' replacement when a way is
+// free: a region that leaves the filter table (promoted) or the
+// accumulation table (closed by eviction) frees its way, and the next
+// allocation takes that way, whichever it is, even over an older valid
+// entry.
+func TestFreedWaysRefillFirst(t *testing.T) {
+	for _, freed := range []uint64{0, 2} { // way 0 or way 1 of set 0
+		f := New(smallConfig()) // FT: 2 sets x 2 ways; AT: 1 set x 2 ways
+		f.Observe(0x400, addrOf(0, 0))
+		f.Observe(0x400, addrOf(2, 0))
+		f.Observe(0x404, addrOf(freed, 1)) // promoted: its FT way is free
+		other := 2 - freed
+		f.Observe(0x408, addrOf(4, 0)) // takes the free FT way
+		if _, isTrig, _ := f.Observe(0x40c, addrOf(other, 1)); isTrig {
+			t.Errorf("FT: region %d displaced although way %d was free", other, freed/2)
+		}
+		// Both regions now accumulate. Closing region 2 frees AT way 1,
+		// the MRU (freed 0), or way 0, ahead of a valid way (freed 2).
+		f.OnEvict(addrOf(2, 0))
+		f.Observe(0x410, addrOf(6, 0))
+		if _, _, closed := f.Observe(0x414, addrOf(6, 1)); len(closed) != 0 {
+			t.Errorf("AT: promotion closed region %d although a way was free", closed[0].RegionID)
+		}
+	}
+}
+
+func TestFlushClosesEverything(t *testing.T) {
+	f := New(smallConfig())
+	f.Observe(0x400, addrOf(1, 0))
+	f.Observe(0x404, addrOf(1, 3)) // accumulating
+	f.Observe(0x408, addrOf(3, 5)) // filtering
+	got := f.Flush()
+	if len(got) != 1 || got[0].RegionID != 1 || got[0].Bits != mem.BitVectorOf(mem.LinesPerPage, 0, 3) {
+		t.Fatalf("Flush() = %+v, want region 1's pattern {0, 3}", got)
+	}
+	if again := f.Flush(); len(again) != 0 {
+		t.Errorf("second Flush() = %+v, want nothing", again)
+	}
+	if _, isTrig, _ := f.Observe(0x40c, addrOf(3, 6)); !isTrig {
+		t.Error("Flush should empty the filter table")
+	}
 }
 
 func TestFTDisplacementIsSilent(t *testing.T) {
@@ -133,6 +216,24 @@ func TestFTDisplacementIsSilent(t *testing.T) {
 	}
 }
 
+// TestFTReaccessRefreshesLRU pins the filter table's replacement: a
+// repeat access to a region's trigger line makes that entry most
+// recently used, so the next fresh region in the set displaces the
+// other one.
+func TestFTReaccessRefreshesLRU(t *testing.T) {
+	f := New(smallConfig())        // FT: 2 sets x 2 ways
+	f.Observe(0x400, addrOf(0, 0)) // regions 0, 2 and 4 share FT set 0
+	f.Observe(0x400, addrOf(2, 0))
+	f.Observe(0x400, addrOf(0, 0)) // same line again: region 0 is MRU
+	f.Observe(0x400, addrOf(4, 0)) // displaces region 2
+	if _, isTrig, _ := f.Observe(0x400, addrOf(0, 1)); isTrig {
+		t.Error("re-accessed region 0 was displaced from the filter table")
+	}
+	if _, isTrig, _ := f.Observe(0x400, addrOf(2, 1)); !isTrig {
+		t.Error("region 2, the LRU entry, should have been displaced")
+	}
+}
+
 func TestPatternPCIsTriggerPC(t *testing.T) {
 	f := New(smallConfig())
 	f.Observe(0x111, addrOf(7, 3))
@@ -148,6 +249,9 @@ func TestSmallerRegions(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Region = mem.NewRegion(1024) // 16 lines
 	f := New(cfg)
+	if f.Region() != cfg.Region {
+		t.Errorf("Region() = %v, want %v", f.Region(), cfg.Region)
+	}
 	f.Observe(1, 1024*3+64*15) // region 3, offset 15
 	f.Observe(2, 1024*3+64*2)  // offset 2
 	p, ok := f.OnEvict(1024 * 3)
