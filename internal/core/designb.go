@@ -157,8 +157,7 @@ func (d *DesignB) insert(pat sms.Pattern) {
 			return
 		}
 		if !e.valid {
-			victim = i
-			oldest = 0
+			victim = i // a free way's lru is 0, so no valid way displaces it
 		}
 		if e.lru < oldest {
 			oldest, victim = e.lru, i

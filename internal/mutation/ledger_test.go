@@ -30,7 +30,7 @@ const equivalentsPath = "testdata/equivalents.txt"
 // package's own tests let through.
 var goldenSuite = suite{pkg: "internal/sim", run: "^TestGolden"}
 
-// TestLedger runs the mutation campaign (about an hour for the four
+// TestLedger runs the mutation campaign (about half an hour for the four
 // default packages on 2 CPUs) and writes one ledger per package:
 //
 //	go test ./internal/mutation -run TestLedger -ledger -timeout 0 -v
@@ -48,7 +48,7 @@ func TestLedger(t *testing.T) {
 		r := &runner{root: root, env: env, tmp: tmp, unit: suite{pkg: pkg}, golden: goldenSuite}
 		start := time.Now()
 		results, err := r.campaign(func(i, n int, res result) {
-			t.Logf("%s [%d/%d] %-11s %s", pkg, i, n, res.class, res.key())
+			t.Logf("%s [%d/%d] %-11s %s\t%s", pkg, i, n, res.class, res.key(), res.by)
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", pkg, err)
@@ -166,6 +166,7 @@ func (l ledger) write(w io.Writer) (unexplained []string) {
 		switch r.class {
 		case killed:
 			byTest[r.by]++
+			listed[killed] = append(listed[killed], key+"\tby "+r.by)
 			if isEquiv {
 				killedEquivalents = append(killedEquivalents, key+"\tby "+r.by)
 			}
@@ -228,6 +229,7 @@ func (l ledger) write(w io.Writer) (unexplained []string) {
 		return strings.TrimSpace(tests[i][5:]) < strings.TrimSpace(tests[j][5:])
 	})
 	section("kills per unit test", tests)
+	section("killed", listed[killed])
 	return unexplained
 }
 
